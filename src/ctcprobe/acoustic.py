@@ -377,6 +377,9 @@ def import_timit_dir(path, sample_rate_hz=DEFAULT_SAMPLE_RATE,
     """Import paired .wav/.phn (optionally .txt) files under ``path``.
 
     Returns (utterances, errors); a failing file is reported and skipped.
+    An utterance's id is its path relative to ``path``, without extension
+    and with "/" separators (TIMIT reuses file names such as SA1 in every
+    speaker directory).
     Leading/trailing silence (h#) is trimmed and the utterance cropped to
     the labelled span.  Segment sample times become frame indices by
     center containment of each 10ms frame slot.
@@ -390,13 +393,14 @@ def import_timit_dir(path, sample_rate_hz=DEFAULT_SAMPLE_RATE,
                 wavs.append(os.path.join(root, name))
     for wav_path in sorted(wavs):
         stem = os.path.splitext(wav_path)[0]
+        utt_id = os.path.relpath(stem, path).replace(os.sep, "/")
         phn_path = _sibling(stem, ".phn")
         if phn_path is None:
             errors.append((wav_path, "missing .phn file"))
             continue
         try:
             utt = _import_one(wav_path, phn_path, _sibling(stem, ".txt"),
-                              sample_rate_hz, window_ms, hop_ms)
+                              sample_rate_hz, window_ms, hop_ms, utt_id)
             utterances.append(utt)
         except Exception as exc:  # per-file error, keep going
             errors.append((wav_path, str(exc)))
@@ -423,7 +427,8 @@ def _read_wav(path, expected_rate):
     return np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
 
 
-def _import_one(wav_path, phn_path, txt_path, sample_rate_hz, window_ms, hop_ms):
+def _import_one(wav_path, phn_path, txt_path, sample_rate_hz, window_ms, hop_ms,
+                utt_id):
     samples = _read_wav(wav_path, sample_rate_hz)
     spec = spectrogram(samples, sample_rate_hz, window_ms, hop_ms)
     hop = int(round(sample_rate_hz * hop_ms / 1000.0))
@@ -487,7 +492,6 @@ def _import_one(wav_path, phn_path, txt_path, sample_rate_hz, window_ms, hop_ms)
             parts = fh.read().strip().split(None, 2)
         if len(parts) == 3:
             transcript = _clean_transcript(parts[2])
-    utt_id = os.path.splitext(os.path.basename(wav_path))[0]
     return Utterance(Spectrogram(frames, sample_rate_hz, window_ms, hop_ms),
                      segments, transcript, utt_id)
 

@@ -14,6 +14,7 @@ import argparse
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -251,17 +252,23 @@ def combo_name(layer, strides, window, scheme):
 
 
 def stage_extract(cfg, art, model, train, dev, inventory):
-    datasets = {}
-    for layer, strides, window, scheme in probe_combos(cfg):
-        name = combo_name(layer, strides, window, scheme)
-        ds_train = probing.extract_frames(
-            model, train, layer, strides_enabled=strides, window=window,
-            scheme=scheme, inventory=inventory, threads=cfg.threads)
-        ds_dev = probing.extract_frames(
-            model, dev, layer, strides_enabled=strides, window=window,
-            scheme=scheme, inventory=inventory, threads=cfg.threads)
-        probing.save_dataset(art.path(f"frames_{name}.train.fds"), ds_train)
-        probing.save_dataset(art.path(f"frames_{name}.dev.fds"), ds_dev)
+    # Each utterance is forwarded once per strides setting; every layer,
+    # window and scheme of that setting is cut from the stored passes.
+    # probe_combos yields the strides settings outermost, so each store is
+    # dropped as soon as its setting is done.
+    for _strides, combos in itertools.groupby(probe_combos(cfg),
+                                              key=lambda combo: combo[1]):
+        forwards = {"train": {}, "dev": {}}
+        for layer, strides, window, scheme in combos:
+            name = combo_name(layer, strides, window, scheme)
+            for split, corpus in (("train", train), ("dev", dev)):
+                ds = probing.extract_frames(
+                    model, corpus, layer, strides_enabled=strides,
+                    window=window, scheme=scheme, inventory=inventory,
+                    threads=cfg.threads, forwards=forwards[split])
+                probing.save_dataset(art.path(f"frames_{name}.{split}.fds"),
+                                     ds)
+    forwards = None  # free the last store before the datasets are reloaded
     # Hand back the on-disk (f32) datasets so `run` and the staged
     # subcommands feed probes identical inputs.
     return load_datasets(cfg, art)
@@ -287,6 +294,7 @@ def stage_probe(cfg, art, model, datasets, dev_corpus, inventory):
     breakdown_rows = [("layer", "strides", "window", "scheme", "category",
                        "share", "accuracy")]
     model_cfg = model.config
+    dev_forwards = {}  # one forward per dev utterance and strides setting
     for combo, (ds_train, ds_dev) in datasets.items():
         layer, strides, window, scheme = combo
         name = combo_name(*combo)
@@ -314,7 +322,7 @@ def stage_probe(cfg, art, model, datasets, dev_corpus, inventory):
                                                          strides))
         if same_resolution:
             bd = probing.breakdown_by_ctc_symbol(result.probe, ds_dev, model,
-                                                 dev_corpus)
+                                                 dev_corpus, dev_forwards)
             for cat, stats in sorted(bd.per_category.items()):
                 breakdown_rows.append(
                     (layer, int(strides), window, scheme, cat,

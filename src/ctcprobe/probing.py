@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ctc
-from .acoustic import frame_label
 from .layers import uniform_init
+from .model import log_softmax
 
 DATASET_MAGIC = b"CPFD"
 DATASET_VERSION = 1
@@ -54,10 +54,17 @@ class FrameDataset:
 
 def extract_frames(model, corpus, layer, strides_enabled=True, window=0,
                    scheme="full", inventory=None, threads=1,
-                   standardize=False) -> FrameDataset:
+                   forwards=None) -> FrameDataset:
     """Per-frame tap vectors (optionally a +-window concatenation with
     boundary replication) with phone labels mapped through the layer's
-    cumulative subsample factor and receptive-field center offset."""
+    cumulative subsample factor and receptive-field center offset.
+
+    ``forwards`` is a store {(utterance id, strides_enabled): ForwardResult}
+    that calls on the same corpus and model can share, so that each
+    utterance is forwarded once however many (layer, window, scheme)
+    combos are cut from it.  Utterances missing from the store are
+    forwarded on ``threads`` threads and added to it.
+    """
     cfg = model.config
     if not 0 <= layer <= cfg.n_layers:
         raise ValueError(f"layer {layer} outside [0, {cfg.n_layers}]")
@@ -66,46 +73,34 @@ def extract_frames(model, corpus, layer, strides_enabled=True, window=0,
     factor = cfg.subsample_factor(layer, strides_enabled)
     offset = cfg.receptive_center_offset(layer, strides_enabled)
 
+    phones = sorted({seg.phone for utt in corpus for seg in utt.segments})
     if inventory is not None:
         label_names = inventory.labels_for_scheme(scheme)
+        reduced = [inventory.reduce(phone, scheme) for phone in phones]
     else:
         if scheme != "full":
             raise ValueError("reduction schemes need a phone inventory")
-        label_names = sorted({seg.phone for utt in corpus
-                              for seg in utt.segments})
+        label_names = reduced = phones
     label_index = {name: i for i, name in enumerate(label_names)}
+    phone_code = {phone: label_index[name]
+                  for phone, name in zip(phones, reduced)}
 
-    def one(utt):
-        result = model.forward(utt.spectrogram, strides_enabled=strides_enabled,
-                               mode="eval", utterance_id=utt.id)
+    results = _forward_all(model, corpus, strides_enabled, forwards, threads)
+    vectors, labels, spans = [], [], []
+    for utt, result in zip(corpus, results):
         tap = result.taps[layer].frames
-        vec = _windowed(tap, window)
-        labels = np.empty(tap.shape[0], dtype=np.int64)
-        for t in range(tap.shape[0]):
-            idx = min(max(t * factor + offset, 0), utt.n_frames - 1)
-            phone = frame_label(utt, idx)
-            if inventory is not None:
-                phone = inventory.reduce(phone, scheme)
-            labels[t] = label_index[phone]
-        return vec, labels, (utt.id, tap.shape[0])
+        vectors.append(_windowed(tap, window))
+        labels.append(_frame_labels(utt, phone_code, tap.shape[0], factor,
+                                    offset))
+        spans.append((utt.id, tap.shape[0]))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(one, corpus))
-    else:
-        parts = [one(utt) for utt in corpus]
-
-    if parts:
-        vectors = np.concatenate([p[0] for p in parts], axis=0)
-        labels = np.concatenate([p[1] for p in parts], axis=0)
+    if vectors:
+        vectors = np.concatenate(vectors, axis=0)
+        labels = np.concatenate(labels, axis=0)
     else:
         d = cfg.tap_width(layer) * (2 * window + 1)
         vectors = np.zeros((0, d))
         labels = np.zeros(0, dtype=np.int64)
-    if standardize and vectors.size:
-        mu = vectors.mean(axis=0)
-        sd = vectors.std(axis=0)
-        vectors = (vectors - mu) / np.where(sd > 0, sd, 1.0)
     provenance = {
         "layer": layer,
         "strides_enabled": bool(strides_enabled),
@@ -113,15 +108,56 @@ def extract_frames(model, corpus, layer, strides_enabled=True, window=0,
         "scheme": scheme,
         "subsample_factor": factor,
         "receptive_center_offset": offset,
-        "standardized": bool(standardize),
+        "standardized": False,  # format field: vectors are raw tap values
     }
-    return FrameDataset(vectors, labels, label_names, provenance,
-                        spans=[p[2] for p in parts])
+    return FrameDataset(vectors, labels, label_names, provenance, spans=spans)
+
+
+def _by_id(corpus):
+    by_id = {}
+    for utt in corpus:
+        if utt.id in by_id:
+            raise ValueError(f"duplicate utterance id {utt.id!r}")
+        by_id[utt.id] = utt
+    return by_id
+
+
+def _forward_all(model, utts, strides_enabled, forwards, threads=1):
+    """Eval-mode ForwardResult of each utterance, in order: read from the
+    ``forwards`` store where present, forwarded and stored otherwise."""
+    _by_id(utts)
+    if forwards is None:
+        forwards = {}
+    missing = [utt for utt in utts if (utt.id, strides_enabled) not in forwards]
+
+    def one(utt):
+        return model.forward(utt.spectrogram, strides_enabled=strides_enabled,
+                             mode="eval", utterance_id=utt.id)
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            done = list(pool.map(one, missing))
+    else:
+        done = [one(utt) for utt in missing]
+    for utt, result in zip(missing, done):
+        forwards[(utt.id, strides_enabled)] = result
+    return [forwards[(utt.id, strides_enabled)] for utt in utts]
+
+
+def _frame_labels(utt, phone_code, n_rows, factor, offset):
+    """Label index of each of a tap's ``n_rows`` frames: the phone at input
+    frame t*factor + offset, clamped to the utterance."""
+    per_input = np.repeat(
+        np.array([phone_code[seg.phone] for seg in utt.segments],
+                 dtype=np.int64),
+        [seg.end_frame - seg.start_frame for seg in utt.segments])
+    idx = np.clip(np.arange(n_rows) * factor + offset, 0, utt.n_frames - 1)
+    return per_input[idx]
 
 
 def _windowed(tap, w):
     if w == 0:
-        return tap.copy()
+        return tap
     padded = np.concatenate([np.repeat(tap[:1], w, axis=0), tap,
                              np.repeat(tap[-1:], w, axis=0)], axis=0)
     T = tap.shape[0]
@@ -176,7 +212,7 @@ class TrainedProbe:
 
     def evaluate_loss(self, x, y):
         logits = self.logits(x)
-        lp = _log_softmax(logits)
+        lp = log_softmax(logits)
         loss = float(-lp[np.arange(len(y)), y].mean())
         acc = float((np.argmax(logits, axis=1) == y).mean())
         return loss, acc
@@ -186,7 +222,7 @@ class TrainedProbe:
         n = x.shape[0]
         if self.hidden is None:
             logits = x @ self.params["W"].T + self.params["b"]
-            lp = _log_softmax(logits)
+            lp = log_softmax(logits)
             loss = float(-lp[np.arange(n), y].mean())
             dlogits = np.exp(lp)
             dlogits[np.arange(n), y] -= 1.0
@@ -201,7 +237,7 @@ class TrainedProbe:
         else:
             mask = None
         logits = h @ self.params["W2"].T + self.params["b2"]
-        lp = _log_softmax(logits)
+        lp = log_softmax(logits)
         loss = float(-lp[np.arange(n), y].mean())
         dlogits = np.exp(lp)
         dlogits[np.arange(n), y] -= 1.0
@@ -216,11 +252,6 @@ class TrainedProbe:
             "W2": dlogits.T @ h,
             "b2": dlogits.sum(axis=0),
         }
-
-
-def _log_softmax(logits):
-    z = logits - logits.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +334,14 @@ class CtcBreakdown:
                 "overall_accuracy": self.overall_accuracy}
 
 
-def breakdown_by_ctc_symbol(probe, dataset, model, corpus) -> CtcBreakdown:
+def breakdown_by_ctc_symbol(probe, dataset, model, corpus,
+                            forwards=None) -> CtcBreakdown:
     """Partition frames by the model's own greedy CTC prediction (blank,
-    space, or letter) and report probe accuracy within each category."""
+    space, or letter) and report probe accuracy within each category.
+
+    ``forwards`` is a forward store as in `extract_frames`; share one
+    between calls on the same corpus and model to forward each utterance
+    once per strides setting."""
     cfg = model.config
     layer = dataset.provenance.get("layer")
     strides = dataset.provenance.get("strides_enabled", True)
@@ -316,14 +352,15 @@ def breakdown_by_ctc_symbol(probe, dataset, model, corpus) -> CtcBreakdown:
         raise ValueError(
             "dataset layer and softmax output have different time "
             "resolutions; extract from a post-convolution layer")
-    by_id = {utt.id: utt for utt in corpus}
-    categories = []
-    for utt_id, n_rows in dataset.spans:
-        utt = by_id.get(utt_id)
-        if utt is None:
+    by_id = _by_id(corpus)
+    utts = []
+    for utt_id, _n_rows in dataset.spans:
+        if utt_id not in by_id:
             raise ValueError(f"utterance {utt_id!r} missing from corpus")
-        result = model.forward(utt.spectrogram, strides_enabled=strides,
-                               mode="eval")
+        utts.append(by_id[utt_id])
+    results = _forward_all(model, utts, strides, forwards)
+    categories = []
+    for (utt_id, n_rows), result in zip(dataset.spans, results):
         decode = ctc.greedy_decode(result.log_probs, cfg.alphabet)
         if len(decode.categories) != n_rows:
             raise ValueError(

@@ -174,9 +174,12 @@ def sanity_pipeline():
     inventory = synthetic_inventory(synth.phones)
     probe_cfg = ProbeConfig(hidden=500, epochs=8, seed=0)
     layers = {}
+    fwd_train, fwd_dev = {}, {}  # forward each split once for all layers
     for layer in range(cfg.n_layers + 1):
-        ds_train = extract_frames(asr.model, train, layer, inventory=inventory)
-        ds_dev = extract_frames(asr.model, dev, layer, inventory=inventory)
+        ds_train = extract_frames(asr.model, train, layer, inventory=inventory,
+                                  forwards=fwd_train)
+        ds_dev = extract_frames(asr.model, dev, layer, inventory=inventory,
+                                forwards=fwd_dev)
         fit = train_probe(ds_train, ds_dev, probe_cfg)
         report = evaluate_probe(fit.probe, ds_dev)
         _, baseline = majority_baseline(ds_dev)
@@ -267,9 +270,12 @@ def run_trend_experiment():
     inventory = synthetic_inventory(synth.phones)
     probe_cfg = ProbeConfig(hidden=500, epochs=8, seed=0)
     accuracies = {}
+    fwd_train, fwd_dev = {}, {}  # forward each split once for all layers
     for layer in range(1, cfg.n_layers + 1):
-        ds_train = extract_frames(asr.model, train, layer, inventory=inventory)
-        ds_dev = extract_frames(asr.model, dev, layer, inventory=inventory)
+        ds_train = extract_frames(asr.model, train, layer, inventory=inventory,
+                                  forwards=fwd_train)
+        ds_dev = extract_frames(asr.model, dev, layer, inventory=inventory,
+                                forwards=fwd_dev)
         fit = train_probe(ds_train, ds_dev, probe_cfg)
         accuracies[layer] = evaluate_probe(fit.probe, ds_dev).accuracy
     return accuracies

@@ -236,3 +236,13 @@ class TestTimitImport:
         utts, errors = acoustic.import_timit_dir(tmp_path)
         assert len(utts) == 1 and utts[0].id == "ok"
         assert len(errors) == 1 and "broken" in errors[0][0]
+
+    def test_speaker_dirs_sharing_a_basename_get_distinct_ids(self, tmp_path):
+        rng = np.random.default_rng(3)
+        for speaker in ("dr1/fcjf0", "dr1/mdab0"):
+            acoustic.export_timit_dir(
+                tmp_path / speaker, [("sa1", 0.1 * rng.standard_normal(3200),
+                                      [(0, 3200, "aa")], "")])
+        utts, errors = acoustic.import_timit_dir(tmp_path)
+        assert errors == []
+        assert [u.id for u in utts] == ["dr1/fcjf0/sa1", "dr1/mdab0/sa1"]

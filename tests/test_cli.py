@@ -6,9 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from ctcprobe import cli, plots
+from ctcprobe import cli, plots, probing
 from ctcprobe.cli import ExperimentConfig, load_config, main
-from ctcprobe.model import preset
+from ctcprobe.model import TrainedModel, preset
 from ctcprobe.probing import ProbeReport
 
 
@@ -221,3 +221,43 @@ class TestSubcommands:
         for rel in ("asr_loss.csv", "layer_accuracy.csv", "clusters.csv"):
             assert (tmp_path / "staged" / rel).read_bytes() == \
                 (out / rel).read_bytes(), rel
+
+
+def test_run_forwards_each_utterance_once_per_strides_setting(tmp_path,
+                                                              monkeypatch):
+    cfg = small_config(tmp_path / "out")
+    cfg["probe"].update(layers=[2, 8], strides=[True, False])
+    cfg["clustering"] = {"enabled": False}
+    caller = [None]
+    counts = {}
+
+    def attributed(name, fn):
+        def wrapper(*args, **kwargs):
+            caller[0] = name
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                caller[0] = None
+        return wrapper
+
+    def counting_forward(self, x, strides_enabled=True, mode="eval",
+                         **kwargs):
+        key = (caller[0], strides_enabled, mode)
+        counts[key] = counts.get(key, 0) + 1
+        return forward(self, x, strides_enabled, mode, **kwargs)
+
+    forward = TrainedModel.forward
+    monkeypatch.setattr(TrainedModel, "forward", counting_forward)
+    for name in ("extract_frames", "breakdown_by_ctc_symbol"):
+        monkeypatch.setattr(probing, name,
+                            attributed(name, getattr(probing, name)))
+    out = cli.run(ExperimentConfig.from_dict(cfg))
+
+    train, dev = cli.load_split(cli.ArtifactDir(out))
+    rows = (tmp_path / "out" / "ctc_breakdown.csv").read_text().splitlines()
+    assert len(rows) == 1 + 2 * 2 * 2 * 3  # layers x schemes x strides x cats
+    for strides in (True, False):
+        assert counts[("extract_frames", strides, "eval")] == \
+            len(train) + len(dev)
+        assert counts[("breakdown_by_ctc_symbol", strides, "eval")] == \
+            len(dev)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ctcprobe import phoneset, probing
-from ctcprobe.acoustic import SynthConfig, synthesize_corpus
+from ctcprobe.acoustic import (SynthConfig, Utterance, frame_label,
+                               synthesize_corpus)
 from ctcprobe.model import LayerSpec, ModelConfig, TrainedModel, preset
 from ctcprobe.probing import (FrameDataset, ProbeReport, TrainedProbe,
                               breakdown_by_ctc_symbol, confusion_matrix,
@@ -89,6 +90,81 @@ class TestExtractFrames:
         cfg, utts = corpus
         with pytest.raises(ValueError):
             extract_frames(mini_model, utts, 99)
+
+    def test_labels_match_frame_label_reference(self, corpus):
+        # Convs padded beyond their half-kernel put the receptive-field
+        # center of the first and last frames outside the utterance, so
+        # the labels there come from the clamped index.
+        cfg, utts = corpus
+        inv = phoneset.synthetic_inventory(cfg.phones)
+        model = TrainedModel(ModelConfig(
+            layers=[
+                LayerSpec("conv2d", kernel=(3, 5), stride=(2, 2),
+                          padding=(2, 0), out_channels=2),
+                LayerSpec("conv2d", kernel=(3, 5), stride=(2, 1),
+                          padding=(2, 0), out_channels=2),
+                LayerSpec("rnn_bidir", hidden_size=4),
+                LayerSpec("fully_connected", hidden_size=29,
+                          batchnorm=False),
+            ], seed=0))
+        clamped = 0
+        for layer in range(4):
+            for strides in (True, False):
+                factor = model.config.subsample_factor(layer, strides)
+                offset = model.config.receptive_center_offset(layer, strides)
+                for window in (0, 2):
+                    for scheme in ("full", "sound_class"):
+                        ds = extract_frames(model, utts, layer,
+                                            strides_enabled=strides,
+                                            window=window, scheme=scheme,
+                                            inventory=inv)
+                        expected = []
+                        for utt, (_id, n_rows) in zip(utts, ds.spans):
+                            for t in range(n_rows):
+                                idx = t * factor + offset
+                                clamped += not 0 <= idx < utt.n_frames
+                                idx = min(max(idx, 0), utt.n_frames - 1)
+                                expected.append(inv.reduce(
+                                    frame_label(utt, idx), scheme))
+                        got = [ds.label_names[i] for i in ds.labels]
+                        assert got == expected, (layer, strides, window,
+                                                 scheme)
+        assert clamped > 0
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_shared_store_matches_fresh_extraction(self, corpus, mini_model,
+                                                   threads):
+        cfg, utts = corpus
+        inv = phoneset.synthetic_inventory(cfg.phones)
+        forwards = {}
+        for strides in (True, False):
+            for layer in (0, 2, 3):
+                for window in (0, 2):
+                    kw = dict(strides_enabled=strides, window=window,
+                              scheme="sound_class", inventory=inv,
+                              threads=threads)
+                    shared = extract_frames(mini_model, utts, layer,
+                                            forwards=forwards, **kw)
+                    fresh = extract_frames(mini_model, utts, layer, **kw)
+                    np.testing.assert_array_equal(shared.vectors,
+                                                  fresh.vectors)
+                    np.testing.assert_array_equal(shared.labels, fresh.labels)
+                    assert shared.spans == fresh.spans
+                    assert shared.provenance == fresh.provenance
+        assert sorted(forwards) == sorted((u.id, s) for u in utts
+                                          for s in (True, False))
+
+    def test_duplicate_ids_rejected(self, corpus, mini_model):
+        cfg, utts = corpus
+        inv = phoneset.synthetic_inventory(cfg.phones)
+        twin = Utterance(utts[1].spectrogram, utts[1].segments,
+                         utts[1].transcript, utts[0].id)
+        with pytest.raises(ValueError, match=utts[0].id):
+            extract_frames(mini_model, [utts[0], twin], 2, inventory=inv)
+        ds = extract_frames(mini_model, utts[:1], 2, inventory=inv)
+        probe = TrainedProbe.init(ds.dim, ds.label_names, hidden=None)
+        with pytest.raises(ValueError, match=utts[0].id):
+            breakdown_by_ctc_symbol(probe, ds, mini_model, [utts[0], twin])
 
 
 class TestTrainedProbe:
