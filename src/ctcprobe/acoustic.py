@@ -292,25 +292,14 @@ def frame_label(utt: Utterance, t: int, subsample_factor: int = 1,
 
     Maps t to input frame index t*subsample_factor + receptive_center_offset
     (center-of-receptive-field rule) and returns the phone of the containing
-    segment; frames falling in a gap take the nearest segment's phone.
+    segment.
     """
     idx = t * subsample_factor + receptive_center_offset
     n = utt.n_frames
     if not 0 <= idx < n:
         raise ValueError(f"mapped frame index {idx} outside [0, {n})")
     starts = [s.start_frame for s in utt.segments]
-    pos = bisect.bisect_right(starts, idx) - 1
-    seg = utt.segments[pos]
-    if seg.start_frame <= idx < seg.end_frame:
-        return seg.phone
-    # Gap (imported data only): nearest segment wins.
-    candidates = []
-    if pos >= 0:
-        candidates.append((idx - (utt.segments[pos].end_frame - 1), utt.segments[pos]))
-    if pos + 1 < len(utt.segments):
-        candidates.append((utt.segments[pos + 1].start_frame - idx,
-                           utt.segments[pos + 1]))
-    return min(candidates, key=lambda c: c[0])[1].phone
+    return utt.segments[bisect.bisect_right(starts, idx) - 1].phone
 
 
 # ---------------------------------------------------------------------------

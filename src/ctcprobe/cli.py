@@ -188,18 +188,31 @@ def _fnum(x):
 # Stages
 # ---------------------------------------------------------------------------
 
-def stage_corpus(cfg: ExperimentConfig, art: ArtifactDir):
+def _synth_config(cfg: ExperimentConfig):
+    """The corpus's SynthConfig, or None when the corpus is imported."""
     synth = cfg.corpus.get("synthetic")
-    if synth is not None:
-        params = {k: v for k, v in synth.items() if k != "n_utterances"}
-        for key in ("phones_per_utterance", "segment_frames", "word_phones"):
-            if key in params:
-                params[key] = tuple(params[key])
-        params.setdefault("seed", cfg.seed)
-        synth_cfg = acoustic.SynthConfig(**params)
-        corpus = acoustic.synthesize_corpus(synth_cfg,
-                                            synth.get("n_utterances", 100))
-        inventory = phoneset.synthetic_inventory(synth_cfg.phones)
+    if synth is None:
+        return None
+    params = {k: v for k, v in synth.items() if k != "n_utterances"}
+    for key in ("phones_per_utterance", "segment_frames", "word_phones"):
+        if key in params:
+            params[key] = tuple(params[key])
+    params.setdefault("seed", cfg.seed)
+    return acoustic.SynthConfig(**params)
+
+
+def _inventory_for(cfg: ExperimentConfig):
+    synth_cfg = _synth_config(cfg)
+    if synth_cfg is None:
+        return phoneset.timit_inventory()
+    return phoneset.synthetic_inventory(synth_cfg.phones)
+
+
+def stage_corpus(cfg: ExperimentConfig, art: ArtifactDir):
+    synth_cfg = _synth_config(cfg)
+    if synth_cfg is not None:
+        corpus = acoustic.synthesize_corpus(
+            synth_cfg, cfg.corpus["synthetic"].get("n_utterances", 100))
     else:
         corpus, errors = acoustic.import_timit_dir(cfg.corpus["import_path"])
         if errors:
@@ -207,7 +220,6 @@ def stage_corpus(cfg: ExperimentConfig, art: ArtifactDir):
                           [("file", "error")] + list(errors))
         if not corpus:
             raise ValueError("import produced no utterances")
-        inventory = phoneset.timit_inventory()
     train, dev = trainer.split_dev(corpus, cfg.train.get("dev_fraction", 0.1),
                                    cfg.seed)
     acoustic.save_corpus(art.path("corpus_train.jsonl"), train)
@@ -215,7 +227,7 @@ def stage_corpus(cfg: ExperimentConfig, art: ArtifactDir):
     # Reload so later stages see exactly what a staged re-run would
     # (spectrograms round-trip through f32 on disk).
     train, dev = load_split(art)
-    return train, dev, inventory
+    return train, dev, _inventory_for(cfg)
 
 
 def load_split(art):
@@ -353,7 +365,10 @@ def _write_inter_intra(art, reports, inventory):
         art.write_csv("inter_intra_f1.csv", rows)
 
 
-def stage_cluster(cfg, art, datasets, inventory):
+def stage_cluster(cfg, art, datasets=None):
+    """Cluster the dev frames of the configured combo.  `datasets` is what
+    stage_extract returned; without it, only that combo's dev `.fds` is
+    read from `art`."""
     spec = cfg.clustering
     if not spec.get("enabled"):
         return None
@@ -362,10 +377,14 @@ def stage_cluster(cfg, art, datasets, inventory):
     window = spec.get("window", 0)
     scheme = spec.get("scheme", "full")
     key = (layer, strides, window, scheme)
-    if key not in datasets:
+    if key not in set(probe_combos(cfg)):
         raise ValueError(
             f"clustering needs probe combo {key} to be extracted")
-    _ds_train, ds_dev = datasets[key]
+    if datasets is None:
+        ds_dev = probing.load_dataset(
+            art.path(f"frames_{combo_name(*key)}.dev.fds"))
+    else:
+        _ds_train, ds_dev = datasets[key]
     labels = np.array([ds_dev.label_names[i] for i in ds_dev.labels])
     k = min(spec.get("k", 50), ds_dev.n_frames)
     summary = clustering.kmeans(ds_dev.vectors, k, labels=labels,
@@ -462,7 +481,7 @@ def run(cfg: ExperimentConfig) -> str:
                          dev, inventory)
     reports = run_stage("probe", stage_probe, cfg, art, model, datasets, dev,
                         inventory)
-    run_stage("cluster", stage_cluster, cfg, art, datasets, inventory)
+    run_stage("cluster", stage_cluster, cfg, art, datasets)
     run_stage("report", stage_report, cfg, art, reports, model.config)
     art.write_manifest(cfg)
     return art.base
@@ -505,22 +524,9 @@ def main(argv=None):
         if args.command == "synth":
             stage_corpus(cfg, art)
             return EXIT_OK
-        # Later stages reload earlier artifacts from the output directory.
-        train, dev = load_split(art)
-        inventory = _inventory_for(cfg)
-        if args.command == "train-asr":
-            stage_train_asr(cfg, art, train, dev)
-            return EXIT_OK
-        model = TrainedModel.load(art.path("model.ckpt"))
-        if args.command == "extract":
-            stage_extract(cfg, art, model, train, dev, inventory)
-            return EXIT_OK
-        datasets = load_datasets(cfg, art)
-        if args.command == "probe":
-            stage_probe(cfg, art, model, datasets, dev, inventory)
-            return EXIT_OK
+        # Later stages reload only the earlier artifacts they read.
         if args.command == "cluster":
-            stage_cluster(cfg, art, datasets, inventory)
+            stage_cluster(cfg, art)
             return EXIT_OK
         if args.command == "report":
             reports = {}
@@ -532,6 +538,18 @@ def main(argv=None):
             stage_report(cfg, art, reports, cfg.model_config())
             art.write_manifest(cfg)
             return EXIT_OK
+        train, dev = load_split(art)
+        if args.command == "train-asr":
+            stage_train_asr(cfg, art, train, dev)
+            return EXIT_OK
+        model = TrainedModel.load(art.path("model.ckpt"))
+        if args.command == "extract":
+            stage_extract(cfg, art, model, train, dev, _inventory_for(cfg))
+            return EXIT_OK
+        if args.command == "probe":
+            stage_probe(cfg, art, model, load_datasets(cfg, art), dev,
+                        _inventory_for(cfg))
+            return EXIT_OK
         raise AssertionError(args.command)
     except StageError as exc:
         print(exc, file=sys.stderr)
@@ -539,18 +557,6 @@ def main(argv=None):
     except Exception as exc:
         print(f"stage {args.command!r} failed: {exc}", file=sys.stderr)
         return EXIT_STAGE
-
-
-def _inventory_for(cfg):
-    synth = cfg.corpus.get("synthetic")
-    if synth is None:
-        return phoneset.timit_inventory()
-    params = {k: v for k, v in synth.items() if k != "n_utterances"}
-    for key in ("phones_per_utterance", "segment_frames", "word_phones"):
-        if key in params:
-            params[key] = tuple(params[key])
-    params.setdefault("seed", cfg.seed)
-    return phoneset.synthetic_inventory(acoustic.SynthConfig(**params).phones)
 
 
 if __name__ == "__main__":

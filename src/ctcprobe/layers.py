@@ -1,7 +1,8 @@
 """Network building blocks with hand-written forward and backward passes.
 
 Each layer owns its parameters (``params``) and non-learned state
-(``buffers``), caches intermediates on forward, and returns
+(``buffers``), updated only in place; `named_arrays` lists them for the
+model's registry.  Layers cache intermediates on forward, and return
 (input-gradient, parameter-gradients) on backward.  Everything is
 float64 numpy; recurrent layers run both directions and concatenate.
 """
@@ -16,6 +17,21 @@ BN_MOMENTUM = 0.1
 
 def uniform_init(rng, shape, fan_in):
     return rng.uniform(-1.0, 1.0, size=shape) / np.sqrt(fan_in)
+
+
+def named_arrays(block, kind):
+    """Live ``params`` or ``buffers`` arrays of a layer, keyed by dotted path.
+
+    A block's own arrays come first, then those of its ``fwd``, ``bwd``
+    and ``bn`` sub-blocks in that order; checkpoints store them so.
+    """
+    out = dict(getattr(block, kind, {}))
+    for child in ("fwd", "bwd", "bn"):
+        sub = getattr(block, child, None)
+        if sub is not None:
+            out.update({f"{child}.{k}": v
+                        for k, v in named_arrays(sub, kind).items()})
+    return out
 
 
 class BatchNorm:
@@ -35,8 +51,11 @@ class BatchNorm:
             mu = x.mean(axis=0)
             var = x.var(axis=0)
             m = self.momentum
-            self.buffers["running_mean"] = (1 - m) * self.buffers["running_mean"] + m * mu
-            self.buffers["running_var"] = (1 - m) * self.buffers["running_var"] + m * var
+            # In place, so the model's registry keeps pointing at them.
+            for name, batch in (("running_mean", mu), ("running_var", var)):
+                running = self.buffers[name]
+                running *= 1 - m
+                running += m * batch
         else:
             mu = self.buffers["running_mean"]
             var = self.buffers["running_var"]
@@ -136,27 +155,6 @@ class ConvLayer:
         # (C, T, F) -> (T, C*F), channel-major then frequency.
         return out.transpose(1, 0, 2).reshape(out.shape[1], -1)
 
-    def named_params(self):
-        out = dict(self.params)
-        if self.bn is not None:
-            out["bn.gamma"] = self.bn.params["gamma"]
-            out["bn.beta"] = self.bn.params["beta"]
-        return out
-
-    def set_param(self, name, value):
-        if name.startswith("bn."):
-            self.bn.params[name[3:]] = value
-        else:
-            self.params[name] = value
-
-    def named_buffers(self):
-        if self.bn is None:
-            return {}
-        return {f"bn.{k}": v for k, v in self.bn.buffers.items()}
-
-    def set_buffer(self, name, value):
-        self.bn.buffers[name[3:]] = value
-
 
 class _Direction:
     """One direction of a recurrent layer: input projection + optional
@@ -213,38 +211,6 @@ class RecurrentLayer:
         self.fwd = _Direction(in_size, h, gates, rng, spec.batchnorm)
         self.bwd = _Direction(in_size, h, gates, rng, spec.batchnorm)
         self._cache = None
-
-    def named_params(self):
-        # Flat view with fwd./bwd. prefixes; values are live references.
-        out = {}
-        for tag, d in (("fwd", self.fwd), ("bwd", self.bwd)):
-            for k, v in d.params.items():
-                out[f"{tag}.{k}"] = v
-            if d.bn is not None:
-                for k, v in d.bn.params.items():
-                    out[f"{tag}.bn.{k}"] = v
-        return out
-
-    def set_param(self, name, value):
-        tag, rest = name.split(".", 1)
-        d = self.fwd if tag == "fwd" else self.bwd
-        if rest.startswith("bn."):
-            d.bn.params[rest[3:]] = value
-        else:
-            d.params[rest] = value
-
-    def named_buffers(self):
-        out = {}
-        for tag, d in (("fwd", self.fwd), ("bwd", self.bwd)):
-            if d.bn is not None:
-                for k, v in d.bn.buffers.items():
-                    out[f"{tag}.bn.{k}"] = v
-        return out
-
-    def set_buffer(self, name, value):
-        tag, rest = name.split(".", 1)
-        d = self.fwd if tag == "fwd" else self.bwd
-        d.bn.buffers[rest[3:]] = value
 
     def forward(self, x, train):
         hf, cache_f = self._run_direction(self.fwd, x, train)
@@ -396,15 +362,3 @@ class FCLayer:
         x = self._cache
         grads = {"W": dout.T @ x, "b": dout.sum(axis=0)}
         return dout @ self.params["W"], grads
-
-    def named_params(self):
-        return dict(self.params)
-
-    def set_param(self, name, value):
-        self.params[name] = value
-
-    def named_buffers(self):
-        return {}
-
-    def set_buffer(self, name, value):
-        raise KeyError(name)

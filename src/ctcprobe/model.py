@@ -221,7 +221,8 @@ class TrainedModel:
     """Network parameters bound to a ModelConfig.
 
     Mutable only through training (parameter updates + batchnorm running
-    statistics); forward in eval mode is pure.
+    statistics), which writes the arrays of ``params`` and ``buffers`` in
+    place; forward in eval mode is pure.
     """
 
     def __init__(self, config: ModelConfig):
@@ -247,33 +248,14 @@ class TrainedModel:
                 else:
                     self.layers.append(L.FCLayer(spec, d_in, rng))
                     in_shape = ("flat", spec.hidden_size)
+        # The one registry of live arrays, {"L<i>.<path>": ndarray}: every
+        # write (Adam, batchnorm statistics, checkpoint load, snapshot
+        # restore) goes into these arrays in place.
+        self.params, self.buffers = (
+            {f"L{i}.{k}": v for i, layer in enumerate(self.layers, start=1)
+             for k, v in L.named_arrays(layer, kind).items()}
+            for kind in ("params", "buffers"))
         self._fwd_state = None
-
-    # -- parameter access ---------------------------------------------
-
-    def named_parameters(self):
-        out = {}
-        for i, layer in enumerate(self.layers, start=1):
-            for name, value in layer.named_params().items():
-                out[f"L{i}.{name}"] = value
-        return out
-
-    def set_parameters(self, params):
-        for full_name, value in params.items():
-            prefix, name = full_name.split(".", 1)
-            self.layers[int(prefix[1:]) - 1].set_param(name, value)
-
-    def named_buffers(self):
-        out = {}
-        for i, layer in enumerate(self.layers, start=1):
-            for name, value in layer.named_buffers().items():
-                out[f"L{i}.{name}"] = value
-        return out
-
-    def set_buffers(self, buffers):
-        for full_name, value in buffers.items():
-            prefix, name = full_name.split(".", 1)
-            self.layers[int(prefix[1:]) - 1].set_buffer(name, value)
 
     # -- forward / backward -------------------------------------------
 
@@ -346,8 +328,7 @@ class TrainedModel:
     # -- checkpoint io ------------------------------------------------
 
     def save(self, path):
-        params = self.named_parameters()
-        buffers = self.named_buffers()
+        params, buffers = self.params, self.buffers
         header = {
             "config": self.config.to_dict(),
             "params": [{"name": k, "shape": list(v.shape)}
@@ -374,11 +355,15 @@ class TrainedModel:
                 raise ValueError(f"unsupported checkpoint version {version}")
             header = json.loads(fh.read(header_len))
             model = cls(ModelConfig.from_dict(header["config"]))
-            for section, setter in (("params", model.set_parameters),
-                                    ("buffers", model.set_buffers)):
+            for section in ("params", "buffers"):
+                live = getattr(model, section)
                 for entry in header[section]:
-                    n = int(np.prod(entry["shape"])) if entry["shape"] else 1
-                    data = np.frombuffer(fh.read(4 * n), dtype=np.float32)
-                    setter({entry["name"]:
-                            data.reshape(entry["shape"]).astype(np.float64)})
+                    target = live.get(entry["name"])
+                    if target is None or list(target.shape) != entry["shape"]:
+                        raise ValueError(
+                            f"{path}: {section} entry {entry['name']!r} "
+                            f"{entry['shape']} does not fit the model config")
+                    data = np.frombuffer(fh.read(4 * target.size),
+                                         dtype=np.float32)
+                    target[...] = data.reshape(target.shape)
         return model

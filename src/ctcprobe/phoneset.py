@@ -94,10 +94,6 @@ def synthetic_inventory(phones, class_map=None) -> PhoneInventory:
                           name="synthetic")
 
 
-def reduce(inventory: PhoneInventory, label: str, scheme: str) -> str:
-    return inventory.reduce(label, scheme)
-
-
 def majority_baseline(dataset):
     """Most frequent label and its relative frequency (ties break
     lexicographically).  Accepts a FrameDataset or any label iterable."""

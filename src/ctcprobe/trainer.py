@@ -7,7 +7,6 @@ accumulation happens in a fixed order.
 
 from __future__ import annotations
 
-import copy
 import logging
 from dataclasses import dataclass, field
 
@@ -24,6 +23,11 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
+# Adam walks each flattened parameter in slices of this many elements, so
+# its temporaries stay cache-sized (256 KiB of float64) and are reused.
+ADAM_SLICE = 32768
+
+
 @dataclass
 class AdamState:
     t: int
@@ -33,6 +37,7 @@ class AdamState:
     beta1: float = ADAM_BETA1
     beta2: float = ADAM_BETA2
     eps: float = ADAM_EPS
+    scratch: tuple = ()   # two buffers of one slice, reused by every step
 
     @classmethod
     def init(cls, params, alpha=ADAM_ALPHA, beta1=ADAM_BETA1,
@@ -44,25 +49,52 @@ class AdamState:
 
 
 def adam_step(params, grads, state: AdamState):
-    """One bias-corrected Adam update; returns (new_params, new_state)."""
-    t = state.t + 1
-    new_params, new_m, new_v = {}, {}, {}
+    """One bias-corrected Adam update of `params` and `state`, in place.
+
+    Every gradient shape is checked before anything is written, so a bad
+    one leaves `params` and `state` as they were.  The arithmetic follows
+    m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g;
+    p = p - (alpha*(m/c1)) / (sqrt(v/c2) + eps)  with c = 1 - b**t,
+    operation for operation, so results are bit-identical to evaluating
+    those expressions on whole arrays.
+    """
     for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
+        if grads[name].shape != p.shape:
             raise ValueError(
-                f"gradient shape {g.shape} != parameter shape {p.shape} "
-                f"for {name!r}")
-        m = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        v = state.beta2 * state.v[name] + (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1 ** t)
-        v_hat = v / (1.0 - state.beta2 ** t)
-        new_params[name] = p - state.alpha * m_hat / (np.sqrt(v_hat) + state.eps)
-        new_m[name] = m
-        new_v[name] = v
-    return new_params, AdamState(t=t, m=new_m, v=new_v, alpha=state.alpha,
-                                 beta1=state.beta1, beta2=state.beta2,
-                                 eps=state.eps)
+                f"gradient shape {grads[name].shape} != parameter shape "
+                f"{p.shape} for {name!r}")
+        if not p.flags.c_contiguous:
+            raise ValueError(f"parameter {name!r} is not C-contiguous, so "
+                             f"it cannot be updated in place")
+    n = min(ADAM_SLICE, max((p.size for p in params.values()), default=0))
+    if not state.scratch or state.scratch[0].size < n:
+        state.scratch = (np.empty(n), np.empty(n))
+    s1, s2 = state.scratch
+    state.t += 1
+    b1, b2, alpha, eps = state.beta1, state.beta2, state.alpha, state.eps
+    c1 = 1.0 - b1 ** state.t
+    c2 = 1.0 - b2 ** state.t
+    for name, p in params.items():
+        pf, gf = p.reshape(-1), grads[name].reshape(-1)
+        mf, vf = state.m[name].reshape(-1), state.v[name].reshape(-1)
+        for lo in range(0, pf.size, ADAM_SLICE):
+            ps, g = pf[lo:lo + ADAM_SLICE], gf[lo:lo + ADAM_SLICE]
+            m, v = mf[lo:lo + ADAM_SLICE], vf[lo:lo + ADAM_SLICE]
+            a, b = s1[:ps.size], s2[:ps.size]
+            m *= b1
+            np.multiply(g, 1.0 - b1, out=a)
+            m += a
+            v *= b2
+            np.multiply(g, 1.0 - b2, out=a)
+            a *= g
+            v += a
+            np.divide(m, c1, out=a)
+            a *= alpha
+            np.divide(v, c2, out=b)
+            np.sqrt(b, out=b)
+            b += eps
+            a /= b
+            ps -= a
 
 
 @dataclass
@@ -169,16 +201,14 @@ def train_asr(corpus, model_config: ModelConfig, train_config: TrainConfig,
         log.warning("dropped %d infeasible utterances", n_dropped)
 
     rng = np.random.default_rng(train_config.seed)
-    params = model.named_parameters()
-    opt = AdamState.init(params, alpha=train_config.alpha)
+    opt = AdamState.init(model.params, alpha=train_config.alpha)
+    live = {**model.params, **model.buffers}
 
     rows = []
-    best = None  # (dev_loss, epoch, params, buffers)
+    best = None  # (dev_loss, epoch, copies of the live arrays)
 
     def snapshot(epoch, dev_loss):
-        return (dev_loss, epoch,
-                copy.deepcopy(model.named_parameters()),
-                copy.deepcopy(model.named_buffers()))
+        return dev_loss, epoch, {k: v.copy() for k, v in live.items()}
 
     dev_loss = _mean_ctc_loss(model, dev_corpus, labels_by_id)
     train_loss = _mean_ctc_loss(model, train_utts, labels_by_id)
@@ -215,8 +245,7 @@ def train_asr(corpus, model_config: ModelConfig, train_config: TrainConfig,
             grads = {k: g / n_ok for k, g in acc.items()}
             if train_config.max_grad_norm is not None:
                 grads = _clip_grads(grads, train_config.max_grad_norm)
-            params, opt = adam_step(params, grads, opt)
-            model.set_parameters(params)
+            adam_step(model.params, grads, opt)
         train_loss = float(np.mean(epoch_losses)) if epoch_losses else float("nan")
         dev_loss = _mean_ctc_loss(model, dev_corpus, labels_by_id)
         rows.append({"epoch": epoch, "train_loss": train_loss,
@@ -225,9 +254,16 @@ def train_asr(corpus, model_config: ModelConfig, train_config: TrainConfig,
             best = snapshot(epoch, dev_loss)
 
     if train_config.selection == "best_dev_loss":
-        _, best_epoch, best_params, best_buffers = best
-        model.set_parameters(best_params)
-        model.set_buffers(best_buffers)
+        _, best_epoch, saved = best
+        for k, v in saved.items():
+            live[k][...] = v
+        if best_epoch == 0:
+            later = min(rows[1:], key=lambda r: r["dev_loss"])
+            log.warning(
+                "selection kept epoch 0 (dev loss %.6g): no trained epoch "
+                "beat it (best trained: epoch %d, dev loss %.6g), so later "
+                "stages analyse an untrained network",
+                rows[0]["dev_loss"], later["epoch"], later["dev_loss"])
     else:
         best_epoch = train_config.epochs
     return AsrTrainResult(model=model, log=rows, best_epoch=best_epoch,
@@ -287,7 +323,7 @@ def train_probe(train, dev, probe_config: ProbeConfig) -> ProbeTrainResult:
     dev_loss, dev_acc = dev_eval()
     rows.append({"epoch": 0, "train_loss": float("nan"),
                  "dev_loss": dev_loss, "dev_accuracy": dev_acc})
-    best = (dev_loss, 0, copy.deepcopy(params))
+    best = (dev_loss, 0, {k: v.copy() for k, v in params.items()})
 
     n = train.vectors.shape[0]
     order = np.arange(n)
@@ -299,17 +335,17 @@ def train_probe(train, dev, probe_config: ProbeConfig) -> ProbeTrainResult:
             loss, grads = probe.loss_and_grads(train.vectors[idx],
                                                train.labels[idx], rng)
             losses.append(loss)
-            params, opt = adam_step(params, grads, opt)
-            probe.params = params
+            adam_step(params, grads, opt)
         dev_loss, dev_acc = dev_eval()
         rows.append({"epoch": epoch, "train_loss": float(np.mean(losses)),
                      "dev_loss": dev_loss, "dev_accuracy": dev_acc})
         if dev_loss < best[0]:
-            best = (dev_loss, epoch, copy.deepcopy(params))
+            best = (dev_loss, epoch, {k: v.copy() for k, v in params.items()})
 
     if probe_config.selection == "best_dev_loss":
-        _, best_epoch, best_params = best
-        probe.params = best_params
+        _, best_epoch, saved = best
+        for k, v in saved.items():
+            params[k][...] = v
     else:
         best_epoch = probe_config.epochs
     return ProbeTrainResult(probe=probe, curve=rows, best_epoch=best_epoch)

@@ -124,7 +124,7 @@ def test_gradients_match_finite_differences():
         result = model.forward(x, mode="train")
         _, dlogits = ctc.ctc_loss_and_grad(result.log_probs, labels)
         grads = model.backward(dlogits)
-        for name, param in model.named_parameters().items():
+        for name, param in model.params.items():
             flat = param.reshape(-1)
             gflat = grads[name].reshape(-1)
             for i in range(flat.size):

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -221,6 +222,39 @@ class TestSubcommands:
         for rel in ("asr_loss.csv", "layer_accuracy.csv", "clusters.csv"):
             assert (tmp_path / "staged" / rel).read_bytes() == \
                 (out / rel).read_bytes(), rel
+
+    def test_cluster_and_report_read_only_their_inputs(self, finished_run,
+                                                       tmp_path, capsys):
+        out, cfg, _ = finished_run
+        staged = tmp_path / "staged"
+        shutil.copytree(out, staged)
+        keep = f"frames_{cli.combo_name(2, True, 0, 'full')}.dev.fds"
+        remade = []
+        for path in sorted(staged.iterdir()):
+            if path.suffix == ".svg" or path.name == "clusters.csv":
+                remade.append(path.name)
+            elif not (path.suffix == ".fds" or path.name == "model.ckpt"
+                      or path.name.startswith("corpus_")):
+                continue
+            if path.name != keep:
+                path.unlink()
+        assert "clusters.csv" in remade and "centroids.svg" in remade
+        cfg_path = write_config(tmp_path, dict(cfg, out_dir=str(staged)))
+        for command in ("cluster", "report"):
+            assert main([command, "--config", cfg_path]) == 0, command
+        for rel in remade:
+            assert (staged / rel).read_bytes() == (out / rel).read_bytes(), rel
+
+        (staged / keep).unlink()
+        off = dict(cfg, out_dir=str(staged), clustering={"enabled": False})
+        assert main(["cluster", "--config", write_config(tmp_path, off)]) == 0
+        unprobed = dict(cfg, out_dir=str(staged),
+                        clustering=dict(cfg["clustering"], layer=1))
+        capsys.readouterr()
+        rc = main(["cluster", "--config", write_config(tmp_path, unprobed)])
+        assert rc == 3
+        assert "clustering needs probe combo (1, True, 0, 'full')" in \
+            capsys.readouterr().err
 
 
 def test_run_forwards_each_utterance_once_per_strides_setting(tmp_path,

@@ -143,7 +143,7 @@ class TestConvLayer:
         loss()
         dx, grads = layer.backward(dy)
         assert rel_err(dx, fd_grad(loss, x)) < 1e-5
-        for name, value in layer.named_params().items():
+        for name, value in L.named_arrays(layer, "params").items():
             assert rel_err(grads[name], fd_grad(loss, value)) < 1e-5, name
 
 
@@ -158,17 +158,18 @@ class TestRecurrentLayer:
         layer = L.RecurrentLayer(recurrent_spec(kind), in_size=5, rng=rng)
         x = rng.normal(size=(7, 5))
         dy = np.random.default_rng(10).normal(size=(7, 6))
-        running = {k: v.copy() for k, v in layer.named_buffers().items()}
+        buffers = L.named_arrays(layer, "buffers")
+        running = {k: v.copy() for k, v in buffers.items()}
 
         def loss():
             for k, v in running.items():
-                layer.set_buffer(k, v.copy())
+                buffers[k][...] = v
             return float((layer.forward(x, train=True)[0] * dy).sum())
 
         loss()
         dx, grads = layer.backward(dy)
         assert rel_err(dx, fd_grad(loss, x)) < 1e-5
-        for name, value in layer.named_params().items():
+        for name, value in L.named_arrays(layer, "params").items():
             assert rel_err(grads[name], fd_grad(loss, value)) < 1e-5, name
 
     def test_forward_direction_is_causal(self):
@@ -216,7 +217,7 @@ class TestFCLayer:
         loss()
         dx, grads = layer.backward(dy)
         assert rel_err(dx, fd_grad(loss, x)) < 1e-6
-        for name, value in layer.named_params().items():
+        for name, value in L.named_arrays(layer, "params").items():
             assert rel_err(grads[name], fd_grad(loss, value)) < 1e-6, name
 
 

@@ -184,7 +184,7 @@ class TestBackward:
         x = np.abs(np.random.default_rng(6).normal(size=(12, 13)))
         result = model.forward(x, mode="train")
         grads = model.backward(np.zeros_like(result.logits))
-        assert set(grads) == set(model.named_parameters())
+        assert set(grads) == set(model.params)
         for name, g in grads.items():
             assert np.all(g == 0.0), name
 
@@ -194,7 +194,7 @@ class TestBackward:
         result = model.forward(x, mode="train")
         grads = model.backward(np.random.default_rng(8).normal(
             size=result.logits.shape))
-        for name, p in model.named_parameters().items():
+        for name, p in model.params.items():
             assert grads[name].shape == p.shape, name
 
     def test_full_model_finite_differences(self):
@@ -213,7 +213,7 @@ class TestBackward:
         grads = model.backward(dlogits)
         h = 1e-5
         rng = np.random.default_rng(10)
-        for name, p in model.named_parameters().items():
+        for name, p in model.params.items():
             flat = p.reshape(-1)
             for i in rng.choice(flat.size, size=min(4, flat.size),
                                 replace=False):
@@ -245,9 +245,8 @@ class TestCheckpoint:
         assert loaded.config == model.config
         x = np.abs(np.random.default_rng(11).normal(size=(10, 13)))
         got = loaded.forward(x).logits
-        for name, v in model.named_parameters().items():
-            model.set_parameters(
-                {name: v.astype(np.float32).astype(np.float64)})
+        for v in model.params.values():
+            v[...] = v.astype(np.float32).astype(np.float64)
         expected = model.forward(x).logits
         np.testing.assert_array_equal(got, expected)
 
