@@ -1,9 +1,11 @@
 """Experiment orchestration and command-line interface.
 
-Stages: synth/import -> train-asr -> extract -> probe -> cluster ->
-report, each writing its artifacts into the experiment directory; `run`
-chains them all and finishes with a hash manifest, so re-running the
-same config + seed can be verified byte-for-byte.
+Stages: corpus (synth/import) -> train-asr -> extract -> probe ->
+cluster -> report.  Each subcommand runs one stage, which reads its
+inputs from the experiment directory and writes its artifacts there;
+report ends with a hash manifest, so re-running the same config + seed
+can be verified byte-for-byte.  `run` is the six subcommands in order,
+after writing config.json.
 
 Exit codes: 0 success, 2 config error, 3 stage failure.
 """
@@ -47,6 +49,11 @@ class StageError(RuntimeError):
 # ---------------------------------------------------------------------------
 # Experiment configuration
 # ---------------------------------------------------------------------------
+
+# The `probe` config keys that choose which combos to probe; the rest are
+# ProbeConfig fields.
+PROBE_GRID = ("layers", "strides", "windows", "schemes")
+
 
 @dataclass
 class ExperimentConfig:
@@ -99,11 +106,8 @@ class ExperimentConfig:
         if has_synth == has_import:
             raise ConfigError(
                 "corpus needs exactly one of 'synthetic' or 'import_path'")
-        trainer.TrainConfig(**{**{"seed": self.seed}, **self.train})
-        probe_keys = {"layers", "strides", "windows", "schemes"}
-        trainer.ProbeConfig(**{**{"seed": self.seed},
-                               **{k: v for k, v in self.probe.items()
-                                  if k not in probe_keys}})
+        self.train_config()
+        self.probe_config()
 
     def model_config(self) -> ModelConfig:
         try:
@@ -111,6 +115,15 @@ class ExperimentConfig:
                           seed=self.model.get("seed", self.seed))
         except ValueError as exc:
             raise ConfigError(str(exc))
+
+    def train_config(self) -> trainer.TrainConfig:
+        return trainer.TrainConfig(**{"seed": self.seed, **self.train})
+
+    def probe_config(self) -> trainer.ProbeConfig:
+        """The probe training settings: `probe` minus the grid keys."""
+        return trainer.ProbeConfig(**{
+            "seed": self.seed,
+            **{k: v for k, v in self.probe.items() if k not in PROBE_GRID}})
 
     def resolved_out_dir(self):
         return os.environ.get(OUT_ROOT_ENV, self.out_dir)
@@ -220,14 +233,10 @@ def stage_corpus(cfg: ExperimentConfig, art: ArtifactDir):
                           [("file", "error")] + list(errors))
         if not corpus:
             raise ValueError("import produced no utterances")
-    train, dev = trainer.split_dev(corpus, cfg.train.get("dev_fraction", 0.1),
+    train, dev = trainer.split_dev(corpus, cfg.train_config().dev_fraction,
                                    cfg.seed)
     acoustic.save_corpus(art.path("corpus_train.jsonl"), train)
     acoustic.save_corpus(art.path("corpus_dev.jsonl"), dev)
-    # Reload so later stages see exactly what a staged re-run would
-    # (spectrograms round-trip through f32 on disk).
-    train, dev = load_split(art)
-    return train, dev, _inventory_for(cfg)
 
 
 def load_split(art):
@@ -235,27 +244,27 @@ def load_split(art):
             acoustic.load_corpus(art.path("corpus_dev.jsonl")))
 
 
-def stage_train_asr(cfg: ExperimentConfig, art: ArtifactDir, train, dev):
-    train_cfg = trainer.TrainConfig(**{**{"seed": cfg.seed}, **cfg.train})
-    result = trainer.train_asr(train, cfg.model_config(), train_cfg,
+def stage_train_asr(cfg: ExperimentConfig, art: ArtifactDir):
+    train, dev = load_split(art)
+    result = trainer.train_asr(train, cfg.model_config(), cfg.train_config(),
                                dev_corpus=dev)
     result.model.save(art.path("model.ckpt"))
     art.write_csv("asr_loss.csv",
                   [("epoch", "train_loss", "dev_loss")] +
                   [(r["epoch"], _fnum(r["train_loss"]), _fnum(r["dev_loss"]))
                    for r in result.log])
-    # Continue from the saved checkpoint (f32), not the in-memory f64
-    # weights, so `run` matches a staged re-run bit for bit.
-    return TrainedModel.load(art.path("model.ckpt"))
 
 
 def probe_combos(cfg: ExperimentConfig):
+    """Every (layer, strides, window, scheme) the config probes, once
+    each, with the strides settings outermost."""
     probe = cfg.probe
-    for strides in probe.get("strides", [True]):
-        for window in probe.get("windows", [0]):
-            for scheme in probe.get("schemes", ["full"]):
-                for layer in probe.get("layers", [0]):
-                    yield layer, bool(strides), window, scheme
+    return list(dict.fromkeys(
+        (layer, bool(strides), window, scheme)
+        for strides in probe.get("strides", [True])
+        for window in probe.get("windows", [0])
+        for scheme in probe.get("schemes", ["full"])
+        for layer in probe.get("layers", [0])))
 
 
 def combo_name(layer, strides, window, scheme):
@@ -263,10 +272,13 @@ def combo_name(layer, strides, window, scheme):
             f"_w{window}_{scheme.replace('/', '-')}")
 
 
-def stage_extract(cfg, art, model, train, dev, inventory):
+def stage_extract(cfg, art):
+    model = TrainedModel.load(art.path("model.ckpt"))
+    train, dev = load_split(art)
+    inventory = _inventory_for(cfg)
     # Each utterance is forwarded once per strides setting; every layer,
     # window and scheme of that setting is cut from the stored passes.
-    # probe_combos yields the strides settings outermost, so each store is
+    # probe_combos lists the strides settings outermost, so each store is
     # dropped as soon as its setting is done.
     for _strides, combos in itertools.groupby(probe_combos(cfg),
                                               key=lambda combo: combo[1]):
@@ -280,26 +292,12 @@ def stage_extract(cfg, art, model, train, dev, inventory):
                     threads=cfg.threads, forwards=forwards[split])
                 probing.save_dataset(art.path(f"frames_{name}.{split}.fds"),
                                      ds)
-    forwards = None  # free the last store before the datasets are reloaded
-    # Hand back the on-disk (f32) datasets so `run` and the staged
-    # subcommands feed probes identical inputs.
-    return load_datasets(cfg, art)
 
 
-def load_datasets(cfg, art):
-    datasets = {}
-    for combo in probe_combos(cfg):
-        name = combo_name(*combo)
-        datasets[combo] = (
-            probing.load_dataset(art.path(f"frames_{name}.train.fds")),
-            probing.load_dataset(art.path(f"frames_{name}.dev.fds")))
-    return datasets
-
-
-def stage_probe(cfg, art, model, datasets, dev_corpus, inventory):
-    probe_keys = {"layers", "strides", "windows", "schemes"}
-    probe_cfg_args = {k: v for k, v in cfg.probe.items()
-                      if k not in probe_keys}
+def stage_probe(cfg, art):
+    model = TrainedModel.load(art.path("model.ckpt"))
+    dev_corpus = acoustic.load_corpus(art.path("corpus_dev.jsonl"))
+    probe_cfg = cfg.probe_config()
     reports = {}
     summary = [("layer", "strides", "window", "scheme", "dev_accuracy",
                 "majority_baseline", "best_epoch")]
@@ -307,11 +305,11 @@ def stage_probe(cfg, art, model, datasets, dev_corpus, inventory):
                        "share", "accuracy")]
     model_cfg = model.config
     dev_forwards = {}  # one forward per dev utterance and strides setting
-    for combo, (ds_train, ds_dev) in datasets.items():
+    for combo in probe_combos(cfg):
         layer, strides, window, scheme = combo
         name = combo_name(*combo)
-        probe_cfg = trainer.ProbeConfig(
-            **{**{"seed": cfg.seed}, **probe_cfg_args})
+        ds_train = probing.load_dataset(art.path(f"frames_{name}.train.fds"))
+        ds_dev = probing.load_dataset(art.path(f"frames_{name}.dev.fds"))
         result = trainer.train_probe(ds_train, ds_dev, probe_cfg)
         report = probing.evaluate_probe(result.probe, ds_dev)
         reports[combo] = report
@@ -342,8 +340,7 @@ def stage_probe(cfg, art, model, datasets, dev_corpus, inventory):
     art.write_csv("layer_accuracy.csv", summary)
     if len(breakdown_rows) > 1:
         art.write_csv("ctc_breakdown.csv", breakdown_rows)
-    _write_inter_intra(art, reports, inventory)
-    return reports
+    _write_inter_intra(art, reports, _inventory_for(cfg))
 
 
 def _write_inter_intra(art, reports, inventory):
@@ -365,26 +362,21 @@ def _write_inter_intra(art, reports, inventory):
         art.write_csv("inter_intra_f1.csv", rows)
 
 
-def stage_cluster(cfg, art, datasets=None):
-    """Cluster the dev frames of the configured combo.  `datasets` is what
-    stage_extract returned; without it, only that combo's dev `.fds` is
-    read from `art`."""
+def stage_cluster(cfg, art):
+    """Cluster the dev frames of the configured combo, if enabled."""
     spec = cfg.clustering
     if not spec.get("enabled"):
-        return None
+        return
     layer = spec.get("layer", 0)
     strides = bool(spec.get("strides", True))
     window = spec.get("window", 0)
     scheme = spec.get("scheme", "full")
     key = (layer, strides, window, scheme)
-    if key not in set(probe_combos(cfg)):
+    if key not in probe_combos(cfg):
         raise ValueError(
             f"clustering needs probe combo {key} to be extracted")
-    if datasets is None:
-        ds_dev = probing.load_dataset(
-            art.path(f"frames_{combo_name(*key)}.dev.fds"))
-    else:
-        _ds_train, ds_dev = datasets[key]
+    ds_dev = probing.load_dataset(
+        art.path(f"frames_{combo_name(*key)}.dev.fds"))
     labels = np.array([ds_dev.label_names[i] for i in ds_dev.labels])
     k = min(spec.get("k", 50), ds_dev.n_frames)
     summary = clustering.kmeans(ds_dev.vectors, k, labels=labels,
@@ -409,7 +401,6 @@ def stage_cluster(cfg, art, datasets=None):
                    svg_scatter(coords, pruned.majority_label,
                                title=f"cluster centroids ({method}, "
                                      f"layer {layer})"))
-    return pruned
 
 
 def layer_display_names(model_cfg: ModelConfig):
@@ -445,9 +436,14 @@ def plot_layer_accuracy(reports, model_cfg: ModelConfig):
         for strides, bars in panels.items()}
 
 
-def stage_report(cfg, art, reports, model_cfg):
+def stage_report(cfg, art):
+    """Figures from the probe reports, then the manifest of every file."""
+    reports = {}
+    for combo in probe_combos(cfg):
+        with open(art.path(f"probe_{combo_name(*combo)}.json")) as fh:
+            reports[combo] = probing.ProbeReport.from_dict(json.load(fh))
     fine = {k: v for k, v in reports.items() if k[3] == reports_main_scheme(reports)}
-    charts = plot_layer_accuracy(fine, model_cfg)
+    charts = plot_layer_accuracy(fine, cfg.model_config())
     for strides, svg in charts.items():
         art.write_text(
             f"accuracy_{'strides_on' if strides else 'strides_off'}.svg", svg)
@@ -457,6 +453,7 @@ def stage_report(cfg, art, reports, model_cfg):
                            svg_heatmap(report.confusion, report.label_names,
                                        report.label_names,
                                        title=f"sound classes, layer {combo[0]}"))
+    art.write_manifest(cfg)
 
 
 def reports_main_scheme(reports):
@@ -464,26 +461,27 @@ def reports_main_scheme(reports):
     return "full" if "full" in schemes else sorted(schemes)[0]
 
 
+# Subcommand -> stage, in pipeline order.  Each stage reads the artifacts
+# it needs from the experiment directory and writes its own; stage `s` is
+# the module function stage_<s>, looked up when it runs, so a replaced
+# module attribute (the benchmark's stage timers) is the one called.
+STAGES = {"synth": "corpus", "train-asr": "train-asr", "extract": "extract",
+          "probe": "probe", "cluster": "cluster", "report": "report"}
+
+
+def run_stage(stage, cfg, art):
+    try:
+        globals()["stage_" + stage.replace("-", "_")](cfg, art)
+    except Exception as exc:
+        raise StageError(stage, exc) from exc
+
+
 def run(cfg: ExperimentConfig) -> str:
-    """Execute the full experiment; returns the artifact directory."""
+    """Run every stage in order; returns the artifact directory."""
     art = ArtifactDir(cfg.resolved_out_dir())
     art.write_json("config.json", cfg.__dict__)
-
-    def run_stage(name, fn, *args):
-        try:
-            return fn(*args)
-        except Exception as exc:
-            raise StageError(name, exc) from exc
-
-    train, dev, inventory = run_stage("corpus", stage_corpus, cfg, art)
-    model = run_stage("train-asr", stage_train_asr, cfg, art, train, dev)
-    datasets = run_stage("extract", stage_extract, cfg, art, model, train,
-                         dev, inventory)
-    reports = run_stage("probe", stage_probe, cfg, art, model, datasets, dev,
-                        inventory)
-    run_stage("cluster", stage_cluster, cfg, art, datasets)
-    run_stage("report", stage_report, cfg, art, reports, model.config)
-    art.write_manifest(cfg)
+    for stage in STAGES.values():
+        run_stage(stage, cfg, art)
     return art.base
 
 
@@ -503,8 +501,7 @@ def main(argv=None):
         description="Train a small CTC speech model and probe its layers "
                     "for phonetic information.")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in ("run", "synth", "train-asr", "extract", "probe", "cluster",
-                 "report"):
+    for name in ("run", *STAGES):
         _add_common(subs.add_parser(name))
     args = parser.parse_args(argv)
 
@@ -517,46 +514,18 @@ def main(argv=None):
 
     try:
         if args.command == "run":
-            out = run(cfg)
-            print(out)
-            return EXIT_OK
-        art = ArtifactDir(cfg.resolved_out_dir())
-        if args.command == "synth":
-            stage_corpus(cfg, art)
-            return EXIT_OK
-        # Later stages reload only the earlier artifacts they read.
-        if args.command == "cluster":
-            stage_cluster(cfg, art)
-            return EXIT_OK
-        if args.command == "report":
-            reports = {}
-            for combo in probe_combos(cfg):
-                name = combo_name(*combo)
-                with open(art.path(f"probe_{name}.json")) as fh:
-                    reports[combo] = probing.ProbeReport.from_dict(
-                        json.load(fh))
-            stage_report(cfg, art, reports, cfg.model_config())
-            art.write_manifest(cfg)
-            return EXIT_OK
-        train, dev = load_split(art)
-        if args.command == "train-asr":
-            stage_train_asr(cfg, art, train, dev)
-            return EXIT_OK
-        model = TrainedModel.load(art.path("model.ckpt"))
-        if args.command == "extract":
-            stage_extract(cfg, art, model, train, dev, _inventory_for(cfg))
-            return EXIT_OK
-        if args.command == "probe":
-            stage_probe(cfg, art, model, load_datasets(cfg, art), dev,
-                        _inventory_for(cfg))
-            return EXIT_OK
-        raise AssertionError(args.command)
-    except StageError as exc:
+            print(run(cfg))
+        else:
+            run_stage(STAGES[args.command], cfg,
+                      ArtifactDir(cfg.resolved_out_dir()))
+    except Exception as exc:
+        # Stage failures name their stage; a failure outside one (making
+        # the output directory, writing config.json) names the command.
+        if not isinstance(exc, StageError):
+            exc = StageError(args.command, exc)
         print(exc, file=sys.stderr)
         return EXIT_STAGE
-    except Exception as exc:
-        print(f"stage {args.command!r} failed: {exc}", file=sys.stderr)
-        return EXIT_STAGE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

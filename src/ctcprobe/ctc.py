@@ -98,8 +98,10 @@ def _backward(log_probs, ext):
     return beta
 
 
-def ctc_loss(log_probs, labels) -> float:
-    """-log p(l|x) by the forward DP over the blank-extended labels."""
+def _alpha(log_probs, labels):
+    """Check the inputs and run the forward DP once.  Returns the log
+    probabilities as float64, the blank-extended labels, alpha and
+    log p(l|x)."""
     log_probs = np.asarray(log_probs, dtype=np.float64)
     T, S = log_probs.shape
     labels = _check_labels(labels, S)
@@ -109,33 +111,33 @@ def ctc_loss(log_probs, labels) -> float:
             f"{min_path_length(labels)}")
     ext = _extended(labels)
     alpha = _forward(log_probs, ext)
-    log_p = np.logaddexp(alpha[T - 1, -1], alpha[T - 1, -2])
-    return float(-log_p)
+    return log_probs, ext, alpha, np.logaddexp(alpha[T - 1, -1],
+                                               alpha[T - 1, -2])
 
 
-def ctc_grad(log_probs, labels) -> np.ndarray:
-    """Gradient of the loss w.r.t. pre-softmax logits: softmax - posterior."""
-    log_probs = np.asarray(log_probs, dtype=np.float64)
-    T, S = log_probs.shape
-    labels = _check_labels(labels, S)
-    if T < min_path_length(labels):
-        raise InfeasibleTranscriptError(
-            f"{T} frames cannot carry a label sequence needing "
-            f"{min_path_length(labels)}")
-    ext = _extended(labels)
-    alpha = _forward(log_probs, ext)
+def _grad(log_probs, ext, alpha, log_p):
     beta = _backward(log_probs, ext)
-    log_p = np.logaddexp(alpha[T - 1, -1], alpha[T - 1, -2])
     occ = alpha + beta  # log alpha*beta, per extended position
-    gamma = np.zeros((T, S))
+    gamma = np.zeros(log_probs.shape)
     for s, sym in enumerate(ext):
         gamma[:, sym] += np.exp(occ[:, s] - log_p)
     return np.exp(log_probs) - gamma
 
 
+def ctc_loss(log_probs, labels) -> float:
+    """-log p(l|x) by the forward DP over the blank-extended labels."""
+    return float(-_alpha(log_probs, labels)[3])
+
+
+def ctc_grad(log_probs, labels) -> np.ndarray:
+    """Gradient of the loss w.r.t. pre-softmax logits: softmax - posterior."""
+    return _grad(*_alpha(log_probs, labels))
+
+
 def ctc_loss_and_grad(log_probs, labels):
-    loss = ctc_loss(log_probs, labels)
-    return loss, ctc_grad(log_probs, labels)
+    """(ctc_loss, ctc_grad) from one forward DP."""
+    lattice = _alpha(log_probs, labels)
+    return float(-lattice[3]), _grad(*lattice)
 
 
 def ctc_brute_force(probs, labels, cap=10 ** 6) -> float:

@@ -23,6 +23,9 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
+# Epoch selection of both training loops: the best dev loss, or the last.
+SELECTIONS = ("best_dev_loss", "last")
+
 # Adam walks each flattened parameter in slices of this many elements, so
 # its temporaries stay cache-sized (256 KiB of float64) and are reused.
 ADAM_SLICE = 32768
@@ -103,7 +106,7 @@ class TrainConfig:
     epochs: int = 30
     seed: int = 0
     shuffle: bool = True
-    selection: str = "best_dev_loss"  # best_dev_loss | last
+    selection: str = "best_dev_loss"
     dev_fraction: float = 0.1
     alpha: float = ADAM_ALPHA
     max_grad_norm: float | None = None
@@ -113,7 +116,7 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.selection not in ("best_dev_loss", "last"):
+        if self.selection not in SELECTIONS:
             raise ValueError(f"unknown selection {self.selection!r}")
 
 
@@ -285,10 +288,14 @@ class ProbeConfig:
     selection: str = "best_dev_loss"
 
     def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
+        if self.selection not in SELECTIONS:
+            raise ValueError(f"unknown selection {self.selection!r}")
 
 
 @dataclass

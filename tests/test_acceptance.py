@@ -188,6 +188,7 @@ def sanity_pipeline():
     return {"asr": asr, "dev": dev, "layers": layers}
 
 
+@pytest.mark.slow
 def test_pipeline_sanity_on_synthetic_corpus(sanity_pipeline):
     asr = sanity_pipeline["asr"]
     untrained = asr.log[0]["dev_loss"]
@@ -199,6 +200,7 @@ def test_pipeline_sanity_on_synthetic_corpus(sanity_pipeline):
         assert entry["report"].accuracy >= entry["baseline"] + 0.20, layer
 
 
+@pytest.mark.slow
 def test_breakdown_shares_and_recombination(sanity_pipeline):
     entry = sanity_pipeline["layers"][4]
     breakdown = breakdown_by_ctc_symbol(entry["probe"], entry["dataset"],
@@ -281,6 +283,7 @@ def run_trend_experiment():
     return accuracies
 
 
+@pytest.mark.slow
 def test_recurrent_probe_beats_cnn2_on_context_corpus():
     accuracies = run_trend_experiment()
     cnn2 = accuracies[2]

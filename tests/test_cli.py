@@ -65,6 +65,14 @@ class TestConfigValidation:
         path.write_text("{not json")
         assert main(["run", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("key, value", [("selection", "bset_dev_loss"),
+                                            ("batch_size", 0)])
+    def test_bad_probe_training_setting_rejected(self, tmp_path, key, value):
+        cfg = small_config(tmp_path / "out")
+        cfg["probe"][key] = value
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_set_overrides(self, tmp_path):
         cfg_path = write_config(tmp_path, small_config(tmp_path / "out"))
         cfg = load_config(cfg_path, ["seed=9", "train.epochs=3"])
@@ -81,6 +89,11 @@ class TestStageFailure:
         rc = main(["run", "--config", write_config(tmp_path, cfg)])
         assert rc == 3
         assert "corpus" in capsys.readouterr().err
+        # The subcommand runs the same stage and names it the same way.
+        rc = main(["synth", "--config", write_config(tmp_path, cfg)])
+        assert rc == 3
+        assert "stage 'corpus' failed: import produced no utterances" in \
+            capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -211,17 +224,65 @@ class TestPlots:
             plots.svg_bar_chart(["a"], [1.0, 2.0])
 
 
-class TestSubcommands:
-    def test_staged_pipeline_matches_run(self, finished_run, tmp_path):
-        out, cfg, _ = finished_run
-        cfg2 = dict(cfg, out_dir=str(tmp_path / "staged"))
-        cfg_path = write_config(tmp_path, cfg2)
-        for command in ("synth", "train-asr", "extract", "probe", "cluster",
-                        "report"):
+COMMANDS = ("synth", "train-asr", "extract", "probe", "cluster", "report")
+
+
+@pytest.fixture(scope="module")
+def staged_run(finished_run, tmp_path_factory):
+    """finished_run's config run one subcommand at a time, with the
+    checkpoint and `.fds` loads counted per subcommand."""
+    _out, cfg, _ = finished_run
+    tmp = tmp_path_factory.mktemp("staged")
+    cfg_path = write_config(tmp, dict(cfg, out_dir=str(tmp / "out")))
+    loads = {(command, kind): 0 for command in COMMANDS
+             for kind in ("ckpt", "fds")}
+    current = [None]
+
+    def counted(kind, fn):
+        def wrapper(*args, **kwargs):
+            loads[current[0], kind] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(TrainedModel, "load",
+                   classmethod(counted("ckpt", TrainedModel.load.__func__)))
+        mp.setattr(probing, "load_dataset",
+                   counted("fds", probing.load_dataset))
+        for command in COMMANDS:
+            current[0] = command
             assert main([command, "--config", cfg_path]) == 0, command
-        for rel in ("asr_loss.csv", "layer_accuracy.csv", "clusters.csv"):
-            assert (tmp_path / "staged" / rel).read_bytes() == \
-                (out / rel).read_bytes(), rel
+    return tmp / "out", loads
+
+
+class TestSubcommands:
+    def test_staged_pipeline_matches_run(self, finished_run, staged_run):
+        out, _cfg, _ = finished_run
+        staged, _loads = staged_run
+        names = {p.name for p in out.iterdir()} - {"config.json",
+                                                   "manifest.json"}
+        assert {p.name for p in staged.iterdir()} == names | {"manifest.json"}
+        for rel in sorted(names):
+            assert (staged / rel).read_bytes() == (out / rel).read_bytes(), rel
+
+    def test_each_subcommand_loads_only_what_it_reads(self, finished_run,
+                                                      staged_run):
+        _out, cfg, _ = finished_run
+        _staged, loads = staged_run
+        n_combos = len(cli.probe_combos(ExperimentConfig.from_dict(cfg)))
+        expected = {"synth": (0, 0), "train-asr": (0, 0), "extract": (1, 0),
+                    "probe": (1, 2 * n_combos), "cluster": (0, 1),
+                    "report": (0, 0)}
+        assert {command: (loads[command, "ckpt"], loads[command, "fds"])
+                for command in COMMANDS} == expected
+
+    def test_probe_combos_are_unique(self):
+        cfg = ExperimentConfig(probe={"layers": [2, 0, 2],
+                                      "strides": [True, False, True],
+                                      "windows": [0], "schemes": ["full"]})
+        assert cli.probe_combos(cfg) == [
+            (2, True, 0, "full"), (0, True, 0, "full"),
+            (2, False, 0, "full"), (0, False, 0, "full")]
 
     def test_cluster_and_report_read_only_their_inputs(self, finished_run,
                                                        tmp_path, capsys):

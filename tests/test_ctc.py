@@ -145,6 +145,23 @@ class TestCtcGrad:
         onehot[2] = 1.0
         np.testing.assert_allclose(grad[0], np.exp(lp[0]) - onehot, atol=1e-12)
 
+    def test_loss_and_grad_equal_separate_calls(self):
+        rng = np.random.default_rng(13)
+        n_checked = 0
+        for _ in range(60):
+            T = int(rng.integers(1, 12))
+            S = int(rng.integers(2, 6))
+            labels = [int(v) for v in
+                      rng.integers(1, S, size=rng.integers(1, 5))]
+            if T < ctc.min_path_length(labels):
+                continue
+            lp = random_log_probs(rng, T, S)
+            loss, grad = ctc.ctc_loss_and_grad(lp, labels)
+            assert loss == ctc.ctc_loss(lp, labels)
+            assert np.array_equal(grad, ctc.ctc_grad(lp, labels))
+            n_checked += 1
+        assert n_checked >= 20
+
 
 class TestBruteForce:
     def test_label_longer_than_t(self):

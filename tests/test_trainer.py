@@ -304,3 +304,11 @@ class TestTrainProbe:
     def test_dropout_validation(self):
         with pytest.raises(ValueError):
             ProbeConfig(dropout=1.0)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("selection", "bset_dev_loss", "unknown selection 'bset_dev_loss'"),
+        ("batch_size", 0, "batch_size must be >= 1"),
+    ])
+    def test_config_fields_validated(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            ProbeConfig(**{field: value})
