@@ -5,6 +5,8 @@ Each layer owns its parameters (``params``) and non-learned state
 model's registry.  Layers cache intermediates on forward, and return
 (input-gradient, parameter-gradients) on backward.  Everything is
 float64 numpy; recurrent layers run both directions and concatenate.
+Convolution forward, ``dW`` and ``dx`` are one BLAS GEMM per kernel row
+over a frequency-only unfold of that row's input (see `ConvLayer`).
 """
 
 from __future__ import annotations
@@ -85,6 +87,15 @@ class ConvLayer:
 
     Batch norm is per output channel, sequence-wise over all (t, f)
     positions of the utterance.
+
+    Each pass is one BLAS GEMM per kernel row: the stride-selected input
+    rows under kernel row i are unfolded along frequency only, to a
+    (t_out*f_out, c_in*kf) matrix, and multiplied by W[:, :, i, :].  So
+    is ``dW``.  ``dx`` zero-dilates the output gradient by the frequency
+    stride, pads it by kf-1, unfolds it once, and adds one GEMM with the
+    frequency-flipped kernel row into every st-th input row.  No full
+    im2col matrix is built.  Activations are laid out (t, f, c)
+    internally; the (c, t, f) arrays in and out are transposed views.
     """
 
     def __init__(self, spec, in_channels, rng):
@@ -99,57 +110,77 @@ class ConvLayer:
         self.bn = BatchNorm(spec.out_channels) if spec.batchnorm else None
         self._cache = None
 
+    def _row_cols(self, xp, i, t_out, f_out, st, sf):
+        """(t_out*f_out, c_in*kf) unfold of the input rows under kernel row i."""
+        kf = self.spec.kernel[1]
+        rows = xp[i:i + st * t_out:st]  # (t_out, Fp, c_in)
+        win = np.lib.stride_tricks.sliding_window_view(rows, kf, axis=1)
+        return win[:, :sf * f_out:sf].reshape(t_out * f_out, -1)
+
     def forward(self, x, train, stride_t=None):
         spec = self.spec
         kt, kf = spec.kernel
         st = spec.stride[0] if stride_t is None else stride_t
         sf = spec.stride[1]
         pt, pf = spec.padding
-        xp = np.pad(x, ((0, 0), (pt, pt), (pf, pf)))
-        if xp.shape[1] < kt or xp.shape[2] < kf:
+        xp = np.pad(x.transpose(1, 2, 0), ((pt, pt), (pf, pf), (0, 0)))
+        if xp.shape[0] < kt or xp.shape[1] < kf:
             raise ValueError("input smaller than the convolution kernel")
-        windows = np.lib.stride_tricks.sliding_window_view(
-            xp, (kt, kf), axis=(1, 2))[:, ::st, ::sf]
-        z = np.einsum("ctfij,ocij->otf", windows, self.params["W"])
-        z += self.params["b"][:, None, None]
-        c_out, t_out, f_out = z.shape
+        t_out = (xp.shape[0] - kt) // st + 1
+        f_out = (xp.shape[1] - kf) // sf + 1
+        W = self.params["W"]
+        c_out = W.shape[0]
+        z = np.zeros((t_out * f_out, c_out))
+        for i in range(kt):
+            z += (self._row_cols(xp, i, t_out, f_out, st, sf)
+                  @ W[:, :, i, :].reshape(c_out, -1).T)
+        z += self.params["b"]
         if self.bn is not None:
-            flat = z.transpose(1, 2, 0).reshape(-1, c_out)
-            z = self.bn.forward(flat, train).reshape(t_out, f_out, c_out)
-            z = z.transpose(2, 0, 1)
-        pre = z
-        out = np.maximum(z, 0.0) if spec.activation == "relu" else z
+            z = self.bn.forward(z, train)
+        pre = z.reshape(t_out, f_out, c_out).transpose(2, 0, 1)
+        out = np.maximum(pre, 0.0) if spec.activation == "relu" else pre
         if train:
-            self._cache = (x.shape, windows, pre, st, sf)
+            self._cache = (xp, pre, st, sf)
         return out, pre
 
-    def backward(self, dout):
-        x_shape, windows, pre, st, sf = self._cache
+    def backward(self, dout, input_grad=True):
+        """Gradients for the cached train-mode forward.  With
+        ``input_grad=False`` the input gradient is skipped and None."""
+        xp, pre, st, sf = self._cache
         spec = self.spec
         kt, kf = spec.kernel
         pt, pf = spec.padding
         if spec.activation == "relu":
             dout = dout * (pre > 0)
         c_out, t_out, f_out = dout.shape
+        dz = dout.transpose(1, 2, 0).reshape(-1, c_out)  # (t*f, c_out)
         if self.bn is not None:
-            flat = dout.transpose(1, 2, 0).reshape(-1, c_out)
-            flat, bn_grads = self.bn.backward(flat)
-            dout = flat.reshape(t_out, f_out, c_out).transpose(2, 0, 1)
-        dW = np.einsum("otf,ctfij->ocij", dout, windows)
-        db = dout.sum(axis=(1, 2))
+            dz, bn_grads = self.bn.backward(dz)
         W = self.params["W"]
-        c_in, t_in, f_in = x_shape
-        dxp = np.zeros((c_in, t_in + 2 * pt, f_in + 2 * pf))
+        dW = np.empty_like(W)
         for i in range(kt):
-            for j in range(kf):
-                dxp[:, i:i + st * t_out:st, j:j + sf * f_out:sf] += np.einsum(
-                    "otf,oc->ctf", dout, W[:, :, i, j])
-        dx = dxp[:, pt:pt + t_in, pf:pf + f_in]
-        grads = {"W": dW, "b": db}
+            dW[:, :, i, :] = (dz.T @ self._row_cols(xp, i, t_out, f_out, st, sf)
+                              ).reshape(c_out, -1, kf)
+        grads = {"W": dW, "b": dz.sum(axis=0)}
         if self.bn is not None:
             grads["bn.gamma"] = bn_grads["gamma"]
             grads["bn.beta"] = bn_grads["beta"]
-        return dx, grads
+        if not input_grad:
+            return None, grads
+        # Input position f collects output column f' through tap j = f - sf*f':
+        # a correlation of the dilated, padded gradient with the flipped row.
+        dil = np.zeros((t_out, sf * (f_out - 1) + 1 + 2 * (kf - 1), c_out))
+        dil[:, kf - 1:kf - 1 + sf * f_out:sf] = dz.reshape(t_out, f_out, c_out)
+        f_cov = dil.shape[1] - kf + 1  # input columns some output reads
+        unfolded = np.lib.stride_tricks.sliding_window_view(
+            dil, kf, axis=1).reshape(t_out * f_cov, c_out * kf)
+        dxp = np.zeros(xp.shape)
+        for i in range(kt):
+            w_row = W[:, :, i, ::-1].transpose(0, 2, 1).reshape(c_out * kf, -1)
+            dxp[i:i + st * t_out:st, :f_cov] += (
+                unfolded @ w_row).reshape(t_out, f_cov, -1)
+        dx = dxp[pt:xp.shape[0] - pt, pf:xp.shape[1] - pf]
+        return dx.transpose(2, 0, 1), grads
 
     def output_tap(self, out):
         # (C, T, F) -> (T, C*F), channel-major then frequency.
@@ -291,18 +322,14 @@ class RecurrentLayer:
         T = x.shape[0]
         wh = d.params["Wh"]
         dzn = np.zeros((T, d.hidden))
-        dwh = np.zeros_like(wh)
-        db = np.zeros(d.hidden)
         dh_next = np.zeros(d.hidden)
         for t in range(T - 1, -1, -1):
             dh = dh_seq[t] + dh_next
             dq = dh * (1.0 - hs[t] ** 2)
             dzn[t] = dq
-            db += dq
-            h_prev = hs[t - 1] if t > 0 else np.zeros(d.hidden)
-            dwh += np.outer(dq, h_prev)
             dh_next = wh.T @ dq
-        return dzn, dwh, db
+        # h_{-1} = 0, so step 0 adds nothing to dWh.
+        return dzn, dzn[1:].T @ hs[:-1], dzn.sum(axis=0)
 
     def _lstm_backward(self, d, dh_seq, cache):
         x, hs, cs, gates = cache
@@ -310,15 +337,12 @@ class RecurrentLayer:
         H = d.hidden
         wh = d.params["Wh"]
         dzn = np.zeros((T, 4 * H))
-        dwh = np.zeros_like(wh)
-        db = np.zeros(4 * H)
         dh_next = np.zeros(H)
         dc_next = np.zeros(H)
         for t in range(T - 1, -1, -1):
             i, f, g, o = (gates[t][:H], gates[t][H:2 * H],
                           gates[t][2 * H:3 * H], gates[t][3 * H:])
             c_prev = cs[t - 1] if t > 0 else np.zeros(H)
-            h_prev = hs[t - 1] if t > 0 else np.zeros(H)
             tc = np.tanh(cs[t])
             dh = dh_seq[t] + dh_next
             do = dh * tc
@@ -334,10 +358,8 @@ class RecurrentLayer:
                 do * o * (1.0 - o),
             ])
             dzn[t] = dpre
-            db += dpre
-            dwh += np.outer(dpre, h_prev)
             dh_next = wh.T @ dpre
-        return dzn, dwh, db
+        return dzn, dzn[1:].T @ hs[:-1], dzn.sum(axis=0)
 
 
 class FCLayer:

@@ -11,8 +11,10 @@ without retraining.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field, asdict
+from pathlib import Path
 
 import numpy as np
 
@@ -320,7 +322,11 @@ class TrainedModel:
                 # re-enter conv territory: (T, C*F) -> (C, T, F)
                 c, t, f = boundary_shape
                 d = d.reshape(t, c, f).transpose(1, 0, 2)
-            d, layer_grads = self.layers[i - 1].backward(d)
+            if i == 1 and spec.kind in CONV_KINDS:
+                # Nothing uses the spectrogram's gradient.
+                d, layer_grads = self.layers[0].backward(d, input_grad=False)
+            else:
+                d, layer_grads = self.layers[i - 1].backward(d)
             for name, g in layer_grads.items():
                 grads[f"L{i}.{name}"] = g
         return grads
@@ -336,34 +342,73 @@ class TrainedModel:
             "buffers": [{"name": k, "shape": list(v.shape)}
                         for k, v in buffers.items()],
         }
-        blob = json.dumps(header, sort_keys=True).encode()
-        with open(path, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<BQ", CHECKPOINT_VERSION, len(blob)))
-            fh.write(blob)
-            for v in list(params.values()) + list(buffers.values()):
-                fh.write(np.ascontiguousarray(v, dtype=np.float32).tobytes())
+        write_artifact(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header,
+                       [np.ascontiguousarray(v, dtype=np.float32)
+                        for v in list(params.values()) + list(buffers.values())])
 
     @classmethod
     def load(cls, path):
-        with open(path, "rb") as fh:
-            magic = fh.read(4)
-            if magic != CHECKPOINT_MAGIC:
-                raise ValueError(f"{path} is not a model checkpoint")
-            version, header_len = struct.unpack("<BQ", fh.read(9))
-            if version != CHECKPOINT_VERSION:
-                raise ValueError(f"unsupported checkpoint version {version}")
-            header = json.loads(fh.read(header_len))
-            model = cls(ModelConfig.from_dict(header["config"]))
-            for section in ("params", "buffers"):
-                live = getattr(model, section)
-                for entry in header[section]:
-                    target = live.get(entry["name"])
-                    if target is None or list(target.shape) != entry["shape"]:
-                        raise ValueError(
-                            f"{path}: {section} entry {entry['name']!r} "
-                            f"{entry['shape']} does not fit the model config")
-                    data = np.frombuffer(fh.read(4 * target.size),
-                                         dtype=np.float32)
-                    target[...] = data.reshape(target.shape)
+        header, payload = read_artifact(
+            path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "model checkpoint",
+            lambda h: 4 * sum(math.prod(e["shape"])
+                              for section in ("params", "buffers")
+                              for e in h[section]))
+        model = cls(ModelConfig.from_dict(header["config"]))
+        offset = 0
+        for section in ("params", "buffers"):
+            live = getattr(model, section)
+            for entry in header[section]:
+                target = live.get(entry["name"])
+                if target is None or list(target.shape) != entry["shape"]:
+                    raise ValueError(
+                        f"{path}: {section} entry {entry['name']!r} "
+                        f"{entry['shape']} does not fit the model config")
+                target[...] = np.frombuffer(
+                    payload, np.float32, target.size, offset).reshape(target.shape)
+                offset += 4 * target.size
         return model
+
+
+# -- binary artifacts: magic | <BQ version, header length> | JSON | payload --
+
+_PREFIX = struct.Struct("<BQ")
+
+
+def write_artifact(path, magic, version, header, arrays):
+    blob = json.dumps(header, sort_keys=True).encode()
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(_PREFIX.pack(version, len(blob)))
+        fh.write(blob)
+        for a in arrays:
+            fh.write(a.tobytes())
+
+
+def read_artifact(path, magic, version, kind, payload_bytes):
+    """(header, payload) of a file `write_artifact` wrote.
+
+    ``payload_bytes(header)`` is the payload length the header implies; a
+    foreign magic, another version, a short read or trailing bytes raise
+    ValueError naming ``path``.
+    """
+    data = Path(path).read_bytes()
+    if data[:len(magic)] != magic:
+        raise ValueError(f"{path} is not a {kind}")
+    start = len(magic) + _PREFIX.size
+    if len(data) < start:
+        raise ValueError(f"{path}: truncated {kind} ({len(data)} bytes)")
+    found, header_len = _PREFIX.unpack_from(data, len(magic))
+    if found != version:
+        raise ValueError(f"{path}: unsupported {kind} version {found}")
+    if len(data) < start + header_len:
+        raise ValueError(f"{path}: truncated {kind} ({len(data)} bytes)")
+    try:
+        header = json.loads(data[start:start + header_len])
+    except ValueError as exc:  # JSON or UTF-8 decoding
+        raise ValueError(f"{path}: corrupt {kind} header ({exc})") from exc
+    payload = memoryview(data)[start + header_len:]
+    expected = payload_bytes(header)
+    if len(payload) != expected:
+        raise ValueError(f"{path}: {kind} payload is {len(payload)} bytes, "
+                         f"its header describes {expected}")
+    return header, payload

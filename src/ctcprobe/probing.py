@@ -5,8 +5,6 @@ and confusion matrices.
 
 from __future__ import annotations
 
-import json
-import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -14,7 +12,7 @@ import numpy as np
 
 from . import ctc
 from .layers import uniform_init
-from .model import log_softmax
+from .model import log_softmax, read_artifact, write_artifact
 
 DATASET_MAGIC = b"CPFD"
 DATASET_VERSION = 1
@@ -430,27 +428,18 @@ def save_dataset(path, ds: FrameDataset):
         "provenance": ds.provenance,
         "spans": [[utt_id, n] for utt_id, n in ds.spans],
     }
-    blob = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(DATASET_MAGIC)
-        fh.write(struct.pack("<BQ", DATASET_VERSION, len(blob)))
-        fh.write(blob)
-        fh.write(np.ascontiguousarray(ds.vectors, dtype=np.float32).tobytes())
-        fh.write(np.ascontiguousarray(ds.labels, dtype=np.int32).tobytes())
+    write_artifact(path, DATASET_MAGIC, DATASET_VERSION, header,
+                   [np.ascontiguousarray(ds.vectors, dtype=np.float32),
+                    np.ascontiguousarray(ds.labels, dtype=np.int32)])
 
 
 def load_dataset(path) -> FrameDataset:
-    with open(path, "rb") as fh:
-        if fh.read(4) != DATASET_MAGIC:
-            raise ValueError(f"{path} is not a frame dataset")
-        version, header_len = struct.unpack("<BQ", fh.read(9))
-        if version != DATASET_VERSION:
-            raise ValueError(f"unsupported dataset version {version}")
-        header = json.loads(fh.read(header_len))
-        n, d = header["n"], header["d"]
-        vectors = np.frombuffer(fh.read(4 * n * d),
-                                dtype=np.float32).reshape(n, d)
-        labels = np.frombuffer(fh.read(4 * n), dtype=np.int32)
+    header, payload = read_artifact(
+        path, DATASET_MAGIC, DATASET_VERSION, "frame dataset",
+        lambda h: 4 * h["n"] * (h["d"] + 1))
+    n, d = header["n"], header["d"]
+    vectors = np.frombuffer(payload, np.float32, n * d).reshape(n, d)
+    labels = np.frombuffer(payload, np.int32, n, 4 * n * d)
     return FrameDataset(vectors.astype(np.float64),
                         labels.astype(np.int64),
                         list(header["label_names"]),

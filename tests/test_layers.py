@@ -101,16 +101,68 @@ def conv_spec(**kw):
     return LayerSpec(**base)
 
 
+# (stride, input (c_in, t, f), stride_t override) with kernel (3, 5) and
+# padding (1, 0).  (2, 1) is cnn2's stride.  "padded_row_tail" leaves the
+# last padding row outside every window; "uncovered_tail" leaves the last
+# input row and the last two frequency columns outside every window.
+CONV_CASES = {
+    "stride_1x1": ((1, 1), (2, 9, 9), None),
+    "stride_2x1": ((2, 1), (2, 9, 9), None),
+    "stride_2x2": ((2, 2), (2, 9, 11), None),
+    "padded_row_tail": ((2, 2), (2, 8, 9), None),
+    "uncovered_tail": ((3, 3), (2, 9, 10), None),
+    "stride_t_override": ((2, 2), (2, 9, 11), 1),
+}
+
+
+def check_forward_matches_naive(case):
+    stride, x_shape, stride_t = CONV_CASES[case]
+    rng = np.random.default_rng(4)
+    spec = conv_spec(stride=stride, batchnorm=False, activation="none")
+    layer = L.ConvLayer(spec, in_channels=2, rng=rng)
+    x = rng.normal(size=x_shape)
+    out, _pre = layer.forward(x, train=False, stride_t=stride_t)
+    effective = (stride[0] if stride_t is None else stride_t, stride[1])
+    expected = naive_conv(x, layer.params["W"], layer.params["b"],
+                          effective, spec.padding)
+    np.testing.assert_allclose(out, expected, atol=1e-12)
+
+
+def check_backward_matches_fd(case):
+    stride, x_shape, stride_t = CONV_CASES[case]
+    rng = np.random.default_rng(7)
+    layer = L.ConvLayer(conv_spec(stride=stride), 2, rng)
+    x = rng.normal(size=x_shape)
+    dy_shape = layer.forward(x, train=True, stride_t=stride_t)[0].shape
+    dy = np.random.default_rng(8).normal(size=dy_shape)
+    running = {k: v.copy() for k, v in layer.bn.buffers.items()}
+
+    def loss():
+        layer.bn.buffers = {k: v.copy() for k, v in running.items()}
+        out = layer.forward(x, train=True, stride_t=stride_t)[0]
+        return float((out * dy).sum())
+
+    loss()
+    dx, grads = layer.backward(dy)
+    assert rel_err(dx, fd_grad(loss, x)) < 1e-5
+    for name, value in L.named_arrays(layer, "params").items():
+        assert rel_err(grads[name], fd_grad(loss, value)) < 1e-5, name
+
+
+# The unparametrized tests run conv_spec()'s own stride on the default
+# input shapes; the "_cases" tests run every other case of CONV_CASES.
+FORWARD_DEFAULT = "stride_2x2"
+BACKWARD_DEFAULT = "padded_row_tail"
+
+
 class TestConvLayer:
     def test_forward_matches_naive_convolution(self):
-        rng = np.random.default_rng(4)
-        spec = conv_spec(batchnorm=False, activation="none")
-        layer = L.ConvLayer(spec, in_channels=2, rng=rng)
-        x = rng.normal(size=(2, 9, 11))
-        out, _pre = layer.forward(x, train=False)
-        expected = naive_conv(x, layer.params["W"], layer.params["b"],
-                              spec.stride, spec.padding)
-        np.testing.assert_allclose(out, expected, atol=1e-12)
+        check_forward_matches_naive(FORWARD_DEFAULT)
+
+    @pytest.mark.parametrize(
+        "case", [c for c in CONV_CASES if c != FORWARD_DEFAULT])
+    def test_forward_matches_naive_convolution_cases(self, case):
+        check_forward_matches_naive(case)
 
     def test_stride_override(self):
         rng = np.random.default_rng(5)
@@ -129,22 +181,24 @@ class TestConvLayer:
         assert np.all(out >= 0.0)
 
     def test_backward_matches_finite_differences(self):
-        rng = np.random.default_rng(7)
+        check_backward_matches_fd(BACKWARD_DEFAULT)
+
+    @pytest.mark.parametrize(
+        "case", [c for c in CONV_CASES if c != BACKWARD_DEFAULT])
+    def test_backward_matches_finite_differences_cases(self, case):
+        check_backward_matches_fd(case)
+
+    def test_backward_without_input_grad(self):
+        rng = np.random.default_rng(15)
         layer = L.ConvLayer(conv_spec(), 2, rng)
-        x = rng.normal(size=(2, 8, 9))
-        dy_shape = layer.forward(x, train=True)[0].shape
-        dy = np.random.default_rng(8).normal(size=dy_shape)
-        running = {k: v.copy() for k, v in layer.bn.buffers.items()}
-
-        def loss():
-            layer.bn.buffers = {k: v.copy() for k, v in running.items()}
-            return float((layer.forward(x, train=True)[0] * dy).sum())
-
-        loss()
-        dx, grads = layer.backward(dy)
-        assert rel_err(dx, fd_grad(loss, x)) < 1e-5
-        for name, value in L.named_arrays(layer, "params").items():
-            assert rel_err(grads[name], fd_grad(loss, value)) < 1e-5, name
+        x = rng.normal(size=(2, 8, 10))
+        dy = rng.normal(size=layer.forward(x, train=True)[0].shape)
+        _dx, grads = layer.backward(dy)
+        no_dx, grads_only = layer.backward(dy, input_grad=False)
+        assert no_dx is None
+        assert list(grads_only) == list(grads)
+        for name, g in grads.items():
+            np.testing.assert_array_equal(grads_only[name], g, err_msg=name)
 
 
 def recurrent_spec(kind, hidden=6, batchnorm=True):

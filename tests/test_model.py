@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,14 @@ class TestBackward:
                 assert abs(fd - g) / max(abs(fd), abs(g), 1.0) < 1e-4, name
 
 
+# A cut inside the payload or the header, and junk appended to the payload.
+DAMAGE = {
+    "short_payload": lambda data: data[:-100],
+    "short_header": lambda data: data[:40],
+    "trailing_bytes": lambda data: data + b"junk",
+}
+
+
 class TestCheckpoint:
     def test_save_load_save_byte_identical(self, tmp_path):
         model = TrainedModel(tiny_config(seed=7))
@@ -254,4 +264,12 @@ class TestCheckpoint:
         path = tmp_path / "x.ckpt"
         path.write_bytes(b"JUNK" + b"\x00" * 16)
         with pytest.raises(ValueError):
+            TrainedModel.load(path)
+
+    @pytest.mark.parametrize("damage", DAMAGE)
+    def test_rejects_damaged_file(self, tmp_path, damage):
+        path = tmp_path / "m.ckpt"
+        TrainedModel(tiny_config(seed=7)).save(path)
+        path.write_bytes(DAMAGE[damage](path.read_bytes()))
+        with pytest.raises(ValueError, match=re.escape(str(path))):
             TrainedModel.load(path)

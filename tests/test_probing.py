@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -397,6 +399,14 @@ class TestConfusionMatrix:
         np.testing.assert_array_equal(cm, [[1, 1, 0], [0, 1, 0], [1, 0, 0]])
 
 
+# A cut inside the payload or the header, and junk appended to the payload.
+DAMAGE = {
+    "short_payload": lambda data: data[:-100],
+    "short_header": lambda data: data[:40],
+    "trailing_bytes": lambda data: data + b"junk",
+}
+
+
 class TestDatasetSerialization:
     def test_round_trip(self, tmp_path, corpus, mini_model):
         cfg, utts = corpus
@@ -416,4 +426,15 @@ class TestDatasetSerialization:
         path = tmp_path / "bad.fds"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ValueError):
+            probing.load_dataset(path)
+
+    @pytest.mark.parametrize("damage", DAMAGE)
+    def test_rejects_damaged_file(self, tmp_path, corpus, mini_model, damage):
+        cfg, utts = corpus
+        inv = phoneset.synthetic_inventory(cfg.phones)
+        path = tmp_path / "frames.fds"
+        probing.save_dataset(path, extract_frames(mini_model, utts, 1,
+                                                  inventory=inv))
+        path.write_bytes(DAMAGE[damage](path.read_bytes()))
+        with pytest.raises(ValueError, match=re.escape(str(path))):
             probing.load_dataset(path)
