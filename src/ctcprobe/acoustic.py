@@ -330,22 +330,30 @@ def save_corpus(path, utterances):
 
 
 def load_corpus(path):
+    """Utterances of a `save_corpus` file.  A malformed line (bad JSON or
+    base64, frames off their shape) is a ValueError naming path and line."""
     utts = []
+    lineno = 1
     with open(path) as fh:
-        header = json.loads(fh.readline())
-        if header.get("format") != CORPUS_FORMAT:
-            raise ValueError(f"{path} is not a {CORPUS_FORMAT} file")
-        for line in fh:
-            rec = json.loads(line)
-            frames = np.frombuffer(
-                base64.b64decode(rec["frames_b64"]), dtype=np.float32)
-            frames = frames.reshape(rec["shape"]).astype(np.float64)
-            spec = Spectrogram(frames,
-                               header.get("sample_rate_hz", DEFAULT_SAMPLE_RATE),
-                               header.get("window_ms", DEFAULT_WINDOW_MS),
-                               header.get("frame_shift_ms", DEFAULT_HOP_MS))
-            segs = [PhoneSegment(p, a, b) for p, a, b in rec["segments"]]
-            utts.append(Utterance(spec, segs, rec["transcript"], rec["id"]))
+        try:
+            header = json.loads(fh.readline())
+            if header.get("format") != CORPUS_FORMAT:
+                raise ValueError(f"not a {CORPUS_FORMAT} file")
+            for lineno, line in enumerate(fh, start=2):
+                rec = json.loads(line)
+                frames = np.frombuffer(
+                    base64.b64decode(rec["frames_b64"], validate=True),
+                    dtype=np.float32)
+                frames = frames.reshape(rec["shape"]).astype(np.float64)
+                spec = Spectrogram(
+                    frames, header.get("sample_rate_hz", DEFAULT_SAMPLE_RATE),
+                    header.get("window_ms", DEFAULT_WINDOW_MS),
+                    header.get("frame_shift_ms", DEFAULT_HOP_MS))
+                segs = [PhoneSegment(p, a, b) for p, a, b in rec["segments"]]
+                utts.append(Utterance(spec, segs, rec["transcript"],
+                                      rec["id"]))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}, line {lineno}: {exc}") from exc
     return utts
 
 

@@ -16,7 +16,6 @@ import argparse
 import csv
 import hashlib
 import io
-import itertools
 import json
 import os
 import sys
@@ -82,8 +81,9 @@ class ExperimentConfig:
 
     def validate(self):
         """Reject bad configs before any work happens."""
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
+        if type(self.threads) is not int or self.threads < 1:
+            raise ConfigError(f"threads must be an int >= 1, not "
+                              f"{self.threads!r}")
         model_cfg = self.model_config()
         n_layers = model_cfg.n_layers
         for k in self.probe.get("layers", []):
@@ -276,22 +276,18 @@ def stage_extract(cfg, art):
     model = TrainedModel.load(art.path("model.ckpt"))
     train, dev = load_split(art)
     inventory = _inventory_for(cfg)
-    # Each utterance is forwarded once per strides setting; every layer,
-    # window and scheme of that setting is cut from the stored passes.
-    # probe_combos lists the strides settings outermost, so each store is
-    # dropped as soon as its setting is done.
-    for _strides, combos in itertools.groupby(probe_combos(cfg),
-                                              key=lambda combo: combo[1]):
-        forwards = {"train": {}, "dev": {}}
-        for layer, strides, window, scheme in combos:
-            name = combo_name(layer, strides, window, scheme)
-            for split, corpus in (("train", train), ("dev", dev)):
-                ds = probing.extract_frames(
-                    model, corpus, layer, strides_enabled=strides,
-                    window=window, scheme=scheme, inventory=inventory,
-                    threads=cfg.threads, forwards=forwards[split])
-                probing.save_dataset(art.path(f"frames_{name}.{split}.fds"),
-                                     ds)
+    # One pass per strides setting and split: each utterance is forwarded
+    # once, and its rows for every layer, window and scheme of that
+    # setting go straight to their files.
+    combos = probe_combos(cfg)
+    for strides in dict.fromkeys(combo[1] for combo in combos):
+        for split, corpus in (("train", train), ("dev", dev)):
+            cuts = [(layer, window, scheme, art.path(
+                        f"frames_{combo_name(layer, s, window, scheme)}"
+                        f".{split}.fds"))
+                    for layer, s, window, scheme in combos if s == strides]
+            probing.extract_frames(model, corpus, cuts, strides, inventory,
+                                   cfg.threads)
 
 
 def stage_probe(cfg, art):
@@ -304,7 +300,9 @@ def stage_probe(cfg, art):
     breakdown_rows = [("layer", "strides", "window", "scheme", "category",
                        "share", "accuracy")]
     model_cfg = model.config
-    dev_forwards = {}  # one forward per dev utterance and strides setting
+    # strides setting -> {dev utterance id: greedy CTC categories}, made
+    # with one forward per dev utterance when a breakdown first needs it
+    dev_categories = {}
     for combo in probe_combos(cfg):
         layer, strides, window, scheme = combo
         name = combo_name(*combo)
@@ -331,8 +329,11 @@ def stage_probe(cfg, art):
                            == model_cfg.subsample_factor(model_cfg.n_layers,
                                                          strides))
         if same_resolution:
-            bd = probing.breakdown_by_ctc_symbol(result.probe, ds_dev, model,
-                                                 dev_corpus, dev_forwards)
+            if strides not in dev_categories:
+                dev_categories[strides] = probing.ctc_categories(
+                    model, dev_corpus, strides)
+            bd = probing.breakdown_by_ctc_symbol(result.probe, ds_dev,
+                                                 dev_categories[strides])
             for cat, stats in sorted(bd.per_category.items()):
                 breakdown_rows.append(
                     (layer, int(strides), window, scheme, cat,

@@ -199,18 +199,9 @@ def preset(name: str, alphabet=None, seed=0) -> ModelConfig:
 
 
 @dataclass
-class FeatureMatrix:
-    layer_index: int
-    frames: np.ndarray            # T_k x D_k
-    strides_enabled: bool
-    utterance_id: str = ""
-
-
-@dataclass
 class ForwardResult:
-    taps: list[FeatureMatrix]     # one per layer, input first
+    taps: list[np.ndarray]        # T_k x D_k per layer, input first
     logits: np.ndarray            # T_K x S, pre-softmax
-    probs: np.ndarray             # T_K x S, rows sum to 1
     log_probs: np.ndarray
 
 
@@ -261,50 +252,39 @@ class TrainedModel:
 
     # -- forward / backward -------------------------------------------
 
-    def forward(self, x, strides_enabled=True, mode="eval",
-                tap_preactivation=False, utterance_id="") -> ForwardResult:
+    def forward(self, x, strides_enabled=True, mode="eval") -> ForwardResult:
         if mode not in ("train", "eval"):
             raise ValueError("mode must be 'train' or 'eval'")
-        if isinstance(x, Spectrogram):
-            utterance_id = utterance_id or ""
-            frames = x.frames
-        else:
-            frames = np.asarray(x, dtype=np.float64)
+        frames = x.frames if isinstance(x, Spectrogram) else np.asarray(
+            x, dtype=np.float64)
         if frames.ndim != 2 or frames.shape[1] != self.config.input_freq_bins:
             raise ValueError(
                 f"input must be T x {self.config.input_freq_bins}, "
                 f"got {frames.shape}")
         train = mode == "train"
-        taps = [FeatureMatrix(0, frames.copy(), strides_enabled, utterance_id)]
+        taps = [frames]
         cur = frames[None, :, :]  # (C=1, T, F)
         flat = None
         boundary_shape = None
-        for i, (spec, layer) in enumerate(zip(self.config.layers, self.layers),
-                                          start=1):
+        for spec, layer in zip(self.config.layers, self.layers):
             if spec.kind in CONV_KINDS:
                 stride_t = spec.stride[0] if strides_enabled else 1
-                cur, pre = layer.forward(cur, train, stride_t=stride_t)
-                tap_src = pre if tap_preactivation else cur
-                taps.append(FeatureMatrix(i, layer.output_tap(tap_src),
-                                          strides_enabled, utterance_id))
+                cur, _pre = layer.forward(cur, train, stride_t=stride_t)
+                taps.append(layer.output_tap(cur))
             else:
                 if flat is None:
                     boundary_shape = cur.shape
                     flat = cur.transpose(1, 0, 2).reshape(cur.shape[1], -1)
                 if spec.kind in RECURRENT_KINDS:
-                    flat, pre = layer.forward(flat, train)
-                    tap_src = pre if tap_preactivation else flat
-                    taps.append(FeatureMatrix(i, tap_src.copy(),
-                                              strides_enabled, utterance_id))
+                    flat, _pre = layer.forward(flat, train)
+                    taps.append(flat)
                 else:
                     logits = layer.forward(flat, train)
                     lp = log_softmax(logits)
-                    probs = np.exp(lp)
-                    taps.append(FeatureMatrix(i, probs.copy(),
-                                              strides_enabled, utterance_id))
+                    taps.append(np.exp(lp))
                     if train:
                         self._fwd_state = (mode, boundary_shape)
-                    return ForwardResult(taps, logits, probs, lp)
+                    return ForwardResult(taps, logits, lp)
         raise AssertionError("unreachable: config guarantees a final fc layer")
 
     def backward(self, dlogits):
@@ -342,9 +322,10 @@ class TrainedModel:
             "buffers": [{"name": k, "shape": list(v.shape)}
                         for k, v in buffers.items()],
         }
-        write_artifact(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header,
-                       [np.ascontiguousarray(v, dtype=np.float32)
-                        for v in list(params.values()) + list(buffers.values())])
+        with open_artifact(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                           header) as fh:
+            for v in list(params.values()) + list(buffers.values()):
+                fh.write(np.ascontiguousarray(v, dtype=np.float32).tobytes())
 
     @classmethod
     def load(cls, path):
@@ -374,18 +355,19 @@ class TrainedModel:
 _PREFIX = struct.Struct("<BQ")
 
 
-def write_artifact(path, magic, version, header, arrays):
+def open_artifact(path, magic, version, header):
+    """``path`` opened for writing, with everything up to the payload
+    written; the caller appends the payload and closes the file."""
     blob = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(magic)
-        fh.write(_PREFIX.pack(version, len(blob)))
-        fh.write(blob)
-        for a in arrays:
-            fh.write(a.tobytes())
+    fh = open(path, "wb")
+    fh.write(magic)
+    fh.write(_PREFIX.pack(version, len(blob)))
+    fh.write(blob)
+    return fh
 
 
 def read_artifact(path, magic, version, kind, payload_bytes):
-    """(header, payload) of a file `write_artifact` wrote.
+    """(header, payload) of a file written through `open_artifact`.
 
     ``payload_bytes(header)`` is the payload length the header implies; a
     foreign magic, another version, a short read or trailing bytes raise

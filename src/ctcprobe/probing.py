@@ -5,6 +5,7 @@ and confusion matrices.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -12,7 +13,7 @@ import numpy as np
 
 from . import ctc
 from .layers import uniform_init
-from .model import log_softmax, read_artifact, write_artifact
+from .model import log_softmax, open_artifact, read_artifact
 
 DATASET_MAGIC = b"CPFD"
 DATASET_VERSION = 1
@@ -50,65 +51,94 @@ class FrameDataset:
                             list(self.label_names), dict(self.provenance))
 
 
-def extract_frames(model, corpus, layer, strides_enabled=True, window=0,
-                   scheme="full", inventory=None, threads=1,
-                   forwards=None) -> FrameDataset:
-    """Per-frame tap vectors (optionally a +-window concatenation with
-    boundary replication) with phone labels mapped through the layer's
-    cumulative subsample factor and receptive-field center offset.
+@dataclass
+class Extraction:
+    """What one `extract_frames` pass wrote: its rows over every cut (the
+    count perfbench's traced `probing.frames_out` sums)."""
+    n_frames: int
 
-    ``forwards`` is a store {(utterance id, strides_enabled): ForwardResult}
-    that calls on the same corpus and model can share, so that each
-    utterance is forwarded once however many (layer, window, scheme)
-    combos are cut from it.  Utterances missing from the store are
-    forwarded on ``threads`` threads and added to it.
+
+def extract_frames(model, corpus, cuts, strides_enabled=True, inventory=None,
+                   threads=1) -> Extraction:
+    """Forward each utterance once and append its rows for every cut to
+    that cut's frame-dataset file; the labels follow the last row.
+
+    ``cuts`` lists (layer, window, scheme, path): the layer's tap rows,
+    optionally as a +-window concatenation with boundary replication,
+    labelled with the phone at each row's receptive-field center reduced
+    under ``scheme``.  Headers follow from the config and the utterance
+    lengths, so no row waits in memory.  ``threads`` > 1 forwards chunks of
+    that many utterances on a pool.  A failed pass removes its files.
     """
     cfg = model.config
-    if not 0 <= layer <= cfg.n_layers:
-        raise ValueError(f"layer {layer} outside [0, {cfg.n_layers}]")
-    if window < 0:
-        raise ValueError("window must be >= 0")
-    factor = cfg.subsample_factor(layer, strides_enabled)
-    offset = cfg.receptive_center_offset(layer, strides_enabled)
-
+    _by_id(corpus)
     phones = sorted({seg.phone for utt in corpus for seg in utt.segments})
-    if inventory is not None:
-        label_names = inventory.labels_for_scheme(scheme)
-        reduced = [inventory.reduce(phone, scheme) for phone in phones]
-    else:
-        if scheme != "full":
-            raise ValueError("reduction schemes need a phone inventory")
-        label_names = reduced = phones
-    label_index = {name: i for i, name in enumerate(label_names)}
-    phone_code = {phone: label_index[name]
-                  for phone, name in zip(phones, reduced)}
+    headers, codes = [], []
+    for layer, window, scheme, _path in cuts:
+        if not 0 <= layer <= cfg.n_layers:
+            raise ValueError(f"layer {layer} outside [0, {cfg.n_layers}]")
+        if window < 0:
+            raise ValueError("window must be >= 0")
+        if inventory is not None:
+            label_names = inventory.labels_for_scheme(scheme)
+            reduced = [inventory.reduce(phone, scheme) for phone in phones]
+        else:
+            if scheme != "full":
+                raise ValueError("reduction schemes need a phone inventory")
+            label_names = reduced = phones
+        label_index = {name: i for i, name in enumerate(label_names)}
+        codes.append({phone: label_index[name]
+                      for phone, name in zip(phones, reduced)})
+        spans = [[utt.id, cfg.time_len_after(layer, utt.n_frames,
+                                             strides_enabled)]
+                 for utt in corpus]
+        headers.append({
+            "n": sum(n_rows for _id, n_rows in spans),
+            "d": cfg.tap_width(layer) * (2 * window + 1),
+            "label_names": label_names,
+            "provenance": {
+                "layer": layer,
+                "strides_enabled": bool(strides_enabled),
+                "window": window,
+                "scheme": scheme,
+                "subsample_factor": cfg.subsample_factor(layer,
+                                                         strides_enabled),
+                "receptive_center_offset": cfg.receptive_center_offset(
+                    layer, strides_enabled),
+                "standardized": False,  # format field: raw tap values
+            },
+            "spans": spans,
+        })
 
-    results = _forward_all(model, corpus, strides_enabled, forwards, threads)
-    vectors, labels, spans = [], [], []
-    for utt, result in zip(corpus, results):
-        tap = result.taps[layer].frames
-        vectors.append(_windowed(tap, window))
-        labels.append(_frame_labels(utt, phone_code, tap.shape[0], factor,
-                                    offset))
-        spans.append((utt.id, tap.shape[0]))
-
-    if vectors:
-        vectors = np.concatenate(vectors, axis=0)
-        labels = np.concatenate(labels, axis=0)
-    else:
-        d = cfg.tap_width(layer) * (2 * window + 1)
-        vectors = np.zeros((0, d))
-        labels = np.zeros(0, dtype=np.int64)
-    provenance = {
-        "layer": layer,
-        "strides_enabled": bool(strides_enabled),
-        "window": window,
-        "scheme": scheme,
-        "subsample_factor": factor,
-        "receptive_center_offset": offset,
-        "standardized": False,  # format field: vectors are raw tap values
-    }
-    return FrameDataset(vectors, labels, label_names, provenance, spans=spans)
+    files = []
+    try:
+        for (_layer, _window, _scheme, path), header in zip(cuts, headers):
+            files.append(open_artifact(path, DATASET_MAGIC, DATASET_VERSION,
+                                       header))
+        for u, result in enumerate(_eval_forwards(model, corpus,
+                                                  strides_enabled, threads)):
+            for (layer, window, _scheme, path), header, fh in zip(
+                    cuts, headers, files):
+                tap = result.taps[layer]
+                utt_id, n_rows = header["spans"][u]
+                if len(tap) != n_rows:
+                    raise ValueError(f"{path}: {utt_id!r} has {len(tap)} "
+                                     f"layer-{layer} rows, its header {n_rows}")
+                fh.write(_windowed(tap, window).astype(np.float32).tobytes())
+        for header, phone_code, fh in zip(headers, codes, files):
+            prov = header["provenance"]
+            for utt, (_id, n_rows) in zip(corpus, header["spans"]):
+                labels = _frame_labels(utt, phone_code, n_rows,
+                                       prov["subsample_factor"],
+                                       prov["receptive_center_offset"])
+                fh.write(labels.astype(np.int32).tobytes())
+            fh.close()
+    except BaseException:
+        for fh in files:
+            fh.close()
+            os.unlink(fh.name)
+        raise
+    return Extraction(sum(header["n"] for header in headers))
 
 
 def _by_id(corpus):
@@ -120,26 +150,30 @@ def _by_id(corpus):
     return by_id
 
 
-def _forward_all(model, utts, strides_enabled, forwards, threads=1):
-    """Eval-mode ForwardResult of each utterance, in order: read from the
-    ``forwards`` store where present, forwarded and stored otherwise."""
-    _by_id(utts)
-    if forwards is None:
-        forwards = {}
-    missing = [utt for utt in utts if (utt.id, strides_enabled) not in forwards]
-
+def _eval_forwards(model, corpus, strides_enabled, threads=1):
+    """Eval-mode ForwardResult of each utterance, in order, made as they
+    are consumed: one at a time on this thread, or with ``threads`` > 1 in
+    chunks of ``threads`` on a pool."""
     def one(utt):
         return model.forward(utt.spectrogram, strides_enabled=strides_enabled,
-                             mode="eval", utterance_id=utt.id)
+                             mode="eval")
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            done = list(pool.map(one, missing))
-    else:
-        done = [one(utt) for utt in missing]
-    for utt, result in zip(missing, done):
-        forwards[(utt.id, strides_enabled)] = result
-    return [forwards[(utt.id, strides_enabled)] for utt in utts]
+    if threads == 1:
+        yield from map(one, corpus)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for i in range(0, len(corpus), threads):
+            yield from pool.map(one, corpus[i:i + threads])
+
+
+def ctc_categories(model, corpus, strides_enabled=True):
+    """{utterance id: the model's greedy CTC category (blank, space or
+    letter) of each softmax frame}, one eval forward per utterance."""
+    _by_id(corpus)
+    return {utt.id: ctc.greedy_decode(result.log_probs,
+                                      model.config.alphabet).categories
+            for utt, result in zip(corpus, _eval_forwards(
+                model, corpus, strides_enabled))}
 
 
 def _frame_labels(utt, phone_code, n_rows, factor, offset):
@@ -332,45 +366,31 @@ class CtcBreakdown:
                 "overall_accuracy": self.overall_accuracy}
 
 
-def breakdown_by_ctc_symbol(probe, dataset, model, corpus,
-                            forwards=None) -> CtcBreakdown:
+def breakdown_by_ctc_symbol(probe, dataset, categories) -> CtcBreakdown:
     """Partition frames by the model's own greedy CTC prediction (blank,
     space, or letter) and report probe accuracy within each category.
 
-    ``forwards`` is a forward store as in `extract_frames`; share one
-    between calls on the same corpus and model to forward each utterance
-    once per strides setting."""
-    cfg = model.config
-    layer = dataset.provenance.get("layer")
-    strides = dataset.provenance.get("strides_enabled", True)
-    if layer is None or not dataset.spans:
+    ``categories`` is `ctc_categories` of the dataset's utterances at its
+    strides setting; the dataset's layer must have the softmax's time
+    resolution, so that each utterance has one category per row."""
+    if not dataset.spans:
         raise ValueError("dataset lacks extraction provenance")
-    if (cfg.subsample_factor(layer, strides)
-            != cfg.subsample_factor(cfg.n_layers, strides)):
-        raise ValueError(
-            "dataset layer and softmax output have different time "
-            "resolutions; extract from a post-convolution layer")
-    by_id = _by_id(corpus)
-    utts = []
-    for utt_id, _n_rows in dataset.spans:
-        if utt_id not in by_id:
-            raise ValueError(f"utterance {utt_id!r} missing from corpus")
-        utts.append(by_id[utt_id])
-    results = _forward_all(model, utts, strides, forwards)
-    categories = []
-    for (utt_id, n_rows), result in zip(dataset.spans, results):
-        decode = ctc.greedy_decode(result.log_probs, cfg.alphabet)
-        if len(decode.categories) != n_rows:
+    per_row = []
+    for utt_id, n_rows in dataset.spans:
+        if utt_id not in categories:
+            raise ValueError(f"no CTC categories for utterance {utt_id!r}")
+        if len(categories[utt_id]) != n_rows:
             raise ValueError(
-                f"softmax length {len(decode.categories)} != dataset rows "
-                f"{n_rows} for {utt_id!r}")
-        categories.extend(decode.categories)
-    categories = np.array(categories)
+                f"softmax length {len(categories[utt_id])} != dataset rows "
+                f"{n_rows} for {utt_id!r}; the dataset layer and softmax "
+                f"output have different time resolutions")
+        per_row.extend(categories[utt_id])
+    per_row = np.array(per_row)
     correct = probe.predict(dataset.vectors) == dataset.labels
     per_category = {}
     n = dataset.n_frames
     for cat in ("blank", "space", "letter"):
-        m = categories == cat
+        m = per_row == cat
         per_category[cat] = {
             "n_frames": int(m.sum()),
             "share": float(m.sum()) / n,
@@ -417,21 +437,9 @@ def f1_delta(high_layer: dict, low_layer: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Dataset serialization (header JSON + f32 rows + int32 labels)
+# Dataset files (header JSON + f32 rows + int32 labels), written by
+# extract_frames
 # ---------------------------------------------------------------------------
-
-def save_dataset(path, ds: FrameDataset):
-    header = {
-        "n": ds.n_frames,
-        "d": ds.dim,
-        "label_names": ds.label_names,
-        "provenance": ds.provenance,
-        "spans": [[utt_id, n] for utt_id, n in ds.spans],
-    }
-    write_artifact(path, DATASET_MAGIC, DATASET_VERSION, header,
-                   [np.ascontiguousarray(ds.vectors, dtype=np.float32),
-                    np.ascontiguousarray(ds.labels, dtype=np.int32)])
-
 
 def load_dataset(path) -> FrameDataset:
     header, payload = read_artifact(

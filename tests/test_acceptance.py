@@ -17,6 +17,7 @@ Regenerate the golden report (after an intentional change) with:
 """
 
 import json
+import tempfile
 import time
 from pathlib import Path
 
@@ -31,7 +32,8 @@ from ctcprobe.model import (LayerSpec, ModelConfig, TrainedModel, log_softmax,
                             preset)
 from ctcprobe.phoneset import majority_baseline, synthetic_inventory
 from ctcprobe.probing import (ProbeReport, breakdown_by_ctc_symbol,
-                              evaluate_probe, extract_frames, inter_intra_f1)
+                              ctc_categories, evaluate_probe, extract_frames,
+                              inter_intra_f1, load_dataset)
 from ctcprobe.trainer import (ProbeConfig, TrainConfig, split_dev, train_asr,
                               train_probe)
 
@@ -163,8 +165,21 @@ def test_ds2_tap_widths_and_time_halving():
 # 4 & 6. Pipeline sanity + breakdown consistency (shared training run)
 # ---------------------------------------------------------------------------
 
+def extract_all(model, train, dev, layers, inventory, out_dir):
+    """{layer: (train, dev) frame datasets}, each split forwarded once for
+    every layer, written to `out_dir` and read back."""
+    paths = {}
+    for split, corpus in (("train", train), ("dev", dev)):
+        cuts = [(layer, 0, "full", out_dir / f"layer{layer}.{split}.fds")
+                for layer in layers]
+        extract_frames(model, corpus, cuts, inventory=inventory)
+        for layer, _window, _scheme, path in cuts:
+            paths.setdefault(layer, []).append(load_dataset(path))
+    return {layer: tuple(pair) for layer, pair in paths.items()}
+
+
 @pytest.fixture(scope="module")
-def sanity_pipeline():
+def sanity_pipeline(tmp_path_factory):
     synth = SynthConfig(seed=0)
     corpus = synthesize_corpus(synth, 200)
     train, dev = split_dev(corpus, 0.1, 0)
@@ -174,12 +189,9 @@ def sanity_pipeline():
     inventory = synthetic_inventory(synth.phones)
     probe_cfg = ProbeConfig(hidden=500, epochs=8, seed=0)
     layers = {}
-    fwd_train, fwd_dev = {}, {}  # forward each split once for all layers
-    for layer in range(cfg.n_layers + 1):
-        ds_train = extract_frames(asr.model, train, layer, inventory=inventory,
-                                  forwards=fwd_train)
-        ds_dev = extract_frames(asr.model, dev, layer, inventory=inventory,
-                                forwards=fwd_dev)
+    frames = extract_all(asr.model, train, dev, range(cfg.n_layers + 1),
+                         inventory, tmp_path_factory.mktemp("frames"))
+    for layer, (ds_train, ds_dev) in frames.items():
         fit = train_probe(ds_train, ds_dev, probe_cfg)
         report = evaluate_probe(fit.probe, ds_dev)
         _, baseline = majority_baseline(ds_dev)
@@ -203,9 +215,10 @@ def test_pipeline_sanity_on_synthetic_corpus(sanity_pipeline):
 @pytest.mark.slow
 def test_breakdown_shares_and_recombination(sanity_pipeline):
     entry = sanity_pipeline["layers"][4]
+    categories = ctc_categories(sanity_pipeline["asr"].model,
+                                sanity_pipeline["dev"])
     breakdown = breakdown_by_ctc_symbol(entry["probe"], entry["dataset"],
-                                        sanity_pipeline["asr"].model,
-                                        sanity_pipeline["dev"])
+                                        categories)
     cats = breakdown.per_category
     assert sum(c["share"] for c in cats.values()) == pytest.approx(1.0,
                                                                    abs=1e-12)
@@ -256,8 +269,9 @@ def make_context_corpus(n_utterances, noise, seed):
     return cfg, utts
 
 
-def run_trend_experiment():
-    """Train on the context corpus; return per-layer dev probe accuracy."""
+def run_trend_experiment(out_dir):
+    """Train on the context corpus; return per-layer dev probe accuracy.
+    The frame datasets go to `out_dir`."""
     synth, corpus = make_context_corpus(TREND_UTTERANCES, TREND_NOISE,
                                         TREND_SEED)
     train, dev = split_dev(corpus, 0.15, TREND_SEED)
@@ -272,20 +286,17 @@ def run_trend_experiment():
     inventory = synthetic_inventory(synth.phones)
     probe_cfg = ProbeConfig(hidden=500, epochs=8, seed=0)
     accuracies = {}
-    fwd_train, fwd_dev = {}, {}  # forward each split once for all layers
-    for layer in range(1, cfg.n_layers + 1):
-        ds_train = extract_frames(asr.model, train, layer, inventory=inventory,
-                                  forwards=fwd_train)
-        ds_dev = extract_frames(asr.model, dev, layer, inventory=inventory,
-                                forwards=fwd_dev)
+    frames = extract_all(asr.model, train, dev, range(1, cfg.n_layers + 1),
+                         inventory, out_dir)
+    for layer, (ds_train, ds_dev) in frames.items():
         fit = train_probe(ds_train, ds_dev, probe_cfg)
         accuracies[layer] = evaluate_probe(fit.probe, ds_dev).accuracy
     return accuracies
 
 
 @pytest.mark.slow
-def test_recurrent_probe_beats_cnn2_on_context_corpus():
-    accuracies = run_trend_experiment()
+def test_recurrent_probe_beats_cnn2_on_context_corpus(tmp_path):
+    accuracies = run_trend_experiment(tmp_path)
     cnn2 = accuracies[2]
     recurrent = [accuracies[k] for k in (3, 4, 5)]
     assert max(recurrent) > cnn2
@@ -298,7 +309,8 @@ def test_recurrent_probe_beats_cnn2_on_context_corpus():
 
 
 def write_golden():
-    accuracies = run_trend_experiment()
+    with tempfile.TemporaryDirectory() as out_dir:
+        accuracies = run_trend_experiment(Path(out_dir))
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps({
         "seed": TREND_SEED,

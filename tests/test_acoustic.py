@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,26 @@ class TestCorpusSerialization:
         path = tmp_path / "other.jsonl"
         path.write_text('{"format": "something-else"}\n')
         with pytest.raises(ValueError):
+            acoustic.load_corpus(path)
+
+    @pytest.mark.parametrize("damage, line", [
+        # a cut inside the third utterance's record
+        (lambda lines: lines[:3] + [lines[3][:len(lines[3]) // 2]], 4),
+        (lambda lines: [], 1),  # an empty file
+        (lambda lines: lines[:2] + [lines[2].replace('"frames_b64": "',
+                                                      '"frames_b64": "!')],
+         3),
+        (lambda lines: lines[:3] + [re.sub(r'"shape": \[(\d+)',
+                                           r'"shape": [1\1', lines[3])], 4),
+    ], ids=["cut_record", "empty", "bad_base64", "bad_shape"])
+    def test_malformed_record_names_file_and_line(self, tmp_path, damage,
+                                                  line):
+        path = tmp_path / "corpus.jsonl"
+        acoustic.save_corpus(path, synthesize_corpus(SynthConfig(seed=5), 4))
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(damage(lines)))
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}, line {line}:")):
             acoustic.load_corpus(path)
 
 

@@ -73,6 +73,12 @@ class TestConfigValidation:
         assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("threads", [1.5, True, "2"])
+    def test_threads_must_be_an_int(self, tmp_path, threads):
+        cfg = small_config(tmp_path / "out", threads=threads)
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_set_overrides(self, tmp_path):
         cfg_path = write_config(tmp_path, small_config(tmp_path / "out"))
         cfg = load_config(cfg_path, ["seed=9", "train.epochs=3"])
@@ -343,7 +349,7 @@ def test_run_forwards_each_utterance_once_per_strides_setting(tmp_path,
 
     forward = TrainedModel.forward
     monkeypatch.setattr(TrainedModel, "forward", counting_forward)
-    for name in ("extract_frames", "breakdown_by_ctc_symbol"):
+    for name in ("extract_frames", "ctc_categories"):
         monkeypatch.setattr(probing, name,
                             attributed(name, getattr(probing, name)))
     out = cli.run(ExperimentConfig.from_dict(cfg))
@@ -354,5 +360,25 @@ def test_run_forwards_each_utterance_once_per_strides_setting(tmp_path,
     for strides in (True, False):
         assert counts[("extract_frames", strides, "eval")] == \
             len(train) + len(dev)
-        assert counts[("breakdown_by_ctc_symbol", strides, "eval")] == \
-            len(dev)
+        assert counts[("ctc_categories", strides, "eval")] == len(dev)
+
+
+def test_failed_extract_removes_its_partial_files(tmp_path, monkeypatch,
+                                                  capsys):
+    cfg_path = write_config(tmp_path, small_config(tmp_path / "out"))
+    for command in ("synth", "train-asr"):
+        assert main([command, "--config", cfg_path]) == 0
+    forward = TrainedModel.forward
+    calls = []
+
+    def failing_forward(self, *args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:  # inside the first pass, over the train split
+            raise RuntimeError("forward failed")
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(TrainedModel, "forward", failing_forward)
+    capsys.readouterr()
+    assert main(["extract", "--config", cfg_path]) == 3
+    assert "stage 'extract' failed: forward failed" in capsys.readouterr().err
+    assert list((tmp_path / "out").glob("frames_*.fds")) == []

@@ -123,7 +123,8 @@ class TestForward:
         model = TrainedModel(tiny_config())
         x = np.abs(np.random.default_rng(0).normal(size=(12, 13)))
         result = model.forward(x)
-        np.testing.assert_allclose(result.probs.sum(axis=1), 1.0, atol=1e-6)
+        np.testing.assert_allclose(result.taps[-1].sum(axis=1), 1.0,
+                                   atol=1e-6)
 
     def test_tap_shapes_follow_config(self):
         cfg = tiny_config()
@@ -133,7 +134,7 @@ class TestForward:
             result = model.forward(x, strides_enabled=strides)
             assert len(result.taps) == cfg.n_layers + 1
             for k, tap in enumerate(result.taps):
-                assert tap.frames.shape == (
+                assert tap.shape == (
                     cfg.time_len_after(k, 12, strides),
                     cfg.tap_width(k)), k
 
@@ -141,7 +142,7 @@ class TestForward:
         model = TrainedModel(tiny_config())
         x = np.abs(np.random.default_rng(2).normal(size=(17, 13)))
         result = model.forward(x, strides_enabled=False)
-        assert all(t.frames.shape[0] == 17 for t in result.taps)
+        assert all(t.shape[0] == 17 for t in result.taps)
 
     def test_zero_fc_weights_give_uniform_softmax(self):
         model = TrainedModel(tiny_config())
@@ -149,7 +150,7 @@ class TestForward:
         model.layers[-1].params["b"][:] = 0.0
         x = np.abs(np.random.default_rng(3).normal(size=(10, 13)))
         result = model.forward(x)
-        np.testing.assert_allclose(result.probs, 1.0 / 5.0, atol=1e-12)
+        np.testing.assert_allclose(result.taps[-1], 1.0 / 5.0, atol=1e-12)
 
     def test_eval_forward_bit_identical(self):
         model = TrainedModel(tiny_config())
@@ -158,21 +159,12 @@ class TestForward:
         b = model.forward(x)
         assert np.array_equal(a.logits, b.logits)
         for ta, tb in zip(a.taps, b.taps):
-            assert np.array_equal(ta.frames, tb.frames)
+            assert np.array_equal(ta, tb)
 
     def test_shape_mismatch_rejected(self):
         model = TrainedModel(tiny_config())
         with pytest.raises(ValueError):
             model.forward(np.zeros((10, 12)))
-
-    def test_preactivation_taps_differ_after_relu_layers(self):
-        model = TrainedModel(tiny_config())
-        x = np.abs(np.random.default_rng(5).normal(size=(12, 13)))
-        post = model.forward(x).taps[1].frames
-        pre = model.forward(x, tap_preactivation=True).taps[1].frames
-        assert np.all(post >= 0.0)
-        assert np.any(pre < 0.0)
-        np.testing.assert_allclose(np.maximum(pre, 0.0), post, atol=1e-12)
 
 
 class TestBackward:

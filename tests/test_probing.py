@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from ctcprobe.acoustic import (SynthConfig, Utterance, frame_label,
 from ctcprobe.model import LayerSpec, ModelConfig, TrainedModel, preset
 from ctcprobe.probing import (FrameDataset, ProbeReport, TrainedProbe,
                               breakdown_by_ctc_symbol, confusion_matrix,
-                              evaluate_probe, extract_frames, inter_intra_f1)
+                              ctc_categories, evaluate_probe, extract_frames,
+                              inter_intra_f1)
 
 
 @pytest.fixture(scope="module")
@@ -24,14 +26,29 @@ def mini_model():
     return TrainedModel(preset("ds2-light-mini", seed=1))
 
 
+def extract(tmp_path, model, utts, layer, strides_enabled=True, window=0,
+            scheme="full", inventory=None, threads=1):
+    """One cut's frame dataset: written by extract_frames, read back."""
+    path = tmp_path / f"cut{len(list(tmp_path.iterdir()))}.fds"
+    extract_frames(model, utts, [(layer, window, scheme, path)],
+                   strides_enabled, inventory, threads)
+    return probing.load_dataset(path)
+
+
+def rounded(x):
+    """What a frame-dataset file keeps of float64 rows."""
+    return np.asarray(x).astype(np.float32).astype(np.float64)
+
+
 class TestExtractFrames:
-    def test_layer_zero_is_raw_spectrogram(self, corpus, mini_model):
+    def test_layer_zero_is_raw_spectrogram(self, tmp_path, corpus,
+                                           mini_model):
         cfg, utts = corpus
         inv = phoneset.synthetic_inventory(cfg.phones)
-        ds = extract_frames(mini_model, utts, 0, inventory=inv)
+        ds = extract(tmp_path, mini_model, utts, 0, inventory=inv)
         assert ds.dim == 161
         stacked = np.concatenate([u.spectrogram.frames for u in utts])
-        np.testing.assert_array_equal(ds.vectors, stacked)
+        np.testing.assert_array_equal(ds.vectors, rounded(stacked))
         # labels match direct segment lookup
         i = 0
         for utt in utts:
@@ -41,59 +58,66 @@ class TestExtractFrames:
                 assert ds.label_names[ds.labels[i]] == phone
                 i += 1
 
-    def test_window_center_block_equals_plain_tap(self, corpus, mini_model):
+    def test_window_center_block_equals_plain_tap(self, tmp_path, corpus,
+                                                  mini_model):
         cfg, utts = corpus
         inv = phoneset.synthetic_inventory(cfg.phones)
-        plain = extract_frames(mini_model, utts, 1, window=0, inventory=inv)
-        wide = extract_frames(mini_model, utts, 1, window=2, inventory=inv)
+        plain = extract(tmp_path, mini_model, utts, 1, window=0,
+                        inventory=inv)
+        wide = extract(tmp_path, mini_model, utts, 1, window=2,
+                       inventory=inv)
         d = plain.dim
         assert wide.dim == 5 * d
         np.testing.assert_array_equal(wide.vectors[:, 2 * d:3 * d],
                                       plain.vectors)
         np.testing.assert_array_equal(wide.labels, plain.labels)
 
-    def test_strided_sizes_halve_per_conv(self, corpus, mini_model):
+    def test_strided_sizes_halve_per_conv(self, tmp_path, corpus,
+                                          mini_model):
         cfg, utts = corpus
         inv = phoneset.synthetic_inventory(cfg.phones)
         mcfg = mini_model.config
         n0 = sum(u.n_frames for u in utts)
         for k in (1, 2):
-            ds = extract_frames(mini_model, utts, k, inventory=inv)
+            ds = extract(tmp_path, mini_model, utts, k, inventory=inv)
             expected = sum(mcfg.time_len_after(k, u.n_frames) for u in utts)
             assert ds.n_frames == expected
             # ceil-halving per strided conv, up to per-utterance rounding
             assert abs(ds.n_frames - n0 / 2 ** k) <= len(utts)
 
-    def test_stride_free_keeps_all_frames(self, corpus, mini_model):
+    def test_stride_free_keeps_all_frames(self, tmp_path, corpus,
+                                          mini_model):
         cfg, utts = corpus
         inv = phoneset.synthetic_inventory(cfg.phones)
-        ds = extract_frames(mini_model, utts, 3, strides_enabled=False,
-                            inventory=inv)
+        ds = extract(tmp_path, mini_model, utts, 3, strides_enabled=False,
+                     inventory=inv)
         assert ds.n_frames == sum(u.n_frames for u in utts)
 
-    def test_threaded_extraction_matches_serial(self, corpus, mini_model):
+    def test_threaded_extraction_matches_serial(self, tmp_path, corpus,
+                                                mini_model):
         cfg, utts = corpus
         inv = phoneset.synthetic_inventory(cfg.phones)
-        serial = extract_frames(mini_model, utts, 2, inventory=inv)
-        threaded = extract_frames(mini_model, utts, 2, inventory=inv,
-                                  threads=4)
+        serial = extract(tmp_path, mini_model, utts, 2, inventory=inv)
+        threaded = extract(tmp_path, mini_model, utts, 2, inventory=inv,
+                           threads=4)
         np.testing.assert_array_equal(serial.vectors, threaded.vectors)
         np.testing.assert_array_equal(serial.labels, threaded.labels)
         assert serial.spans == threaded.spans
 
-    def test_scheme_reduces_labels(self, corpus, mini_model):
+    def test_scheme_reduces_labels(self, tmp_path, corpus, mini_model):
         cfg, utts = corpus
         inv = phoneset.synthetic_inventory(cfg.phones)
-        ds = extract_frames(mini_model, utts, 0, scheme="sound_class",
-                            inventory=inv)
+        ds = extract(tmp_path, mini_model, utts, 0, scheme="sound_class",
+                     inventory=inv)
         assert set(ds.label_names) <= set(phoneset.SOUND_CLASSES)
 
-    def test_layer_out_of_range(self, corpus, mini_model):
+    def test_layer_out_of_range(self, tmp_path, corpus, mini_model):
         cfg, utts = corpus
         with pytest.raises(ValueError):
-            extract_frames(mini_model, utts, 99)
+            extract(tmp_path, mini_model, utts, 99)
+        assert list(tmp_path.iterdir()) == []
 
-    def test_labels_match_frame_label_reference(self, corpus):
+    def test_labels_match_frame_label_reference(self, tmp_path, corpus):
         # Convs padded beyond their half-kernel put the receptive-field
         # center of the first and last frames outside the utterance, so
         # the labels there come from the clamped index.
@@ -116,10 +140,10 @@ class TestExtractFrames:
                 offset = model.config.receptive_center_offset(layer, strides)
                 for window in (0, 2):
                     for scheme in ("full", "sound_class"):
-                        ds = extract_frames(model, utts, layer,
-                                            strides_enabled=strides,
-                                            window=window, scheme=scheme,
-                                            inventory=inv)
+                        ds = extract(tmp_path, model, utts, layer,
+                                     strides_enabled=strides,
+                                     window=window, scheme=scheme,
+                                     inventory=inv)
                         expected = []
                         for utt, (_id, n_rows) in zip(utts, ds.spans):
                             for t in range(n_rows):
@@ -134,39 +158,68 @@ class TestExtractFrames:
         assert clamped > 0
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_shared_store_matches_fresh_extraction(self, corpus, mini_model,
-                                                   threads):
+    def test_multi_cut_pass_matches_one_cut_per_call(self, tmp_path, corpus,
+                                                     mini_model, threads):
         cfg, utts = corpus
         inv = phoneset.synthetic_inventory(cfg.phones)
-        forwards = {}
         for strides in (True, False):
-            for layer in (0, 2, 3):
-                for window in (0, 2):
-                    kw = dict(strides_enabled=strides, window=window,
-                              scheme="sound_class", inventory=inv,
-                              threads=threads)
-                    shared = extract_frames(mini_model, utts, layer,
-                                            forwards=forwards, **kw)
-                    fresh = extract_frames(mini_model, utts, layer, **kw)
-                    np.testing.assert_array_equal(shared.vectors,
-                                                  fresh.vectors)
-                    np.testing.assert_array_equal(shared.labels, fresh.labels)
-                    assert shared.spans == fresh.spans
-                    assert shared.provenance == fresh.provenance
-        assert sorted(forwards) == sorted((u.id, s) for u in utts
-                                          for s in (True, False))
+            cuts = [(layer, window, "sound_class",
+                     tmp_path / f"pass_{strides}_{layer}_{window}.fds")
+                    for layer in (0, 2, 3) for window in (0, 2)]
+            written = extract_frames(mini_model, utts, cuts, strides, inv,
+                                     threads)
+            rows = 0
+            for layer, window, scheme, path in cuts:
+                one = tmp_path / "one.fds"
+                extract_frames(mini_model, utts, [(layer, window, scheme, one)],
+                               strides, inv, threads)
+                assert path.read_bytes() == one.read_bytes(), path.name
+                rows += probing.load_dataset(path).n_frames
+            assert written.n_frames == rows
 
-    def test_duplicate_ids_rejected(self, corpus, mini_model):
+    def test_duplicate_ids_rejected(self, tmp_path, corpus, mini_model):
         cfg, utts = corpus
         inv = phoneset.synthetic_inventory(cfg.phones)
         twin = Utterance(utts[1].spectrogram, utts[1].segments,
                          utts[1].transcript, utts[0].id)
         with pytest.raises(ValueError, match=utts[0].id):
-            extract_frames(mini_model, [utts[0], twin], 2, inventory=inv)
-        ds = extract_frames(mini_model, utts[:1], 2, inventory=inv)
-        probe = TrainedProbe.init(ds.dim, ds.label_names, hidden=None)
+            extract(tmp_path, mini_model, [utts[0], twin], 2, inventory=inv)
         with pytest.raises(ValueError, match=utts[0].id):
-            breakdown_by_ctc_symbol(probe, ds, mini_model, [utts[0], twin])
+            ctc_categories(mini_model, [utts[0], twin])
+
+    def test_row_count_checked_against_header(self, tmp_path, corpus,
+                                              mini_model, monkeypatch):
+        cfg, utts = corpus
+        inv = phoneset.synthetic_inventory(cfg.phones)
+        # Headers that expect every input frame at a strided layer.
+        monkeypatch.setattr(ModelConfig, "time_len_after",
+                            lambda self, k, in_len, strides=True: in_len)
+        cuts = [(0, 0, "full", tmp_path / "layer0.fds"),
+                (2, 0, "full", tmp_path / "layer2.fds")]
+        with pytest.raises(ValueError, match="layer-2 rows"):
+            extract_frames(mini_model, utts, cuts, True, inv)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_peak_memory_does_not_grow_with_corpus(self, tmp_path, corpus,
+                                                   mini_model):
+        # Rows stream to disk, so only one utterance's forward is held,
+        # whatever the corpus size; twins keep the utterance lengths.
+        cfg, utts = corpus
+        inv = phoneset.synthetic_inventory(cfg.phones)
+        doubled = utts + [Utterance(u.spectrogram, u.segments, u.transcript,
+                                    u.id + "-twin") for u in utts]
+        peaks = []
+        for n, group in enumerate((utts, doubled)):
+            cuts = [(layer, window, "full", tmp_path / f"{n}_{layer}_{window}")
+                    for layer in range(mini_model.config.n_layers + 1)
+                    for window in (0, 2)]
+            tracemalloc.start()
+            try:
+                extract_frames(mini_model, group, cuts, True, inv)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.1 * peaks[0], peaks
 
 
 class TestTrainedProbe:
@@ -275,38 +328,40 @@ def all_blank_model():
 
 
 class TestBreakdown:
-    def make_dataset(self, model, utts, cfg, layer=2):
+    def make_dataset(self, tmp_path, model, utts, cfg, layer=2):
         inv = phoneset.synthetic_inventory(cfg.phones)
-        return extract_frames(model, utts, layer, inventory=inv), inv
+        return extract(tmp_path, model, utts, layer, inventory=inv)
 
-    def test_all_blank_model_single_category(self, corpus):
+    def test_all_blank_model_single_category(self, tmp_path, corpus):
         cfg, utts = corpus
         model = all_blank_model()
-        ds, _ = self.make_dataset(model, utts, cfg)
+        ds = self.make_dataset(tmp_path, model, utts, cfg)
         probe = TrainedProbe.init(ds.dim, ds.label_names, hidden=None, seed=0)
-        bd = breakdown_by_ctc_symbol(probe, ds, model, utts)
+        bd = breakdown_by_ctc_symbol(probe, ds, ctc_categories(model, utts))
         assert bd.per_category["blank"]["share"] == 1.0
         assert bd.per_category["space"]["n_frames"] == 0
         assert bd.per_category["letter"]["n_frames"] == 0
 
-    def test_shares_sum_to_one_and_recombine(self, corpus, mini_model):
+    def test_shares_sum_to_one_and_recombine(self, tmp_path, corpus,
+                                             mini_model):
         cfg, utts = corpus
-        ds, _ = self.make_dataset(mini_model, utts, cfg)
+        ds = self.make_dataset(tmp_path, mini_model, utts, cfg)
         probe = TrainedProbe.init(ds.dim, ds.label_names, hidden=6, seed=3)
-        bd = breakdown_by_ctc_symbol(probe, ds, mini_model, utts)
+        bd = breakdown_by_ctc_symbol(probe, ds,
+                                     ctc_categories(mini_model, utts))
         shares = [v["share"] for v in bd.per_category.values()]
         assert sum(shares) == pytest.approx(1.0, abs=1e-12)
         recombined = sum(v["share"] * v["accuracy"]
                          for v in bd.per_category.values())
         assert recombined == pytest.approx(bd.overall_accuracy, abs=1e-9)
 
-    def test_resolution_mismatch_rejected(self, corpus, mini_model):
+    def test_resolution_mismatch_rejected(self, tmp_path, corpus, mini_model):
         cfg, utts = corpus
-        inv = phoneset.synthetic_inventory(cfg.phones)
-        ds = extract_frames(mini_model, utts, 0, inventory=inv)
+        ds = self.make_dataset(tmp_path, mini_model, utts, cfg, layer=0)
         probe = TrainedProbe.init(ds.dim, ds.label_names, hidden=None)
-        with pytest.raises(ValueError):
-            breakdown_by_ctc_symbol(probe, ds, mini_model, utts)
+        with pytest.raises(ValueError, match="time resolutions"):
+            breakdown_by_ctc_symbol(probe, ds,
+                                    ctc_categories(mini_model, utts))
 
 
 def report_from_confusion(cm, names):
@@ -411,16 +466,19 @@ class TestDatasetSerialization:
     def test_round_trip(self, tmp_path, corpus, mini_model):
         cfg, utts = corpus
         inv = phoneset.synthetic_inventory(cfg.phones)
-        ds = extract_frames(mini_model, utts, 1, window=1, inventory=inv)
         path = tmp_path / "frames.fds"
-        probing.save_dataset(path, ds)
+        extract_frames(mini_model, utts, [(1, 1, "full", path)], True, inv)
         loaded = probing.load_dataset(path)
+        taps = [mini_model.forward(u.spectrogram).taps[1] for u in utts]
         np.testing.assert_array_equal(
-            loaded.vectors, ds.vectors.astype(np.float32).astype(np.float64))
-        np.testing.assert_array_equal(loaded.labels, ds.labels)
-        assert loaded.label_names == ds.label_names
-        assert loaded.provenance == ds.provenance
-        assert loaded.spans == ds.spans
+            loaded.vectors,
+            rounded(np.concatenate([probing._windowed(t, 1) for t in taps])))
+        assert loaded.label_names == inv.labels_for_scheme("full")
+        assert loaded.provenance == {
+            "layer": 1, "strides_enabled": True, "window": 1,
+            "scheme": "full", "subsample_factor": 2,
+            "receptive_center_offset": 0, "standardized": False}
+        assert loaded.spans == [(u.id, len(t)) for u, t in zip(utts, taps)]
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bad.fds"
@@ -433,8 +491,7 @@ class TestDatasetSerialization:
         cfg, utts = corpus
         inv = phoneset.synthetic_inventory(cfg.phones)
         path = tmp_path / "frames.fds"
-        probing.save_dataset(path, extract_frames(mini_model, utts, 1,
-                                                  inventory=inv))
+        extract_frames(mini_model, utts, [(1, 0, "full", path)], True, inv)
         path.write_bytes(DAMAGE[damage](path.read_bytes()))
         with pytest.raises(ValueError, match=re.escape(str(path))):
             probing.load_dataset(path)
