@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import base64
 import bisect
+import contextlib
 import json
 import os
 import wave
@@ -306,8 +307,24 @@ def frame_label(utt: Utterance, t: int, subsample_factor: int = 1,
 # Corpus serialization (JSON-lines, f32 row-major frames)
 # ---------------------------------------------------------------------------
 
+@contextlib.contextmanager
+def atomic_write(path, **open_kw):
+    """Text file handle whose content replaces ``path`` only once the block
+    exits cleanly.  It writes ``path`` + ".tmp" beside it and removes that
+    on an exception, so no partial or temp file is left to read or hash."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", **open_kw) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_corpus(path, utterances):
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         header = {"format": CORPUS_FORMAT, "version": CORPUS_VERSION}
         if utterances:
             s = utterances[0].spectrogram

@@ -101,6 +101,9 @@ class ExperimentConfig:
             if not 0 <= k <= n_layers:
                 raise ConfigError(
                     f"clustering layer {k} outside [0, {n_layers}]")
+            method = self.clustering.get("method", "tsne")
+            if method not in clustering.PROJECTIONS:
+                raise ConfigError(f"unknown clustering method {method!r}")
         has_synth = self.corpus.get("synthetic") is not None
         has_import = self.corpus.get("import_path") is not None
         if has_synth == has_import:
@@ -162,7 +165,7 @@ class ArtifactDir:
         return full
 
     def write_text(self, rel, text):
-        with open(self.path(rel), "w", newline="") as fh:
+        with acoustic.atomic_write(self.path(rel), newline="") as fh:
             fh.write(text)
         return rel
 

@@ -255,6 +255,9 @@ def tsne_2d(points, seed=0, perplexity=30.0, iters=1000,
                       kl_final=_tsne_kl(P, y))
 
 
+PROJECTIONS = ("pca", "tsne")
+
+
 def project_2d(centroids, method="tsne", seed=0, perplexity=30.0,
                iters=1000) -> np.ndarray:
     if method == "pca":

@@ -5,8 +5,10 @@ Each layer owns its parameters (``params``) and non-learned state
 model's registry.  Layers cache intermediates on forward, and return
 (input-gradient, parameter-gradients) on backward.  Everything is
 float64 numpy; recurrent layers run both directions and concatenate.
-Convolution forward, ``dW`` and ``dx`` are one BLAS GEMM per kernel row
-over a frequency-only unfold of that row's input (see `ConvLayer`).
+Convolution unfolds each time-stride phase of its input along frequency
+once per pass; forward and ``dx`` are one BLAS GEMM per phase and row
+block, ``dW`` one per kernel row, and every output still adds its kernel
+rows in ascending order (see `ConvLayer`).
 """
 
 from __future__ import annotations
@@ -15,6 +17,12 @@ import numpy as np
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
+
+# Bytes of unfolded input plus GEMM products that one block of a
+# convolution pass holds, about a core's L2 cache.  The forward and the
+# input gradient work through their time rows in blocks of this size, so
+# their scratch memory does not grow with the utterance.
+CONV_BLOCK_BYTES = 1 << 21
 
 
 def uniform_init(rng, shape, fan_in):
@@ -88,14 +96,21 @@ class ConvLayer:
     Batch norm is per output channel, sequence-wise over all (t, f)
     positions of the utterance.
 
-    Each pass is one BLAS GEMM per kernel row: the stride-selected input
-    rows under kernel row i are unfolded along frequency only, to a
-    (t_out*f_out, c_in*kf) matrix, and multiplied by W[:, :, i, :].  So
-    is ``dW``.  ``dx`` zero-dilates the output gradient by the frequency
-    stride, pads it by kf-1, unfolds it once, and adds one GEMM with the
-    frequency-flipped kernel row into every st-th input row.  No full
-    im2col matrix is built.  Activations are laid out (t, f, c)
-    internally; the (c, t, f) arrays in and out are transposed views.
+    Every pass works on time-stride phases: phase p holds the padded
+    input rows p, p+st, p+2st, ..., so kernel row i = p + st*j reads
+    phase rows j .. j+t_out-1.  A pass unfolds each phase row along
+    frequency once, to (f_out, c_in*kf), and kernel rows read the unfold
+    as free views.  The forward multiplies a block of phase rows by all
+    of the phase's kernel rows, side by side, in one GEMM.  ``dx``
+    zero-dilates the output gradient by the frequency stride, pads it by
+    kf-1 and unfolds it, and multiplies a block of it by each phase's
+    frequency-flipped kernel rows side by side.  ``dW`` is one GEMM per
+    kernel row on its phase's unfold.  Every output still adds its kernel
+    rows in ascending order, so the sums are those of a loop over kernel
+    rows.  A block of the forward or ``dx`` holds about
+    `CONV_BLOCK_BYTES` of unfold and products.  Activations are laid out
+    (t, f, c) internally; the (c, t, f) arrays in and out are transposed
+    views.
     """
 
     def __init__(self, spec, in_channels, rng):
@@ -110,12 +125,77 @@ class ConvLayer:
         self.bn = BatchNorm(spec.out_channels) if spec.batchnorm else None
         self._cache = None
 
-    def _row_cols(self, xp, i, t_out, f_out, st, sf):
-        """(t_out*f_out, c_in*kf) unfold of the input rows under kernel row i."""
+    def _phase_rows(self, xp, p, st, q0, n, sf, f_out):
+        """(n*f_out, c_in*kf) frequency unfold of phase p's rows q0 ..
+        q0+n-1, which are the padded input rows p + st*q."""
         kf = self.spec.kernel[1]
-        rows = xp[i:i + st * t_out:st]  # (t_out, Fp, c_in)
+        rows = xp[p + st * q0::st][:n]  # (n, Fp, c_in)
         win = np.lib.stride_tricks.sliding_window_view(rows, kf, axis=1)
-        return win[:, :sf * f_out:sf].reshape(t_out * f_out, -1)
+        return np.ascontiguousarray(win[:, :sf * f_out:sf]).reshape(
+            -1, rows.shape[2] * kf)
+
+    def _correlate(self, xp, st, sf, t_out, f_out):
+        """The bias-free forward, (t_out, f_out, c_out).
+
+        Output row t collects kernel row i = p + st*j from phase row
+        q = t + j.  Phase rows go in ascending blocks, and each block adds
+        its products in ascending i, so every output sums its kernel rows
+        in the order i = 0 .. kt-1.
+        """
+        W = self.params["W"]
+        c_out, c_in, kt, kf = W.shape
+        # Phase p's kernel rows side by side: (c_in*kf, kt_p*c_out).
+        w_ph = [W[:, :, p::st].transpose(2, 0, 1, 3).reshape(-1, c_in * kf).T
+                for p in range(min(st, kt))]
+        n_rows = [t_out + w.shape[1] // c_out - 1 for w in w_ph]
+        z = np.zeros((t_out, f_out, c_out))
+        block = max(1, CONV_BLOCK_BYTES
+                    // (z.itemsize * f_out * (c_in * kf + kt * c_out)))
+        for q0 in range(0, n_rows[0], block):
+            prods = [(self._phase_rows(xp, p, st, q0, min(block, n - q0),
+                                       sf, f_out) @ w
+                      ).reshape(-1, f_out, w.shape[1] // c_out, c_out)
+                     for p, (w, n) in enumerate(zip(w_ph, n_rows))]
+            for i in range(kt):
+                j = i // st
+                lo, hi = max(q0, j), min(q0 + block, j + t_out)
+                if lo < hi:
+                    z[lo - j:hi - j] += prods[i % st][lo - q0:hi - q0, :, j]
+            del prods  # one block's products at a time
+        return z
+
+    def _input_grad(self, dz, xp_shape, st, sf, t_out, f_out):
+        """Gradient with respect to the padded input, (Tp, Fp, c_in).
+
+        Input row p + st*q collects kernel row i = p + st*j from output
+        row t = q - j.  Output rows go in descending blocks, and each block
+        adds its products in ascending j, so every input row sums its
+        kernel rows in ascending order.
+        """
+        W = self.params["W"]
+        c_out, c_in, kt, kf = W.shape
+        # Input position f collects output column f' through tap j = f - sf*f':
+        # a correlation of the dilated, padded gradient with the flipped row.
+        dil = np.zeros((t_out, sf * (f_out - 1) + 1 + 2 * (kf - 1), c_out))
+        dil[:, kf - 1:kf - 1 + sf * f_out:sf] = dz.reshape(t_out, f_out, c_out)
+        f_cov = dil.shape[1] - kf + 1  # input columns some output reads
+        # Phase p's flipped kernel rows side by side: (c_out*kf, kt_p*c_in).
+        w_ph = [W[:, :, p::st, ::-1].transpose(0, 3, 2, 1).reshape(c_out * kf, -1)
+                for p in range(min(st, kt))]
+        dxp = np.zeros(xp_shape)
+        block = max(1, CONV_BLOCK_BYTES
+                    // (dil.itemsize * f_cov * (c_out * kf + kt * c_in)))
+        for t0 in reversed(range(0, t_out, block)):
+            nb = min(block, t_out - t0)
+            cols = np.lib.stride_tricks.sliding_window_view(
+                dil[t0:t0 + nb], kf, axis=1).reshape(nb * f_cov, c_out * kf)
+            for p, w in enumerate(w_ph):
+                prod = (cols @ w).reshape(nb, f_cov, -1, c_in)
+                for j in range(prod.shape[2]):
+                    r0 = p + st * (t0 + j)
+                    dxp[r0:r0 + st * nb:st, :f_cov] += prod[:, :, j]
+            del cols, prod  # one block's unfold and products at a time
+        return dxp
 
     def forward(self, x, train, stride_t=None):
         spec = self.spec
@@ -128,12 +208,9 @@ class ConvLayer:
             raise ValueError("input smaller than the convolution kernel")
         t_out = (xp.shape[0] - kt) // st + 1
         f_out = (xp.shape[1] - kf) // sf + 1
-        W = self.params["W"]
-        c_out = W.shape[0]
-        z = np.zeros((t_out * f_out, c_out))
-        for i in range(kt):
-            z += (self._row_cols(xp, i, t_out, f_out, st, sf)
-                  @ W[:, :, i, :].reshape(c_out, -1).T)
+        z = self._correlate(xp, st, sf, t_out, f_out)
+        c_out = z.shape[2]
+        z = z.reshape(-1, c_out)
         z += self.params["b"]
         if self.bn is not None:
             z = self.bn.forward(z, train)
@@ -158,27 +235,22 @@ class ConvLayer:
             dz, bn_grads = self.bn.backward(dz)
         W = self.params["W"]
         dW = np.empty_like(W)
-        for i in range(kt):
-            dW[:, :, i, :] = (dz.T @ self._row_cols(xp, i, t_out, f_out, st, sf)
-                              ).reshape(c_out, -1, kf)
+        m = t_out * f_out
+        for p in range(min(st, kt)):
+            rows = range(p, kt, st)
+            phase = self._phase_rows(xp, p, st, 0, t_out + len(rows) - 1,
+                                     sf, f_out)
+            for j, i in enumerate(rows):
+                dW[:, :, i] = (dz.T @ phase[j * f_out:j * f_out + m]
+                               ).reshape(c_out, -1, kf)
+            del phase  # before the next phase is unfolded
         grads = {"W": dW, "b": dz.sum(axis=0)}
         if self.bn is not None:
             grads["bn.gamma"] = bn_grads["gamma"]
             grads["bn.beta"] = bn_grads["beta"]
         if not input_grad:
             return None, grads
-        # Input position f collects output column f' through tap j = f - sf*f':
-        # a correlation of the dilated, padded gradient with the flipped row.
-        dil = np.zeros((t_out, sf * (f_out - 1) + 1 + 2 * (kf - 1), c_out))
-        dil[:, kf - 1:kf - 1 + sf * f_out:sf] = dz.reshape(t_out, f_out, c_out)
-        f_cov = dil.shape[1] - kf + 1  # input columns some output reads
-        unfolded = np.lib.stride_tricks.sliding_window_view(
-            dil, kf, axis=1).reshape(t_out * f_cov, c_out * kf)
-        dxp = np.zeros(xp.shape)
-        for i in range(kt):
-            w_row = W[:, :, i, ::-1].transpose(0, 2, 1).reshape(c_out * kf, -1)
-            dxp[i:i + st * t_out:st, :f_cov] += (
-                unfolded @ w_row).reshape(t_out, f_cov, -1)
+        dxp = self._input_grad(dz, xp.shape, st, sf, t_out, f_out)
         dx = dxp[pt:xp.shape[0] - pt, pf:xp.shape[1] - pf]
         return dx.transpose(2, 0, 1), grads
 

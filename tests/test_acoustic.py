@@ -173,6 +173,20 @@ class TestCorpusSerialization:
                 got.spectrogram.frames,
                 orig.spectrogram.frames.astype(np.float32).astype(np.float64))
 
+    def test_failed_save_leaves_no_partial_or_temp_file(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        corpus = synthesize_corpus(SynthConfig(seed=5), 2)
+        broken = corpus + [None]  # fails after two records are written
+        with pytest.raises(AttributeError):
+            acoustic.save_corpus(path, broken)
+        assert list(tmp_path.iterdir()) == []
+        acoustic.save_corpus(path, corpus[:1])
+        before = path.read_bytes()
+        with pytest.raises(AttributeError):
+            acoustic.save_corpus(path, broken)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == before
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "other.jsonl"
         path.write_text('{"format": "something-else"}\n')

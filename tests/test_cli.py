@@ -79,11 +79,27 @@ class TestConfigValidation:
         assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
         assert not (tmp_path / "out").exists()
 
+    def test_unknown_clustering_method_rejected(self, tmp_path):
+        cfg = small_config(tmp_path / "out")
+        cfg["clustering"]["method"] = "tsnee"
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_set_overrides(self, tmp_path):
         cfg_path = write_config(tmp_path, small_config(tmp_path / "out"))
         cfg = load_config(cfg_path, ["seed=9", "train.epochs=3"])
         assert cfg.seed == 9
         assert cfg.train["epochs"] == 3
+
+
+def test_failed_artifact_write_leaves_no_partial_or_temp_file(tmp_path):
+    art = cli.ArtifactDir(str(tmp_path))
+    art.write_text("table.csv", "old\n")
+    for rel in ("table.csv", "fresh.csv"):
+        with pytest.raises(UnicodeEncodeError):
+            art.write_text(rel, "new\n\udc80")
+    assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+    assert (tmp_path / "table.csv").read_text() == "old\n"
 
 
 class TestStageFailure:

@@ -1,11 +1,14 @@
-"""Finite-difference oracles for every layer's backward pass, plus a naive
-convolution forward oracle."""
+"""Finite-difference oracles for every layer's backward pass, a naive
+convolution forward oracle, and a per-kernel-row convolution that the
+phase-blocked `ConvLayer` must match bit for bit."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ctcprobe import layers as L
-from ctcprobe.model import LayerSpec
+from ctcprobe.model import LayerSpec, preset
 
 
 def rel_err(a, b):
@@ -112,6 +115,8 @@ CONV_CASES = {
     "padded_row_tail": ((2, 2), (2, 8, 9), None),
     "uncovered_tail": ((3, 3), (2, 9, 10), None),
     "stride_t_override": ((2, 2), (2, 9, 11), 1),
+    # More time-stride phases than kernel rows: phase 3 has no kernel row.
+    "stride_exceeds_kernel": ((4, 1), (2, 13, 9), None),
 }
 
 
@@ -199,6 +204,158 @@ class TestConvLayer:
         assert list(grads_only) == list(grads)
         for name, g in grads.items():
             np.testing.assert_array_equal(grads_only[name], g, err_msg=name)
+
+
+class RowConvOracle(L.ConvLayer):
+    """Reference convolution: one GEMM per kernel row over that row's own
+    unfold, forward, ``dW`` and ``dx`` alike.  `ConvLayer` must reproduce
+    its every bit: same products, added in the same order."""
+
+    def _row_cols(self, xp, i, t_out, f_out, st, sf):
+        kf = self.spec.kernel[1]
+        rows = xp[i:i + st * t_out:st]  # (t_out, Fp, c_in)
+        win = np.lib.stride_tricks.sliding_window_view(rows, kf, axis=1)
+        return win[:, :sf * f_out:sf].reshape(t_out * f_out, -1)
+
+    def forward(self, x, train, stride_t=None):
+        spec = self.spec
+        kt, kf = spec.kernel
+        st = spec.stride[0] if stride_t is None else stride_t
+        sf = spec.stride[1]
+        pt, pf = spec.padding
+        xp = np.pad(x.transpose(1, 2, 0), ((pt, pt), (pf, pf), (0, 0)))
+        t_out = (xp.shape[0] - kt) // st + 1
+        f_out = (xp.shape[1] - kf) // sf + 1
+        W = self.params["W"]
+        c_out = W.shape[0]
+        z = np.zeros((t_out * f_out, c_out))
+        for i in range(kt):
+            z += (self._row_cols(xp, i, t_out, f_out, st, sf)
+                  @ W[:, :, i, :].reshape(c_out, -1).T)
+        z += self.params["b"]
+        if self.bn is not None:
+            z = self.bn.forward(z, train)
+        pre = z.reshape(t_out, f_out, c_out).transpose(2, 0, 1)
+        out = np.maximum(pre, 0.0) if spec.activation == "relu" else pre
+        if train:
+            self._cache = (xp, pre, st, sf)
+        return out, pre
+
+    def backward(self, dout, input_grad=True):
+        xp, pre, st, sf = self._cache
+        spec = self.spec
+        kt, kf = spec.kernel
+        pt, pf = spec.padding
+        if spec.activation == "relu":
+            dout = dout * (pre > 0)
+        c_out, t_out, f_out = dout.shape
+        dz = dout.transpose(1, 2, 0).reshape(-1, c_out)
+        if self.bn is not None:
+            dz, bn_grads = self.bn.backward(dz)
+        W = self.params["W"]
+        dW = np.empty_like(W)
+        for i in range(kt):
+            dW[:, :, i, :] = (dz.T @ self._row_cols(xp, i, t_out, f_out, st, sf)
+                              ).reshape(c_out, -1, kf)
+        grads = {"W": dW, "b": dz.sum(axis=0)}
+        if self.bn is not None:
+            grads["bn.gamma"] = bn_grads["gamma"]
+            grads["bn.beta"] = bn_grads["beta"]
+        if not input_grad:
+            return None, grads
+        dil = np.zeros((t_out, sf * (f_out - 1) + 1 + 2 * (kf - 1), c_out))
+        dil[:, kf - 1:kf - 1 + sf * f_out:sf] = dz.reshape(t_out, f_out, c_out)
+        f_cov = dil.shape[1] - kf + 1
+        unfolded = np.lib.stride_tricks.sliding_window_view(
+            dil, kf, axis=1).reshape(t_out * f_cov, c_out * kf)
+        dxp = np.zeros(xp.shape)
+        for i in range(kt):
+            w_row = W[:, :, i, ::-1].transpose(0, 2, 1).reshape(c_out * kf, -1)
+            dxp[i:i + st * t_out:st, :f_cov] += (
+                unfolded @ w_row).reshape(t_out, f_cov, -1)
+        dx = dxp[pt:xp.shape[0] - pt, pf:xp.shape[1] - pf]
+        return dx.transpose(2, 0, 1), grads
+
+
+def model_conv(name, index):
+    """(spec, in_channels, input freq bins) of a preset's conv layer."""
+    cfg = preset(name)
+    c_in = cfg.layers[index - 1].out_channels if index else 1
+    return cfg.layers[index], c_in, cfg.freq_bins_after(index)
+
+
+def conv_pair(name, index):
+    spec, c_in, _f = model_conv(name, index)
+    return (L.ConvLayer(spec, c_in, np.random.default_rng(16)),
+            RowConvOracle(spec, c_in, np.random.default_rng(16)))
+
+
+def conv_input(name, index, frames):
+    _spec, c_in, f_in = model_conv(name, index)
+    return np.random.default_rng(17).normal(size=(c_in, frames, f_in))
+
+
+class TestConvMatchesPerRowOracle:
+    """The model's own conv shapes, in both modes and at both time strides.
+    conv1 is checked without ``dx``, as the model runs it: nothing uses the
+    spectrogram's gradient, and with one input channel the oracle's ``dx``
+    product is a matrix-vector product, which rounds differently."""
+
+    @pytest.mark.parametrize("block_bytes", [L.CONV_BLOCK_BYTES, 1],
+                             ids=["default_blocks", "one_row_blocks"])
+    @pytest.mark.parametrize("stride_t", [None, 1], ids=["stride", "no_stride"])
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("name, index", [
+        ("ds2-mini", 0), ("ds2-mini", 1), ("ds2", 0), ("ds2", 1)])
+    def test_bit_for_bit(self, monkeypatch, name, index, train, stride_t,
+                         block_bytes):
+        monkeypatch.setattr(L, "CONV_BLOCK_BYTES", block_bytes)
+        layer, oracle = conv_pair(name, index)
+        x = conv_input(name, index, 61)
+        out, pre = layer.forward(x, train, stride_t=stride_t)
+        want_out, want_pre = oracle.forward(x, train, stride_t=stride_t)
+        np.testing.assert_array_equal(out, want_out)
+        np.testing.assert_array_equal(pre, want_pre)
+        if not train:
+            return
+        dy = np.random.default_rng(18).normal(size=out.shape)
+        dx, grads = layer.backward(dy, input_grad=index > 0)
+        want_dx, want_grads = oracle.backward(dy, input_grad=index > 0)
+        if index > 0:
+            np.testing.assert_array_equal(dx, want_dx)
+        assert list(grads) == list(want_grads)
+        for name_, g in grads.items():
+            np.testing.assert_array_equal(g, want_grads[name_], err_msg=name_)
+
+
+def traced_peak(fn):
+    fn()  # warm up, so first-call allocations do not count
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["conv1", "conv2"])
+def test_ds2_conv_peak_memory_within_oracle(index):
+    """At full ds2 width (300 input frames), neither the eval forward nor
+    the train forward+backward may peak above 1.1x the per-row oracle."""
+    layer, oracle = conv_pair("ds2", index)
+    x = conv_input("ds2", index, 300 if index == 0 else 150)
+    dy = np.random.default_rng(19).normal(
+        size=oracle.forward(x, False)[0].shape)
+
+    def train_step(conv):
+        conv.forward(x, True)
+        conv.backward(dy, input_grad=index > 0)
+        conv._cache = None
+
+    for run in (lambda conv: conv.forward(x, False), train_step):
+        peak, oracle_peak = traced_peak(lambda: run(layer)), traced_peak(
+            lambda: run(oracle))
+        assert peak <= 1.1 * oracle_peak, (peak, oracle_peak)
 
 
 def recurrent_spec(kind, hidden=6, batchnorm=True):
