@@ -308,13 +308,14 @@ def frame_label(utt: Utterance, t: int, subsample_factor: int = 1,
 # ---------------------------------------------------------------------------
 
 @contextlib.contextmanager
-def atomic_write(path, **open_kw):
-    """Text file handle whose content replaces ``path`` only once the block
-    exits cleanly.  It writes ``path`` + ".tmp" beside it and removes that
-    on an exception, so no partial or temp file is left to read or hash."""
+def atomic_write(path, mode="w", **open_kw):
+    """File handle (text unless ``mode`` is "wb") whose content replaces
+    ``path`` only once the block exits cleanly.  It writes ``path`` + ".tmp"
+    beside it and removes that on an exception, so no partial or temp file
+    is left to read or hash."""
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, "w", **open_kw) as fh:
+        with open(tmp, mode, **open_kw) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

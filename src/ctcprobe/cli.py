@@ -173,6 +173,15 @@ class ArtifactDir:
         return self.write_text(rel, json.dumps(obj, sort_keys=True, indent=1)
                                + "\n")
 
+    def read_json(self, rel):
+        """A JSON artifact; a corrupt one is a ValueError naming its path."""
+        path = self.path(rel)
+        with open(path) as fh:
+            try:
+                return json.load(fh)
+            except ValueError as exc:  # JSON or UTF-8 decoding
+                raise ValueError(f"{path}: corrupt JSON ({exc})") from exc
+
     def write_csv(self, rel, rows):
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -275,6 +284,16 @@ def combo_name(layer, strides, window, scheme):
             f"_w{window}_{scheme.replace('/', '-')}")
 
 
+# The dev split's greedy CTC categories, written by extract for the probe
+# stage's blank/space/letter breakdown: {strides key: {"subsample_factor":
+# the softmax's, "categories": {utterance id: "b"/"s"/"l" per frame}}}.
+CATEGORIES_FILE = "ctc_categories.dev.json"
+
+
+def strides_key(strides):
+    return "strides_on" if strides else "strides_off"
+
+
 def stage_extract(cfg, art):
     model = TrainedModel.load(art.path("model.ckpt"))
     train, dev = load_split(art)
@@ -283,29 +302,33 @@ def stage_extract(cfg, art):
     # once, and its rows for every layer, window and scheme of that
     # setting go straight to their files.
     combos = probe_combos(cfg)
+    dev_categories = {}
     for strides in dict.fromkeys(combo[1] for combo in combos):
         for split, corpus in (("train", train), ("dev", dev)):
             cuts = [(layer, window, scheme, art.path(
                         f"frames_{combo_name(layer, s, window, scheme)}"
                         f".{split}.fds"))
                     for layer, s, window, scheme in combos if s == strides]
-            probing.extract_frames(model, corpus, cuts, strides, inventory,
-                                   cfg.threads)
+            extraction = probing.extract_frames(model, corpus, cuts, strides,
+                                                inventory, cfg.threads)
+        # `extraction` is now the dev pass's
+        dev_categories[strides_key(strides)] = {
+            "subsample_factor": model.config.subsample_factor(
+                model.config.n_layers, strides),
+            "categories": extraction.categories}
+    art.write_json(CATEGORIES_FILE, dev_categories)
 
 
 def stage_probe(cfg, art):
-    model = TrainedModel.load(art.path("model.ckpt"))
-    dev_corpus = acoustic.load_corpus(art.path("corpus_dev.jsonl"))
+    # The breakdown's categories come from extract's forwards: this stage
+    # reads no model and no corpus, and forwards nothing.
+    dev_categories = art.read_json(CATEGORIES_FILE)
     probe_cfg = cfg.probe_config()
     reports = {}
     summary = [("layer", "strides", "window", "scheme", "dev_accuracy",
                 "majority_baseline", "best_epoch")]
     breakdown_rows = [("layer", "strides", "window", "scheme", "category",
                        "share", "accuracy")]
-    model_cfg = model.config
-    # strides setting -> {dev utterance id: greedy CTC categories}, made
-    # with one forward per dev utterance when a breakdown first needs it
-    dev_categories = {}
     for combo in probe_combos(cfg):
         layer, strides, window, scheme = combo
         name = combo_name(*combo)
@@ -328,15 +351,15 @@ def stage_probe(cfg, art):
         summary.append((layer, int(strides), window, scheme,
                         _fnum(report.accuracy), _fnum(base_acc),
                         result.best_epoch))
-        same_resolution = (model_cfg.subsample_factor(layer, strides)
-                           == model_cfg.subsample_factor(model_cfg.n_layers,
-                                                         strides))
-        if same_resolution:
-            if strides not in dev_categories:
-                dev_categories[strides] = probing.ctc_categories(
-                    model, dev_corpus, strides)
+        recorded = dev_categories.get(strides_key(strides))
+        if recorded is None:
+            raise ValueError(f"{art.path(CATEGORIES_FILE)} has no "
+                             f"{strides_key(strides)} categories")
+        # A layer at the softmax's time resolution gets the breakdown.
+        if ds_dev.provenance["subsample_factor"] == \
+                recorded["subsample_factor"]:
             bd = probing.breakdown_by_ctc_symbol(result.probe, ds_dev,
-                                                 dev_categories[strides])
+                                                 recorded["categories"])
             for cat, stats in sorted(bd.per_category.items()):
                 breakdown_rows.append(
                     (layer, int(strides), window, scheme, cat,
@@ -444,8 +467,8 @@ def stage_report(cfg, art):
     """Figures from the probe reports, then the manifest of every file."""
     reports = {}
     for combo in probe_combos(cfg):
-        with open(art.path(f"probe_{combo_name(*combo)}.json")) as fh:
-            reports[combo] = probing.ProbeReport.from_dict(json.load(fh))
+        reports[combo] = probing.ProbeReport.from_dict(
+            art.read_json(f"probe_{combo_name(*combo)}.json"))
     fine = {k: v for k, v in reports.items() if k[3] == reports_main_scheme(reports)}
     charts = plot_layer_accuracy(fine, cfg.model_config())
     for strides, svg in charts.items():

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import layers as L
-from .acoustic import Spectrogram
+from .acoustic import Spectrogram, atomic_write
 from .ctc import default_alphabet
 
 CHECKPOINT_MAGIC = b"CPCK"
@@ -322,8 +322,9 @@ class TrainedModel:
             "buffers": [{"name": k, "shape": list(v.shape)}
                         for k, v in buffers.items()],
         }
-        with open_artifact(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-                           header) as fh:
+        with atomic_write(path, "wb") as fh:
+            fh.write(artifact_header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                                     header))
             for v in list(params.values()) + list(buffers.values()):
                 fh.write(np.ascontiguousarray(v, dtype=np.float32).tobytes())
 
@@ -355,19 +356,15 @@ class TrainedModel:
 _PREFIX = struct.Struct("<BQ")
 
 
-def open_artifact(path, magic, version, header):
-    """``path`` opened for writing, with everything up to the payload
-    written; the caller appends the payload and closes the file."""
+def artifact_header(magic, version, header):
+    """Everything of an artifact file up to its payload, which the writer
+    appends."""
     blob = json.dumps(header, sort_keys=True).encode()
-    fh = open(path, "wb")
-    fh.write(magic)
-    fh.write(_PREFIX.pack(version, len(blob)))
-    fh.write(blob)
-    return fh
+    return magic + _PREFIX.pack(version, len(blob)) + blob
 
 
 def read_artifact(path, magic, version, kind, payload_bytes):
-    """(header, payload) of a file written through `open_artifact`.
+    """(header, payload) of a file that starts with `artifact_header`.
 
     ``payload_bytes(header)`` is the payload length the header implies; a
     foreign magic, another version, a short read or trailing bytes raise

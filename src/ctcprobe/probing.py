@@ -13,7 +13,7 @@ import numpy as np
 
 from . import ctc
 from .layers import uniform_init
-from .model import log_softmax, open_artifact, read_artifact
+from .model import artifact_header, log_softmax, read_artifact
 
 DATASET_MAGIC = b"CPFD"
 DATASET_VERSION = 1
@@ -53,9 +53,11 @@ class FrameDataset:
 
 @dataclass
 class Extraction:
-    """What one `extract_frames` pass wrote: its rows over every cut (the
-    count perfbench's traced `probing.frames_out` sums)."""
+    """What one `extract_frames` pass made: its rows over every cut (the
+    count perfbench's traced `probing.frames_out` sums), and the model's
+    greedy CTC category of each softmax frame, from the same forwards."""
     n_frames: int
+    categories: dict    # utterance id -> one of "b", "s", "l" per frame
 
 
 def extract_frames(model, corpus, cuts, strides_enabled=True, inventory=None,
@@ -69,6 +71,8 @@ def extract_frames(model, corpus, cuts, strides_enabled=True, inventory=None,
     under ``scheme``.  Headers follow from the config and the utterance
     lengths, so no row waits in memory.  ``threads`` > 1 forwards chunks of
     that many utterances on a pool.  A failed pass removes its files.
+    The same forwards give each utterance's greedy CTC category per softmax
+    frame ("b"lank, "s"pace or "l"etter), returned for the breakdown.
     """
     cfg = model.config
     _by_id(corpus)
@@ -110,13 +114,17 @@ def extract_frames(model, corpus, cuts, strides_enabled=True, inventory=None,
             "spans": spans,
         })
 
-    files = []
+    files, categories = [], {}
     try:
         for (_layer, _window, _scheme, path), header in zip(cuts, headers):
-            files.append(open_artifact(path, DATASET_MAGIC, DATASET_VERSION,
-                                       header))
+            files.append(open(path, "wb"))
+            files[-1].write(artifact_header(DATASET_MAGIC, DATASET_VERSION,
+                                            header))
         for u, result in enumerate(_eval_forwards(model, corpus,
                                                   strides_enabled, threads)):
+            categories[corpus[u].id] = "".join(
+                cat[0] for cat in ctc.greedy_decode(
+                    result.log_probs, cfg.alphabet).categories)
             for (layer, window, _scheme, path), header, fh in zip(
                     cuts, headers, files):
                 tap = result.taps[layer]
@@ -138,7 +146,7 @@ def extract_frames(model, corpus, cuts, strides_enabled=True, inventory=None,
             fh.close()
             os.unlink(fh.name)
         raise
-    return Extraction(sum(header["n"] for header in headers))
+    return Extraction(sum(header["n"] for header in headers), categories)
 
 
 def _by_id(corpus):
@@ -164,16 +172,6 @@ def _eval_forwards(model, corpus, strides_enabled, threads=1):
     with ThreadPoolExecutor(max_workers=threads) as pool:
         for i in range(0, len(corpus), threads):
             yield from pool.map(one, corpus[i:i + threads])
-
-
-def ctc_categories(model, corpus, strides_enabled=True):
-    """{utterance id: the model's greedy CTC category (blank, space or
-    letter) of each softmax frame}, one eval forward per utterance."""
-    _by_id(corpus)
-    return {utt.id: ctc.greedy_decode(result.log_probs,
-                                      model.config.alphabet).categories
-            for utt, result in zip(corpus, _eval_forwards(
-                model, corpus, strides_enabled))}
 
 
 def _frame_labels(utt, phone_code, n_rows, factor, offset):
@@ -370,9 +368,10 @@ def breakdown_by_ctc_symbol(probe, dataset, categories) -> CtcBreakdown:
     """Partition frames by the model's own greedy CTC prediction (blank,
     space, or letter) and report probe accuracy within each category.
 
-    ``categories`` is `ctc_categories` of the dataset's utterances at its
-    strides setting; the dataset's layer must have the softmax's time
-    resolution, so that each utterance has one category per row."""
+    ``categories`` is `Extraction.categories` of a pass over the dataset's
+    utterances at its strides setting ("b", "s" or "l" per softmax frame);
+    the dataset's layer must have the softmax's time resolution, so that
+    each utterance has one category per row."""
     if not dataset.spans:
         raise ValueError("dataset lacks extraction provenance")
     per_row = []
@@ -384,13 +383,13 @@ def breakdown_by_ctc_symbol(probe, dataset, categories) -> CtcBreakdown:
                 f"softmax length {len(categories[utt_id])} != dataset rows "
                 f"{n_rows} for {utt_id!r}; the dataset layer and softmax "
                 f"output have different time resolutions")
-        per_row.extend(categories[utt_id])
-    per_row = np.array(per_row)
+        per_row.append(categories[utt_id])
+    per_row = np.array(list("".join(per_row)))
     correct = probe.predict(dataset.vectors) == dataset.labels
     per_category = {}
     n = dataset.n_frames
     for cat in ("blank", "space", "letter"):
-        m = per_row == cat
+        m = per_row == cat[0]
         per_category[cat] = {
             "n_frames": int(m.sum()),
             "share": float(m.sum()) / n,

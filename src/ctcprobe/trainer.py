@@ -118,6 +118,9 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.selection not in SELECTIONS:
             raise ValueError(f"unknown selection {self.selection!r}")
+        if not 0.0 <= self.dev_fraction < 1.0:
+            raise ValueError(f"dev_fraction must be in [0, 1), not "
+                             f"{self.dev_fraction!r}")
 
 
 def encode_transcript(transcript, alphabet):
@@ -294,6 +297,10 @@ class ProbeConfig:
             raise ValueError("epochs must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
+        if self.hidden is not None and (type(self.hidden) is not int
+                                        or self.hidden < 1):
+            raise ValueError(f"hidden must be None or an int >= 1, not "
+                             f"{self.hidden!r}")
         if self.selection not in SELECTIONS:
             raise ValueError(f"unknown selection {self.selection!r}")
 

@@ -32,7 +32,7 @@ from ctcprobe.model import (LayerSpec, ModelConfig, TrainedModel, log_softmax,
                             preset)
 from ctcprobe.phoneset import majority_baseline, synthetic_inventory
 from ctcprobe.probing import (ProbeReport, breakdown_by_ctc_symbol,
-                              ctc_categories, evaluate_probe, extract_frames,
+                              evaluate_probe, extract_frames,
                               inter_intra_f1, load_dataset)
 from ctcprobe.trainer import (ProbeConfig, TrainConfig, split_dev, train_asr,
                               train_probe)
@@ -166,16 +166,18 @@ def test_ds2_tap_widths_and_time_halving():
 # ---------------------------------------------------------------------------
 
 def extract_all(model, train, dev, layers, inventory, out_dir):
-    """{layer: (train, dev) frame datasets}, each split forwarded once for
-    every layer, written to `out_dir` and read back."""
+    """({layer: (train, dev) frame datasets}, the dev pass's greedy CTC
+    categories), each split forwarded once for every layer, written to
+    `out_dir` and read back."""
     paths = {}
     for split, corpus in (("train", train), ("dev", dev)):
         cuts = [(layer, 0, "full", out_dir / f"layer{layer}.{split}.fds")
                 for layer in layers]
-        extract_frames(model, corpus, cuts, inventory=inventory)
+        extraction = extract_frames(model, corpus, cuts, inventory=inventory)
         for layer, _window, _scheme, path in cuts:
             paths.setdefault(layer, []).append(load_dataset(path))
-    return {layer: tuple(pair) for layer, pair in paths.items()}
+    return ({layer: tuple(pair) for layer, pair in paths.items()},
+            extraction.categories)
 
 
 @pytest.fixture(scope="module")
@@ -189,15 +191,16 @@ def sanity_pipeline(tmp_path_factory):
     inventory = synthetic_inventory(synth.phones)
     probe_cfg = ProbeConfig(hidden=500, epochs=8, seed=0)
     layers = {}
-    frames = extract_all(asr.model, train, dev, range(cfg.n_layers + 1),
-                         inventory, tmp_path_factory.mktemp("frames"))
+    frames, categories = extract_all(asr.model, train, dev,
+                                     range(cfg.n_layers + 1), inventory,
+                                     tmp_path_factory.mktemp("frames"))
     for layer, (ds_train, ds_dev) in frames.items():
         fit = train_probe(ds_train, ds_dev, probe_cfg)
         report = evaluate_probe(fit.probe, ds_dev)
         _, baseline = majority_baseline(ds_dev)
         layers[layer] = {"probe": fit.probe, "dataset": ds_dev,
                          "report": report, "baseline": baseline}
-    return {"asr": asr, "dev": dev, "layers": layers}
+    return {"asr": asr, "categories": categories, "layers": layers}
 
 
 @pytest.mark.slow
@@ -215,10 +218,8 @@ def test_pipeline_sanity_on_synthetic_corpus(sanity_pipeline):
 @pytest.mark.slow
 def test_breakdown_shares_and_recombination(sanity_pipeline):
     entry = sanity_pipeline["layers"][4]
-    categories = ctc_categories(sanity_pipeline["asr"].model,
-                                sanity_pipeline["dev"])
     breakdown = breakdown_by_ctc_symbol(entry["probe"], entry["dataset"],
-                                        categories)
+                                        sanity_pipeline["categories"])
     cats = breakdown.per_category
     assert sum(c["share"] for c in cats.values()) == pytest.approx(1.0,
                                                                    abs=1e-12)
@@ -286,8 +287,9 @@ def run_trend_experiment(out_dir):
     inventory = synthetic_inventory(synth.phones)
     probe_cfg = ProbeConfig(hidden=500, epochs=8, seed=0)
     accuracies = {}
-    frames = extract_all(asr.model, train, dev, range(1, cfg.n_layers + 1),
-                         inventory, out_dir)
+    frames, _categories = extract_all(asr.model, train, dev,
+                                      range(1, cfg.n_layers + 1), inventory,
+                                      out_dir)
     for layer, (ds_train, ds_dev) in frames.items():
         fit = train_probe(ds_train, ds_dev, probe_cfg)
         accuracies[layer] = evaluate_probe(fit.probe, ds_dev).accuracy

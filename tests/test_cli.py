@@ -73,6 +73,28 @@ class TestConfigValidation:
         assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("probe", "hidden", 0), ("probe", "hidden", -3),
+        ("probe", "hidden", "big"), ("probe", "hidden", True),
+        ("probe", "hidden", 2.0), ("train", "dev_fraction", -0.2),
+        ("train", "dev_fraction", 1.0)])
+    def test_bad_size_or_fraction_rejected_at_load(self, tmp_path, section,
+                                                   key, value):
+        cfg = small_config(tmp_path / "out")
+        cfg[section][key] = value
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("probe", "hidden", None), ("probe", "hidden", 1),
+        ("train", "dev_fraction", 0.0)])
+    def test_edge_sizes_and_fractions_accepted(self, tmp_path, section, key,
+                                               value):
+        cfg = small_config(tmp_path / "out")
+        cfg[section][key] = value
+        loaded = load_config(write_config(tmp_path, cfg))
+        assert getattr(loaded, section)[key] == value
+
     @pytest.mark.parametrize("threads", [1.5, True, "2"])
     def test_threads_must_be_an_int(self, tmp_path, threads):
         cfg = small_config(tmp_path / "out", threads=threads)
@@ -293,7 +315,7 @@ class TestSubcommands:
         _staged, loads = staged_run
         n_combos = len(cli.probe_combos(ExperimentConfig.from_dict(cfg)))
         expected = {"synth": (0, 0), "train-asr": (0, 0), "extract": (1, 0),
-                    "probe": (1, 2 * n_combos), "cluster": (0, 1),
+                    "probe": (0, 2 * n_combos), "cluster": (0, 1),
                     "report": (0, 0)}
         assert {command: (loads[command, "ckpt"], loads[command, "fds"])
                 for command in COMMANDS} == expected
@@ -305,6 +327,51 @@ class TestSubcommands:
         assert cli.probe_combos(cfg) == [
             (2, True, 0, "full"), (0, True, 0, "full"),
             (2, False, 0, "full"), (0, False, 0, "full")]
+
+    def test_probe_reads_neither_model_nor_corpus(self, finished_run,
+                                                  tmp_path):
+        out, cfg, _ = finished_run
+        staged = tmp_path / "staged"
+        shutil.copytree(out, staged)
+        made = [path.name for path in sorted(staged.iterdir())
+                if path.name.startswith("probe_") or path.name in (
+                    "layer_accuracy.csv", "ctc_breakdown.csv",
+                    "inter_intra_f1.csv")]
+        assert "ctc_breakdown.csv" in made and "inter_intra_f1.csv" in made
+        away = tmp_path / "away"
+        away.mkdir()
+        for path in staged.iterdir():
+            if path.name in made:
+                path.unlink()
+            elif path.name == "model.ckpt" or path.name.startswith("corpus_"):
+                path.rename(away / path.name)
+        cfg_path = write_config(tmp_path, dict(cfg, out_dir=str(staged)))
+        assert main(["probe", "--config", cfg_path]) == 0
+        for rel in made:
+            assert (staged / rel).read_bytes() == (out / rel).read_bytes(), rel
+
+    @pytest.mark.parametrize("damage", ["missing", "truncated",
+                                        "other_strides"])
+    def test_bad_categories_file_names_stage_and_file(
+            self, finished_run, tmp_path, capsys, damage):
+        out, cfg, _ = finished_run
+        staged = tmp_path / "staged"
+        shutil.copytree(out, staged)
+        path = staged / cli.CATEGORIES_FILE
+        if damage == "missing":
+            path.unlink()
+        elif damage == "truncated":
+            path.write_bytes(path.read_bytes()[:-10])
+        else:  # written by an extract of the other strides setting only
+            recorded = json.loads(path.read_text())
+            path.write_text(json.dumps(
+                {"strides_off": recorded.pop("strides_on")}))
+        cfg_path = write_config(tmp_path, dict(cfg, out_dir=str(staged)))
+        capsys.readouterr()
+        assert main(["probe", "--config", cfg_path]) == 3
+        err = capsys.readouterr().err
+        assert "stage 'probe' failed" in err
+        assert str(staged / cli.CATEGORIES_FILE) in err
 
     def test_cluster_and_report_read_only_their_inputs(self, finished_run,
                                                        tmp_path, capsys):
@@ -345,38 +412,40 @@ def test_run_forwards_each_utterance_once_per_strides_setting(tmp_path,
     cfg = small_config(tmp_path / "out")
     cfg["probe"].update(layers=[2, 8], strides=[True, False])
     cfg["clustering"] = {"enabled": False}
-    caller = [None]
+    stage = [None]
     counts = {}
 
     def attributed(name, fn):
         def wrapper(*args, **kwargs):
-            caller[0] = name
+            stage[0] = name
             try:
                 return fn(*args, **kwargs)
             finally:
-                caller[0] = None
+                stage[0] = None
         return wrapper
 
     def counting_forward(self, x, strides_enabled=True, mode="eval",
                          **kwargs):
-        key = (caller[0], strides_enabled, mode)
+        key = (stage[0], strides_enabled, mode)
         counts[key] = counts.get(key, 0) + 1
         return forward(self, x, strides_enabled, mode, **kwargs)
 
     forward = TrainedModel.forward
     monkeypatch.setattr(TrainedModel, "forward", counting_forward)
-    for name in ("extract_frames", "ctc_categories"):
-        monkeypatch.setattr(probing, name,
-                            attributed(name, getattr(probing, name)))
+    for name in cli.STAGES.values():
+        fn_name = "stage_" + name.replace("-", "_")
+        monkeypatch.setattr(cli, fn_name,
+                            attributed(name, getattr(cli, fn_name)))
     out = cli.run(ExperimentConfig.from_dict(cfg))
 
     train, dev = cli.load_split(cli.ArtifactDir(out))
     rows = (tmp_path / "out" / "ctc_breakdown.csv").read_text().splitlines()
     assert len(rows) == 1 + 2 * 2 * 2 * 3  # layers x schemes x strides x cats
     for strides in (True, False):
-        assert counts[("extract_frames", strides, "eval")] == \
+        assert counts.pop(("extract", strides, "eval")) == \
             len(train) + len(dev)
-        assert counts[("ctc_categories", strides, "eval")] == len(dev)
+    # Only train-asr forwards besides: probe, cluster and report make none.
+    assert {key[0] for key in counts} <= {"train-asr"}
 
 
 def test_failed_extract_removes_its_partial_files(tmp_path, monkeypatch,

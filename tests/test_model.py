@@ -252,6 +252,30 @@ class TestCheckpoint:
         expected = model.forward(x).logits
         np.testing.assert_array_equal(got, expected)
 
+    def test_failed_save_leaves_no_partial_or_temp_file(self, tmp_path,
+                                                        monkeypatch):
+        path = tmp_path / "model.ckpt"
+        TrainedModel(tiny_config(seed=7)).save(path)
+        before = path.read_bytes()
+        other = TrainedModel(tiny_config(seed=8))
+        convert = np.ascontiguousarray
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) % 3 == 0:  # the third array of each save
+                raise RuntimeError("conversion failed")
+            return convert(*args, **kwargs)
+
+        monkeypatch.setattr(np, "ascontiguousarray", failing)
+        for target in (path, tmp_path / "fresh.ckpt"):
+            calls.clear()
+            with pytest.raises(RuntimeError, match="conversion failed"):
+                other.save(target)
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+        assert path.read_bytes() == before
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "x.ckpt"
         path.write_bytes(b"JUNK" + b"\x00" * 16)

@@ -4,14 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ctcprobe import phoneset, probing
+from ctcprobe import ctc, phoneset, probing
 from ctcprobe.acoustic import (SynthConfig, Utterance, frame_label,
                                synthesize_corpus)
 from ctcprobe.model import LayerSpec, ModelConfig, TrainedModel, preset
 from ctcprobe.probing import (FrameDataset, ProbeReport, TrainedProbe,
                               breakdown_by_ctc_symbol, confusion_matrix,
-                              ctc_categories, evaluate_probe, extract_frames,
-                              inter_intra_f1)
+                              evaluate_probe, extract_frames, inter_intra_f1)
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +32,16 @@ def extract(tmp_path, model, utts, layer, strides_enabled=True, window=0,
     extract_frames(model, utts, [(layer, window, scheme, path)],
                    strides_enabled, inventory, threads)
     return probing.load_dataset(path)
+
+
+def greedy_categories(model, utts, strides_enabled=True):
+    """Oracle for `Extraction.categories`: the initial of each frame's
+    greedy CTC category, from a fresh eval forward per utterance."""
+    return {utt.id: "".join(cat[0] for cat in ctc.greedy_decode(
+                model.forward(utt.spectrogram, strides_enabled=strides_enabled,
+                              mode="eval").log_probs,
+                model.config.alphabet).categories)
+            for utt in utts}
 
 
 def rounded(x):
@@ -184,8 +193,23 @@ class TestExtractFrames:
                          utts[1].transcript, utts[0].id)
         with pytest.raises(ValueError, match=utts[0].id):
             extract(tmp_path, mini_model, [utts[0], twin], 2, inventory=inv)
-        with pytest.raises(ValueError, match=utts[0].id):
-            ctc_categories(mini_model, [utts[0], twin])
+
+    @pytest.mark.parametrize("strides", [True, False])
+    def test_categories_match_greedy_decode_at_any_thread_count(
+            self, tmp_path, corpus, mini_model, strides):
+        cfg, utts = corpus
+        inv = phoneset.synthetic_inventory(cfg.phones)
+        expected = greedy_categories(mini_model, utts, strides)
+        for threads in (1, 2):
+            got = extract_frames(mini_model, utts,
+                                 [(2, 0, "full", tmp_path / "c.fds")],
+                                 strides, inv, threads).categories
+            assert got == expected, threads
+        n_softmax = mini_model.config.n_layers
+        assert [len(expected[u.id]) for u in utts] == [
+            mini_model.config.time_len_after(n_softmax, u.n_frames, strides)
+            for u in utts]
+        assert set("".join(expected.values())) <= set("bsl")
 
     def test_row_count_checked_against_header(self, tmp_path, corpus,
                                               mini_model, monkeypatch):
@@ -329,15 +353,19 @@ def all_blank_model():
 
 class TestBreakdown:
     def make_dataset(self, tmp_path, model, utts, cfg, layer=2):
+        """The layer's frame dataset and its pass's greedy CTC categories."""
         inv = phoneset.synthetic_inventory(cfg.phones)
-        return extract(tmp_path, model, utts, layer, inventory=inv)
+        path = tmp_path / f"layer{layer}.fds"
+        extraction = extract_frames(model, utts, [(layer, 0, "full", path)],
+                                    True, inv)
+        return probing.load_dataset(path), extraction.categories
 
     def test_all_blank_model_single_category(self, tmp_path, corpus):
         cfg, utts = corpus
         model = all_blank_model()
-        ds = self.make_dataset(tmp_path, model, utts, cfg)
+        ds, categories = self.make_dataset(tmp_path, model, utts, cfg)
         probe = TrainedProbe.init(ds.dim, ds.label_names, hidden=None, seed=0)
-        bd = breakdown_by_ctc_symbol(probe, ds, ctc_categories(model, utts))
+        bd = breakdown_by_ctc_symbol(probe, ds, categories)
         assert bd.per_category["blank"]["share"] == 1.0
         assert bd.per_category["space"]["n_frames"] == 0
         assert bd.per_category["letter"]["n_frames"] == 0
@@ -345,10 +373,9 @@ class TestBreakdown:
     def test_shares_sum_to_one_and_recombine(self, tmp_path, corpus,
                                              mini_model):
         cfg, utts = corpus
-        ds = self.make_dataset(tmp_path, mini_model, utts, cfg)
+        ds, categories = self.make_dataset(tmp_path, mini_model, utts, cfg)
         probe = TrainedProbe.init(ds.dim, ds.label_names, hidden=6, seed=3)
-        bd = breakdown_by_ctc_symbol(probe, ds,
-                                     ctc_categories(mini_model, utts))
+        bd = breakdown_by_ctc_symbol(probe, ds, categories)
         shares = [v["share"] for v in bd.per_category.values()]
         assert sum(shares) == pytest.approx(1.0, abs=1e-12)
         recombined = sum(v["share"] * v["accuracy"]
@@ -357,11 +384,11 @@ class TestBreakdown:
 
     def test_resolution_mismatch_rejected(self, tmp_path, corpus, mini_model):
         cfg, utts = corpus
-        ds = self.make_dataset(tmp_path, mini_model, utts, cfg, layer=0)
+        ds, categories = self.make_dataset(tmp_path, mini_model, utts, cfg,
+                                           layer=0)
         probe = TrainedProbe.init(ds.dim, ds.label_names, hidden=None)
         with pytest.raises(ValueError, match="time resolutions"):
-            breakdown_by_ctc_symbol(probe, ds,
-                                    ctc_categories(mini_model, utts))
+            breakdown_by_ctc_symbol(probe, ds, categories)
 
 
 def report_from_confusion(cm, names):
