@@ -74,19 +74,17 @@ class BatchNorm:
         if train:
             # Cache only for backward; eval-mode forward stays mutation-free
             # so it is safe to call concurrently.
-            self._cache = (xhat, inv_std, train)
+            self._cache = (xhat, inv_std)
         return gamma * xhat + self.params["beta"]
 
     def backward(self, dy):
-        xhat, inv_std, train = self._cache
+        """Gradients through the last train-mode forward's batch statistics."""
+        xhat, inv_std = self._cache
         gamma = self.params["gamma"]
         grads = {"gamma": (dy * xhat).sum(axis=0), "beta": dy.sum(axis=0)}
         dxhat = dy * gamma
-        if train:
-            dx = inv_std * (dxhat - dxhat.mean(axis=0)
-                            - xhat * (dxhat * xhat).mean(axis=0))
-        else:
-            dx = dxhat * inv_std
+        dx = inv_std * (dxhat - dxhat.mean(axis=0)
+                        - xhat * (dxhat * xhat).mean(axis=0))
         return dx, grads
 
 

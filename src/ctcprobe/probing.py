@@ -46,10 +46,6 @@ class FrameDataset:
     def dim(self):
         return self.vectors.shape[1]
 
-    def subset(self, mask):
-        return FrameDataset(self.vectors[mask], self.labels[mask],
-                            list(self.label_names), dict(self.provenance))
-
 
 @dataclass
 class Extraction:
@@ -358,10 +354,6 @@ def evaluate_probe(probe: TrainedProbe, dataset: FrameDataset) -> ProbeReport:
 class CtcBreakdown:
     per_category: dict     # category -> {accuracy, share, n_frames}
     overall_accuracy: float
-
-    def to_dict(self):
-        return {"per_category": self.per_category,
-                "overall_accuracy": self.overall_accuracy}
 
 
 def breakdown_by_ctc_symbol(probe, dataset, categories) -> CtcBreakdown:

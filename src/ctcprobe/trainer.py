@@ -1,6 +1,7 @@
-"""Adam optimizer and the two training loops (CTC model, probe classifier).
+"""Adam optimizer and the epoch loop that trains the CTC model and the
+probe classifier.
 
-Both loops are deterministic functions of (data, config, seed): shuffling
+Training is a deterministic function of (data, config, seed): shuffling
 and dropout draw from generators seeded by the config, and gradient
 accumulation happens in a fixed order.
 """
@@ -8,7 +9,7 @@ accumulation happens in a fixed order.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,9 +24,6 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-# Epoch selection of both training loops: the best dev loss, or the last.
-SELECTIONS = ("best_dev_loss", "last")
-
 # Adam walks each flattened parameter in slices of this many elements, so
 # its temporaries stay cache-sized (256 KiB of float64) and are reused.
 ADAM_SLICE = 32768
@@ -37,18 +35,14 @@ class AdamState:
     m: dict
     v: dict
     alpha: float = ADAM_ALPHA
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    eps: float = ADAM_EPS
     scratch: tuple = ()   # two buffers of one slice, reused by every step
 
     @classmethod
-    def init(cls, params, alpha=ADAM_ALPHA, beta1=ADAM_BETA1,
-             beta2=ADAM_BETA2, eps=ADAM_EPS):
+    def init(cls, params, alpha=ADAM_ALPHA):
         return cls(t=0,
                    m={k: np.zeros_like(v) for k, v in params.items()},
                    v={k: np.zeros_like(v) for k, v in params.items()},
-                   alpha=alpha, beta1=beta1, beta2=beta2, eps=eps)
+                   alpha=alpha)
 
 
 def adam_step(params, grads, state: AdamState):
@@ -74,7 +68,7 @@ def adam_step(params, grads, state: AdamState):
         state.scratch = (np.empty(n), np.empty(n))
     s1, s2 = state.scratch
     state.t += 1
-    b1, b2, alpha, eps = state.beta1, state.beta2, state.alpha, state.eps
+    b1, b2, alpha, eps = ADAM_BETA1, ADAM_BETA2, state.alpha, ADAM_EPS
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     for name, p in params.items():
@@ -105,21 +99,16 @@ class TrainConfig:
     batch_size: int = 16
     epochs: int = 30
     seed: int = 0
-    shuffle: bool = True
-    selection: str = "best_dev_loss"
     dev_fraction: float = 0.1
     alpha: float = ADAM_ALPHA
-    max_grad_norm: float | None = None
 
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.selection not in SELECTIONS:
-            raise ValueError(f"unknown selection {self.selection!r}")
-        if not 0.0 <= self.dev_fraction < 1.0:
-            raise ValueError(f"dev_fraction must be in [0, 1), not "
+        if not 0.0 < self.dev_fraction < 1.0:
+            raise ValueError(f"dev_fraction must be in (0, 1), not "
                              f"{self.dev_fraction!r}")
 
 
@@ -132,7 +121,10 @@ def encode_transcript(transcript, alphabet):
 
 
 def split_dev(items, dev_fraction, seed):
-    """Deterministic by-utterance holdout split."""
+    """Deterministic by-utterance holdout split: round(dev_fraction * n)
+    items go to dev, but at least one, so a corpus of two or more
+    utterances always gives at least one dev utterance.  A single item
+    stays in train."""
     idx = np.random.default_rng(seed).permutation(len(items))
     n_dev = max(1, int(round(dev_fraction * len(items)))) if len(items) > 1 else 0
     dev_idx = set(idx[:n_dev].tolist())
@@ -141,20 +133,48 @@ def split_dev(items, dev_fraction, seed):
     return train, dev
 
 
+def _fit(params, live, n, config, rng, batch_grads, dev_row, train_loss0):
+    """Adam over shuffled minibatches of range(n); keeps the best epoch.
+
+    Every epoch shuffles the indices with `rng`, then for each minibatch
+    `batch_grads(idx)` returns (losses, grads), and grads None skips the
+    Adam step on `params`.  A row is the epoch, its mean training loss
+    (`train_loss0` for epoch 0) and `dev_row()`, which holds "dev_loss".
+    The first epoch with the lowest dev loss is copied back into the
+    arrays of `live` in place.  Returns (rows, best_epoch).
+    """
+    opt = AdamState.init(params, alpha=config.alpha)
+    rows = [{"epoch": 0, "train_loss": train_loss0, **dev_row()}]
+    best_epoch = 0
+    saved = {k: v.copy() for k, v in live.items()}
+    order = np.arange(n)
+    for epoch in range(1, config.epochs + 1):
+        rng.shuffle(order)
+        losses = []
+        for start in range(0, n, config.batch_size):
+            batch_losses, grads = batch_grads(
+                order[start:start + config.batch_size])
+            losses += batch_losses
+            if grads is not None:
+                adam_step(params, grads, opt)
+        rows.append({"epoch": epoch,
+                     "train_loss": (float(np.mean(losses)) if losses
+                                    else float("nan")),
+                     **dev_row()})
+        if rows[-1]["dev_loss"] < rows[best_epoch]["dev_loss"]:
+            best_epoch = epoch
+            saved = {k: v.copy() for k, v in live.items()}
+    for k, v in saved.items():
+        live[k][...] = v
+    return rows, best_epoch
+
+
 @dataclass
 class AsrTrainResult:
     model: TrainedModel
     log: list            # rows: {epoch, train_loss, dev_loss}
     best_epoch: int
     n_dropped: int       # infeasible utterances skipped across training
-
-
-def _clip_grads(grads, max_norm):
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-    if total > max_norm:
-        scale = max_norm / total
-        grads = {k: g * scale for k, g in grads.items()}
-    return grads
 
 
 def _mean_ctc_loss(model, utts, labels_by_id):
@@ -174,17 +194,15 @@ def _mean_ctc_loss(model, utts, labels_by_id):
 
 
 def train_asr(corpus, model_config: ModelConfig, train_config: TrainConfig,
-              dev_corpus=None) -> AsrTrainResult:
-    """Train the CTC model; returns the best-dev-loss (or last) snapshot.
+              dev_corpus) -> AsrTrainResult:
+    """Train the CTC model on `corpus`; returns the snapshot of the epoch
+    with the best loss on `dev_corpus`.
 
     Utterances whose transcript cannot fit in their output length are
     dropped with a counted warning.
     """
     if not corpus:
         raise ValueError("empty corpus")
-    if dev_corpus is None:
-        corpus, dev_corpus = split_dev(corpus, train_config.dev_fraction,
-                                       train_config.seed)
     model = TrainedModel(model_config)
 
     labels_by_id = {}
@@ -206,72 +224,42 @@ def train_asr(corpus, model_config: ModelConfig, train_config: TrainConfig,
     if n_dropped:
         log.warning("dropped %d infeasible utterances", n_dropped)
 
-    rng = np.random.default_rng(train_config.seed)
-    opt = AdamState.init(model.params, alpha=train_config.alpha)
-    live = {**model.params, **model.buffers}
-
-    rows = []
-    best = None  # (dev_loss, epoch, copies of the live arrays)
-
-    def snapshot(epoch, dev_loss):
-        return dev_loss, epoch, {k: v.copy() for k, v in live.items()}
-
-    dev_loss = _mean_ctc_loss(model, dev_corpus, labels_by_id)
-    train_loss = _mean_ctc_loss(model, train_utts, labels_by_id)
-    rows.append({"epoch": 0, "train_loss": train_loss, "dev_loss": dev_loss})
-    best = snapshot(0, dev_loss)
-
-    order = np.arange(len(train_utts))
-    for epoch in range(1, train_config.epochs + 1):
-        if train_config.shuffle:
-            rng.shuffle(order)
-        epoch_losses = []
-        for start in range(0, len(order), train_config.batch_size):
-            batch = [train_utts[i] for i in order[start:start + train_config.batch_size]]
-            acc = None
-            n_ok = 0
-            for utt in batch:
-                result = model.forward(utt.spectrogram, mode="train")
-                try:
-                    loss, dlogits = ctc.ctc_loss_and_grad(
-                        result.log_probs, labels_by_id[utt.id])
-                except ctc.InfeasibleTranscriptError:
-                    n_dropped += 1
-                    continue
-                grads = model.backward(dlogits)
-                epoch_losses.append(loss)
-                n_ok += 1
-                if acc is None:
-                    acc = grads
-                else:
-                    for k in acc:
-                        acc[k] += grads[k]
-            if acc is None:
+    def batch_grads(idx):
+        """Mean gradient of the batch's feasible utterances."""
+        nonlocal n_dropped
+        losses, acc = [], None
+        for i in idx:
+            utt = train_utts[i]
+            result = model.forward(utt.spectrogram, mode="train")
+            try:
+                loss, dlogits = ctc.ctc_loss_and_grad(
+                    result.log_probs, labels_by_id[utt.id])
+            except ctc.InfeasibleTranscriptError:
+                n_dropped += 1
                 continue
-            grads = {k: g / n_ok for k, g in acc.items()}
-            if train_config.max_grad_norm is not None:
-                grads = _clip_grads(grads, train_config.max_grad_norm)
-            adam_step(model.params, grads, opt)
-        train_loss = float(np.mean(epoch_losses)) if epoch_losses else float("nan")
-        dev_loss = _mean_ctc_loss(model, dev_corpus, labels_by_id)
-        rows.append({"epoch": epoch, "train_loss": train_loss,
-                     "dev_loss": dev_loss})
-        if dev_loss < best[0]:
-            best = snapshot(epoch, dev_loss)
+            grads = model.backward(dlogits)
+            losses.append(loss)
+            if acc is None:
+                acc = grads
+            else:
+                for k in acc:
+                    acc[k] += grads[k]
+        if acc is None:
+            return losses, None
+        return losses, {k: g / len(losses) for k, g in acc.items()}
 
-    if train_config.selection == "best_dev_loss":
-        _, best_epoch, saved = best
-        for k, v in saved.items():
-            live[k][...] = v
-        if best_epoch == 0:
-            later = min(rows[1:], key=lambda r: r["dev_loss"])
-            log.warning(
-                "selection kept epoch 0 (dev loss %.6g): no trained epoch "
-                "beat it (best trained: epoch %d, dev loss %.6g), so later "
-                "stages analyse an untrained network",
-                rows[0]["dev_loss"], later["epoch"], later["dev_loss"])
-    else:
-        best_epoch = train_config.epochs
+    rows, best_epoch = _fit(
+        model.params, {**model.params, **model.buffers}, len(train_utts),
+        train_config, np.random.default_rng(train_config.seed), batch_grads,
+        lambda: {"dev_loss": _mean_ctc_loss(model, dev_corpus, labels_by_id)},
+        _mean_ctc_loss(model, train_utts, labels_by_id))
+    if best_epoch == 0:
+        later = min(rows[1:], key=lambda r: r["dev_loss"])
+        log.warning(
+            "selection kept epoch 0 (dev loss %.6g): no trained epoch "
+            "beat it (best trained: epoch %d, dev loss %.6g), so later "
+            "stages analyse an untrained network",
+            rows[0]["dev_loss"], later["epoch"], later["dev_loss"])
     return AsrTrainResult(model=model, log=rows, best_epoch=best_epoch,
                           n_dropped=n_dropped)
 
@@ -288,7 +276,6 @@ class ProbeConfig:
     batch_size: int = 16
     seed: int = 0
     alpha: float = ADAM_ALPHA
-    selection: str = "best_dev_loss"
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -301,8 +288,6 @@ class ProbeConfig:
                                         or self.hidden < 1):
             raise ValueError(f"hidden must be None or an int >= 1, not "
                              f"{self.hidden!r}")
-        if self.selection not in SELECTIONS:
-            raise ValueError(f"unknown selection {self.selection!r}")
 
 
 @dataclass
@@ -325,41 +310,19 @@ def train_probe(train, dev, probe_config: ProbeConfig) -> ProbeTrainResult:
                               hidden=probe_config.hidden,
                               dropout=probe_config.dropout,
                               seed=probe_config.seed)
+    # One generator: each epoch's shuffle, then that epoch's dropout masks.
     rng = np.random.default_rng(probe_config.seed)
-    params = probe.params
-    opt = AdamState.init(params, alpha=probe_config.alpha)
 
-    def dev_eval():
+    def batch_grads(idx):
+        loss, grads = probe.loss_and_grads(train.vectors[idx],
+                                           train.labels[idx], rng)
+        return [loss], grads
+
+    def dev_row():
         loss, acc = probe.evaluate_loss(dev.vectors, dev.labels)
-        return loss, acc
+        return {"dev_loss": loss, "dev_accuracy": acc}
 
-    rows = []
-    dev_loss, dev_acc = dev_eval()
-    rows.append({"epoch": 0, "train_loss": float("nan"),
-                 "dev_loss": dev_loss, "dev_accuracy": dev_acc})
-    best = (dev_loss, 0, {k: v.copy() for k, v in params.items()})
-
-    n = train.vectors.shape[0]
-    order = np.arange(n)
-    for epoch in range(1, probe_config.epochs + 1):
-        rng.shuffle(order)
-        losses = []
-        for start in range(0, n, probe_config.batch_size):
-            idx = order[start:start + probe_config.batch_size]
-            loss, grads = probe.loss_and_grads(train.vectors[idx],
-                                               train.labels[idx], rng)
-            losses.append(loss)
-            adam_step(params, grads, opt)
-        dev_loss, dev_acc = dev_eval()
-        rows.append({"epoch": epoch, "train_loss": float(np.mean(losses)),
-                     "dev_loss": dev_loss, "dev_accuracy": dev_acc})
-        if dev_loss < best[0]:
-            best = (dev_loss, epoch, {k: v.copy() for k, v in params.items()})
-
-    if probe_config.selection == "best_dev_loss":
-        _, best_epoch, saved = best
-        for k, v in saved.items():
-            params[k][...] = v
-    else:
-        best_epoch = probe_config.epochs
+    rows, best_epoch = _fit(probe.params, probe.params, train.vectors.shape[0],
+                            probe_config, rng, batch_grads, dev_row,
+                            float("nan"))
     return ProbeTrainResult(probe=probe, curve=rows, best_epoch=best_epoch)

@@ -77,7 +77,7 @@ class TestConfigValidation:
         ("probe", "hidden", 0), ("probe", "hidden", -3),
         ("probe", "hidden", "big"), ("probe", "hidden", True),
         ("probe", "hidden", 2.0), ("train", "dev_fraction", -0.2),
-        ("train", "dev_fraction", 1.0)])
+        ("train", "dev_fraction", 0.0), ("train", "dev_fraction", 1.0)])
     def test_bad_size_or_fraction_rejected_at_load(self, tmp_path, section,
                                                    key, value):
         cfg = small_config(tmp_path / "out")
@@ -86,14 +86,23 @@ class TestConfigValidation:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("section, key, value", [
-        ("probe", "hidden", None), ("probe", "hidden", 1),
-        ("train", "dev_fraction", 0.0)])
+        ("probe", "hidden", None), ("probe", "hidden", 1)])
     def test_edge_sizes_and_fractions_accepted(self, tmp_path, section, key,
                                                value):
         cfg = small_config(tmp_path / "out")
         cfg[section][key] = value
         loaded = load_config(write_config(tmp_path, cfg))
         assert getattr(loaded, section)[key] == value
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("train", "selection", "last"), ("probe", "selection", "last"),
+        ("train", "shuffle", False), ("train", "max_grad_norm", 1.0)])
+    def test_removed_training_option_rejected(self, tmp_path, section, key,
+                                              value):
+        cfg = small_config(tmp_path / "out")
+        cfg[section][key] = value
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("threads", [1.5, True, "2"])
     def test_threads_must_be_an_int(self, tmp_path, threads):

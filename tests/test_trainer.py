@@ -24,16 +24,16 @@ def reference_adam_step(params, grads, state: AdamState):
             raise ValueError(
                 f"gradient shape {g.shape} != parameter shape {p.shape} "
                 f"for {name!r}")
-        m = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        v = state.beta2 * state.v[name] + (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1 ** t)
-        v_hat = v / (1.0 - state.beta2 ** t)
-        new_params[name] = p - state.alpha * m_hat / (np.sqrt(v_hat) + state.eps)
+        b1, b2 = trainer.ADAM_BETA1, trainer.ADAM_BETA2
+        m = b1 * state.m[name] + (1.0 - b1) * g
+        v = b2 * state.v[name] + (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1 ** t)
+        v_hat = v / (1.0 - b2 ** t)
+        new_params[name] = (p - state.alpha * m_hat
+                            / (np.sqrt(v_hat) + trainer.ADAM_EPS))
         new_m[name] = m
         new_v[name] = v
-    return new_params, AdamState(t=t, m=new_m, v=new_v, alpha=state.alpha,
-                                 beta1=state.beta1, beta2=state.beta2,
-                                 eps=state.eps)
+    return new_params, AdamState(t=t, m=new_m, v=new_v, alpha=state.alpha)
 
 
 class TestAdam:
@@ -160,6 +160,11 @@ class TestSplitDev:
         train, dev = split_dev([42], 0.1, seed=0)
         assert train == [42] and dev == []
 
+    def test_two_or_more_items_give_a_dev_item(self):
+        for n in (2, 3, 19):
+            train, dev = split_dev(list(range(n)), 0.01, seed=0)
+            assert len(dev) == 1 and len(train) == n - 1
+
 
 def tiny_model_config(seed=0):
     return ModelConfig(
@@ -178,10 +183,14 @@ class TestTrainAsr:
                           segment_frames=(8, 10), seed=seed)
         return synthesize_corpus(cfg, n)
 
+    def train(self, corpus, **config):
+        """train_asr on the default 10% dev split of `corpus`."""
+        cfg = TrainConfig(**config)
+        train, dev = split_dev(corpus, 0.1, cfg.seed)
+        return train_asr(train, tiny_model_config(), cfg, dev_corpus=dev)
+
     def test_loss_log_and_selection(self):
-        corpus = self.make_corpus()
-        result = train_asr(corpus, tiny_model_config(),
-                           TrainConfig(epochs=3, batch_size=4, seed=1))
+        result = self.train(self.make_corpus(), epochs=3, batch_size=4, seed=1)
         assert [r["epoch"] for r in result.log] == [0, 1, 2, 3]
         dev_losses = [r["dev_loss"] for r in result.log]
         assert result.best_epoch == int(np.argmin(dev_losses))
@@ -193,8 +202,8 @@ class TestTrainAsr:
         def epoch_zero_warnings(**overrides):
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="ctcprobe.trainer"):
-                result = train_asr(corpus, tiny_model_config(), TrainConfig(
-                    **{"epochs": 2, "batch_size": 4, "seed": 1, **overrides}))
+                result = self.train(corpus, **{"epochs": 2, "batch_size": 4,
+                                               "seed": 1, **overrides})
             return result, [r.getMessage() for r in caplog.records
                             if "epoch 0" in r.getMessage()]
 
@@ -213,10 +222,27 @@ class TestTrainAsr:
 
     def test_same_seed_identical_logs(self):
         corpus = self.make_corpus()
-        cfg = TrainConfig(epochs=2, batch_size=4, seed=7)
-        a = train_asr(corpus, tiny_model_config(), cfg)
-        b = train_asr(corpus, tiny_model_config(), cfg)
+        a = self.train(corpus, epochs=2, batch_size=4, seed=7)
+        b = self.train(corpus, epochs=2, batch_size=4, seed=7)
         assert a.log == b.log
+
+    def test_selected_epoch_restored_bit_for_bit(self):
+        # A large step makes the dev loss rise again after epoch 5 of 6.
+        # Training stops there in the second run, so its arrays (batch-norm
+        # running statistics too) are epoch 5's; the first run must
+        # restore the same.
+        corpus = self.make_corpus()
+        full = self.train(corpus, epochs=6, batch_size=4, seed=2, alpha=0.3)
+        b = full.best_epoch
+        assert 0 < b < 6
+        short = self.train(corpus, epochs=b, batch_size=4, seed=2, alpha=0.3)
+        assert short.best_epoch == b
+        for live in ("params", "buffers"):
+            want = getattr(short.model, live)
+            got = getattr(full.model, live)
+            assert want and set(got) == set(want)
+            for k in want:
+                np.testing.assert_array_equal(got[k], want[k], err_msg=k)
 
     def test_epochs_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -224,7 +250,7 @@ class TestTrainAsr:
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
-            train_asr([], tiny_model_config(), TrainConfig(epochs=1))
+            self.train([], epochs=1)
 
     def test_infeasible_utterances_dropped_with_count(self):
         corpus = self.make_corpus(8)
@@ -233,8 +259,7 @@ class TestTrainAsr:
                                 phones_per_utterance=(6, 6),
                                 segment_frames=(1, 1), seed=5)
         short = synthesize_corpus(short_cfg, 3)
-        result = train_asr(corpus + short, tiny_model_config(),
-                           TrainConfig(epochs=1, batch_size=4, seed=0))
+        result = self.train(corpus + short, epochs=1, batch_size=4, seed=0)
         assert result.n_dropped >= 3
 
     def test_encode_transcript(self):
@@ -257,6 +282,16 @@ def separable_datasets(n=120, d=6, seed=0):
             FrameDataset(x[3 * n // 4:], y[3 * n // 4:], names))
 
 
+def shuffled_label_datasets():
+    """separable_datasets with the labels permuted: no signal to learn."""
+    rng = np.random.default_rng(4)
+    train, dev = separable_datasets(n=400, seed=4)
+    return (FrameDataset(train.vectors, rng.permutation(train.labels),
+                         train.label_names),
+            FrameDataset(dev.vectors, rng.permutation(dev.labels),
+                         dev.label_names))
+
+
 class TestTrainProbe:
     def test_separable_data_reaches_perfect_dev_accuracy(self):
         train, dev = separable_datasets()
@@ -268,13 +303,7 @@ class TestTrainProbe:
         assert acc == 1.0
 
     def test_shuffled_labels_stay_near_chance(self):
-        rng = np.random.default_rng(4)
-        train, dev = separable_datasets(n=400, seed=4)
-        train = FrameDataset(train.vectors,
-                             rng.permutation(train.labels),
-                             train.label_names)
-        dev = FrameDataset(dev.vectors, rng.permutation(dev.labels),
-                           dev.label_names)
+        train, dev = shuffled_label_datasets()
         result = train_probe(train, dev, ProbeConfig(hidden=16, epochs=10,
                                                      seed=0))
         _loss, acc = result.probe.evaluate_loss(dev.vectors, dev.labels)
@@ -305,8 +334,24 @@ class TestTrainProbe:
         with pytest.raises(ValueError):
             ProbeConfig(dropout=1.0)
 
+    def test_selected_epoch_restored_bit_for_bit(self):
+        # On labels with no signal the dev loss is lowest at epoch 4 of 6.
+        # Training stops there in the second run, so its arrays are epoch
+        # 4's; the first run must restore the same.
+        train, dev = shuffled_label_datasets()
+        full = train_probe(train, dev, ProbeConfig(hidden=16, epochs=6,
+                                                   seed=2, alpha=0.03))
+        b = full.best_epoch
+        assert 0 < b < 6
+        short = train_probe(train, dev, ProbeConfig(hidden=16, epochs=b,
+                                                    seed=2, alpha=0.03))
+        assert short.best_epoch == b
+        assert set(full.probe.params) == set(short.probe.params)
+        for k, want in short.probe.params.items():
+            np.testing.assert_array_equal(full.probe.params[k], want,
+                                          err_msg=k)
+
     @pytest.mark.parametrize("field, value, message", [
-        ("selection", "bset_dev_loss", "unknown selection 'bset_dev_loss'"),
         ("batch_size", 0, "batch_size must be >= 1"),
     ])
     def test_config_fields_validated(self, field, value, message):
