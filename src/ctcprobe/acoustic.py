@@ -8,21 +8,21 @@ known per-frame phone labels, and an importer for TIMIT-layout data
 
 from __future__ import annotations
 
-import base64
 import bisect
-import contextlib
-import json
+import math
 import os
 import wave
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import artifact_header, atomic_write, read_artifact
+
 DEFAULT_SAMPLE_RATE = 16000
 DEFAULT_WINDOW_MS = 20.0
 DEFAULT_HOP_MS = 10.0
 
-CORPUS_FORMAT = "ctcprobe-corpus"
+CORPUS_MAGIC = b"CPCO"
 CORPUS_VERSION = 1
 
 
@@ -304,74 +304,43 @@ def frame_label(utt: Utterance, t: int, subsample_factor: int = 1,
 
 
 # ---------------------------------------------------------------------------
-# Corpus serialization (JSON-lines, f32 row-major frames)
+# Corpus files: one artifact whose header lists each utterance's id,
+# transcript, segments and frame shape, and whose payload is their f32 frames
 # ---------------------------------------------------------------------------
 
-@contextlib.contextmanager
-def atomic_write(path, mode="w", **open_kw):
-    """File handle (text unless ``mode`` is "wb") whose content replaces
-    ``path`` only once the block exits cleanly.  It writes ``path`` + ".tmp"
-    beside it and removes that on an exception, so no partial or temp file
-    is left to read or hash."""
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, mode, **open_kw) as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
-
-
 def save_corpus(path, utterances):
-    with atomic_write(path) as fh:
-        header = {"format": CORPUS_FORMAT, "version": CORPUS_VERSION}
-        if utterances:
-            s = utterances[0].spectrogram
-            header.update(sample_rate_hz=s.sample_rate_hz,
-                          window_ms=s.window_ms,
-                          frame_shift_ms=s.frame_shift_ms)
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
+    header = {"utterances": [
+        {"id": utt.id, "transcript": utt.transcript,
+         "segments": [[s.phone, s.start_frame, s.end_frame]
+                      for s in utt.segments],
+         "shape": list(utt.spectrogram.frames.shape)}
+        for utt in utterances]}
+    if utterances:
+        s = utterances[0].spectrogram
+        header["spectrogram"] = {k: getattr(s, k) for k in (
+            "sample_rate_hz", "window_ms", "frame_shift_ms")}
+    with atomic_write(path, "wb") as fh:
+        fh.write(artifact_header(CORPUS_MAGIC, CORPUS_VERSION, header))
         for utt in utterances:
-            raw = np.ascontiguousarray(
-                utt.spectrogram.frames, dtype=np.float32).tobytes()
-            rec = {
-                "id": utt.id,
-                "transcript": utt.transcript,
-                "segments": [[s.phone, s.start_frame, s.end_frame]
-                             for s in utt.segments],
-                "shape": list(utt.spectrogram.frames.shape),
-                "frames_b64": base64.b64encode(raw).decode("ascii"),
-            }
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            fh.write(np.ascontiguousarray(
+                utt.spectrogram.frames, dtype=np.float32).tobytes())
 
 
 def load_corpus(path):
-    """Utterances of a `save_corpus` file.  A malformed line (bad JSON or
-    base64, frames off their shape) is a ValueError naming path and line."""
+    """The utterances of a `save_corpus` file, read by `read_artifact`."""
+    header, payload = read_artifact(
+        path, CORPUS_MAGIC, CORPUS_VERSION, "corpus",
+        lambda h: 4 * sum(math.prod(e["shape"]) for e in h["utterances"]))
     utts = []
-    lineno = 1
-    with open(path) as fh:
-        try:
-            header = json.loads(fh.readline())
-            if header.get("format") != CORPUS_FORMAT:
-                raise ValueError(f"not a {CORPUS_FORMAT} file")
-            for lineno, line in enumerate(fh, start=2):
-                rec = json.loads(line)
-                frames = np.frombuffer(
-                    base64.b64decode(rec["frames_b64"], validate=True),
-                    dtype=np.float32)
-                frames = frames.reshape(rec["shape"]).astype(np.float64)
-                spec = Spectrogram(
-                    frames, header.get("sample_rate_hz", DEFAULT_SAMPLE_RATE),
-                    header.get("window_ms", DEFAULT_WINDOW_MS),
-                    header.get("frame_shift_ms", DEFAULT_HOP_MS))
-                segs = [PhoneSegment(p, a, b) for p, a, b in rec["segments"]]
-                utts.append(Utterance(spec, segs, rec["transcript"],
-                                      rec["id"]))
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}, line {lineno}: {exc}") from exc
+    offset = 0
+    for entry in header["utterances"]:
+        size = math.prod(entry["shape"])
+        frames = np.frombuffer(payload, np.float32, size, offset)
+        offset += 4 * size
+        spec = Spectrogram(frames.reshape(entry["shape"]),
+                           **header["spectrogram"])
+        segs = [PhoneSegment(p, a, b) for p, a, b in entry["segments"]]
+        utts.append(Utterance(spec, segs, entry["transcript"], entry["id"]))
     return utts
 
 

@@ -19,11 +19,12 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import acoustic, clustering, phoneset, probing, trainer
+from .artifacts import atomic_write
 from .model import ModelConfig, TrainedModel, preset
 from .plots import svg_bar_chart, svg_heatmap, svg_scatter
 
@@ -54,6 +55,16 @@ class StageError(RuntimeError):
 PROBE_GRID = ("layers", "strides", "windows", "schemes")
 
 
+# The keys of the plain-dict sections (`train` and `probe` are dataclasses).
+SECTION_KEYS = {
+    "model": {"preset", "seed"},
+    "corpus": {"synthetic", "import_path"},
+    "clustering": {"enabled", "layer", "strides", "window", "scheme", "k",
+                   "max_iter", "tol", "min_coverage", "method", "perplexity",
+                   "iters"},
+}
+
+
 @dataclass
 class ExperimentConfig:
     seed: int = 0
@@ -70,9 +81,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d):
-        known = {"seed", "out_dir", "threads", "corpus", "model", "train",
-                 "probe", "clustering"}
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in fields(cls)}
+        unknown |= {f"{section}.{key}"
+                    for section, known in SECTION_KEYS.items()
+                    for key in d.get(section, {}) if key not in known}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg = cls(**{k: d[k] for k in d})
@@ -165,7 +177,7 @@ class ArtifactDir:
         return full
 
     def write_text(self, rel, text):
-        with acoustic.atomic_write(self.path(rel), newline="") as fh:
+        with atomic_write(self.path(rel), newline="") as fh:
             fh.write(text)
         return rel
 
@@ -247,13 +259,13 @@ def stage_corpus(cfg: ExperimentConfig, art: ArtifactDir):
             raise ValueError("import produced no utterances")
     train, dev = trainer.split_dev(corpus, cfg.train_config().dev_fraction,
                                    cfg.seed)
-    acoustic.save_corpus(art.path("corpus_train.jsonl"), train)
-    acoustic.save_corpus(art.path("corpus_dev.jsonl"), dev)
+    acoustic.save_corpus(art.path("corpus_train.bin"), train)
+    acoustic.save_corpus(art.path("corpus_dev.bin"), dev)
 
 
 def load_split(art):
-    return (acoustic.load_corpus(art.path("corpus_train.jsonl")),
-            acoustic.load_corpus(art.path("corpus_dev.jsonl")))
+    return (acoustic.load_corpus(art.path("corpus_train.bin")),
+            acoustic.load_corpus(art.path("corpus_dev.bin")))
 
 
 def stage_train_asr(cfg: ExperimentConfig, art: ArtifactDir):

@@ -67,12 +67,12 @@ def _forward(log_probs, ext):
     alpha[0, 0] = log_probs[0, ext[0]]
     if L2 > 1:
         alpha[0, 1] = log_probs[0, ext[1]]
+    skip = np.zeros(L2, dtype=bool)
+    skip[2:] = (ext[2:] != BLANK) & (ext[2:] != ext[:-2])
     for t in range(1, T):
         prev = alpha[t - 1]
         cur = prev.copy()
         cur[1:] = np.logaddexp(cur[1:], prev[:-1])
-        skip = np.zeros(L2, dtype=bool)
-        skip[2:] = (ext[2:] != BLANK) & (ext[2:] != ext[:-2])
         cur[skip] = np.logaddexp(cur[skip], prev[np.flatnonzero(skip) - 2])
         alpha[t] = cur + log_probs[t, ext]
     return alpha

@@ -10,16 +10,14 @@ without retraining.
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 from dataclasses import dataclass, field, asdict
-from pathlib import Path
 
 import numpy as np
 
 from . import layers as L
-from .acoustic import Spectrogram, atomic_write
+from .acoustic import Spectrogram
+from .artifacts import artifact_header, atomic_write, read_artifact
 from .ctc import default_alphabet
 
 CHECKPOINT_MAGIC = b"CPCK"
@@ -350,44 +348,3 @@ class TrainedModel:
                 offset += 4 * target.size
         return model
 
-
-# -- binary artifacts: magic | <BQ version, header length> | JSON | payload --
-
-_PREFIX = struct.Struct("<BQ")
-
-
-def artifact_header(magic, version, header):
-    """Everything of an artifact file up to its payload, which the writer
-    appends."""
-    blob = json.dumps(header, sort_keys=True).encode()
-    return magic + _PREFIX.pack(version, len(blob)) + blob
-
-
-def read_artifact(path, magic, version, kind, payload_bytes):
-    """(header, payload) of a file that starts with `artifact_header`.
-
-    ``payload_bytes(header)`` is the payload length the header implies; a
-    foreign magic, another version, a short read or trailing bytes raise
-    ValueError naming ``path``.
-    """
-    data = Path(path).read_bytes()
-    if data[:len(magic)] != magic:
-        raise ValueError(f"{path} is not a {kind}")
-    start = len(magic) + _PREFIX.size
-    if len(data) < start:
-        raise ValueError(f"{path}: truncated {kind} ({len(data)} bytes)")
-    found, header_len = _PREFIX.unpack_from(data, len(magic))
-    if found != version:
-        raise ValueError(f"{path}: unsupported {kind} version {found}")
-    if len(data) < start + header_len:
-        raise ValueError(f"{path}: truncated {kind} ({len(data)} bytes)")
-    try:
-        header = json.loads(data[start:start + header_len])
-    except ValueError as exc:  # JSON or UTF-8 decoding
-        raise ValueError(f"{path}: corrupt {kind} header ({exc})") from exc
-    payload = memoryview(data)[start + header_len:]
-    expected = payload_bytes(header)
-    if len(payload) != expected:
-        raise ValueError(f"{path}: {kind} payload is {len(payload)} bytes, "
-                         f"its header describes {expected}")
-    return header, payload

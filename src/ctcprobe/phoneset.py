@@ -70,11 +70,6 @@ def load_table(lines, name=""):
     return PhoneInventory(phones, reduced, classes, flags, name=name)
 
 
-def load_inventory(path) -> PhoneInventory:
-    with open(path) as fh:
-        return load_table(fh, name=str(path))
-
-
 def timit_inventory() -> PhoneInventory:
     text = resources.files("ctcprobe.data").joinpath("timit60.tsv").read_text()
     return load_table(text.splitlines(), name="timit60")

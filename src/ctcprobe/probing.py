@@ -5,15 +5,16 @@ and confusion matrices.
 
 from __future__ import annotations
 
-import os
+import contextlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import ctc
+from .artifacts import artifact_header, atomic_write, read_artifact
 from .layers import uniform_init
-from .model import artifact_header, log_softmax, read_artifact
+from .model import log_softmax
 
 DATASET_MAGIC = b"CPFD"
 DATASET_VERSION = 1
@@ -66,7 +67,8 @@ def extract_frames(model, corpus, cuts, strides_enabled=True, inventory=None,
     labelled with the phone at each row's receptive-field center reduced
     under ``scheme``.  Headers follow from the config and the utterance
     lengths, so no row waits in memory.  ``threads`` > 1 forwards chunks of
-    that many utterances on a pool.  A failed pass removes its files.
+    that many utterances on a pool.  The files replace their paths only
+    when the whole pass succeeds: a failed pass leaves them as they were.
     The same forwards give each utterance's greedy CTC category per softmax
     frame ("b"lank, "s"pace or "l"etter), returned for the breakdown.
     """
@@ -110,12 +112,12 @@ def extract_frames(model, corpus, cuts, strides_enabled=True, inventory=None,
             "spans": spans,
         })
 
-    files, categories = [], {}
-    try:
-        for (_layer, _window, _scheme, path), header in zip(cuts, headers):
-            files.append(open(path, "wb"))
-            files[-1].write(artifact_header(DATASET_MAGIC, DATASET_VERSION,
-                                            header))
+    categories = {}
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(atomic_write(path, "wb"))
+                 for *_cut, path in cuts]
+        for header, fh in zip(headers, files):
+            fh.write(artifact_header(DATASET_MAGIC, DATASET_VERSION, header))
         for u, result in enumerate(_eval_forwards(model, corpus,
                                                   strides_enabled, threads)):
             categories[corpus[u].id] = "".join(
@@ -136,12 +138,6 @@ def extract_frames(model, corpus, cuts, strides_enabled=True, inventory=None,
                                        prov["subsample_factor"],
                                        prov["receptive_center_offset"])
                 fh.write(labels.astype(np.int32).tobytes())
-            fh.close()
-    except BaseException:
-        for fh in files:
-            fh.close()
-            os.unlink(fh.name)
-        raise
     return Extraction(sum(header["n"] for header in headers), categories)
 
 

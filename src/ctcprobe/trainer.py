@@ -122,14 +122,15 @@ def encode_transcript(transcript, alphabet):
 
 def split_dev(items, dev_fraction, seed):
     """Deterministic by-utterance holdout split: round(dev_fraction * n)
-    items go to dev, but at least one, so a corpus of two or more
-    utterances always gives at least one dev utterance.  A single item
-    stays in train."""
-    idx = np.random.default_rng(seed).permutation(len(items))
-    n_dev = max(1, int(round(dev_fraction * len(items)))) if len(items) > 1 else 0
+    items go to dev, clamped to [1, n - 1], so a corpus of two or more
+    utterances always gives each split at least one utterance.  A single
+    item stays in train."""
+    n = len(items)
+    idx = np.random.default_rng(seed).permutation(n)
+    n_dev = min(max(1, int(round(dev_fraction * n))), n - 1) if n > 1 else 0
     dev_idx = set(idx[:n_dev].tolist())
-    train = [items[i] for i in range(len(items)) if i not in dev_idx]
-    dev = [items[i] for i in range(len(items)) if i in dev_idx]
+    train = [items[i] for i in range(n) if i not in dev_idx]
+    dev = [items[i] for i in range(n) if i in dev_idx]
     return train, dev
 
 

@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from conftest import DAMAGE
 
 from ctcprobe import acoustic
 from ctcprobe.acoustic import (PhoneSegment, Spectrogram, SynthConfig,
@@ -161,7 +162,7 @@ class TestFrameLabel:
 class TestCorpusSerialization:
     def test_round_trip(self, tmp_path):
         corpus = synthesize_corpus(SynthConfig(seed=5), 6)
-        path = tmp_path / "corpus.jsonl"
+        path = tmp_path / "corpus.bin"
         acoustic.save_corpus(path, corpus)
         loaded = acoustic.load_corpus(path)
         assert len(loaded) == len(corpus)
@@ -173,44 +174,49 @@ class TestCorpusSerialization:
                 got.spectrogram.frames,
                 orig.spectrogram.frames.astype(np.float32).astype(np.float64))
 
-    def test_failed_save_leaves_no_partial_or_temp_file(self, tmp_path):
-        path = tmp_path / "corpus.jsonl"
-        corpus = synthesize_corpus(SynthConfig(seed=5), 2)
-        broken = corpus + [None]  # fails after two records are written
-        with pytest.raises(AttributeError):
-            acoustic.save_corpus(path, broken)
-        assert list(tmp_path.iterdir()) == []
+    def test_failed_save_leaves_no_partial_or_temp_file(self, tmp_path,
+                                                        monkeypatch):
+        path = tmp_path / "corpus.bin"
+        corpus = synthesize_corpus(SynthConfig(seed=5), 3)
         acoustic.save_corpus(path, corpus[:1])
         before = path.read_bytes()
-        with pytest.raises(AttributeError):
-            acoustic.save_corpus(path, broken)
+        convert = np.ascontiguousarray
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:  # after two utterances' frames are written
+                raise RuntimeError("conversion failed")
+            return convert(*args, **kwargs)
+
+        monkeypatch.setattr(np, "ascontiguousarray", failing)
+        for target in (path, tmp_path / "fresh.bin"):
+            calls.clear()
+            with pytest.raises(RuntimeError, match="conversion failed"):
+                acoustic.save_corpus(target, corpus)
+        monkeypatch.undo()
         assert list(tmp_path.iterdir()) == [path]
         assert path.read_bytes() == before
 
     def test_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "other.jsonl"
+        path = tmp_path / "other.bin"
         path.write_text('{"format": "something-else"}\n')
         with pytest.raises(ValueError):
             acoustic.load_corpus(path)
 
-    @pytest.mark.parametrize("damage, line", [
-        # a cut inside the third utterance's record
-        (lambda lines: lines[:3] + [lines[3][:len(lines[3]) // 2]], 4),
-        (lambda lines: [], 1),  # an empty file
-        (lambda lines: lines[:2] + [lines[2].replace('"frames_b64": "',
-                                                      '"frames_b64": "!')],
-         3),
-        (lambda lines: lines[:3] + [re.sub(r'"shape": \[(\d+)',
-                                           r'"shape": [1\1', lines[3])], 4),
-    ], ids=["cut_record", "empty", "bad_base64", "bad_shape"])
-    def test_malformed_record_names_file_and_line(self, tmp_path, damage,
-                                                  line):
-        path = tmp_path / "corpus.jsonl"
-        acoustic.save_corpus(path, synthesize_corpus(SynthConfig(seed=5), 4))
-        lines = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(damage(lines)))
-        with pytest.raises(ValueError,
-                           match=re.escape(f"{path}, line {line}:")):
+    @pytest.mark.parametrize("damage", [*DAMAGE, "cut_after_two_records"])
+    def test_rejects_damaged_file(self, tmp_path, damage):
+        corpus = synthesize_corpus(SynthConfig(seed=5), 10)
+        path = tmp_path / "corpus.bin"
+        acoustic.save_corpus(path, corpus)
+        data = path.read_bytes()
+        if damage == "cut_after_two_records":  # ends after utterance 2
+            rest = sum(utt.spectrogram.frames.size for utt in corpus[2:])
+            data = data[:-4 * rest]
+        else:
+            data = DAMAGE[damage](data)
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
             acoustic.load_corpus(path)
 
 

@@ -2,12 +2,14 @@ import csv
 import hashlib
 import io
 import json
+import os
 import shutil
 
 import numpy as np
 import pytest
 
-from ctcprobe import cli, plots, probing
+from ctcprobe import acoustic, cli, model, plots, probing
+from ctcprobe.artifacts import read_artifact
 from ctcprobe.cli import ExperimentConfig, load_config, main
 from ctcprobe.model import TrainedModel, preset
 from ctcprobe.probing import ProbeReport
@@ -59,6 +61,17 @@ class TestConfigValidation:
         cfg = small_config(tmp_path / "out")
         cfg["extra"] = 1
         assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+
+    @pytest.mark.parametrize("section, key", [
+        ("clustering", "mehtod"), ("model", "prest"),
+        ("corpus", "imprt_path")])
+    def test_unknown_section_key_rejected(self, tmp_path, capsys, section,
+                                          key):
+        cfg = small_config(tmp_path / "out")
+        cfg[section][key] = "pca"
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+        assert f"'{section}.{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "config.json"
@@ -164,11 +177,31 @@ def finished_run(tmp_path_factory):
 class TestRunArtifacts:
     def test_expected_files_exist(self, finished_run):
         out, _cfg, _path = finished_run
-        for name in ("corpus_train.jsonl", "corpus_dev.jsonl", "model.ckpt",
+        for name in ("corpus_train.bin", "corpus_dev.bin", "model.ckpt",
                      "asr_loss.csv", "layer_accuracy.csv", "clusters.csv",
                      "manifest.json", "accuracy_strides_on.svg",
                      "centroids.svg", "inter_intra_f1.csv"):
             assert (out / name).exists(), name
+
+    def test_every_binary_artifact_opens_through_read_artifact(
+            self, finished_run, monkeypatch):
+        out, _cfg, _path = finished_run
+        loaders = {".bin": acoustic.load_corpus, ".ckpt": TrainedModel.load,
+                   ".fds": probing.load_dataset}
+        opened = []
+
+        def spy(path, *args):
+            opened.append(path)
+            return read_artifact(path, *args)
+
+        for module in (acoustic, model, probing):
+            monkeypatch.setattr(module, "read_artifact", spy)
+        binary = sorted(str(path) for path in out.iterdir()
+                        if path.suffix not in (".csv", ".json", ".svg"))
+        assert len(binary) > 3
+        for path in binary:
+            loaders[os.path.splitext(path)[1]](path)
+        assert opened == binary
 
     def test_manifest_hashes_are_correct(self, finished_run):
         out, _cfg, _path = finished_run
@@ -382,6 +415,21 @@ class TestSubcommands:
         assert "stage 'probe' failed" in err
         assert str(staged / cli.CATEGORIES_FILE) in err
 
+    @pytest.mark.parametrize("command", ["train-asr", "extract"])
+    def test_cut_corpus_names_stage_and_file(self, finished_run, tmp_path,
+                                             capsys, command):
+        out, cfg, _ = finished_run
+        staged = tmp_path / "staged"
+        shutil.copytree(out, staged)
+        path = staged / "corpus_dev.bin"
+        path.write_bytes(path.read_bytes()[:-100])
+        cfg_path = write_config(tmp_path, dict(cfg, out_dir=str(staged)))
+        capsys.readouterr()
+        assert main([command, "--config", cfg_path]) == 3
+        err = capsys.readouterr().err
+        assert f"stage {command!r} failed" in err
+        assert str(path) in err
+
     def test_cluster_and_report_read_only_their_inputs(self, finished_run,
                                                        tmp_path, capsys):
         out, cfg, _ = finished_run
@@ -475,4 +523,18 @@ def test_failed_extract_removes_its_partial_files(tmp_path, monkeypatch,
     capsys.readouterr()
     assert main(["extract", "--config", cfg_path]) == 3
     assert "stage 'extract' failed: forward failed" in capsys.readouterr().err
-    assert list((tmp_path / "out").glob("frames_*.fds")) == []
+    out = tmp_path / "out"
+    assert list(out.glob("frames_*.fds")) == []
+    assert list(out.glob("*.tmp")) == []
+
+    # A failed rerun leaves the files of a complete extract as they were.
+    monkeypatch.undo()
+    assert main(["extract", "--config", cfg_path]) == 0
+    before = {path.name: path.read_bytes() for path in out.glob("*.fds")}
+    assert before
+    calls.clear()
+    monkeypatch.setattr(TrainedModel, "forward", failing_forward)
+    assert main(["extract", "--config", cfg_path]) == 3
+    assert {path.name: path.read_bytes()
+            for path in out.glob("*.fds")} == before
+    assert list(out.glob("*.tmp")) == []

@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from conftest import DAMAGE
 
 from ctcprobe import ctc
 from ctcprobe.model import (LayerSpec, ModelConfig, TrainedModel,
@@ -220,14 +221,6 @@ class TestBackward:
                 fd = (fp - fm) / (2 * h)
                 g = grads[name].reshape(-1)[i]
                 assert abs(fd - g) / max(abs(fd), abs(g), 1.0) < 1e-4, name
-
-
-# A cut inside the payload or the header, and junk appended to the payload.
-DAMAGE = {
-    "short_payload": lambda data: data[:-100],
-    "short_header": lambda data: data[:40],
-    "trailing_bytes": lambda data: data + b"junk",
-}
 
 
 class TestCheckpoint:

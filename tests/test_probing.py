@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import DAMAGE
 
 from ctcprobe import ctc, phoneset, probing
 from ctcprobe.acoustic import (SynthConfig, Utterance, frame_label,
@@ -479,14 +480,6 @@ class TestConfusionMatrix:
     def test_counts(self):
         cm = confusion_matrix(np.array([0, 0, 1, 2]), np.array([0, 1, 1, 0]), 3)
         np.testing.assert_array_equal(cm, [[1, 1, 0], [0, 1, 0], [1, 0, 0]])
-
-
-# A cut inside the payload or the header, and junk appended to the payload.
-DAMAGE = {
-    "short_payload": lambda data: data[:-100],
-    "short_header": lambda data: data[:40],
-    "trailing_bytes": lambda data: data + b"junk",
-}
 
 
 class TestDatasetSerialization:

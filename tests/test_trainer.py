@@ -165,6 +165,11 @@ class TestSplitDev:
             train, dev = split_dev(list(range(n)), 0.01, seed=0)
             assert len(dev) == 1 and len(train) == n - 1
 
+    @pytest.mark.parametrize("n, fraction", [(10, 0.96), (2, 0.9)])
+    def test_a_fraction_near_one_keeps_a_train_item(self, n, fraction):
+        train, dev = split_dev(list(range(n)), fraction, seed=0)
+        assert len(train) == 1 and len(dev) == n - 1
+
 
 def tiny_model_config(seed=0):
     return ModelConfig(
