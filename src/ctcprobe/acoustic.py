@@ -315,10 +315,14 @@ def save_corpus(path, utterances):
                       for s in utt.segments],
          "shape": list(utt.spectrogram.frames.shape)}
         for utt in utterances]}
-    if utterances:
+    if utterances:  # one header entry holds every utterance's metadata
         s = utterances[0].spectrogram
-        header["spectrogram"] = {k: getattr(s, k) for k in (
+        meta = header["spectrogram"] = {k: getattr(s, k) for k in (
             "sample_rate_hz", "window_ms", "frame_shift_ms")}
+        for utt in utterances:
+            for key, first in meta.items():
+                if (value := getattr(utt.spectrogram, key)) != first:
+                    raise ValueError(f"{path}: mixed {key} {first}/{value}")
     with atomic_write(path, "wb") as fh:
         fh.write(artifact_header(CORPUS_MAGIC, CORPUS_VERSION, header))
         for utt in utterances:

@@ -41,8 +41,8 @@ def read_artifact(path, magic, version, kind, payload_bytes):
     """(header, payload) of a file that starts with `artifact_header`.
 
     ``payload_bytes(header)`` is the payload length the header implies; a
-    foreign magic, another version, a short read or trailing bytes raise
-    ValueError naming ``path``.
+    foreign magic, another version, a short read, trailing bytes or a header
+    lacking what ``payload_bytes`` reads raise ValueError naming ``path``.
     """
     data = Path(path).read_bytes()
     if data[:len(magic)] != magic:
@@ -60,7 +60,10 @@ def read_artifact(path, magic, version, kind, payload_bytes):
     except ValueError as exc:  # JSON or UTF-8 decoding
         raise ValueError(f"{path}: corrupt {kind} header ({exc})") from exc
     payload = memoryview(data)[start + header_len:]
-    expected = payload_bytes(header)
+    try:
+        expected = payload_bytes(header)
+    except (KeyError, TypeError) as exc:  # a missing or mistyped key
+        raise ValueError(f"{path}: malformed {kind} header ({exc!r})") from exc
     if len(payload) != expected:
         raise ValueError(f"{path}: {kind} payload is {len(payload)} bytes, "
                          f"its header describes {expected}")

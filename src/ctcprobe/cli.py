@@ -306,23 +306,26 @@ def strides_key(strides):
     return "strides_on" if strides else "strides_off"
 
 
+def tap_file(layer, strides, split):
+    return f"frames_layer{layer}_{'str' if strides else 'nostr'}.{split}.fds"
+
+
 def stage_extract(cfg, art):
     model = TrainedModel.load(art.path("model.ckpt"))
     train, dev = load_split(art)
-    inventory = _inventory_for(cfg)
     # One pass per strides setting and split: each utterance is forwarded
-    # once, and its rows for every layer, window and scheme of that
-    # setting go straight to their files.
+    # once, and its rows for every probed layer of that setting go straight
+    # to their files.
     combos = probe_combos(cfg)
     dev_categories = {}
     for strides in dict.fromkeys(combo[1] for combo in combos):
+        layers = dict.fromkeys(combo[0] for combo in combos
+                               if combo[1] == strides)
         for split, corpus in (("train", train), ("dev", dev)):
-            cuts = [(layer, window, scheme, art.path(
-                        f"frames_{combo_name(layer, s, window, scheme)}"
-                        f".{split}.fds"))
-                    for layer, s, window, scheme in combos if s == strides]
-            extraction = probing.extract_frames(model, corpus, cuts, strides,
-                                                inventory, cfg.threads)
+            taps = [(layer, art.path(tap_file(layer, strides, split)))
+                    for layer in layers]
+            extraction = probing.extract_frames(model, corpus, taps, strides,
+                                                cfg.threads)
         # `extraction` is now the dev pass's
         dev_categories[strides_key(strides)] = {
             "subsample_factor": model.config.subsample_factor(
@@ -336,6 +339,7 @@ def stage_probe(cfg, art):
     # reads no model and no corpus, and forwards nothing.
     dev_categories = art.read_json(CATEGORIES_FILE)
     probe_cfg = cfg.probe_config()
+    inventory = _inventory_for(cfg)
     reports = {}
     summary = [("layer", "strides", "window", "scheme", "dev_accuracy",
                 "majority_baseline", "best_epoch")]
@@ -344,8 +348,9 @@ def stage_probe(cfg, art):
     for combo in probe_combos(cfg):
         layer, strides, window, scheme = combo
         name = combo_name(*combo)
-        ds_train = probing.load_dataset(art.path(f"frames_{name}.train.fds"))
-        ds_dev = probing.load_dataset(art.path(f"frames_{name}.dev.fds"))
+        ds_train, ds_dev = (probing.load_dataset(
+            art.path(tap_file(layer, strides, split)), window, scheme,
+            inventory) for split in ("train", "dev"))
         result = trainer.train_probe(ds_train, ds_dev, probe_cfg)
         report = probing.evaluate_probe(result.probe, ds_dev)
         reports[combo] = report
@@ -379,7 +384,7 @@ def stage_probe(cfg, art):
     art.write_csv("layer_accuracy.csv", summary)
     if len(breakdown_rows) > 1:
         art.write_csv("ctc_breakdown.csv", breakdown_rows)
-    _write_inter_intra(art, reports, _inventory_for(cfg))
+    _write_inter_intra(art, reports, inventory)
 
 
 def _write_inter_intra(art, reports, inventory):
@@ -410,12 +415,11 @@ def stage_cluster(cfg, art):
     strides = bool(spec.get("strides", True))
     window = spec.get("window", 0)
     scheme = spec.get("scheme", "full")
-    key = (layer, strides, window, scheme)
-    if key not in probe_combos(cfg):
-        raise ValueError(
-            f"clustering needs probe combo {key} to be extracted")
-    ds_dev = probing.load_dataset(
-        art.path(f"frames_{combo_name(*key)}.dev.fds"))
+    if (layer, strides) not in {combo[:2] for combo in probe_combos(cfg)}:
+        raise ValueError(f"clustering needs the layer-{layer} tap with "
+                         f"strides={strides} to be extracted")
+    ds_dev = probing.load_dataset(art.path(tap_file(layer, strides, "dev")),
+                                  window, scheme, _inventory_for(cfg))
     labels = np.array([ds_dev.label_names[i] for i in ds_dev.labels])
     k = min(spec.get("k", 50), ds_dev.n_frames)
     summary = clustering.kmeans(ds_dev.vectors, k, labels=labels,

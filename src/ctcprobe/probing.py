@@ -6,18 +6,19 @@ and confusion matrices.
 from __future__ import annotations
 
 import contextlib
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import ctc
+from . import ctc, phoneset
 from .artifacts import artifact_header, atomic_write, read_artifact
 from .layers import uniform_init
 from .model import log_softmax
 
 DATASET_MAGIC = b"CPFD"
-DATASET_VERSION = 1
+DATASET_VERSION = 2
 
 
 @dataclass
@@ -50,59 +51,46 @@ class FrameDataset:
 
 @dataclass
 class Extraction:
-    """What one `extract_frames` pass made: its rows over every cut (the
+    """What one `extract_frames` pass made: its rows over every tap (the
     count perfbench's traced `probing.frames_out` sums), and the model's
     greedy CTC category of each softmax frame, from the same forwards."""
     n_frames: int
     categories: dict    # utterance id -> one of "b", "s", "l" per frame
 
 
-def extract_frames(model, corpus, cuts, strides_enabled=True, inventory=None,
+def extract_frames(model, corpus, taps, strides_enabled=True,
                    threads=1) -> Extraction:
-    """Forward each utterance once and append its rows for every cut to
-    that cut's frame-dataset file; the labels follow the last row.
+    """Forward each utterance once and append its rows for every tap to
+    that tap's file, then each row's phone: its index in the sorted corpus
+    phones, taken at the row's receptive-field center.
 
-    ``cuts`` lists (layer, window, scheme, path): the layer's tap rows,
-    optionally as a +-window concatenation with boundary replication,
-    labelled with the phone at each row's receptive-field center reduced
-    under ``scheme``.  Headers follow from the config and the utterance
-    lengths, so no row waits in memory.  ``threads`` > 1 forwards chunks of
-    that many utterances on a pool.  The files replace their paths only
-    when the whole pass succeeds: a failed pass leaves them as they were.
-    The same forwards give each utterance's greedy CTC category per softmax
-    frame ("b"lank, "s"pace or "l"etter), returned for the breakdown.
+    ``taps`` lists (layer, path); `load_dataset` applies windows and label
+    schemes.  ``threads`` > 1 forwards chunks of that many utterances on a
+    pool.  Headers follow from the config and the utterance lengths, so no
+    row waits in memory, and the files replace their paths only when the
+    whole pass succeeds.  The same forwards give each utterance's greedy CTC
+    category per softmax frame ("b"lank, "s"pace or "l"etter).
     """
     cfg = model.config
-    _by_id(corpus)
+    for utt_id, count in Counter(utt.id for utt in corpus).items():
+        if count > 1:
+            raise ValueError(f"duplicate utterance id {utt_id!r}")
     phones = sorted({seg.phone for utt in corpus for seg in utt.segments})
-    headers, codes = [], []
-    for layer, window, scheme, _path in cuts:
+    phone_code = {phone: i for i, phone in enumerate(phones)}
+    headers = []
+    for layer, _path in taps:
         if not 0 <= layer <= cfg.n_layers:
             raise ValueError(f"layer {layer} outside [0, {cfg.n_layers}]")
-        if window < 0:
-            raise ValueError("window must be >= 0")
-        if inventory is not None:
-            label_names = inventory.labels_for_scheme(scheme)
-            reduced = [inventory.reduce(phone, scheme) for phone in phones]
-        else:
-            if scheme != "full":
-                raise ValueError("reduction schemes need a phone inventory")
-            label_names = reduced = phones
-        label_index = {name: i for i, name in enumerate(label_names)}
-        codes.append({phone: label_index[name]
-                      for phone, name in zip(phones, reduced)})
         spans = [[utt.id, cfg.time_len_after(layer, utt.n_frames,
                                              strides_enabled)]
                  for utt in corpus]
         headers.append({
             "n": sum(n_rows for _id, n_rows in spans),
-            "d": cfg.tap_width(layer) * (2 * window + 1),
-            "label_names": label_names,
+            "d": cfg.tap_width(layer),
+            "label_names": phones,
             "provenance": {
                 "layer": layer,
                 "strides_enabled": bool(strides_enabled),
-                "window": window,
-                "scheme": scheme,
                 "subsample_factor": cfg.subsample_factor(layer,
                                                          strides_enabled),
                 "receptive_center_offset": cfg.receptive_center_offset(
@@ -115,7 +103,7 @@ def extract_frames(model, corpus, cuts, strides_enabled=True, inventory=None,
     categories = {}
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(atomic_write(path, "wb"))
-                 for *_cut, path in cuts]
+                 for _layer, path in taps]
         for header, fh in zip(headers, files):
             fh.write(artifact_header(DATASET_MAGIC, DATASET_VERSION, header))
         for u, result in enumerate(_eval_forwards(model, corpus,
@@ -123,15 +111,14 @@ def extract_frames(model, corpus, cuts, strides_enabled=True, inventory=None,
             categories[corpus[u].id] = "".join(
                 cat[0] for cat in ctc.greedy_decode(
                     result.log_probs, cfg.alphabet).categories)
-            for (layer, window, _scheme, path), header, fh in zip(
-                    cuts, headers, files):
+            for (layer, path), header, fh in zip(taps, headers, files):
                 tap = result.taps[layer]
                 utt_id, n_rows = header["spans"][u]
                 if len(tap) != n_rows:
                     raise ValueError(f"{path}: {utt_id!r} has {len(tap)} "
                                      f"layer-{layer} rows, its header {n_rows}")
-                fh.write(_windowed(tap, window).astype(np.float32).tobytes())
-        for header, phone_code, fh in zip(headers, codes, files):
+                fh.write(tap.astype(np.float32).tobytes())
+        for header, fh in zip(headers, files):
             prov = header["provenance"]
             for utt, (_id, n_rows) in zip(corpus, header["spans"]):
                 labels = _frame_labels(utt, phone_code, n_rows,
@@ -139,15 +126,6 @@ def extract_frames(model, corpus, cuts, strides_enabled=True, inventory=None,
                                        prov["receptive_center_offset"])
                 fh.write(labels.astype(np.int32).tobytes())
     return Extraction(sum(header["n"] for header in headers), categories)
-
-
-def _by_id(corpus):
-    by_id = {}
-    for utt in corpus:
-        if utt.id in by_id:
-            raise ValueError(f"duplicate utterance id {utt.id!r}")
-        by_id[utt.id] = utt
-    return by_id
 
 
 def _eval_forwards(model, corpus, strides_enabled, threads=1):
@@ -415,28 +393,38 @@ def inter_intra_f1(fine_report: ProbeReport, coarse_report: ProbeReport,
     return out
 
 
-def f1_delta(high_layer: dict, low_layer: dict) -> dict:
-    """Per-class F1 change moving from one layer's features to another's."""
-    return {cls_name: {
-        "inter_f1": high_layer[cls_name]["inter_f1"] - low_layer[cls_name]["inter_f1"],
-        "intra_f1": high_layer[cls_name]["intra_f1"] - low_layer[cls_name]["intra_f1"],
-    } for cls_name in high_layer}
-
-
 # ---------------------------------------------------------------------------
-# Dataset files (header JSON + f32 rows + int32 labels), written by
-# extract_frames
+# Tap files (header JSON + f32 rows + int32 phone indices), written by
+# extract_frames and read as (window, scheme) views
 # ---------------------------------------------------------------------------
 
-def load_dataset(path) -> FrameDataset:
+def load_dataset(path, window=0, scheme="full",
+                 inventory=None) -> FrameDataset:
+    """The (``window``, ``scheme``) view of an `extract_frames` file: each
+    utterance's rows `_windowed`, and each row's phone reduced onto the
+    ``inventory``'s labels for ``scheme`` (or the file's own, for "full")."""
+    if window < 0:
+        raise ValueError("window must be >= 0")
+    if inventory is None and scheme != "full":
+        raise ValueError("reduction schemes need a phone inventory")
     header, payload = read_artifact(
         path, DATASET_MAGIC, DATASET_VERSION, "frame dataset",
         lambda h: 4 * h["n"] * (h["d"] + 1))
-    n, d = header["n"], header["d"]
-    vectors = np.frombuffer(payload, np.float32, n * d).reshape(n, d)
-    labels = np.frombuffer(payload, np.int32, n, 4 * n * d)
-    return FrameDataset(vectors.astype(np.float64),
-                        labels.astype(np.int64),
-                        list(header["label_names"]),
-                        dict(header["provenance"]),
-                        spans=[(s[0], s[1]) for s in header["spans"]])
+    n, d, phones = header["n"], header["d"], header["label_names"]
+    spans = [(s[0], s[1]) for s in header["spans"]]
+    ends = np.cumsum([0] + [n_rows for _id, n_rows in spans])
+    codes = np.frombuffer(payload, np.int32, n, 4 * n * d)
+    if ends[-1] != n:
+        raise ValueError(f"{path}: spans cover {ends[-1]} rows, not its {n}")
+    if codes.size and not 0 <= codes.min() <= codes.max() < len(phones):
+        raise ValueError(f"{path}: phone index outside its label_names")
+    inventory = inventory or phoneset.synthetic_inventory(phones)
+    names = inventory.labels_for_scheme(scheme)
+    lut = [names.index(inventory.reduce(phone, scheme)) for phone in phones]
+    tap = np.frombuffer(payload, np.float32, n * d).reshape(n, d)
+    return FrameDataset(
+        np.concatenate([_windowed(rows, window)
+                        for rows in np.split(tap, ends[1:-1])],
+                       dtype=np.float64),
+        np.array(lut, np.int64)[codes], names,
+        {**header["provenance"], "window": window, "scheme": scheme}, spans)

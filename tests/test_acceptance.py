@@ -171,11 +171,12 @@ def extract_all(model, train, dev, layers, inventory, out_dir):
     `out_dir` and read back."""
     paths = {}
     for split, corpus in (("train", train), ("dev", dev)):
-        cuts = [(layer, 0, "full", out_dir / f"layer{layer}.{split}.fds")
+        taps = [(layer, out_dir / f"layer{layer}.{split}.fds")
                 for layer in layers]
-        extraction = extract_frames(model, corpus, cuts, inventory=inventory)
-        for layer, _window, _scheme, path in cuts:
-            paths.setdefault(layer, []).append(load_dataset(path))
+        extraction = extract_frames(model, corpus, taps)
+        for layer, path in taps:
+            paths.setdefault(layer, []).append(
+                load_dataset(path, inventory=inventory))
     return ({layer: tuple(pair) for layer, pair in paths.items()},
             extraction.categories)
 

@@ -5,6 +5,7 @@ import pytest
 from conftest import DAMAGE
 
 from ctcprobe import acoustic
+from ctcprobe.artifacts import artifact_header
 from ctcprobe.acoustic import (PhoneSegment, Spectrogram, SynthConfig,
                                Utterance, decode_transcript, frame_label,
                                hamming_window, spectrogram,
@@ -197,6 +198,45 @@ class TestCorpusSerialization:
         monkeypatch.undo()
         assert list(tmp_path.iterdir()) == [path]
         assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("field, other", [
+        ("sample_rate_hz", 8000), ("window_ms", 25.0),
+        ("frame_shift_ms", 5.0)])
+    def test_rejects_mixed_spectrogram_metadata(self, tmp_path, field, other):
+        # The header holds one copy of the metadata, so a corpus whose
+        # utterances differ in it cannot be saved.
+        corpus = synthesize_corpus(SynthConfig(seed=5), 2)
+        first = getattr(corpus[0].spectrogram, field)
+        odd = corpus[1]
+        corpus[1] = Utterance(
+            Spectrogram(odd.spectrogram.frames, **{field: other}),
+            odd.segments, odd.transcript, odd.id)
+        path = tmp_path / "corpus.bin"
+        with pytest.raises(ValueError, match=re.escape(
+                f"mixed {field} {first}/{other}")):
+            acoustic.save_corpus(path, corpus)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_uniform_metadata_round_trips(self, tmp_path):
+        corpus = [Utterance(Spectrogram(utt.spectrogram.frames, 8000, 25.0,
+                                        5.0), utt.segments, utt.transcript,
+                            utt.id)
+                  for utt in synthesize_corpus(SynthConfig(seed=5), 2)]
+        path = tmp_path / "corpus.bin"
+        acoustic.save_corpus(path, corpus)
+        for utt in acoustic.load_corpus(path):
+            spec = utt.spectrogram
+            assert (spec.sample_rate_hz, spec.window_ms,
+                    spec.frame_shift_ms) == (8000, 25.0, 5.0)
+
+    def test_header_lacking_a_key_names_file_and_key(self, tmp_path):
+        path = tmp_path / "corpus.bin"
+        path.write_bytes(artifact_header(acoustic.CORPUS_MAGIC,
+                                         acoustic.CORPUS_VERSION, {}))
+        with pytest.raises(ValueError, match=re.escape(str(path))) as err:
+            acoustic.load_corpus(path)
+        assert "corpus" in str(err.value)
+        assert "'utterances'" in str(err.value)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "other.bin"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ctcprobe import acoustic, cli, model, plots, probing
-from ctcprobe.artifacts import read_artifact
+from ctcprobe.artifacts import artifact_header, read_artifact
 from ctcprobe.cli import ExperimentConfig, load_config, main
 from ctcprobe.model import TrainedModel, preset
 from ctcprobe.probing import ProbeReport
@@ -435,7 +435,7 @@ class TestSubcommands:
         out, cfg, _ = finished_run
         staged = tmp_path / "staged"
         shutil.copytree(out, staged)
-        keep = f"frames_{cli.combo_name(2, True, 0, 'full')}.dev.fds"
+        keep = cli.tap_file(2, True, "dev")
         remade = []
         for path in sorted(staged.iterdir()):
             if path.suffix == ".svg" or path.name == "clusters.csv":
@@ -460,8 +460,65 @@ class TestSubcommands:
         capsys.readouterr()
         rc = main(["cluster", "--config", write_config(tmp_path, unprobed)])
         assert rc == 3
-        assert "clustering needs probe combo (1, True, 0, 'full')" in \
+        assert "clustering needs the layer-1 tap with strides=True" in \
             capsys.readouterr().err
+
+    def test_cluster_views_any_window_and_scheme_of_an_extracted_tap(
+            self, finished_run, tmp_path, capsys):
+        out, cfg, _ = finished_run
+        staged = tmp_path / "staged"
+        shutil.copytree(out, staged)
+        (staged / "clusters.csv").unlink()
+        # Neither window 1 nor reduced48 is in the probe grid.
+        wide = dict(cfg, out_dir=str(staged), clustering=dict(
+            cfg["clustering"], window=1, scheme="reduced48"))
+        assert main(["cluster", "--config", write_config(tmp_path, wide)]) == 0
+        assert (staged / "clusters.csv").exists()
+        for change in ({"layer": 1}, {"strides": False}):
+            unextracted = dict(cfg, out_dir=str(staged), clustering=dict(
+                cfg["clustering"], **change))
+            capsys.readouterr()
+            rc = main(["cluster", "--config",
+                       write_config(tmp_path, unextracted)])
+            assert rc == 3, change
+            err = capsys.readouterr().err
+            assert "stage 'cluster' failed: clustering needs the layer-" in err
+
+    def test_tap_files_do_not_depend_on_windows_or_schemes(
+            self, finished_run, tmp_path):
+        out, cfg, _ = finished_run
+        staged = tmp_path / "staged"
+        shutil.copytree(out, staged)
+        for path in staged.glob("*.fds"):
+            path.unlink()
+        other = dict(cfg, out_dir=str(staged), probe=dict(
+            cfg["probe"], windows=[2, 0], schemes=["reduced48"]))
+        assert main(["extract", "--config", write_config(tmp_path, other)]) \
+            == 0
+        names = sorted(path.name for path in out.glob("*.fds"))
+        assert names == sorted(
+            cli.tap_file(layer, True, split) for layer in cfg["probe"]["layers"]
+            for split in ("train", "dev"))
+        assert sorted(path.name for path in staged.glob("*.fds")) == names
+        for name in names:
+            assert (staged / name).read_bytes() == (out / name).read_bytes()
+
+    @pytest.mark.parametrize("command, name", [
+        ("train-asr", "corpus_train.bin"), ("extract", "model.ckpt"),
+        ("probe", cli.tap_file(0, True, "train"))])
+    def test_header_lacking_a_key_names_stage_and_file(
+            self, finished_run, tmp_path, capsys, command, name):
+        out, cfg, _ = finished_run
+        staged = tmp_path / "staged"
+        shutil.copytree(out, staged)
+        path = staged / name
+        data = path.read_bytes()  # keep the file's magic and version
+        path.write_bytes(artifact_header(data[:4], data[4], {}))
+        cfg_path = write_config(tmp_path, dict(cfg, out_dir=str(staged)))
+        capsys.readouterr()
+        assert main([command, "--config", cfg_path]) == 3
+        err = capsys.readouterr().err
+        assert f"stage {command!r} failed: {path}: malformed" in err
 
 
 def test_run_forwards_each_utterance_once_per_strides_setting(tmp_path,

@@ -5,8 +5,10 @@ import pytest
 from conftest import DAMAGE
 
 from ctcprobe import ctc
-from ctcprobe.model import (LayerSpec, ModelConfig, TrainedModel,
-                            conv_output_len, preset)
+from ctcprobe.artifacts import artifact_header
+from ctcprobe.model import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, LayerSpec,
+                            ModelConfig, TrainedModel, conv_output_len,
+                            preset)
 
 
 class TestConvOutputLen:
@@ -274,6 +276,15 @@ class TestCheckpoint:
         path.write_bytes(b"JUNK" + b"\x00" * 16)
         with pytest.raises(ValueError):
             TrainedModel.load(path)
+
+    def test_header_lacking_a_key_names_file_and_key(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(artifact_header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                                         {}))
+        with pytest.raises(ValueError, match=re.escape(str(path))) as err:
+            TrainedModel.load(path)
+        assert "model checkpoint" in str(err.value)
+        assert "'params'" in str(err.value)
 
     @pytest.mark.parametrize("damage", DAMAGE)
     def test_rejects_damaged_file(self, tmp_path, damage):

@@ -6,6 +6,7 @@ import pytest
 from conftest import DAMAGE
 
 from ctcprobe import ctc, phoneset, probing
+from ctcprobe.artifacts import artifact_header, read_artifact
 from ctcprobe.acoustic import (SynthConfig, Utterance, frame_label,
                                synthesize_corpus)
 from ctcprobe.model import LayerSpec, ModelConfig, TrainedModel, preset
@@ -28,11 +29,11 @@ def mini_model():
 
 def extract(tmp_path, model, utts, layer, strides_enabled=True, window=0,
             scheme="full", inventory=None, threads=1):
-    """One cut's frame dataset: written by extract_frames, read back."""
-    path = tmp_path / f"cut{len(list(tmp_path.iterdir()))}.fds"
-    extract_frames(model, utts, [(layer, window, scheme, path)],
-                   strides_enabled, inventory, threads)
-    return probing.load_dataset(path)
+    """One tap's (window, scheme) view: the tap file written by
+    extract_frames, read back through load_dataset."""
+    path = tmp_path / f"tap{len(list(tmp_path.iterdir()))}.fds"
+    extract_frames(model, utts, [(layer, path)], strides_enabled, threads)
+    return probing.load_dataset(path, window, scheme, inventory)
 
 
 def greedy_categories(model, utts, strides_enabled=True):
@@ -103,6 +104,41 @@ class TestExtractFrames:
                      inventory=inv)
         assert ds.n_frames == sum(u.n_frames for u in utts)
 
+    @pytest.mark.parametrize("strides", [True, False])
+    def test_view_is_windowed_tap_with_scheme_labels(self, tmp_path, corpus,
+                                                     mini_model, strides):
+        # Each (window, scheme) view of a tap file equals `_windowed` of its
+        # window-0 rows, utterance by utterance, with the phones reduced.
+        cfg, utts = corpus
+        inv = phoneset.synthetic_inventory(cfg.phones)
+        for split, group in (("train", utts[:4]), ("dev", utts[4:])):
+            taps = [(layer, tmp_path / f"layer{layer}_{strides}.{split}.fds")
+                    for layer in (0, 2)]
+            extract_frames(mini_model, group, taps, strides)
+            for layer, path in taps:
+                base = probing.load_dataset(path)
+                forwards = [mini_model.forward(
+                    u.spectrogram, strides_enabled=strides).taps[layer]
+                    for u in group]
+                np.testing.assert_array_equal(
+                    base.vectors, rounded(np.concatenate(forwards)))
+                rows = np.split(base.vectors,
+                                np.cumsum([n for _id, n in base.spans])[:-1])
+                phones = [base.label_names[i] for i in base.labels]
+                for window in (0, 1, 2):
+                    for scheme in phoneset.SCHEMES:
+                        view = probing.load_dataset(path, window, scheme, inv)
+                        np.testing.assert_array_equal(
+                            view.vectors, np.concatenate(
+                                [probing._windowed(r, window) for r in rows]))
+                        assert view.label_names == \
+                            inv.labels_for_scheme(scheme)
+                        assert [view.label_names[i] for i in view.labels] == \
+                            [inv.reduce(p, scheme) for p in phones]
+                        assert view.spans == base.spans
+                        assert view.provenance == dict(
+                            base.provenance, window=window, scheme=scheme)
+
     def test_threaded_extraction_matches_serial(self, tmp_path, corpus,
                                                 mini_model):
         cfg, utts = corpus
@@ -148,12 +184,11 @@ class TestExtractFrames:
             for strides in (True, False):
                 factor = model.config.subsample_factor(layer, strides)
                 offset = model.config.receptive_center_offset(layer, strides)
+                path = tmp_path / f"layer{layer}_{strides}.fds"
+                extract_frames(model, utts, [(layer, path)], strides)
                 for window in (0, 2):
                     for scheme in ("full", "sound_class"):
-                        ds = extract(tmp_path, model, utts, layer,
-                                     strides_enabled=strides,
-                                     window=window, scheme=scheme,
-                                     inventory=inv)
+                        ds = probing.load_dataset(path, window, scheme, inv)
                         expected = []
                         for utt, (_id, n_rows) in zip(utts, ds.spans):
                             for t in range(n_rows):
@@ -170,19 +205,17 @@ class TestExtractFrames:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_multi_cut_pass_matches_one_cut_per_call(self, tmp_path, corpus,
                                                      mini_model, threads):
+        # A pass over several taps writes each file as a pass over it alone.
         cfg, utts = corpus
-        inv = phoneset.synthetic_inventory(cfg.phones)
         for strides in (True, False):
-            cuts = [(layer, window, "sound_class",
-                     tmp_path / f"pass_{strides}_{layer}_{window}.fds")
-                    for layer in (0, 2, 3) for window in (0, 2)]
-            written = extract_frames(mini_model, utts, cuts, strides, inv,
-                                     threads)
+            taps = [(layer, tmp_path / f"pass_{strides}_{layer}.fds")
+                    for layer in (0, 2, 3)]
+            written = extract_frames(mini_model, utts, taps, strides, threads)
             rows = 0
-            for layer, window, scheme, path in cuts:
+            for layer, path in taps:
                 one = tmp_path / "one.fds"
-                extract_frames(mini_model, utts, [(layer, window, scheme, one)],
-                               strides, inv, threads)
+                extract_frames(mini_model, utts, [(layer, one)], strides,
+                               threads)
                 assert path.read_bytes() == one.read_bytes(), path.name
                 rows += probing.load_dataset(path).n_frames
             assert written.n_frames == rows
@@ -199,12 +232,10 @@ class TestExtractFrames:
     def test_categories_match_greedy_decode_at_any_thread_count(
             self, tmp_path, corpus, mini_model, strides):
         cfg, utts = corpus
-        inv = phoneset.synthetic_inventory(cfg.phones)
         expected = greedy_categories(mini_model, utts, strides)
         for threads in (1, 2):
-            got = extract_frames(mini_model, utts,
-                                 [(2, 0, "full", tmp_path / "c.fds")],
-                                 strides, inv, threads).categories
+            got = extract_frames(mini_model, utts, [(2, tmp_path / "c.fds")],
+                                 strides, threads).categories
             assert got == expected, threads
         n_softmax = mini_model.config.n_layers
         assert [len(expected[u.id]) for u in utts] == [
@@ -215,14 +246,12 @@ class TestExtractFrames:
     def test_row_count_checked_against_header(self, tmp_path, corpus,
                                               mini_model, monkeypatch):
         cfg, utts = corpus
-        inv = phoneset.synthetic_inventory(cfg.phones)
         # Headers that expect every input frame at a strided layer.
         monkeypatch.setattr(ModelConfig, "time_len_after",
                             lambda self, k, in_len, strides=True: in_len)
-        cuts = [(0, 0, "full", tmp_path / "layer0.fds"),
-                (2, 0, "full", tmp_path / "layer2.fds")]
+        taps = [(0, tmp_path / "layer0.fds"), (2, tmp_path / "layer2.fds")]
         with pytest.raises(ValueError, match="layer-2 rows"):
-            extract_frames(mini_model, utts, cuts, True, inv)
+            extract_frames(mini_model, utts, taps, True)
         assert list(tmp_path.iterdir()) == []
 
     def test_peak_memory_does_not_grow_with_corpus(self, tmp_path, corpus,
@@ -230,17 +259,15 @@ class TestExtractFrames:
         # Rows stream to disk, so only one utterance's forward is held,
         # whatever the corpus size; twins keep the utterance lengths.
         cfg, utts = corpus
-        inv = phoneset.synthetic_inventory(cfg.phones)
         doubled = utts + [Utterance(u.spectrogram, u.segments, u.transcript,
                                     u.id + "-twin") for u in utts]
         peaks = []
         for n, group in enumerate((utts, doubled)):
-            cuts = [(layer, window, "full", tmp_path / f"{n}_{layer}_{window}")
-                    for layer in range(mini_model.config.n_layers + 1)
-                    for window in (0, 2)]
+            taps = [(layer, tmp_path / f"{n}_{layer}")
+                    for layer in range(mini_model.config.n_layers + 1)]
             tracemalloc.start()
             try:
-                extract_frames(mini_model, group, cuts, True, inv)
+                extract_frames(mini_model, group, taps, True)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -357,9 +384,8 @@ class TestBreakdown:
         """The layer's frame dataset and its pass's greedy CTC categories."""
         inv = phoneset.synthetic_inventory(cfg.phones)
         path = tmp_path / f"layer{layer}.fds"
-        extraction = extract_frames(model, utts, [(layer, 0, "full", path)],
-                                    True, inv)
-        return probing.load_dataset(path), extraction.categories
+        extraction = extract_frames(model, utts, [(layer, path)], True)
+        return probing.load_dataset(path, inventory=inv), extraction.categories
 
     def test_all_blank_model_single_category(self, tmp_path, corpus):
         cfg, utts = corpus
@@ -468,13 +494,6 @@ class TestInterIntraF1:
         with pytest.raises(ValueError):
             inter_intra_f1(fine, coarse, {"a1": "A"})
 
-    def test_f1_delta(self):
-        high = {"A": {"inter_f1": 0.9, "intra_f1": 0.8}}
-        low = {"A": {"inter_f1": 0.5, "intra_f1": 0.9}}
-        delta = probing.f1_delta(high, low)
-        assert delta["A"]["inter_f1"] == pytest.approx(0.4)
-        assert delta["A"]["intra_f1"] == pytest.approx(-0.1)
-
 
 class TestConfusionMatrix:
     def test_counts(self):
@@ -487,8 +506,8 @@ class TestDatasetSerialization:
         cfg, utts = corpus
         inv = phoneset.synthetic_inventory(cfg.phones)
         path = tmp_path / "frames.fds"
-        extract_frames(mini_model, utts, [(1, 1, "full", path)], True, inv)
-        loaded = probing.load_dataset(path)
+        extract_frames(mini_model, utts, [(1, path)], True)
+        loaded = probing.load_dataset(path, 1, "full", inv)
         taps = [mini_model.forward(u.spectrogram).taps[1] for u in utts]
         np.testing.assert_array_equal(
             loaded.vectors,
@@ -500,6 +519,60 @@ class TestDatasetSerialization:
             "receptive_center_offset": 0, "standardized": False}
         assert loaded.spans == [(u.id, len(t)) for u, t in zip(utts, taps)]
 
+    def test_file_holds_the_raw_tap_and_corpus_phones(self, tmp_path, corpus,
+                                                      mini_model):
+        cfg, utts = corpus
+        path = tmp_path / "frames.fds"
+        extract_frames(mini_model, utts, [(1, path)], True)
+        header, _payload = read_artifact(
+            path, probing.DATASET_MAGIC, probing.DATASET_VERSION,
+            "frame dataset", lambda h: 4 * h["n"] * (h["d"] + 1))
+        assert header["d"] == mini_model.config.tap_width(1)
+        assert header["label_names"] == sorted(
+            {seg.phone for u in utts for seg in u.segments})
+        assert "window" not in header["provenance"]
+        assert "scheme" not in header["provenance"]
+        # With no inventory the view's labels are the file's phones.
+        plain = probing.load_dataset(path)
+        assert plain.label_names == header["label_names"]
+        assert plain.dim == header["d"]
+        assert plain.provenance["window"] == 0
+        assert plain.provenance["scheme"] == "full"
+        with pytest.raises(ValueError, match="need a phone inventory"):
+            probing.load_dataset(path, scheme="sound_class")
+        with pytest.raises(ValueError, match="window"):
+            probing.load_dataset(path, window=-1)
+
+    def test_header_lacking_a_key_names_file_and_key(self, tmp_path):
+        path = tmp_path / "frames.fds"
+        path.write_bytes(artifact_header(probing.DATASET_MAGIC,
+                                         probing.DATASET_VERSION, {}))
+        with pytest.raises(ValueError, match=re.escape(str(path))) as err:
+            probing.load_dataset(path)
+        assert "frame dataset" in str(err.value)
+        assert "'n'" in str(err.value)
+
+    @pytest.mark.parametrize("field", ["spans", "phone_index"])
+    def test_rejects_header_that_disagrees_with_rows(self, tmp_path, corpus,
+                                                     mini_model, field):
+        cfg, utts = corpus
+        path = tmp_path / "frames.fds"
+        extract_frames(mini_model, utts, [(1, path)], True)
+        header, payload = read_artifact(
+            path, probing.DATASET_MAGIC, probing.DATASET_VERSION,
+            "frame dataset", lambda h: 4 * h["n"] * (h["d"] + 1))
+        payload = bytearray(payload)
+        if field == "spans":
+            header["spans"][0][1] += 1
+            header["spans"][1][1] -= 2
+        else:  # the last row's phone index, one past the file's phones
+            payload[-4:] = np.int32(len(header["label_names"])).tobytes()
+        path.write_bytes(artifact_header(probing.DATASET_MAGIC,
+                                         probing.DATASET_VERSION, header)
+                         + bytes(payload))
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            probing.load_dataset(path)
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bad.fds"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
@@ -509,9 +582,8 @@ class TestDatasetSerialization:
     @pytest.mark.parametrize("damage", DAMAGE)
     def test_rejects_damaged_file(self, tmp_path, corpus, mini_model, damage):
         cfg, utts = corpus
-        inv = phoneset.synthetic_inventory(cfg.phones)
         path = tmp_path / "frames.fds"
-        extract_frames(mini_model, utts, [(1, 0, "full", path)], True, inv)
+        extract_frames(mini_model, utts, [(1, path)], True)
         path.write_bytes(DAMAGE[damage](path.read_bytes()))
         with pytest.raises(ValueError, match=re.escape(str(path))):
             probing.load_dataset(path)
