@@ -55,13 +55,17 @@ class StageError(RuntimeError):
 PROBE_GRID = ("layers", "strides", "windows", "schemes")
 
 
+# The `clustering` config keys besides `enabled`, with their defaults.
+CLUSTERING_DEFAULTS = {
+    "layer": 0, "strides": True, "window": 0, "scheme": "full", "k": 50,
+    "max_iter": 100, "tol": 1e-6, "min_coverage": 0.15, "method": "tsne",
+    "perplexity": 30.0, "iters": 1000}
+
 # The keys of the plain-dict sections (`train` and `probe` are dataclasses).
 SECTION_KEYS = {
     "model": {"preset", "seed"},
     "corpus": {"synthetic", "import_path"},
-    "clustering": {"enabled", "layer", "strides", "window", "scheme", "k",
-                   "max_iter", "tol", "min_coverage", "method", "perplexity",
-                   "iters"},
+    "clustering": {"enabled", *CLUSTERING_DEFAULTS},
 }
 
 
@@ -108,14 +112,23 @@ class ExperimentConfig:
         for scheme in self.probe.get("schemes", ["full"]):
             if scheme not in phoneset.SCHEMES:
                 raise ConfigError(f"unknown reduction scheme {scheme!r}")
-        if self.clustering.get("enabled"):
-            k = self.clustering.get("layer", 0)
-            if not 0 <= k <= n_layers:
+        spec = self.clustering_spec()
+        if spec.get("enabled"):
+            if not 0 <= spec["layer"] <= n_layers:
+                raise ConfigError(f"clustering layer {spec['layer']} "
+                                  f"outside [0, {n_layers}]")
+            if type(spec["window"]) is not int or spec["window"] < 0:
+                raise ConfigError(f"clustering window must be an int >= 0, "
+                                  f"not {spec['window']!r}")
+            if spec["scheme"] not in phoneset.SCHEMES:
                 raise ConfigError(
-                    f"clustering layer {k} outside [0, {n_layers}]")
-            method = self.clustering.get("method", "tsne")
-            if method not in clustering.PROJECTIONS:
-                raise ConfigError(f"unknown clustering method {method!r}")
+                    f"unknown clustering scheme {spec['scheme']!r}")
+            if type(spec["k"]) is not int or spec["k"] < 1:
+                raise ConfigError(f"clustering k must be an int >= 1, not "
+                                  f"{spec['k']!r}")
+            if spec["method"] not in clustering.PROJECTIONS:
+                raise ConfigError(
+                    f"unknown clustering method {spec['method']!r}")
         has_synth = self.corpus.get("synthetic") is not None
         has_import = self.corpus.get("import_path") is not None
         if has_synth == has_import:
@@ -123,6 +136,10 @@ class ExperimentConfig:
                 "corpus needs exactly one of 'synthetic' or 'import_path'")
         self.train_config()
         self.probe_config()
+
+    def clustering_spec(self) -> dict:
+        """The clustering section over its defaults."""
+        return {**CLUSTERING_DEFAULTS, **self.clustering}
 
     def model_config(self) -> ModelConfig:
         try:
@@ -408,32 +425,27 @@ def _write_inter_intra(art, reports, inventory):
 
 def stage_cluster(cfg, art):
     """Cluster the dev frames of the configured combo, if enabled."""
-    spec = cfg.clustering
+    spec = cfg.clustering_spec()
     if not spec.get("enabled"):
         return
-    layer = spec.get("layer", 0)
-    strides = bool(spec.get("strides", True))
-    window = spec.get("window", 0)
-    scheme = spec.get("scheme", "full")
+    layer, window, scheme = spec["layer"], spec["window"], spec["scheme"]
+    strides = bool(spec["strides"])
     if (layer, strides) not in {combo[:2] for combo in probe_combos(cfg)}:
         raise ValueError(f"clustering needs the layer-{layer} tap with "
                          f"strides={strides} to be extracted")
     ds_dev = probing.load_dataset(art.path(tap_file(layer, strides, "dev")),
                                   window, scheme, _inventory_for(cfg))
     labels = np.array([ds_dev.label_names[i] for i in ds_dev.labels])
-    k = min(spec.get("k", 50), ds_dev.n_frames)
+    k = min(spec["k"], ds_dev.n_frames)
     summary = clustering.kmeans(ds_dev.vectors, k, labels=labels,
-                                seed=cfg.seed,
-                                max_iter=spec.get("max_iter", 100),
-                                tol=spec.get("tol", 1e-6))
-    pruned = clustering.prune_clusters(summary,
-                                       spec.get("min_coverage", 0.15))
-    method = spec.get("method", "tsne")
+                                seed=cfg.seed, max_iter=spec["max_iter"],
+                                tol=spec["tol"])
+    pruned = clustering.prune_clusters(summary, spec["min_coverage"])
+    method = spec["method"]
     coords = clustering.project_2d(
         pruned.centroids, method=method, seed=cfg.seed,
-        perplexity=min(spec.get("perplexity", 30.0),
-                       max(pruned.k - 1, 2) - 1e-9),
-        iters=spec.get("iters", 1000))
+        perplexity=min(spec["perplexity"], max(pruned.k - 1, 2) - 1e-9),
+        iters=spec["iters"])
     rows = [("cluster_id", "majority_label", "coverage", "x", "y")]
     for i in range(pruned.k):
         rows.append((pruned.cluster_ids[i], pruned.majority_label[i],

@@ -23,14 +23,16 @@ DATASET_VERSION = 2
 
 @dataclass
 class FrameDataset:
-    vectors: np.ndarray                 # N x D
+    vectors: np.ndarray                 # N x D, float32 (a tap) or float64
     labels: np.ndarray                  # N int indices into label_names
     label_names: list[str]
     provenance: dict = field(default_factory=dict)
     spans: list = field(default_factory=list)  # (utterance_id, n_rows) in order
 
     def __post_init__(self):
-        self.vectors = np.asarray(self.vectors, dtype=np.float64)
+        self.vectors = np.asarray(self.vectors)
+        if self.vectors.dtype not in (np.float32, np.float64):
+            self.vectors = self.vectors.astype(np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.vectors.ndim != 2:
             raise ValueError("vectors must be N x D")
@@ -172,7 +174,9 @@ class TrainedProbe:
     """Frame classifier over frozen features.
 
     hidden layer -> ReLU -> dropout (train only) -> softmax; or a plain
-    linear softmax when ``hidden`` is None.
+    linear softmax when ``hidden`` is None.  Parameters have the dtype of
+    the data it trains on, and every method computes in the dtype of its
+    parameters and inputs.
     """
 
     def __init__(self, params, label_names, hidden, dropout):
@@ -182,7 +186,10 @@ class TrainedProbe:
         self.dropout = dropout
 
     @classmethod
-    def init(cls, dim, label_names, hidden=500, dropout=0.5, seed=0):
+    def init(cls, dim, label_names, hidden=500, dropout=0.5, seed=0,
+             dtype=np.float64):
+        """Weights drawn in float64 whatever ``dtype``, then cast, so every
+        dtype starts from the same random stream."""
         rng = np.random.default_rng(seed)
         n_out = len(label_names)
         if hidden is None:
@@ -193,6 +200,7 @@ class TrainedProbe:
                       "b1": np.zeros(hidden),
                       "W2": uniform_init(rng, (n_out, hidden), hidden),
                       "b2": np.zeros(n_out)}
+        params = {k: v.astype(dtype, copy=False) for k, v in params.items()}
         return cls(params, label_names, hidden, dropout)
 
     @property
@@ -232,7 +240,8 @@ class TrainedProbe:
         h = np.maximum(h_pre, 0.0)
         if self.dropout > 0.0:
             keep = 1.0 - self.dropout
-            mask = (rng.random(h.shape) < keep) / keep
+            mask = ((rng.random(h.shape) < keep) / keep).astype(
+                h.dtype, copy=False)
             h = h * mask
         else:
             mask = None
@@ -424,7 +433,6 @@ def load_dataset(path, window=0, scheme="full",
     tap = np.frombuffer(payload, np.float32, n * d).reshape(n, d)
     return FrameDataset(
         np.concatenate([_windowed(rows, window)
-                        for rows in np.split(tap, ends[1:-1])],
-                       dtype=np.float64),
+                        for rows in np.split(tap, ends[1:-1])]),
         np.array(lut, np.int64)[codes], names,
         {**header["provenance"], "window": window, "scheme": scheme}, spans)

@@ -25,7 +25,8 @@ ADAM_EPS = 1e-8
 
 
 # Adam walks each flattened parameter in slices of this many elements, so
-# its temporaries stay cache-sized (256 KiB of float64) and are reused.
+# its temporaries stay cache-sized (256 KiB of float64, 128 KiB of
+# float32) and are reused.
 ADAM_SLICE = 32768
 
 
@@ -35,7 +36,8 @@ class AdamState:
     m: dict
     v: dict
     alpha: float = ADAM_ALPHA
-    scratch: tuple = ()   # two buffers of one slice, reused by every step
+    scratch: tuple = ()   # two buffers of one slice in the parameters'
+                          # dtype, reused by every step
 
     @classmethod
     def init(cls, params, alpha=ADAM_ALPHA):
@@ -64,8 +66,10 @@ def adam_step(params, grads, state: AdamState):
             raise ValueError(f"parameter {name!r} is not C-contiguous, so "
                              f"it cannot be updated in place")
     n = min(ADAM_SLICE, max((p.size for p in params.values()), default=0))
-    if not state.scratch or state.scratch[0].size < n:
-        state.scratch = (np.empty(n), np.empty(n))
+    dtype = np.result_type(*params.values()) if params else np.float64
+    if (not state.scratch or state.scratch[0].size < n
+            or state.scratch[0].dtype != dtype):
+        state.scratch = (np.empty(n, dtype), np.empty(n, dtype))
     s1, s2 = state.scratch
     state.t += 1
     b1, b2, alpha, eps = ADAM_BETA1, ADAM_BETA2, state.alpha, ADAM_EPS
@@ -92,6 +96,18 @@ def adam_step(params, grads, state: AdamState):
             b += eps
             a /= b
             ps -= a
+
+
+def flush_subnormals(state: AdamState):
+    """Set every moment entry below its dtype's smallest normal to zero.
+
+    A moment that decays into the subnormal range (float32 ones do, on a
+    unit whose gradient has stayed zero) makes every later Adam step on it
+    several times slower, and moves its parameter by under 1e-30.
+    """
+    for moments in (state.m, state.v):
+        for x in moments.values():
+            x[np.abs(x) < np.finfo(x.dtype).tiny] = 0.0
 
 
 @dataclass
@@ -139,7 +155,8 @@ def _fit(params, live, n, config, rng, batch_grads, dev_row, train_loss0):
 
     Every epoch shuffles the indices with `rng`, then for each minibatch
     `batch_grads(idx)` returns (losses, grads), and grads None skips the
-    Adam step on `params`.  A row is the epoch, its mean training loss
+    Adam step on `params`; subnormal Adam moments are flushed to zero
+    after each epoch.  A row is the epoch, its mean training loss
     (`train_loss0` for epoch 0) and `dev_row()`, which holds "dev_loss".
     The first epoch with the lowest dev loss is copied back into the
     arrays of `live` in place.  Returns (rows, best_epoch).
@@ -158,6 +175,7 @@ def _fit(params, live, n, config, rng, batch_grads, dev_row, train_loss0):
             losses += batch_losses
             if grads is not None:
                 adam_step(params, grads, opt)
+        flush_subnormals(opt)
         rows.append({"epoch": epoch,
                      "train_loss": (float(np.mean(losses)) if losses
                                     else float("nan")),
@@ -310,7 +328,8 @@ def train_probe(train, dev, probe_config: ProbeConfig) -> ProbeTrainResult:
     probe = TrainedProbe.init(train.vectors.shape[1], train.label_names,
                               hidden=probe_config.hidden,
                               dropout=probe_config.dropout,
-                              seed=probe_config.seed)
+                              seed=probe_config.seed,
+                              dtype=train.vectors.dtype)
     # One generator: each epoch's shuffle, then that epoch's dropout masks.
     rng = np.random.default_rng(probe_config.seed)
 

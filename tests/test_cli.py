@@ -129,6 +129,17 @@ class TestConfigValidation:
         assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("window", -1), ("window", 1.5), ("window", True),
+        ("scheme", "phonemes"), ("k", 0), ("k", True), ("k", 2.0)])
+    def test_bad_clustering_view_or_k_rejected_at_load(self, tmp_path,
+                                                       capsys, key, value):
+        cfg = small_config(tmp_path / "out")
+        cfg["clustering"][key] = value
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "clustering" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_set_overrides(self, tmp_path):
         cfg_path = write_config(tmp_path, small_config(tmp_path / "out"))
         cfg = load_config(cfg_path, ["seed=9", "train.epochs=3"])

@@ -36,6 +36,10 @@ def reference_adam_step(params, grads, state: AdamState):
     return new_params, AdamState(t=t, m=new_m, v=new_v, alpha=state.alpha)
 
 
+# Below one Adam slice, exactly one, and several plus a remainder.
+ADAM_SIZES = (1, 1000, trainer.ADAM_SLICE, 3 * trainer.ADAM_SLICE + 123)
+
+
 class TestAdam:
     def test_zero_gradients_leave_params_unchanged(self):
         params = {"w": np.array([1.0, -2.0, 3.0])}
@@ -118,33 +122,129 @@ class TestAdam:
             assert params["w"][0] != prev[0]
             assert abs(params["w"][0] - prev[0]) <= 0.001 * (1.0 + 1e-6)
 
-    @pytest.mark.parametrize("size", [
-        1, 1000, trainer.ADAM_SLICE, 3 * trainer.ADAM_SLICE + 123])
-    def test_bit_identical_to_whole_array_reference(self, size):
-        # Sizes below one slice, exactly one, and several plus a remainder;
-        # gradients from zero through magnitudes 1e-6 .. 1e6, and one
-        # non-contiguous gradient per step.
+    @pytest.mark.parametrize("size, dtype", [
+        *[pytest.param(n, np.float64, id=str(n)) for n in ADAM_SIZES],
+        *[pytest.param(n, np.float32, id=f"{n}-float32") for n in ADAM_SIZES]])
+    def test_bit_identical_to_whole_array_reference(self, size, dtype):
+        # Gradients from zero through magnitudes 1e-6 .. 1e6, and one
+        # non-contiguous gradient per step; parameters and gradients in
+        # one dtype, which the reference computes in too.
         rng = np.random.default_rng(size)
-        params = {"w": rng.normal(size=size),
-                  "m": rng.normal(size=(7, 5)),
-                  "z": rng.normal(size=size)}
+        params = {"w": rng.normal(size=size).astype(dtype),
+                  "m": rng.normal(size=(7, 5)).astype(dtype),
+                  "z": rng.normal(size=size).astype(dtype)}
         ref = {k: p.copy() for k, p in params.items()}
         ref_state = AdamState.init(ref)
         state = AdamState.init(params)
         for step in range(24):
             scale = 10.0 ** rng.integers(-6, 7, size=size)
-            grads = {"w": rng.normal(size=size) * scale,
-                     "m": rng.normal(size=(5, 7)).T,
+            grads = {"w": (rng.normal(size=size) * scale).astype(dtype),
+                     "m": rng.normal(size=(5, 7)).T.astype(dtype),
                      "z": (np.zeros(size) if step % 3 == 0 else
-                           rng.normal(size=size) * 10.0 ** (step % 13 - 6))}
+                           rng.normal(size=size) * 10.0 ** (step % 13 - 6)
+                           ).astype(dtype)}
             assert not grads["m"].flags.c_contiguous
             ref, ref_state = reference_adam_step(ref, grads, ref_state)
             adam_step(params, grads, state)
             assert state.t == ref_state.t
+            assert state.scratch[0].dtype == dtype
             for k in params:
+                assert params[k].dtype == ref[k].dtype == dtype
                 np.testing.assert_array_equal(params[k], ref[k])
                 np.testing.assert_array_equal(state.m[k], ref_state.m[k])
                 np.testing.assert_array_equal(state.v[k], ref_state.v[k])
+
+
+def subnormal(x):
+    """Nonzero entries below the smallest normal of x's dtype."""
+    return (x != 0) & (np.abs(x) < np.finfo(x.dtype).tiny)
+
+
+def capture_adam_states(monkeypatch):
+    """The AdamState of every later `_fit`, in order of creation."""
+    states = []
+    init = AdamState.init.__func__
+
+    def spy(cls, params, alpha=trainer.ADAM_ALPHA):
+        states.append(init(cls, params, alpha))
+        return states[-1]
+
+    monkeypatch.setattr(AdamState, "init", classmethod(spy))
+    return states
+
+
+class TestFlushSubnormals:
+    def test_float32_moments_gone_subnormal_become_zero(self):
+        # One step, then zero gradients: m decays by b1 and v by b2 a
+        # step.  From these gradients m[3] and v[2] sink below float32's
+        # smallest normal while the rest stay normal.
+        params = {"w": np.zeros(4, np.float32)}
+        state = AdamState.init(params)
+        adam_step(params, {"w": np.array([1.0, -1e-3, 1e-18, -1e-36],
+                                         np.float32)}, state)
+        for _ in range(60):
+            adam_step(params, {"w": np.zeros(4, np.float32)}, state)
+        m, v = state.m["w"].copy(), state.v["w"].copy()
+        assert subnormal(m).tolist() == [False, False, False, True]
+        assert subnormal(v).tolist() == [False, False, True, False]
+        trainer.flush_subnormals(state)
+        for before, after in ((m, state.m["w"]), (v, state.v["w"])):
+            assert after.dtype == np.float32
+            np.testing.assert_array_equal(
+                after.view(np.uint32),
+                np.where(subnormal(before), 0, before).view(np.uint32))
+
+    @staticmethod
+    def fit_one_pulse(monkeypatch):
+        """Two epochs of 100 `_fit` steps on a float32 vector whose
+        gradient is nonzero on the first step only; (m, v) after each."""
+        states = capture_adam_states(monkeypatch)
+        params = {"w": np.zeros(3, np.float32)}
+        pulse = iter([np.array([1.0, 1e-18, 1e-33], np.float32)])
+        seen = []
+
+        def batch_grads(_idx):
+            return [0.0], {"w": next(pulse, np.zeros(3, np.float32))}
+
+        def dev_row():
+            seen.append((states[-1].m["w"].copy(), states[-1].v["w"].copy()))
+            return {"dev_loss": 0.0}
+
+        trainer._fit(params, params, 100, ProbeConfig(epochs=2, batch_size=1),
+                     np.random.default_rng(0), batch_grads, dev_row, 0.0)
+        return seen[1:]
+
+    def test_fit_leaves_no_subnormal_moment_after_any_epoch(self,
+                                                           monkeypatch):
+        # 100 steps take m[2] (from 1e-33) and v[1] (from 1e-18) into the
+        # subnormal range by the end of epoch 1.
+        flushed = self.fit_one_pulse(monkeypatch)
+        for m, v in flushed:
+            assert not subnormal(m).any() and not subnormal(v).any()
+        assert flushed[0][0][2] == 0 and flushed[0][1][1] == 0
+        monkeypatch.setattr(trainer, "flush_subnormals", lambda state: None)
+        kept = self.fit_one_pulse(monkeypatch)
+        assert subnormal(kept[0][0])[2] and subnormal(kept[0][1])[1]
+
+    def test_float64_fit_is_bit_identical_without_the_flush(self,
+                                                            monkeypatch):
+        def run():
+            states = capture_adam_states(monkeypatch)
+            train, dev = shuffled_label_datasets()
+            probe = train_probe(train, dev, ProbeConfig(
+                hidden=16, epochs=4, seed=2, alpha=0.03)).probe
+            return probe.params, states[-1]
+
+        params, state = run()
+        monkeypatch.setattr(trainer, "flush_subnormals", lambda state: None)
+        bare_params, bare_state = run()
+        for live, bare in ((params, bare_params), (state.m, bare_state.m),
+                           (state.v, bare_state.v)):
+            assert set(live) == set(bare)
+            for k in live:
+                assert live[k].dtype == np.float64
+                np.testing.assert_array_equal(live[k].view(np.uint64),
+                                              bare[k].view(np.uint64))
 
 
 class TestSplitDev:
