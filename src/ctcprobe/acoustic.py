@@ -181,12 +181,10 @@ class SynthConfig:
     def __post_init__(self):
         if self.phone_inventory_size < 1:
             raise ValueError("need at least one phone")
-        lo, hi = self.phones_per_utterance
-        if not (1 <= lo <= hi):
-            raise ValueError("bad phones_per_utterance range")
-        lo, hi = self.segment_frames
-        if not (1 <= lo <= hi):
-            raise ValueError("bad segment_frames range")
+        for key in ("phones_per_utterance", "segment_frames", "word_phones"):
+            lo, hi = getattr(self, key)
+            if not 1 <= lo <= hi:
+                raise ValueError(f"bad {key} range")
         if self.noise_stddev < 0:
             raise ValueError("noise_stddev must be >= 0")
         if self.formant_table is None:

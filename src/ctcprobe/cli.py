@@ -15,17 +15,18 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import inspect
 import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import acoustic, clustering, phoneset, probing, trainer
+from . import acoustic, clustering, model, phoneset, probing, trainer
 from .artifacts import atomic_write
-from .model import ModelConfig, TrainedModel, preset
+from .model import ModelConfig, TrainedModel
 from .plots import svg_bar_chart, svg_heatmap, svg_scatter
 
 OUT_ROOT_ENV = "CTCPROBE_OUT"
@@ -50,112 +51,144 @@ class StageError(RuntimeError):
 # Experiment configuration
 # ---------------------------------------------------------------------------
 
-# The `probe` config keys that choose which combos to probe; the rest are
-# ProbeConfig fields.
-PROBE_GRID = ("layers", "strides", "windows", "schemes")
+def _build(section, make, raw, other=None, **inherited):
+    """`make` (a dataclass or function) called with `raw`, the config's
+    `section`, over `inherited`; keys that `other` takes are left to it.
+    A non-object, an unknown key or a bad value is a ConfigError."""
+    if type(raw) is not dict:
+        raise ConfigError(f"{section} must be an object, not {raw!r}")
+    known = inspect.signature(make).parameters.keys()
+    left = inspect.signature(other).parameters.keys() if other else set()
+    unknown = sorted(f"{section}.{k}" for k in raw.keys() - known - left)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {unknown}")
+    try:
+        return make(**{**inherited, **{k: raw[k] for k in raw.keys() & known}})
+    except ConfigError:  # a section's, from ExperimentConfig
+        raise
+    except (TypeError, ValueError, ArithmeticError, AttributeError) as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
-# The `clustering` config keys besides `enabled`, with their defaults.
-CLUSTERING_DEFAULTS = {
-    "layer": 0, "strides": True, "window": 0, "scheme": "full", "k": 50,
-    "max_iter": 100, "tol": 1e-6, "min_coverage": 0.15, "method": "tsne",
-    "perplexity": 30.0, "iters": 1000}
+def _model(preset="ds2-mini", seed=0):
+    """The `model` section: a preset architecture and its init seed."""
+    trainer.check_int("seed", seed, 0)
+    return model.preset(preset, seed=seed)
 
-# The keys of the plain-dict sections (`train` and `probe` are dataclasses).
-SECTION_KEYS = {
-    "model": {"preset", "seed"},
-    "corpus": {"synthetic", "import_path"},
-    "clustering": {"enabled", *CLUSTERING_DEFAULTS},
-}
+
+def _corpus(synthetic=None, import_path=None):
+    """The `corpus` section: SyntheticCorpus keys or a TIMIT-layout dir."""
+    if (synthetic is None) == (import_path is None) or \
+            type(import_path) not in (str, type(None)):
+        raise ValueError("needs one of 'synthetic' or 'import_path' (a str)")
+    return synthetic, import_path
+
+
+@dataclass
+class SyntheticCorpus(acoustic.SynthConfig):
+    """`corpus.synthetic`: a SynthConfig and how many utterances."""
+    n_utterances: int = 100
+
+    def __post_init__(self):
+        super().__post_init__()
+        trainer.check_int("n_utterances", self.n_utterances, 0)
+        trainer.check_int("seed", self.seed, 0)
+
+
+@dataclass
+class ProbeGrid:
+    """The `probe` keys that choose the combos; the rest are ProbeConfig's."""
+    layers: list = field(default_factory=lambda: [0, 1, 2])
+    strides: list = field(default_factory=lambda: [True])
+    windows: list = field(default_factory=lambda: [0])
+    schemes: list = field(default_factory=lambda: ["full"])
+
+    def __post_init__(self):
+        for key, values in vars(self).items():
+            if type(values) is not list or not values:
+                raise ValueError(f"{key} must be a non-empty list")
+        for value in self.layers + self.windows:
+            trainer.check_int("each layer and window", value, 0)
+        if {type(s) for s in self.strides} != {bool} or \
+                not set(self.schemes) <= set(phoneset.SCHEMES):
+            raise ValueError(f"needs strides true or false and schemes in "
+                             f"{sorted(phoneset.SCHEMES)}")
+
+
+@dataclass
+class ClusteringConfig:
+    """`clustering`, checked even when not `enabled` (its tap view as a
+    one-combo ProbeGrid): k-means, coverage pruning, a 2-D projection."""
+    enabled: bool = False
+    layer: int = 0
+    strides: bool = True
+    window: int = 0
+    scheme: str = "full"
+    k: int = 50
+    max_iter: int = 100
+    tol: float = 1e-6
+    min_coverage: float = 0.15
+    method: str = "tsne"
+    perplexity: float = 30.0
+    iters: int = 1000
+
+    def __post_init__(self):
+        ProbeGrid([self.layer], [self.strides], [self.window], [self.scheme])
+        for name in ("k", "max_iter", "iters"):
+            trainer.check_int(name, getattr(self, name), 1)
+        if not (type(self.enabled) is bool and self.tol >= 0
+                and self.method in clustering.PROJECTIONS
+                and 0 < self.min_coverage <= 1 and self.perplexity > 0):
+            raise ValueError(f"needs enabled true or false, a method in "
+                             f"{clustering.PROJECTIONS}, tol >= 0, "
+                             f"min_coverage in (0, 1] and perplexity > 0")
 
 
 @dataclass
 class ExperimentConfig:
+    """The config as given, which is what config.json and the manifest
+    record.  `__post_init__` builds and checks each section once into what
+    the stages read: `model_cfg`, `train_cfg`, `probe_cfg`, `probe_grid`,
+    `clustering_cfg`, and `synth_cfg` or `import_path`."""
     seed: int = 0
     out_dir: str = "ctcprobe-out"
     threads: int = 1
-    corpus: dict = field(default_factory=lambda: {
-        "synthetic": {"n_utterances": 100}})
-    model: dict = field(default_factory=lambda: {"preset": "ds2-mini"})
+    corpus: dict = field(default_factory=lambda: {"synthetic": {}})
+    model: dict = field(default_factory=dict)
     train: dict = field(default_factory=dict)
-    probe: dict = field(default_factory=lambda: {
-        "layers": [0, 1, 2], "strides": [True], "windows": [0],
-        "schemes": ["full"]})
-    clustering: dict = field(default_factory=lambda: {"enabled": False})
+    probe: dict = field(default_factory=dict)
+    clustering: dict = field(default_factory=dict)
 
     @classmethod
     def from_dict(cls, d):
-        unknown = set(d) - {f.name for f in fields(cls)}
-        unknown |= {f"{section}.{key}"
-                    for section, known in SECTION_KEYS.items()
-                    for key in d.get(section, {}) if key not in known}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(**{k: d[k] for k in d})
-        cfg.validate()
-        return cfg
+        return _build("config", cls, d)
 
-    def validate(self):
-        """Reject bad configs before any work happens."""
-        if type(self.threads) is not int or self.threads < 1:
-            raise ConfigError(f"threads must be an int >= 1, not "
-                              f"{self.threads!r}")
-        model_cfg = self.model_config()
-        n_layers = model_cfg.n_layers
-        for k in self.probe.get("layers", []):
-            if not 0 <= k <= n_layers:
-                raise ConfigError(
-                    f"probe layer {k} outside [0, {n_layers}]")
-        for w in self.probe.get("windows", [0]):
-            if w < 0:
-                raise ConfigError("window widths must be >= 0")
-        for scheme in self.probe.get("schemes", ["full"]):
-            if scheme not in phoneset.SCHEMES:
-                raise ConfigError(f"unknown reduction scheme {scheme!r}")
-        spec = self.clustering_spec()
-        if spec.get("enabled"):
-            if not 0 <= spec["layer"] <= n_layers:
-                raise ConfigError(f"clustering layer {spec['layer']} "
-                                  f"outside [0, {n_layers}]")
-            if type(spec["window"]) is not int or spec["window"] < 0:
-                raise ConfigError(f"clustering window must be an int >= 0, "
-                                  f"not {spec['window']!r}")
-            if spec["scheme"] not in phoneset.SCHEMES:
-                raise ConfigError(
-                    f"unknown clustering scheme {spec['scheme']!r}")
-            if type(spec["k"]) is not int or spec["k"] < 1:
-                raise ConfigError(f"clustering k must be an int >= 1, not "
-                                  f"{spec['k']!r}")
-            if spec["method"] not in clustering.PROJECTIONS:
-                raise ConfigError(
-                    f"unknown clustering method {spec['method']!r}")
-        has_synth = self.corpus.get("synthetic") is not None
-        has_import = self.corpus.get("import_path") is not None
-        if has_synth == has_import:
-            raise ConfigError(
-                "corpus needs exactly one of 'synthetic' or 'import_path'")
-        self.train_config()
-        self.probe_config()
-
-    def clustering_spec(self) -> dict:
-        """The clustering section over its defaults."""
-        return {**CLUSTERING_DEFAULTS, **self.clustering}
-
-    def model_config(self) -> ModelConfig:
-        try:
-            return preset(self.model.get("preset", "ds2-mini"),
-                          seed=self.model.get("seed", self.seed))
-        except ValueError as exc:
-            raise ConfigError(str(exc))
-
-    def train_config(self) -> trainer.TrainConfig:
-        return trainer.TrainConfig(**{"seed": self.seed, **self.train})
-
-    def probe_config(self) -> trainer.ProbeConfig:
-        """The probe training settings: `probe` minus the grid keys."""
-        return trainer.ProbeConfig(**{
-            "seed": self.seed,
-            **{k: v for k, v in self.probe.items() if k not in PROBE_GRID}})
+    def __post_init__(self):
+        trainer.check_int("seed", self.seed, 0)
+        trainer.check_int("threads", self.threads, 1)
+        model_cfg = self.model_cfg = _build("model", _model, self.model,
+                                            seed=self.seed)
+        self.train_cfg = _build("train", trainer.TrainConfig, self.train,
+                                seed=self.seed)
+        self.probe_grid = _build("probe", ProbeGrid, self.probe,
+                                 other=trainer.ProbeConfig)
+        self.probe_cfg = _build("probe", trainer.ProbeConfig, self.probe,
+                                other=ProbeGrid, seed=self.seed)
+        self.clustering_cfg = _build("clustering", ClusteringConfig,
+                                     self.clustering)
+        synthetic, self.import_path = _build("corpus", _corpus, self.corpus)
+        self.synth_cfg = synth = None if synthetic is None else _build(
+            "corpus.synthetic", SyntheticCorpus, synthetic, seed=self.seed)
+        top = max(self.probe_grid.layers + [self.clustering_cfg.layer])
+        if top > model_cfg.n_layers:
+            raise ConfigError(f"probe or clustering layer {top} outside "
+                              f"[0, {model_cfg.n_layers}]")
+        codes = "".join(synth.phone_to_chars.values()) if synth else ""
+        if synth and (synth.n_bins != model_cfg.input_freq_bins
+                      or not set(codes) <= set(model_cfg.alphabet)):
+            raise ConfigError(f"corpus.synthetic needs n_bins "
+                              f"{model_cfg.input_freq_bins} and phone codes "
+                              f"in the model alphabet")
 
     def resolved_out_dir(self):
         return os.environ.get(OUT_ROOT_ENV, self.out_dir)
@@ -165,13 +198,14 @@ def load_config(path, overrides=()):
     with open(path) as fh:
         data = json.load(fh)
     for item in overrides:
-        key, _, raw = item.partition("=")
-        if not _:
+        key, eq, raw = item.partition("=")
+        if not eq:
             raise ConfigError(f"override {item!r} is not key=value")
-        node = data
-        parts = key.split(".")
+        node, parts = data, key.split(".")
         for part in parts[:-1]:
-            node = node.setdefault(part, {})
+            node = node.setdefault(part, {}) if type(node) is dict else None
+        if type(node) is not dict:
+            raise ConfigError(f"override {key!r} runs through a non-object")
         try:
             node[parts[-1]] = json.loads(raw)
         except json.JSONDecodeError:
@@ -228,10 +262,7 @@ class ArtifactDir:
                 with open(full, "rb") as fh:
                     files[rel] = hashlib.sha256(fh.read()).hexdigest()
         self.write_json("manifest.json", {
-            "seed": config.seed,
-            "config": config.__dict__,
-            "files": files,
-        })
+            "seed": config.seed, "config": asdict(config), "files": files})
 
 
 def _fnum(x):
@@ -242,39 +273,24 @@ def _fnum(x):
 # Stages
 # ---------------------------------------------------------------------------
 
-def _synth_config(cfg: ExperimentConfig):
-    """The corpus's SynthConfig, or None when the corpus is imported."""
-    synth = cfg.corpus.get("synthetic")
-    if synth is None:
-        return None
-    params = {k: v for k, v in synth.items() if k != "n_utterances"}
-    for key in ("phones_per_utterance", "segment_frames", "word_phones"):
-        if key in params:
-            params[key] = tuple(params[key])
-    params.setdefault("seed", cfg.seed)
-    return acoustic.SynthConfig(**params)
-
-
 def _inventory_for(cfg: ExperimentConfig):
-    synth_cfg = _synth_config(cfg)
-    if synth_cfg is None:
+    if cfg.synth_cfg is None:
         return phoneset.timit_inventory()
-    return phoneset.synthetic_inventory(synth_cfg.phones)
+    return phoneset.synthetic_inventory(cfg.synth_cfg.phones)
 
 
 def stage_corpus(cfg: ExperimentConfig, art: ArtifactDir):
-    synth_cfg = _synth_config(cfg)
-    if synth_cfg is not None:
-        corpus = acoustic.synthesize_corpus(
-            synth_cfg, cfg.corpus["synthetic"].get("n_utterances", 100))
+    if cfg.synth_cfg is not None:
+        corpus = acoustic.synthesize_corpus(cfg.synth_cfg,
+                                            cfg.synth_cfg.n_utterances)
     else:
-        corpus, errors = acoustic.import_timit_dir(cfg.corpus["import_path"])
+        corpus, errors = acoustic.import_timit_dir(cfg.import_path)
         if errors:
             art.write_csv("import_errors.csv",
                           [("file", "error")] + list(errors))
         if not corpus:
             raise ValueError("import produced no utterances")
-    train, dev = trainer.split_dev(corpus, cfg.train_config().dev_fraction,
+    train, dev = trainer.split_dev(corpus, cfg.train_cfg.dev_fraction,
                                    cfg.seed)
     acoustic.save_corpus(art.path("corpus_train.bin"), train)
     acoustic.save_corpus(art.path("corpus_dev.bin"), dev)
@@ -287,7 +303,7 @@ def load_split(art):
 
 def stage_train_asr(cfg: ExperimentConfig, art: ArtifactDir):
     train, dev = load_split(art)
-    result = trainer.train_asr(train, cfg.model_config(), cfg.train_config(),
+    result = trainer.train_asr(train, cfg.model_cfg, cfg.train_cfg,
                                dev_corpus=dev)
     result.model.save(art.path("model.ckpt"))
     art.write_csv("asr_loss.csv",
@@ -299,13 +315,11 @@ def stage_train_asr(cfg: ExperimentConfig, art: ArtifactDir):
 def probe_combos(cfg: ExperimentConfig):
     """Every (layer, strides, window, scheme) the config probes, once
     each, with the strides settings outermost."""
-    probe = cfg.probe
+    grid = cfg.probe_grid
     return list(dict.fromkeys(
-        (layer, bool(strides), window, scheme)
-        for strides in probe.get("strides", [True])
-        for window in probe.get("windows", [0])
-        for scheme in probe.get("schemes", ["full"])
-        for layer in probe.get("layers", [0])))
+        (layer, strides, window, scheme) for strides in grid.strides
+        for window in grid.windows for scheme in grid.schemes
+        for layer in grid.layers))
 
 
 def combo_name(layer, strides, window, scheme):
@@ -355,7 +369,6 @@ def stage_probe(cfg, art):
     # The breakdown's categories come from extract's forwards: this stage
     # reads no model and no corpus, and forwards nothing.
     dev_categories = art.read_json(CATEGORIES_FILE)
-    probe_cfg = cfg.probe_config()
     inventory = _inventory_for(cfg)
     reports = {}
     summary = [("layer", "strides", "window", "scheme", "dev_accuracy",
@@ -368,7 +381,7 @@ def stage_probe(cfg, art):
         ds_train, ds_dev = (probing.load_dataset(
             art.path(tap_file(layer, strides, split)), window, scheme,
             inventory) for split in ("train", "dev"))
-        result = trainer.train_probe(ds_train, ds_dev, probe_cfg)
+        result = trainer.train_probe(ds_train, ds_dev, cfg.probe_cfg)
         report = probing.evaluate_probe(result.probe, ds_dev)
         reports[combo] = report
         art.write_json(f"probe_{name}.json", report.to_dict())
@@ -425,27 +438,25 @@ def _write_inter_intra(art, reports, inventory):
 
 def stage_cluster(cfg, art):
     """Cluster the dev frames of the configured combo, if enabled."""
-    spec = cfg.clustering_spec()
-    if not spec.get("enabled"):
+    spec = cfg.clustering_cfg
+    if not spec.enabled:
         return
-    layer, window, scheme = spec["layer"], spec["window"], spec["scheme"]
-    strides = bool(spec["strides"])
+    layer, strides = spec.layer, spec.strides
     if (layer, strides) not in {combo[:2] for combo in probe_combos(cfg)}:
         raise ValueError(f"clustering needs the layer-{layer} tap with "
                          f"strides={strides} to be extracted")
     ds_dev = probing.load_dataset(art.path(tap_file(layer, strides, "dev")),
-                                  window, scheme, _inventory_for(cfg))
+                                  spec.window, spec.scheme,
+                                  _inventory_for(cfg))
     labels = np.array([ds_dev.label_names[i] for i in ds_dev.labels])
-    k = min(spec["k"], ds_dev.n_frames)
-    summary = clustering.kmeans(ds_dev.vectors, k, labels=labels,
-                                seed=cfg.seed, max_iter=spec["max_iter"],
-                                tol=spec["tol"])
-    pruned = clustering.prune_clusters(summary, spec["min_coverage"])
-    method = spec["method"]
+    summary = clustering.kmeans(ds_dev.vectors, min(spec.k, ds_dev.n_frames),
+                                labels=labels, seed=cfg.seed,
+                                max_iter=spec.max_iter, tol=spec.tol)
+    pruned = clustering.prune_clusters(summary, spec.min_coverage)
     coords = clustering.project_2d(
-        pruned.centroids, method=method, seed=cfg.seed,
-        perplexity=min(spec["perplexity"], max(pruned.k - 1, 2) - 1e-9),
-        iters=spec["iters"])
+        pruned.centroids, method=spec.method, seed=cfg.seed,
+        perplexity=min(spec.perplexity, max(pruned.k - 1, 2) - 1e-9),
+        iters=spec.iters)
     rows = [("cluster_id", "majority_label", "coverage", "x", "y")]
     for i in range(pruned.k):
         rows.append((pruned.cluster_ids[i], pruned.majority_label[i],
@@ -454,25 +465,17 @@ def stage_cluster(cfg, art):
     art.write_csv("clusters.csv", rows)
     art.write_text("centroids.svg",
                    svg_scatter(coords, pruned.majority_label,
-                               title=f"cluster centroids ({method}, "
+                               title=f"cluster centroids ({spec.method}, "
                                      f"layer {layer})"))
 
 
 def layer_display_names(model_cfg: ModelConfig):
-    names = ["input"]
-    counters = {"conv2d": 0, "rnn_bidir": 0, "lstm_bidir": 0}
+    names, counts = ["input"], {}
+    short = {"conv2d": "cnn", "rnn_bidir": "rnn", "lstm_bidir": "lstm"}
     for spec in model_cfg.layers:
-        if spec.kind == "conv2d":
-            counters["conv2d"] += 1
-            names.append(f"cnn{counters['conv2d']}")
-        elif spec.kind == "rnn_bidir":
-            counters["rnn_bidir"] += 1
-            names.append(f"rnn{counters['rnn_bidir']}")
-        elif spec.kind == "lstm_bidir":
-            counters["lstm_bidir"] += 1
-            names.append(f"lstm{counters['lstm_bidir']}")
-        else:
-            names.append("fc")
+        counts[spec.kind] = counts.get(spec.kind, 0) + 1
+        names.append(f"{short[spec.kind]}{counts[spec.kind]}"
+                     if spec.kind in short else "fc")
     return names
 
 
@@ -497,11 +500,12 @@ def stage_report(cfg, art):
     for combo in probe_combos(cfg):
         reports[combo] = probing.ProbeReport.from_dict(
             art.read_json(f"probe_{combo_name(*combo)}.json"))
-    fine = {k: v for k, v in reports.items() if k[3] == reports_main_scheme(reports)}
-    charts = plot_layer_accuracy(fine, cfg.model_config())
+    schemes = {combo[3] for combo in reports}
+    main_scheme = "full" if "full" in schemes else min(schemes)
+    fine = {k: v for k, v in reports.items() if k[3] == main_scheme}
+    charts = plot_layer_accuracy(fine, cfg.model_cfg)
     for strides, svg in charts.items():
-        art.write_text(
-            f"accuracy_{'strides_on' if strides else 'strides_off'}.svg", svg)
+        art.write_text(f"accuracy_{strides_key(strides)}.svg", svg)
     for combo, report in reports.items():
         if combo[3] == "sound_class":
             art.write_text(f"confusion_{combo_name(*combo)}.svg",
@@ -509,11 +513,6 @@ def stage_report(cfg, art):
                                        report.label_names,
                                        title=f"sound classes, layer {combo[0]}"))
     art.write_manifest(cfg)
-
-
-def reports_main_scheme(reports):
-    schemes = {combo[3] for combo in reports}
-    return "full" if "full" in schemes else sorted(schemes)[0]
 
 
 # Subcommand -> stage, in pipeline order.  Each stage reads the artifacts
@@ -534,7 +533,7 @@ def run_stage(stage, cfg, art):
 def run(cfg: ExperimentConfig) -> str:
     """Run every stage in order; returns the artifact directory."""
     art = ArtifactDir(cfg.resolved_out_dir())
-    art.write_json("config.json", cfg.__dict__)
+    art.write_json("config.json", asdict(cfg))
     for stage in STAGES.values():
         run_stage(stage, cfg, art)
     return art.base
@@ -562,8 +561,7 @@ def main(argv=None):
 
     try:
         cfg = load_config(args.config, args.set)
-    except (ConfigError, OSError, json.JSONDecodeError, TypeError,
-            ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -173,11 +173,9 @@ def _conv_pair(channels):
     ]
 
 
-def preset(name: str, alphabet=None, seed=0) -> ModelConfig:
+def preset(name: str, seed=0) -> ModelConfig:
     """Named architecture: "ds2", "ds2-light", "ds2-mini", "ds2-light-mini"."""
-    if alphabet is None:
-        alphabet = default_alphabet()
-    fc = LayerSpec("fully_connected", hidden_size=len(alphabet),
+    fc = LayerSpec("fully_connected", hidden_size=len(default_alphabet()),
                    batchnorm=False)
     if name == "ds2":
         specs = _conv_pair(32) + [
@@ -193,7 +191,7 @@ def preset(name: str, alphabet=None, seed=0) -> ModelConfig:
             LayerSpec("lstm_bidir", hidden_size=64) for _ in range(5)] + [fc]
     else:
         raise ValueError(f"unknown preset {name!r}")
-    return ModelConfig(layers=specs, alphabet=list(alphabet), seed=seed)
+    return ModelConfig(layers=specs, seed=seed)
 
 
 @dataclass

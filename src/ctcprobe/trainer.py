@@ -110,19 +110,33 @@ def flush_subnormals(state: AdamState):
             x[np.abs(x) < np.finfo(x.dtype).tiny] = 0.0
 
 
+def check_int(name, value, low):
+    """Raise unless `value` is an int (not a bool) >= `low`."""
+    if type(value) is not int or value < low:
+        raise ValueError(f"{name} must be >= {low} and an int: {value!r}")
+
+
 @dataclass
-class TrainConfig:
-    batch_size: int = 16
+class FitConfig:
+    """What `_fit` reads; CTC and probe training share it."""
     epochs: int = 30
+    batch_size: int = 16
     seed: int = 0
-    dev_fraction: float = 0.1
     alpha: float = ADAM_ALPHA
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        for name, low in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
+            check_int(name, getattr(self, name), low)
+        if type(self.alpha) not in (int, float) or not 0 < self.alpha < np.inf:
+            raise ValueError(f"alpha must be > 0 and finite: {self.alpha!r}")
+
+
+@dataclass
+class TrainConfig(FitConfig):
+    dev_fraction: float = 0.1
+
+    def __post_init__(self):
+        super().__post_init__()
         if not 0.0 < self.dev_fraction < 1.0:
             raise ValueError(f"dev_fraction must be in (0, 1), not "
                              f"{self.dev_fraction!r}")
@@ -288,25 +302,16 @@ def train_asr(corpus, model_config: ModelConfig, train_config: TrainConfig,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ProbeConfig:
+class ProbeConfig(FitConfig):
     hidden: int | None = 500     # None -> linear probe
     dropout: float = 0.5
-    epochs: int = 30
-    batch_size: int = 16
-    seed: int = 0
-    alpha: float = ADAM_ALPHA
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        super().__post_init__()
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
-        if self.hidden is not None and (type(self.hidden) is not int
-                                        or self.hidden < 1):
-            raise ValueError(f"hidden must be None or an int >= 1, not "
-                             f"{self.hidden!r}")
+        if self.hidden is not None:
+            check_int("hidden", self.hidden, 1)
 
 
 @dataclass

@@ -140,6 +140,50 @@ class TestConfigValidation:
         assert "clustering" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("override, named", [
+        ('probe.windows=[1.5]', "window"),
+        ('probe.layers=[1.5]', "layer"),
+        ('probe.layers=[true, 1]', "layer"),
+        ('probe.strides=["no"]', "strides"),
+        ('probe.strides=[]', "strides"),
+        ('train.batch_size=2.5', "batch_size"),
+        ('train.epochs=2.5', "epochs"),
+        ('train.alpha="big"', "alpha"),
+        ('seed="x"', "seed"),
+        ('model.seed="a"', "model"),
+        ('corpus.synthetic=5', "corpus.synthetic"),
+        ('corpus.synthetic.noise_stddev=-1', "noise_stddev"),
+        ('corpus.synthetic.n_utterance=3', "corpus.synthetic.n_utterance"),
+        ('corpus.synthetic.n_utterances=-2', "n_utterances"),
+        ('corpus.synthetic.n_bins=100', "n_bins"),
+        ('corpus.synthetic.phone_to_chars='
+         '{"p00": "A", "p01": "b", "p02": "c", "p03": "d"}', "alphabet"),
+        ('clustering.layer=1.5', "clustering"),
+        ('clustering.min_coverage=0', "min_coverage"),
+        ('probe=[1]', "probe"),
+        ('probe.layers.x.y=1', "probe.layers.x.y"),
+        ('seed.x=1', "seed.x"),
+    ])
+    def test_bad_config_rejected_at_load(self, tmp_path, capsys, override,
+                                         named):
+        cfg_path = write_config(tmp_path, small_config(tmp_path / "out"))
+        assert main(["run", "--config", cfg_path, "--set", override]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_probe_grid_defaults_per_key(self):
+        cfg = ExperimentConfig(probe={"epochs": 1})
+        assert cli.probe_combos(cfg) == [(0, True, 0, "full"),
+                                         (1, True, 0, "full"),
+                                         (2, True, 0, "full")]
+        assert cli.probe_combos(cfg) == cli.probe_combos(ExperimentConfig())
+
+    def test_directly_built_config_is_checked(self):
+        with pytest.raises(cli.ConfigError, match="strides"):
+            ExperimentConfig(probe={"strides": []})
+        with pytest.raises(cli.ConfigError, match="clustering"):
+            ExperimentConfig(clustering={"enabled": False, "k": 0})
+
     def test_set_overrides(self, tmp_path):
         cfg_path = write_config(tmp_path, small_config(tmp_path / "out"))
         cfg = load_config(cfg_path, ["seed=9", "train.epochs=3"])
@@ -232,6 +276,15 @@ class TestRunArtifacts:
                 continue
             assert (out / rel).read_bytes() == \
                 (tmp_path / "out2" / rel).read_bytes(), rel
+
+    def test_config_json_is_the_config_as_given(self, finished_run):
+        # Only the top-level defaults are filled in (small_config gives
+        # every key but `threads`); no built section reaches a hashed file.
+        out, cfg, _path = finished_run
+        expected = {"threads": 1, **cfg}
+        assert json.loads((out / "config.json").read_text()) == expected
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"] == expected
 
     def test_clusters_csv_columns(self, finished_run):
         out, _cfg, _path = finished_run
