@@ -8,10 +8,10 @@ known per-frame phone labels, and an importer for TIMIT-layout data
 
 from __future__ import annotations
 
-import bisect
 import math
 import os
 import wave
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,6 +97,13 @@ def check_segments(segments, n_frames):
         raise ValueError(
             f"segments end at {segments[-1].end_frame}, expected {n_frames}"
         )
+
+
+def check_unique_ids(utterances):
+    """Utterance ids must be unique: stages key each utterance's data by id."""
+    for utt_id, count in Counter(utt.id for utt in utterances).items():
+        if count > 1:
+            raise ValueError(f"duplicate utterance id {utt_id!r}")
 
 
 def hamming_window(n: int) -> np.ndarray:
@@ -192,11 +199,30 @@ class SynthConfig:
                 self.phone_inventory_size, self.n_bins)
         if self.phone_to_chars is None:
             self.phone_to_chars = default_phone_to_chars(self.phone_inventory_size)
+        for name in ("formant_table", "phone_to_chars"):
+            for phone in self.phones:
+                if phone not in getattr(self, name):
+                    raise ValueError(f"{name} lacks phone {phone!r}")
+        for phone in self.phones:
+            entry = self.formant_table[phone]
+            if type(entry) not in (list, tuple) or not all(map(_is_formant,
+                                                               entry)):
+                raise ValueError(
+                    f"formant_table[{phone!r}] must be a list of [center, "
+                    f"bandwidth > 0, amplitude] finite numbers, not {entry!r}")
         _check_prefix_free(self.phone_to_chars)
 
     @property
     def phones(self):
         return [phone_id(i) for i in range(self.phone_inventory_size)]
+
+
+def _is_formant(f):
+    """[center, bandwidth, amplitude]: finite numbers, a positive bandwidth
+    (zero would put NaN in the spectrum)."""
+    return (type(f) in (list, tuple) and len(f) == 3
+            and all(type(v) in (int, float) and math.isfinite(v) for v in f)
+            and f[1] > 0)
 
 
 def _check_prefix_free(code):
@@ -264,43 +290,6 @@ def _phones_to_transcript(cfg, phones, rng):
     return " ".join(words)
 
 
-def decode_transcript(transcript: str, phone_to_chars: dict) -> list[str]:
-    """Invert the prefix-free phone code, ignoring word boundaries."""
-    by_code = {v: k for k, v in phone_to_chars.items()}
-    phones = []
-    for word in transcript.split(" "):
-        i = 0
-        while i < len(word):
-            for code, phone in by_code.items():
-                if word.startswith(code, i):
-                    phones.append(phone)
-                    i += len(code)
-                    break
-            else:
-                raise ValueError(f"cannot decode transcript at {word[i:]!r}")
-    return phones
-
-
-# ---------------------------------------------------------------------------
-# Frame labels
-# ---------------------------------------------------------------------------
-
-def frame_label(utt: Utterance, t: int, subsample_factor: int = 1,
-                receptive_center_offset: int = 0) -> str:
-    """Phone label of sub-sampled frame t.
-
-    Maps t to input frame index t*subsample_factor + receptive_center_offset
-    (center-of-receptive-field rule) and returns the phone of the containing
-    segment.
-    """
-    idx = t * subsample_factor + receptive_center_offset
-    n = utt.n_frames
-    if not 0 <= idx < n:
-        raise ValueError(f"mapped frame index {idx} outside [0, {n})")
-    starts = [s.start_frame for s in utt.segments]
-    return utt.segments[bisect.bisect_right(starts, idx) - 1].phone
-
-
 # ---------------------------------------------------------------------------
 # Corpus files: one artifact whose header lists each utterance's id,
 # transcript, segments and frame shape, and whose payload is their f32 frames
@@ -347,7 +336,7 @@ def load_corpus(path):
 
 
 # ---------------------------------------------------------------------------
-# TIMIT-layout import/export
+# TIMIT-layout import
 # ---------------------------------------------------------------------------
 
 SILENCE_PHONE = "h#"
@@ -488,25 +477,3 @@ def _clean_transcript(text):
         if ch.isalpha() and ch.isascii() or ch in " '":
             keep.append(ch)
     return " ".join("".join(keep).split())
-
-
-def export_timit_dir(path, items, sample_rate_hz=DEFAULT_SAMPLE_RATE):
-    """Write (id, samples, sample_segments, transcript) tuples in TIMIT layout.
-
-    ``samples`` are floats in [-1, 1); ``sample_segments`` are
-    (start_sample, end_sample, phone) triples.
-    """
-    os.makedirs(path, exist_ok=True)
-    for utt_id, samples, sample_segments, transcript in items:
-        stem = os.path.join(path, utt_id)
-        pcm = np.clip(np.asarray(samples) * 32768.0, -32768, 32767)
-        with wave.open(stem + ".wav", "wb") as wf:
-            wf.setnchannels(1)
-            wf.setsampwidth(2)
-            wf.setframerate(sample_rate_hz)
-            wf.writeframes(pcm.astype("<i2").tobytes())
-        with open(stem + ".phn", "w") as fh:
-            for start_s, end_s, phone in sample_segments:
-                fh.write(f"{start_s} {end_s} {phone}\n")
-        with open(stem + ".txt", "w") as fh:
-            fh.write(f"0 {len(pcm)} {transcript}\n")

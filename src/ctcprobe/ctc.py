@@ -1,4 +1,4 @@
-"""CTC loss, gradient, brute-force oracle, and greedy decoding.
+"""CTC loss, gradient, and each frame's greedy symbol class.
 
 All DP arithmetic is in log space with -inf as the impossible-transition
 sentinel (np.logaddexp(-inf, x) == x, never NaN).  Blank is index 0 of
@@ -6,9 +6,6 @@ the alphabet throughout.
 """
 
 from __future__ import annotations
-
-import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,17 +20,6 @@ def default_alphabet():
 
 class InfeasibleTranscriptError(ValueError):
     """Label sequence needs more frames than the model emitted."""
-
-
-def collapse(path, blank=BLANK):
-    """Merge adjacent repeats, then delete blanks (the B function)."""
-    out = []
-    prev = None
-    for sym in path:
-        if sym != prev and sym != blank:
-            out.append(int(sym))
-        prev = sym
-    return out
 
 
 def _check_labels(labels, n_symbols):
@@ -129,63 +115,15 @@ def ctc_loss(log_probs, labels) -> float:
     return float(-_alpha(log_probs, labels)[3])
 
 
-def ctc_grad(log_probs, labels) -> np.ndarray:
-    """Gradient of the loss w.r.t. pre-softmax logits: softmax - posterior."""
-    return _grad(*_alpha(log_probs, labels))
-
-
 def ctc_loss_and_grad(log_probs, labels):
-    """(ctc_loss, ctc_grad) from one forward DP."""
+    """(ctc_loss, gradient w.r.t. the pre-softmax logits: softmax -
+    posterior) from one forward DP."""
     lattice = _alpha(log_probs, labels)
     return float(-lattice[3]), _grad(*lattice)
 
 
-def ctc_brute_force(probs, labels, cap=10 ** 6) -> float:
-    """p(l|x) by direct enumeration of all S^T paths (test oracle)."""
-    probs = np.asarray(probs, dtype=np.float64)
-    T, S = probs.shape
-    labels = [int(v) for v in labels]
-    if S ** T > cap:
-        raise ValueError(f"S^T = {S ** T} exceeds enumeration cap {cap}")
-    total = 0.0
-    for path in itertools.product(range(S), repeat=T):
-        if collapse(path) == labels:
-            p = 1.0
-            for t, sym in enumerate(path):
-                p *= probs[t, sym]
-            total += p
-    return total
-
-
-@dataclass
-class GreedyDecode:
-    path: list[int]
-    collapsed: list[int]
-    categories: list[str]  # per frame: blank | space | letter
-
-    @property
-    def category_shares(self):
-        n = len(self.categories)
-        return {cat: self.categories.count(cat) / n
-                for cat in ("blank", "space", "letter")}
-
-
-def symbol_category(index, alphabet):
-    if index == BLANK:
-        return "blank"
-    if alphabet[index] == " ":
-        return "space"
-    return "letter"
-
-
-def greedy_decode(log_probs, alphabet=None) -> GreedyDecode:
-    """Per-frame argmax (ties break to the lowest index) plus its collapse
-    and blank/space/letter category per frame."""
-    log_probs = np.asarray(log_probs)
-    if alphabet is None:
-        alphabet = default_alphabet()
-    if log_probs.shape[1] != len(alphabet):
-        raise ValueError("log_probs width does not match alphabet size")
-    path = [int(v) for v in np.argmax(log_probs, axis=1)]
-    categories = [symbol_category(v, alphabet) for v in path]
-    return GreedyDecode(path, collapse(path), categories)
+def greedy_categories(log_probs, alphabet) -> str:
+    """Each frame's greedy CTC symbol class: "b"lank (index 0), "s"pace or
+    "l"etter, for its argmax symbol (ties break to the lowest index)."""
+    table = ["b"] + ["s" if ch == " " else "l" for ch in alphabet[1:]]
+    return "".join(table[i] for i in np.argmax(log_probs, axis=1))

@@ -218,25 +218,15 @@ class TrainedModel:
         self.config = config
         rng = np.random.default_rng(config.seed)
         self.layers = []
-        in_shape = ("conv", 1, config.input_freq_bins)  # channels, freq
-        for spec in config.layers:
+        c_in = 1  # a conv's input channels: the previous conv's outputs
+        for k, spec in enumerate(config.layers, start=1):
             if spec.kind in CONV_KINDS:
-                _, c_in, f_in = in_shape
                 self.layers.append(L.ConvLayer(spec, c_in, rng))
-                f_out = conv_output_len(f_in, spec.kernel[1], spec.stride[1],
-                                        spec.padding[1])
-                in_shape = ("conv", spec.out_channels, f_out)
+                c_in = spec.out_channels
             else:
-                if in_shape[0] == "conv":
-                    d_in = in_shape[1] * in_shape[2]
-                else:
-                    d_in = in_shape[1]
-                if spec.kind in RECURRENT_KINDS:
-                    self.layers.append(L.RecurrentLayer(spec, d_in, rng))
-                    in_shape = ("flat", spec.hidden_size)
-                else:
-                    self.layers.append(L.FCLayer(spec, d_in, rng))
-                    in_shape = ("flat", spec.hidden_size)
+                make = (L.RecurrentLayer if spec.kind in RECURRENT_KINDS
+                        else L.FCLayer)
+                self.layers.append(make(spec, config.tap_width(k - 1), rng))
         # The one registry of live arrays, {"L<i>.<path>": ndarray}: every
         # write (Adam, batchnorm statistics, checkpoint load, snapshot
         # restore) goes into these arrays in place.
@@ -261,7 +251,6 @@ class TrainedModel:
         taps = [frames]
         cur = frames[None, :, :]  # (C=1, T, F)
         flat = None
-        boundary_shape = None
         for spec, layer in zip(self.config.layers, self.layers):
             if spec.kind in CONV_KINDS:
                 stride_t = spec.stride[0] if strides_enabled else 1
@@ -279,7 +268,7 @@ class TrainedModel:
                     lp = log_softmax(logits)
                     taps.append(np.exp(lp))
                     if train:
-                        self._fwd_state = (mode, boundary_shape)
+                        self._fwd_state = boundary_shape
                     return ForwardResult(taps, logits, lp)
         raise AssertionError("unreachable: config guarantees a final fc layer")
 
@@ -287,9 +276,7 @@ class TrainedModel:
         """Parameter gradients for the cached train-mode forward pass."""
         if self._fwd_state is None:
             raise RuntimeError("backward called without a cached forward pass")
-        mode, boundary_shape = self._fwd_state
-        if mode != "train":
-            raise RuntimeError("backward requires a train-mode forward pass")
+        boundary_shape = self._fwd_state
         grads = {}
         d = np.asarray(dlogits, dtype=np.float64)
         for i in range(len(self.layers), 0, -1):

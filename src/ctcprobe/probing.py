@@ -6,13 +6,13 @@ and confusion matrices.
 from __future__ import annotations
 
 import contextlib
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import ctc, phoneset
+from .acoustic import check_unique_ids
 from .artifacts import artifact_header, atomic_write, read_artifact
 from .layers import uniform_init
 from .model import log_softmax
@@ -74,9 +74,7 @@ def extract_frames(model, corpus, taps, strides_enabled=True,
     category per softmax frame ("b"lank, "s"pace or "l"etter).
     """
     cfg = model.config
-    for utt_id, count in Counter(utt.id for utt in corpus).items():
-        if count > 1:
-            raise ValueError(f"duplicate utterance id {utt_id!r}")
+    check_unique_ids(corpus)
     phones = sorted({seg.phone for utt in corpus for seg in utt.segments})
     phone_code = {phone: i for i, phone in enumerate(phones)}
     headers = []
@@ -110,9 +108,8 @@ def extract_frames(model, corpus, taps, strides_enabled=True,
             fh.write(artifact_header(DATASET_MAGIC, DATASET_VERSION, header))
         for u, result in enumerate(_eval_forwards(model, corpus,
                                                   strides_enabled, threads)):
-            categories[corpus[u].id] = "".join(
-                cat[0] for cat in ctc.greedy_decode(
-                    result.log_probs, cfg.alphabet).categories)
+            categories[corpus[u].id] = ctc.greedy_categories(
+                result.log_probs, cfg.alphabet)
             for (layer, path), header, fh in zip(taps, headers, files):
                 tap = result.taps[layer]
                 utt_id, n_rows = header["spans"][u]

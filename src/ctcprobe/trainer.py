@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ctc
+from .acoustic import check_unique_ids
 from .model import ModelConfig, TrainedModel
 
 log = logging.getLogger(__name__)
@@ -168,9 +169,9 @@ def _fit(params, live, n, config, rng, batch_grads, dev_row, train_loss0):
     """Adam over shuffled minibatches of range(n); keeps the best epoch.
 
     Every epoch shuffles the indices with `rng`, then for each minibatch
-    `batch_grads(idx)` returns (losses, grads), and grads None skips the
-    Adam step on `params`; subnormal Adam moments are flushed to zero
-    after each epoch.  A row is the epoch, its mean training loss
+    `batch_grads(idx)` returns (losses, grads) for the Adam step on
+    `params`; subnormal Adam moments are flushed to zero after each
+    epoch.  A row is the epoch, its mean training loss
     (`train_loss0` for epoch 0) and `dev_row()`, which holds "dev_loss".
     The first epoch with the lowest dev loss is copied back into the
     arrays of `live` in place.  Returns (rows, best_epoch).
@@ -187,12 +188,9 @@ def _fit(params, live, n, config, rng, batch_grads, dev_row, train_loss0):
             batch_losses, grads = batch_grads(
                 order[start:start + config.batch_size])
             losses += batch_losses
-            if grads is not None:
-                adam_step(params, grads, opt)
+            adam_step(params, grads, opt)
         flush_subnormals(opt)
-        rows.append({"epoch": epoch,
-                     "train_loss": (float(np.mean(losses)) if losses
-                                    else float("nan")),
+        rows.append({"epoch": epoch, "train_loss": float(np.mean(losses)),
                      **dev_row()})
         if rows[-1]["dev_loss"] < rows[best_epoch]["dev_loss"]:
             best_epoch = epoch
@@ -207,7 +205,8 @@ class AsrTrainResult:
     model: TrainedModel
     log: list            # rows: {epoch, train_loss, dev_loss}
     best_epoch: int
-    n_dropped: int       # infeasible utterances skipped across training
+    n_dropped: int       # utterances dropped before training: no
+                         # transcript, or output too short to carry it
 
 
 def _mean_ctc_loss(model, utts, labels_by_id):
@@ -217,10 +216,7 @@ def _mean_ctc_loss(model, utts, labels_by_id):
         if labels is None:
             continue
         result = model.forward(utt.spectrogram, mode="eval")
-        try:
-            losses.append(ctc.ctc_loss(result.log_probs, labels))
-        except ctc.InfeasibleTranscriptError:
-            continue
+        losses.append(ctc.ctc_loss(result.log_probs, labels))
     if not losses:
         raise ValueError("no feasible utterances to evaluate")
     return float(np.mean(losses))
@@ -236,11 +232,13 @@ def train_asr(corpus, model_config: ModelConfig, train_config: TrainConfig,
     """
     if not corpus:
         raise ValueError("empty corpus")
+    utts = list(corpus) + list(dev_corpus)
+    check_unique_ids(utts)
     model = TrainedModel(model_config)
 
     labels_by_id = {}
     n_dropped = 0
-    for utt in list(corpus) + list(dev_corpus):
+    for utt in utts:
         if not utt.transcript:
             n_dropped += 1
             continue
@@ -258,18 +256,13 @@ def train_asr(corpus, model_config: ModelConfig, train_config: TrainConfig,
         log.warning("dropped %d infeasible utterances", n_dropped)
 
     def batch_grads(idx):
-        """Mean gradient of the batch's feasible utterances."""
-        nonlocal n_dropped
+        """Mean gradient of the batch's utterances."""
         losses, acc = [], None
         for i in idx:
             utt = train_utts[i]
             result = model.forward(utt.spectrogram, mode="train")
-            try:
-                loss, dlogits = ctc.ctc_loss_and_grad(
-                    result.log_probs, labels_by_id[utt.id])
-            except ctc.InfeasibleTranscriptError:
-                n_dropped += 1
-                continue
+            loss, dlogits = ctc.ctc_loss_and_grad(
+                result.log_probs, labels_by_id[utt.id])
             grads = model.backward(dlogits)
             losses.append(loss)
             if acc is None:
@@ -277,8 +270,6 @@ def train_asr(corpus, model_config: ModelConfig, train_config: TrainConfig,
             else:
                 for k in acc:
                     acc[k] += grads[k]
-        if acc is None:
-            return losses, None
         return losses, {k: g / len(losses) for k, g in acc.items()}
 
     rows, best_epoch = _fit(

@@ -3,12 +3,12 @@ import re
 import numpy as np
 import pytest
 from conftest import DAMAGE
+from oracles import decode_transcript, export_timit_dir, frame_label
 
 from ctcprobe import acoustic
 from ctcprobe.artifacts import artifact_header
 from ctcprobe.acoustic import (PhoneSegment, Spectrogram, SynthConfig,
-                               Utterance, decode_transcript, frame_label,
-                               hamming_window, spectrogram,
+                               Utterance, hamming_window, spectrogram,
                                synthesize_corpus)
 
 
@@ -269,7 +269,7 @@ class TestTimitImport:
         # [0, 1600) at 16 kHz with hop 160 covers frame slots 0..9.
         rng = np.random.default_rng(0)
         samples = 0.1 * rng.standard_normal(3200)
-        acoustic.export_timit_dir(
+        export_timit_dir(
             tmp_path, [("u0", samples,
                         [(0, 1600, "aa"), (1600, 3200, "iy")], "hi")])
         utts, errors = acoustic.import_timit_dir(tmp_path)
@@ -282,7 +282,7 @@ class TestTimitImport:
         rng = np.random.default_rng(7)
         samples = 0.2 * rng.standard_normal(16000)
         segs = [(0, 8000, "aa"), (8000, 16000, "iy")]
-        acoustic.export_timit_dir(tmp_path, [("u1", samples, segs, "a b")])
+        export_timit_dir(tmp_path, [("u1", samples, segs, "a b")])
         utts, errors = acoustic.import_timit_dir(tmp_path)
         assert errors == []
         (utt,) = utts
@@ -303,7 +303,7 @@ class TestTimitImport:
         rng = np.random.default_rng(1)
         samples = 0.1 * rng.standard_normal(9600)
         segs = [(0, 3200, "h#"), (3200, 6400, "aa"), (6400, 9600, "h#")]
-        acoustic.export_timit_dir(tmp_path, [("u2", samples, segs, "")])
+        export_timit_dir(tmp_path, [("u2", samples, segs, "")])
         utts, errors = acoustic.import_timit_dir(tmp_path)
         assert errors == []
         (utt,) = utts
@@ -311,7 +311,7 @@ class TestTimitImport:
 
     def test_missing_phn_reported_not_fatal(self, tmp_path):
         rng = np.random.default_rng(2)
-        acoustic.export_timit_dir(
+        export_timit_dir(
             tmp_path, [("ok", 0.1 * rng.standard_normal(3200),
                         [(0, 3200, "aa")], "")])
         (tmp_path / "broken.wav").write_bytes(b"not audio")
@@ -322,7 +322,7 @@ class TestTimitImport:
     def test_speaker_dirs_sharing_a_basename_get_distinct_ids(self, tmp_path):
         rng = np.random.default_rng(3)
         for speaker in ("dr1/fcjf0", "dr1/mdab0"):
-            acoustic.export_timit_dir(
+            export_timit_dir(
                 tmp_path / speaker, [("sa1", 0.1 * rng.standard_normal(3200),
                                       [(0, 3200, "aa")], "")])
         utts, errors = acoustic.import_timit_dir(tmp_path)

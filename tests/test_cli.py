@@ -171,6 +171,34 @@ class TestConfigValidation:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("synthetic, named", [
+        ({"formant_table": {"p00": [[10, 3.0, 1.0]]}},
+         "formant_table lacks phone 'p01'"),
+        ({"phone_to_chars": {"p00": "a"}}, "phone_to_chars lacks phone 'p01'"),
+        ({"formant_table": {"p00": [[10, 3.0]], "p01": [[20, 3.0, 1.0]]}},
+         "formant_table['p00']"),
+        ({"formant_table": {"p00": [[10, "3", 1.0]], "p01": [[20, 3, 1]]}},
+         "formant_table['p00']"),
+        ({"formant_table": {"p00": [[10, 3.0, 1.0]], "p01": [[20, True, 1]]}},
+         "formant_table['p01']"),
+        ({"formant_table": {"p00": [10, 3.0, 1.0], "p01": [[20, 3, 1]]}},
+         "formant_table['p00']"),
+        ({"formant_table": {"p00": 10, "p01": [[20, 3, 1]]}},
+         "formant_table['p00']"),
+        ({"formant_table": {"p00": [[10, 0, 1.0]], "p01": [[20, 3, 1]]}},
+         "formant_table['p00']"),
+        ({"formant_table": {"p00": [[10, 3.0, 1.0]],
+                            "p01": [[float("inf"), 3, 1]]}},
+         "formant_table['p01']"),
+    ])
+    def test_synthetic_table_lacking_a_phone_or_malformed_rejected(
+            self, tmp_path, capsys, synthetic, named):
+        cfg = small_config(tmp_path / "out")
+        cfg["corpus"]["synthetic"].update(phone_inventory_size=2, **synthetic)
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_probe_grid_defaults_per_key(self):
         cfg = ExperimentConfig(probe={"epochs": 1})
         assert cli.probe_combos(cfg) == [(0, True, 0, "full"),

@@ -4,11 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import DAMAGE
+from oracles import frame_label, greedy_decode
 
-from ctcprobe import ctc, phoneset, probing
+from ctcprobe import phoneset, probing
 from ctcprobe.artifacts import artifact_header, read_artifact
-from ctcprobe.acoustic import (SynthConfig, Utterance, frame_label,
-                               synthesize_corpus)
+from ctcprobe.acoustic import SynthConfig, Utterance, synthesize_corpus
 from ctcprobe.model import LayerSpec, ModelConfig, TrainedModel, preset
 from ctcprobe.probing import (FrameDataset, ProbeReport, TrainedProbe,
                               breakdown_by_ctc_symbol, confusion_matrix,
@@ -45,7 +45,7 @@ def extract(tmp_path, model, utts, layer, strides_enabled=True, window=0,
 def greedy_categories(model, utts, strides_enabled=True):
     """Oracle for `Extraction.categories`: the initial of each frame's
     greedy CTC category, from a fresh eval forward per utterance."""
-    return {utt.id: "".join(cat[0] for cat in ctc.greedy_decode(
+    return {utt.id: "".join(cat[0] for cat in greedy_decode(
                 model.forward(utt.spectrogram, strides_enabled=strides_enabled,
                               mode="eval").log_probs,
                 model.config.alphabet).categories)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ctcprobe import trainer
-from ctcprobe.acoustic import SynthConfig, synthesize_corpus
+from ctcprobe.acoustic import SynthConfig, Utterance, synthesize_corpus
 from ctcprobe.model import LayerSpec, ModelConfig
 from ctcprobe.probing import FrameDataset
 from ctcprobe.trainer import (AdamState, ProbeConfig, TrainConfig, adam_step,
@@ -363,9 +363,18 @@ class TestTrainAsr:
         short_cfg = SynthConfig(phone_inventory_size=4,
                                 phones_per_utterance=(6, 6),
                                 segment_frames=(1, 1), seed=5)
-        short = synthesize_corpus(short_cfg, 3)
+        short = [Utterance(u.spectrogram, u.segments, u.transcript,
+                           f"short-{i}")
+                 for i, u in enumerate(synthesize_corpus(short_cfg, 3))]
         result = self.train(corpus + short, epochs=1, batch_size=4, seed=0)
-        assert result.n_dropped >= 3
+        assert result.n_dropped == 3
+
+    def test_duplicate_ids_rejected(self):
+        # Labels are looked up by id, so a repeated id would pair one
+        # utterance with another's transcript.
+        corpus = self.make_corpus(4)
+        with pytest.raises(ValueError, match=corpus[0].id):
+            self.train(corpus + corpus[:1], epochs=1)
 
     def test_encode_transcript(self):
         alphabet = ["_", "a", "b", " "]
