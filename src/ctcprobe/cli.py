@@ -91,7 +91,7 @@ class SyntheticCorpus(acoustic.SynthConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        trainer.check_int("n_utterances", self.n_utterances, 0)
+        trainer.check_int("n_utterances", self.n_utterances, 2)
         trainer.check_int("seed", self.seed, 0)
 
 
@@ -140,8 +140,12 @@ class ClusteringConfig:
                 and self.method in clustering.PROJECTIONS
                 and 0 < self.min_coverage <= 1 and self.perplexity > 0):
             raise ValueError(f"needs enabled true or false, a method in "
-                             f"{clustering.PROJECTIONS}, tol >= 0, "
+                             f"{sorted(clustering.PROJECTIONS)}, tol >= 0, "
                              f"min_coverage in (0, 1] and perplexity > 0")
+        if self.k < clustering.PROJECTIONS[self.method]:
+            raise ValueError(f"k={self.k} is below the "
+                             f"{clustering.PROJECTIONS[self.method]} clusters "
+                             f"that {self.method} needs")
 
 
 @dataclass
@@ -288,8 +292,9 @@ def stage_corpus(cfg: ExperimentConfig, art: ArtifactDir):
         if errors:
             art.write_csv("import_errors.csv",
                           [("file", "error")] + list(errors))
-        if not corpus:
-            raise ValueError("import produced no utterances")
+        if len(corpus) < 2:
+            raise ValueError(f"import produced {len(corpus)} utterances; "
+                             f"a train/dev split needs at least 2")
     train, dev = trainer.split_dev(corpus, cfg.train_cfg.dev_fraction,
                                    cfg.seed)
     acoustic.save_corpus(art.path("corpus_train.bin"), train)
@@ -453,9 +458,15 @@ def stage_cluster(cfg, art):
                                 labels=labels, seed=cfg.seed,
                                 max_iter=spec.max_iter, tol=spec.tol)
     pruned = clustering.prune_clusters(summary, spec.min_coverage)
+    if pruned.k < clustering.PROJECTIONS[spec.method]:
+        raise ValueError(
+            f"only {pruned.k} of k={spec.k} clusters (ids "
+            f"{pruned.cluster_ids}) survive pruning at min_coverage="
+            f"{spec.min_coverage}; {spec.method} needs at least "
+            f"{clustering.PROJECTIONS[spec.method]}")
     coords = clustering.project_2d(
         pruned.centroids, method=spec.method, seed=cfg.seed,
-        perplexity=min(spec.perplexity, max(pruned.k - 1, 2) - 1e-9),
+        perplexity=min(spec.perplexity, pruned.k - 1 - 1e-9),
         iters=spec.iters)
     rows = [("cluster_id", "majority_label", "coverage", "x", "y")]
     for i in range(pruned.k):

@@ -159,6 +159,8 @@ def prune_clusters(summary: ClusterSummary, min_coverage: float
 
 def pca_2d(points):
     points = np.asarray(points, dtype=np.float64)
+    if points.shape[0] < 2:
+        raise ValueError("PCA needs at least 2 points")
     centered = points - points.mean(axis=0)
     _u, _s, vt = np.linalg.svd(centered, full_matrices=False)
     comps = vt[:2]
@@ -255,7 +257,7 @@ def tsne_2d(points, seed=0, perplexity=30.0, iters=1000,
                       kl_final=_tsne_kl(P, y))
 
 
-PROJECTIONS = ("pca", "tsne")
+PROJECTIONS = {"pca": 2, "tsne": 3}  # method -> fewest points it projects
 
 
 def project_2d(centroids, method="tsne", seed=0, perplexity=30.0,

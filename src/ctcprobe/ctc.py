@@ -46,42 +46,31 @@ def _extended(labels):
     return np.array(ext)
 
 
-def _forward(log_probs, ext):
-    T = log_probs.shape[0]
-    L2 = len(ext)
-    alpha = np.full((T, L2), NEG_INF)
-    alpha[0, 0] = log_probs[0, ext[0]]
-    if L2 > 1:
-        alpha[0, 1] = log_probs[0, ext[1]]
-    skip = np.zeros(L2, dtype=bool)
-    skip[2:] = (ext[2:] != BLANK) & (ext[2:] != ext[:-2])
-    for t in range(1, T):
-        prev = alpha[t - 1]
+def _lattice(log_probs, ext):
+    """Log-sum of the paths over the blank-extended labels ``ext`` that
+    reach (t, s), before frame t's emission: (T, len(ext)), with every
+    path starting at s = 0 or 1.  Also returns the emissions
+    ``log_probs[:, ext]``."""
+    emit = log_probs[:, ext]
+    lattice = np.full(emit.shape, NEG_INF)
+    lattice[0, :2] = 0.0
+    skip = np.flatnonzero((ext[2:] != BLANK) & (ext[2:] != ext[:-2])) + 2
+    for t in range(1, len(emit)):
+        prev = lattice[t - 1] + emit[t - 1]
         cur = prev.copy()
         cur[1:] = np.logaddexp(cur[1:], prev[:-1])
-        cur[skip] = np.logaddexp(cur[skip], prev[np.flatnonzero(skip) - 2])
-        alpha[t] = cur + log_probs[t, ext]
-    return alpha
+        cur[skip] = np.logaddexp(cur[skip], prev[skip - 2])
+        lattice[t] = cur
+    return lattice, emit
 
 
-def _backward(log_probs, ext):
-    # beta excludes the emission at t itself (pairs with alpha, which
-    # includes it), so sum_s exp(alpha[t,s] + beta[t,s]) == p(l|x) at any t.
-    T = log_probs.shape[0]
-    L2 = len(ext)
-    beta = np.full((T, L2), NEG_INF)
-    beta[T - 1, L2 - 1] = 0.0
-    if L2 > 1:
-        beta[T - 1, L2 - 2] = 0.0
-    skip = np.zeros(L2, dtype=bool)
-    skip[:-2] = (ext[:-2] != ext[2:]) & (ext[2:] != BLANK)
-    for t in range(T - 2, -1, -1):
-        nxt = beta[t + 1] + log_probs[t + 1, ext]
-        cur = nxt.copy()
-        cur[:-1] = np.logaddexp(cur[:-1], nxt[1:])
-        cur[skip] = np.logaddexp(cur[skip], nxt[np.flatnonzero(skip) + 2])
-        beta[t] = cur
-    return beta
+def _beta(log_probs, ext):
+    """The backward variable: the lattice on reversed time and labels.
+    ``ext`` alternates blank and label, so its skip rule reads the same
+    reversed.  beta excludes the emission at t itself (pairs with alpha,
+    which includes it), so sum_s exp(alpha[t,s] + beta[t,s]) == p(l|x)
+    at any t."""
+    return _lattice(log_probs[::-1], ext[::-1])[0][::-1, ::-1]
 
 
 def _alpha(log_probs, labels):
@@ -96,13 +85,14 @@ def _alpha(log_probs, labels):
             f"{T} frames cannot carry a label sequence needing "
             f"{min_path_length(labels)}")
     ext = _extended(labels)
-    alpha = _forward(log_probs, ext)
+    lattice, emit = _lattice(log_probs, ext)
+    alpha = lattice + emit
     return log_probs, ext, alpha, np.logaddexp(alpha[T - 1, -1],
                                                alpha[T - 1, -2])
 
 
 def _grad(log_probs, ext, alpha, log_p):
-    beta = _backward(log_probs, ext)
+    beta = _beta(log_probs, ext)
     occ = alpha + beta  # log alpha*beta, per extended position
     gamma = np.zeros(log_probs.shape)
     for s, sym in enumerate(ext):

@@ -257,41 +257,95 @@ class ConvLayer:
         return out.transpose(1, 0, 2).reshape(out.shape[1], -1)
 
 
-class _Direction:
-    """One direction of a recurrent layer: input projection + optional
-    sequence-wise BN on the input-to-hidden pre-activation, then the cell
-    recurrence."""
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
 
-    def __init__(self, in_size, hidden, gates, rng, batchnorm):
+
+class _Direction:
+    """One direction of a recurrent layer over direction-ordered input:
+    the input projection, optional sequence-wise BN on the input-to-hidden
+    pre-activation, then the tanh-RNN or LSTM cell recurrence.  LSTM gate
+    rows are i, f, g, o."""
+
+    def __init__(self, in_size, hidden, lstm, rng, batchnorm):
         self.hidden = hidden
-        self.gates = gates  # 1 for simple RNN, 4 for LSTM
+        self.lstm = lstm
+        gates = 4 if lstm else 1
         self.params = {
             "Wx": uniform_init(rng, (gates * hidden, in_size), in_size),
             "Wh": uniform_init(rng, (gates * hidden, hidden), hidden),
             "b": np.zeros(gates * hidden),
         }
         self.bn = BatchNorm(gates * hidden) if batchnorm else None
+        self._cache = None
 
-    def project(self, x, train):
-        z = x @ self.params["Wx"].T
+    def forward(self, x, train):
+        """Hidden states (T, hidden); only a train-mode pass caches."""
+        zn = x @ self.params["Wx"].T
         if self.bn is not None:
-            z = self.bn.forward(z, train)
-        return z
+            zn = self.bn.forward(zn, train)
+        wh, b = self.params["Wh"], self.params["b"]
+        H, lstm, T = self.hidden, self.lstm, x.shape[0]
+        hs = np.zeros((T, H))
+        cs = np.zeros((T, H)) if lstm else None
+        acts = np.zeros((T, 4 * H)) if lstm else None
+        h = c = np.zeros(H)
+        for t in range(T):
+            pre = zn[t] + wh @ h + b
+            if lstm:
+                i = _sigmoid(pre[:H])
+                f = _sigmoid(pre[H:2 * H])
+                g = np.tanh(pre[2 * H:3 * H])
+                o = _sigmoid(pre[3 * H:])
+                c = f * c + i * g
+                h = o * np.tanh(c)
+                cs[t] = c
+                acts[t] = np.concatenate([i, f, g, o])
+            else:
+                h = np.tanh(pre)
+            hs[t] = h
+        if train:
+            self._cache = (x, hs, cs, acts)
+        return hs
 
-    def project_backward(self, dzn, x):
-        if self.bn is not None:
-            dz, bn_grads = self.bn.backward(dzn)
-        else:
-            dz, bn_grads = dzn, None
-        grads = {"Wx": dz.T @ x}
-        if bn_grads is not None:
-            grads["bn.gamma"] = bn_grads["gamma"]
-            grads["bn.beta"] = bn_grads["beta"]
+    def backward(self, dh_seq):
+        """(dx, grads) for the cached forward; ``dh_seq`` is
+        direction-ordered like its input."""
+        x, hs, cs, acts = self._cache
+        wh = self.params["Wh"]
+        H, lstm, T = self.hidden, self.lstm, x.shape[0]
+        dzn = np.zeros((T, wh.shape[0]))
+        dh_next = np.zeros(H)
+        dc_next = np.zeros(H)
+        for t in range(T - 1, -1, -1):
+            dh = dh_seq[t] + dh_next
+            if lstm:
+                i, f, g, o = (acts[t][:H], acts[t][H:2 * H],
+                              acts[t][2 * H:3 * H], acts[t][3 * H:])
+                c_prev = cs[t - 1] if t > 0 else np.zeros(H)
+                tc = np.tanh(cs[t])
+                do = dh * tc
+                dc = dc_next + dh * o * (1.0 - tc ** 2)
+                di = dc * g
+                df = dc * c_prev
+                dg = dc * i
+                dc_next = dc * f
+                dpre = np.concatenate([
+                    di * i * (1.0 - i),
+                    df * f * (1.0 - f),
+                    dg * (1.0 - g ** 2),
+                    do * o * (1.0 - o),
+                ])
+            else:
+                dpre = dh * (1.0 - hs[t] ** 2)
+            dzn[t] = dpre
+            dh_next = wh.T @ dpre
+        dz, bn_grads = (dzn, {}) if self.bn is None else self.bn.backward(dzn)
+        grads = {"Wx": dz.T @ x,
+                 **{f"bn.{k}": v for k, v in bn_grads.items()},
+                 # h_{-1} = 0, so step 0 adds nothing to dWh.
+                 "Wh": dzn[1:].T @ hs[:-1], "b": dzn.sum(axis=0)}
         return dz @ self.params["Wx"], grads
-
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
 
 
 class RecurrentLayer:
@@ -305,131 +359,22 @@ class RecurrentLayer:
         if spec.hidden_size % 2 != 0:
             raise ValueError("bidirectional hidden_size must be even")
         self.spec = spec
-        self.in_size = in_size
-        self.kind = spec.kind  # rnn_bidir | lstm_bidir
-        gates = 4 if self.kind == "lstm_bidir" else 1
+        lstm = spec.kind == "lstm_bidir"
         h = spec.hidden_size // 2
-        self.fwd = _Direction(in_size, h, gates, rng, spec.batchnorm)
-        self.bwd = _Direction(in_size, h, gates, rng, spec.batchnorm)
-        self._cache = None
+        self.fwd = _Direction(in_size, h, lstm, rng, spec.batchnorm)
+        self.bwd = _Direction(in_size, h, lstm, rng, spec.batchnorm)
 
     def forward(self, x, train):
-        hf, cache_f = self._run_direction(self.fwd, x, train)
-        hb_r, cache_b = self._run_direction(self.bwd, x[::-1], train)
-        out = np.concatenate([hf, hb_r[::-1]], axis=1)
-        pre = out
-        if self.spec.activation == "relu":
-            out = np.maximum(out, 0.0)
-        if train:
-            self._cache = (x, cache_f, cache_b, pre)
-        return out, pre
+        return np.concatenate([self.fwd.forward(x, train),
+                               self.bwd.forward(x[::-1], train)[::-1]], axis=1)
 
     def backward(self, dout):
-        x, cache_f, cache_b, pre = self._cache
-        if self.spec.activation == "relu":
-            dout = dout * (pre > 0)
         h = self.spec.hidden_size // 2
-        dx_f, grads_f = self._direction_backward(self.fwd, dout[:, :h], x, cache_f)
-        dx_b, grads_b = self._direction_backward(
-            self.bwd, dout[::-1, h:], x[::-1], cache_b)
-        dx = dx_f + dx_b[::-1]
+        dx_f, grads_f = self.fwd.backward(dout[:, :h])
+        dx_b, grads_b = self.bwd.backward(dout[::-1, h:])
         grads = {f"fwd.{k}": v for k, v in grads_f.items()}
         grads.update({f"bwd.{k}": v for k, v in grads_b.items()})
-        return dx, grads
-
-    # -- cell recurrences (inputs already direction-ordered) --
-
-    def _run_direction(self, d, x, train):
-        zn = d.project(x, train)
-        if self.kind == "rnn_bidir":
-            return self._rnn_forward(d, x, zn)
-        return self._lstm_forward(d, x, zn)
-
-    def _rnn_forward(self, d, x, zn):
-        T = x.shape[0]
-        wh, b = d.params["Wh"], d.params["b"]
-        hs = np.zeros((T, d.hidden))
-        h = np.zeros(d.hidden)
-        for t in range(T):
-            h = np.tanh(zn[t] + wh @ h + b)
-            hs[t] = h
-        return hs, (x, hs)
-
-    def _lstm_forward(self, d, x, zn):
-        T = x.shape[0]
-        H = d.hidden
-        wh, b = d.params["Wh"], d.params["b"]
-        hs = np.zeros((T, H))
-        gates = np.zeros((T, 4 * H))
-        cs = np.zeros((T, H))
-        h = np.zeros(H)
-        c = np.zeros(H)
-        for t in range(T):
-            pre = zn[t] + wh @ h + b
-            i = _sigmoid(pre[:H])
-            f = _sigmoid(pre[H:2 * H])
-            g = np.tanh(pre[2 * H:3 * H])
-            o = _sigmoid(pre[3 * H:])
-            c = f * c + i * g
-            h = o * np.tanh(c)
-            hs[t] = h
-            cs[t] = c
-            gates[t] = np.concatenate([i, f, g, o])
-        return hs, (x, hs, cs, gates)
-
-    def _direction_backward(self, d, dh_seq, x, cache):
-        if self.kind == "rnn_bidir":
-            dzn, dwh, db = self._rnn_backward(d, dh_seq, cache)
-        else:
-            dzn, dwh, db = self._lstm_backward(d, dh_seq, cache)
-        dx, grads = d.project_backward(dzn, x)
-        grads["Wh"] = dwh
-        grads["b"] = db
-        return dx, grads
-
-    def _rnn_backward(self, d, dh_seq, cache):
-        x, hs = cache
-        T = x.shape[0]
-        wh = d.params["Wh"]
-        dzn = np.zeros((T, d.hidden))
-        dh_next = np.zeros(d.hidden)
-        for t in range(T - 1, -1, -1):
-            dh = dh_seq[t] + dh_next
-            dq = dh * (1.0 - hs[t] ** 2)
-            dzn[t] = dq
-            dh_next = wh.T @ dq
-        # h_{-1} = 0, so step 0 adds nothing to dWh.
-        return dzn, dzn[1:].T @ hs[:-1], dzn.sum(axis=0)
-
-    def _lstm_backward(self, d, dh_seq, cache):
-        x, hs, cs, gates = cache
-        T = x.shape[0]
-        H = d.hidden
-        wh = d.params["Wh"]
-        dzn = np.zeros((T, 4 * H))
-        dh_next = np.zeros(H)
-        dc_next = np.zeros(H)
-        for t in range(T - 1, -1, -1):
-            i, f, g, o = (gates[t][:H], gates[t][H:2 * H],
-                          gates[t][2 * H:3 * H], gates[t][3 * H:])
-            c_prev = cs[t - 1] if t > 0 else np.zeros(H)
-            tc = np.tanh(cs[t])
-            dh = dh_seq[t] + dh_next
-            do = dh * tc
-            dc = dc_next + dh * o * (1.0 - tc ** 2)
-            di = dc * g
-            df = dc * c_prev
-            dg = dc * i
-            dc_next = dc * f
-            dpre = np.concatenate([
-                di * i * (1.0 - i),
-                df * f * (1.0 - f),
-                dg * (1.0 - g ** 2),
-                do * o * (1.0 - o),
-            ])
-            dzn[t] = dpre
-            dh_next = wh.T @ dpre
-        return dzn, dzn[1:].T @ hs[:-1], dzn.sum(axis=0)
+        return dx_f + dx_b[::-1], grads
 
 
 class FCLayer:
@@ -438,7 +383,6 @@ class FCLayer:
 
     def __init__(self, spec, in_size, rng):
         self.spec = spec
-        self.in_size = in_size
         self.params = {
             "W": uniform_init(rng, (spec.hidden_size, in_size), in_size),
             "b": np.zeros(spec.hidden_size),

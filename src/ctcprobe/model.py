@@ -48,13 +48,15 @@ class LayerSpec:
     out_channels: int | None = None
     hidden_size: int | None = None              # recurrent width / fc output
     batchnorm: bool = True
-    activation: str = "none"                    # relu | none
+    activation: str = "none"                    # relu (conv only) | none
 
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
             raise ValueError(f"unknown layer kind {self.kind!r}")
-        if self.activation not in ("relu", "none"):
-            raise ValueError(f"unknown activation {self.activation!r}")
+        if self.activation not in (("relu", "none") if self.kind in CONV_KINDS
+                                   else ("none",)):
+            raise ValueError(f"activation {self.activation!r} is not one a "
+                             f"{self.kind} layer has")
         if self.kind in CONV_KINDS:
             for name in ("kernel", "stride", "padding", "out_channels"):
                 if getattr(self, name) is None:
@@ -261,7 +263,7 @@ class TrainedModel:
                     boundary_shape = cur.shape
                     flat = cur.transpose(1, 0, 2).reshape(cur.shape[1], -1)
                 if spec.kind in RECURRENT_KINDS:
-                    flat, _pre = layer.forward(flat, train)
+                    flat = layer.forward(flat, train)
                     taps.append(flat)
                 else:
                     logits = layer.forward(flat, train)

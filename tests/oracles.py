@@ -1,6 +1,7 @@
 """Reference implementations that tests compare the program against, and
 helpers that only tests need: CTC path collapse, brute-force path
-enumeration, the gradient from its own forward-backward pass, greedy
+enumeration, the textbook backward variable, the gradient from its own
+forward-backward pass, greedy
 decoding, the per-frame phone label, transcript decoding, and TIMIT-layout
 export."""
 
@@ -30,6 +31,28 @@ def collapse(path, blank=ctc.BLANK):
             out.append(int(sym))
         prev = sym
     return out
+
+
+def ctc_beta(log_probs, ext):
+    """The textbook backward variable over the blank-extended labels
+    ``ext``, one step back in time per row."""
+    # beta excludes the emission at t itself (pairs with alpha, which
+    # includes it), so sum_s exp(alpha[t,s] + beta[t,s]) == p(l|x) at any t.
+    T = log_probs.shape[0]
+    L2 = len(ext)
+    beta = np.full((T, L2), ctc.NEG_INF)
+    beta[T - 1, L2 - 1] = 0.0
+    if L2 > 1:
+        beta[T - 1, L2 - 2] = 0.0
+    skip = np.zeros(L2, dtype=bool)
+    skip[:-2] = (ext[:-2] != ext[2:]) & (ext[2:] != ctc.BLANK)
+    for t in range(T - 2, -1, -1):
+        nxt = beta[t + 1] + log_probs[t + 1, ext]
+        cur = nxt.copy()
+        cur[:-1] = np.logaddexp(cur[:-1], nxt[1:])
+        cur[skip] = np.logaddexp(cur[skip], nxt[np.flatnonzero(skip) + 2])
+        beta[t] = cur
+    return beta
 
 
 def ctc_grad(log_probs, labels) -> np.ndarray:

@@ -7,6 +7,7 @@ import shutil
 
 import numpy as np
 import pytest
+from oracles import export_timit_dir
 
 from ctcprobe import acoustic, cli, model, plots, probing
 from ctcprobe.artifacts import artifact_header, read_artifact
@@ -131,13 +132,26 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("key, value", [
         ("window", -1), ("window", 1.5), ("window", True),
-        ("scheme", "phonemes"), ("k", 0), ("k", True), ("k", 2.0)])
+        ("scheme", "phonemes"), ("k", 0), ("k", True), ("k", 2.0),
+        ("k", 1)])
     def test_bad_clustering_view_or_k_rejected_at_load(self, tmp_path,
                                                        capsys, key, value):
         cfg = small_config(tmp_path / "out")
         cfg["clustering"][key] = value
         assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
         assert "clustering" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("method, k", [("pca", 1), ("tsne", 2)])
+    def test_k_below_the_projection_minimum_rejected_at_load(
+            self, tmp_path, capsys, method, k):
+        cfg = small_config(tmp_path / "out")
+        cfg["clustering"].update(method=method, k=k + 1)
+        assert load_config(write_config(tmp_path, cfg)).clustering_cfg.k == k + 1
+        cfg["clustering"]["k"] = k
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+        assert f"k={k} is below the {k + 1} clusters that {method} needs" in \
+            capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("override, named", [
@@ -155,6 +169,8 @@ class TestConfigValidation:
         ('corpus.synthetic.noise_stddev=-1', "noise_stddev"),
         ('corpus.synthetic.n_utterance=3', "corpus.synthetic.n_utterance"),
         ('corpus.synthetic.n_utterances=-2', "n_utterances"),
+        ('corpus.synthetic.n_utterances=0', "n_utterances"),
+        ('corpus.synthetic.n_utterances=1', "n_utterances"),
         ('corpus.synthetic.n_bins=100', "n_bins"),
         ('corpus.synthetic.phone_to_chars='
          '{"p00": "A", "p01": "b", "p02": "c", "p03": "d"}', "alphabet"),
@@ -241,8 +257,20 @@ class TestStageFailure:
         # The subcommand runs the same stage and names it the same way.
         rc = main(["synth", "--config", write_config(tmp_path, cfg)])
         assert rc == 3
-        assert "stage 'corpus' failed: import produced no utterances" in \
+        assert "stage 'corpus' failed: import produced 0 utterances" in \
             capsys.readouterr().err
+
+    def test_import_too_small_to_split_fails_in_corpus(self, tmp_path,
+                                                       capsys):
+        export_timit_dir(tmp_path / "timit", [
+            ("u0", 0.1 * np.random.default_rng(0).standard_normal(3200),
+             [(0, 1600, "aa"), (1600, 3200, "iy")], "hi")])
+        cfg = small_config(tmp_path / "out")
+        cfg["corpus"] = {"import_path": str(tmp_path / "timit")}
+        assert main(["synth", "--config", write_config(tmp_path, cfg)]) == 3
+        assert "stage 'corpus' failed: import produced 1 utterances; a " \
+            "train/dev split needs at least 2" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "corpus_train.bin").exists()
 
 
 @pytest.fixture(scope="module")
@@ -575,6 +603,21 @@ class TestSubcommands:
             assert rc == 3, change
             err = capsys.readouterr().err
             assert "stage 'cluster' failed: clustering needs the layer-" in err
+
+    def test_too_few_clusters_left_by_pruning_named(self, finished_run,
+                                                    tmp_path, capsys):
+        out, cfg, _ = finished_run
+        staged = tmp_path / "staged"
+        shutil.copytree(out, staged)
+        (staged / "clusters.csv").unlink()
+        strict = dict(cfg, out_dir=str(staged), clustering=dict(
+            cfg["clustering"], method="tsne", k=3, min_coverage=1.0))
+        assert main(["cluster", "--config", write_config(tmp_path, strict)]) \
+            == 3
+        assert "stage 'cluster' failed: only 1 of k=3 clusters (ids [1]) " \
+            "survive pruning at min_coverage=1.0; tsne needs at least 3" in \
+            capsys.readouterr().err
+        assert not (staged / "clusters.csv").exists()
 
     def test_tap_files_do_not_depend_on_windows_or_schemes(
             self, finished_run, tmp_path):

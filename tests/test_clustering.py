@@ -155,6 +155,11 @@ class TestPca:
         points = rng.normal(size=(30, 5))
         np.testing.assert_array_equal(pca_2d(points), pca_2d(points))
 
+    def test_needs_two_points(self):
+        assert pca_2d(np.eye(2)).shape == (2, 2)
+        with pytest.raises(ValueError, match="at least 2 points"):
+            pca_2d(np.ones((1, 3)))
+
 
 class TestTsne:
     def test_kl_decreases_on_random_input(self):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import collapse, ctc_brute_force, ctc_grad, greedy_decode
+from oracles import (collapse, ctc_beta, ctc_brute_force, ctc_grad,
+                     greedy_decode)
 
 from ctcprobe import ctc
 
@@ -101,6 +102,21 @@ class TestCtcLoss:
         else:
             assert np.exp(-ctc.ctc_loss(lp, labels)) == pytest.approx(
                 oracle, abs=1e-6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_reversed_lattice_is_the_textbook_beta(self, data):
+        # Bit for bit: the brute-force and finite-difference oracles only
+        # check beta to a tolerance, through the loss and the gradient.
+        T = data.draw(st.integers(1, 6))
+        S = data.draw(st.integers(2, 4))
+        L = data.draw(st.integers(1, 3))
+        labels = data.draw(st.lists(st.integers(1, S - 1),
+                                    min_size=L, max_size=L))
+        seed = data.draw(st.integers(0, 2 ** 16))
+        lp = random_log_probs(np.random.default_rng(seed), T, S)
+        ext = ctc._extended(labels)
+        assert np.array_equal(ctc._beta(lp, ext), ctc_beta(lp, ext))
 
     def test_no_nan_with_peaked_distributions(self):
         lp = np.log(np.array([[1e-300, 1.0 - 2e-300, 1e-300]] * 5))

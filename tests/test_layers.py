@@ -362,7 +362,45 @@ def recurrent_spec(kind, hidden=6, batchnorm=True):
     return LayerSpec(kind, hidden_size=hidden, batchnorm=batchnorm)
 
 
+def reference_recurrent(layer, x):
+    """The bidirectional layer with batch norm off, from the cell equations:
+    h_t = tanh(Wx x_t + Wh h_{t-1} + b) for the simple RNN; for the LSTM,
+    with the rows of Wx, Wh and b stacked as gates i, f, g, o,
+    c_t = f_t * c_{t-1} + i_t * g_t and h_t = o_t * tanh(c_t).  The
+    backward direction reads x from the last frame to the first."""
+    def sigmoid(v):
+        return 1.0 / (1.0 + np.exp(-v))
+
+    def run(p, frames):
+        n = p["Wh"].shape[1]
+        h, c, out = np.zeros(n), np.zeros(n), []
+        for x_t in frames:
+            a = p["Wx"] @ x_t + p["Wh"] @ h + p["b"]
+            if layer.spec.kind == "lstm_bidir":
+                a_i, a_f, a_g, a_o = np.split(a, 4)
+                c = sigmoid(a_f) * c + sigmoid(a_i) * np.tanh(a_g)
+                h = sigmoid(a_o) * np.tanh(c)
+            else:
+                h = np.tanh(a)
+            out.append(h)
+        return np.array(out)
+
+    return np.concatenate([run(layer.fwd.params, x),
+                           run(layer.bwd.params, x[::-1])[::-1]], axis=1)
+
+
 class TestRecurrentLayer:
+    @pytest.mark.parametrize("kind", ["rnn_bidir", "lstm_bidir"])
+    def test_forward_matches_the_cell_equations(self, kind):
+        rng = np.random.default_rng(8)
+        layer = L.RecurrentLayer(recurrent_spec(kind, batchnorm=False),
+                                 in_size=3, rng=rng)
+        for value in L.named_arrays(layer, "params").values():
+            value[...] = rng.normal(size=value.shape)  # b is zero at init
+        x = rng.normal(size=(5, 3))
+        np.testing.assert_allclose(layer.forward(x, train=False),
+                                   reference_recurrent(layer, x), atol=1e-12)
+
     @pytest.mark.parametrize("kind", ["rnn_bidir", "lstm_bidir"])
     def test_backward_matches_finite_differences(self, kind):
         rng = np.random.default_rng(9)
@@ -375,7 +413,7 @@ class TestRecurrentLayer:
         def loss():
             for k, v in running.items():
                 buffers[k][...] = v
-            return float((layer.forward(x, train=True)[0] * dy).sum())
+            return float((layer.forward(x, train=True) * dy).sum())
 
         loss()
         dx, grads = layer.backward(dy)
@@ -390,10 +428,10 @@ class TestRecurrentLayer:
         layer = L.RecurrentLayer(recurrent_spec("rnn_bidir", batchnorm=False),
                                  in_size=4, rng=rng)
         x = rng.normal(size=(8, 4))
-        base, _ = layer.forward(x, train=False)
+        base = layer.forward(x, train=False)
         perturbed = x.copy()
         perturbed[5:] += rng.normal(size=(3, 4))
-        out, _ = layer.forward(perturbed, train=False)
+        out = layer.forward(perturbed, train=False)
         np.testing.assert_allclose(out[:5, :3], base[:5, :3], atol=1e-12)
         assert not np.allclose(out[:5, 3:], base[:5, 3:])
 
@@ -402,10 +440,10 @@ class TestRecurrentLayer:
         layer = L.RecurrentLayer(recurrent_spec("lstm_bidir", batchnorm=False),
                                  in_size=4, rng=rng)
         x = rng.normal(size=(8, 4))
-        base, _ = layer.forward(x, train=False)
+        base = layer.forward(x, train=False)
         perturbed = x.copy()
         perturbed[:3] += rng.normal(size=(3, 4))
-        out, _ = layer.forward(perturbed, train=False)
+        out = layer.forward(perturbed, train=False)
         np.testing.assert_allclose(out[5:, 3:], base[5:, 3:], atol=1e-12)
 
     def test_odd_hidden_size_rejected(self):

@@ -101,6 +101,16 @@ class TestModelConfigValidation:
         with pytest.raises(ValueError):
             ModelConfig([rnn, conv, fc])
 
+    def test_relu_only_on_conv(self):
+        for kind in ("rnn_bidir", "lstm_bidir", "fully_connected"):
+            with pytest.raises(ValueError, match="activation 'relu'"):
+                LayerSpec(kind, hidden_size=8, activation="relu")
+        # A checkpoint config carrying one fails to load.
+        d = preset("ds2-light-mini").to_dict()
+        d["layers"][2]["activation"] = "relu"
+        with pytest.raises(ValueError, match="activation 'relu'"):
+            ModelConfig.from_dict(d)
+
     def test_round_trip_dict(self):
         cfg = preset("ds2-light-mini", seed=5)
         again = ModelConfig.from_dict(cfg.to_dict())
