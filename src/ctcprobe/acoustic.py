@@ -295,6 +295,9 @@ def _phones_to_transcript(cfg, phones, rng):
 # transcript, segments and frame shape, and whose payload is their f32 frames
 # ---------------------------------------------------------------------------
 
+SPECTROGRAM_META = ("sample_rate_hz", "window_ms", "frame_shift_ms")
+
+
 def save_corpus(path, utterances):
     header = {"utterances": [
         {"id": utt.id, "transcript": utt.transcript,
@@ -304,8 +307,8 @@ def save_corpus(path, utterances):
         for utt in utterances]}
     if utterances:  # one header entry holds every utterance's metadata
         s = utterances[0].spectrogram
-        meta = header["spectrogram"] = {k: getattr(s, k) for k in (
-            "sample_rate_hz", "window_ms", "frame_shift_ms")}
+        meta = header["spectrogram"] = {k: getattr(s, k)
+                                        for k in SPECTROGRAM_META}
         for utt in utterances:
             for key, first in meta.items():
                 if (value := getattr(utt.spectrogram, key)) != first:
@@ -319,20 +322,25 @@ def save_corpus(path, utterances):
 
 def load_corpus(path):
     """The utterances of a `save_corpus` file, read by `read_artifact`."""
-    header, payload = read_artifact(
+    def parse(header, payload):
+        utts = []
+        offset = 0
+        for entry in header["utterances"]:
+            size = math.prod(entry["shape"])
+            frames = np.frombuffer(payload, np.float32, size, offset)
+            offset += 4 * size
+            spec = Spectrogram(frames.reshape(entry["shape"]),
+                               *(header["spectrogram"][k]
+                                 for k in SPECTROGRAM_META))
+            segs = [PhoneSegment(p, a, b) for p, a, b in entry["segments"]]
+            utts.append(Utterance(spec, segs, entry["transcript"],
+                                  entry["id"]))
+        return utts
+
+    return read_artifact(
         path, CORPUS_MAGIC, CORPUS_VERSION, "corpus",
-        lambda h: 4 * sum(math.prod(e["shape"]) for e in h["utterances"]))
-    utts = []
-    offset = 0
-    for entry in header["utterances"]:
-        size = math.prod(entry["shape"])
-        frames = np.frombuffer(payload, np.float32, size, offset)
-        offset += 4 * size
-        spec = Spectrogram(frames.reshape(entry["shape"]),
-                           **header["spectrogram"])
-        segs = [PhoneSegment(p, a, b) for p, a, b in entry["segments"]]
-        utts.append(Utterance(spec, segs, entry["transcript"], entry["id"]))
-    return utts
+        lambda h: 4 * sum(math.prod(e["shape"]) for e in h["utterances"]),
+        parse)
 
 
 # ---------------------------------------------------------------------------

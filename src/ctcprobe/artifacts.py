@@ -37,12 +37,14 @@ def artifact_header(magic, version, header):
     return magic + _PREFIX.pack(version, len(blob)) + blob
 
 
-def read_artifact(path, magic, version, kind, payload_bytes):
-    """(header, payload) of a file that starts with `artifact_header`.
+def read_artifact(path, magic, version, kind, payload_bytes, parse):
+    """``parse(header, payload)`` of a file that starts with
+    `artifact_header`.
 
-    ``payload_bytes(header)`` is the payload length the header implies; a
-    foreign magic, another version, a short read, trailing bytes or a header
-    lacking what ``payload_bytes`` reads raise ValueError naming ``path``.
+    ``payload_bytes(header)`` is the payload length the header implies.  A
+    foreign magic, another version, a short read, trailing bytes, or a
+    header lacking a key (or holding a mistyped one) that ``payload_bytes``
+    or ``parse`` reads raise ValueError naming ``path``.
     """
     data = Path(path).read_bytes()
     if data[:len(magic)] != magic:
@@ -62,9 +64,9 @@ def read_artifact(path, magic, version, kind, payload_bytes):
     payload = memoryview(data)[start + header_len:]
     try:
         expected = payload_bytes(header)
+        if len(payload) != expected:
+            raise ValueError(f"{path}: {kind} payload is {len(payload)} "
+                             f"bytes, its header describes {expected}")
+        return parse(header, payload)
     except (KeyError, TypeError) as exc:  # a missing or mistyped key
         raise ValueError(f"{path}: malformed {kind} header ({exc!r})") from exc
-    if len(payload) != expected:
-        raise ValueError(f"{path}: {kind} payload is {len(payload)} bytes, "
-                         f"its header describes {expected}")
-    return header, payload

@@ -387,7 +387,8 @@ def stage_probe(cfg, art):
             art.path(tap_file(layer, strides, split)), window, scheme,
             inventory) for split in ("train", "dev"))
         result = trainer.train_probe(ds_train, ds_dev, cfg.probe_cfg)
-        report = probing.evaluate_probe(result.probe, ds_dev)
+        pred = result.probe.predict(ds_dev.vectors)
+        report = probing.evaluate_probe(pred, ds_dev)
         reports[combo] = report
         art.write_json(f"probe_{name}.json", report.to_dict())
         art.write_csv(f"probe_{name}_curve.csv",
@@ -399,7 +400,8 @@ def stage_probe(cfg, art):
                       [[""] + report.label_names] +
                       [[report.label_names[i]] + report.confusion[i].tolist()
                        for i in range(len(report.label_names))])
-        _base_label, base_acc = phoneset.majority_baseline(ds_dev)
+        _base_label, base_acc = phoneset.majority_baseline(
+            ds_dev.label_names[i] for i in ds_dev.labels)
         summary.append((layer, int(strides), window, scheme,
                         _fnum(report.accuracy), _fnum(base_acc),
                         result.best_epoch))
@@ -410,9 +412,9 @@ def stage_probe(cfg, art):
         # A layer at the softmax's time resolution gets the breakdown.
         if ds_dev.provenance["subsample_factor"] == \
                 recorded["subsample_factor"]:
-            bd = probing.breakdown_by_ctc_symbol(result.probe, ds_dev,
-                                                 recorded["categories"])
-            for cat, stats in sorted(bd.per_category.items()):
+            per_category = probing.breakdown_by_ctc_symbol(
+                pred == ds_dev.labels, ds_dev.spans, recorded["categories"])
+            for cat, stats in sorted(per_category.items()):
                 breakdown_rows.append(
                     (layer, int(strides), window, scheme, cat,
                      _fnum(stats["share"]), _fnum(stats["accuracy"])))

@@ -10,6 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .phoneset import majority_baseline
+
 
 @dataclass
 class ClusterSummary:
@@ -112,16 +114,11 @@ def kmeans(vectors, k, labels=None, seed=0, max_iter=100, tol=1e-6
         majority = []
         coverage = np.zeros(k)
         for j in range(k):
-            member_labels = labels[assign == j]
-            if member_labels.size == 0:
+            if counts[j] == 0:
                 majority.append(None)
-                coverage[j] = 0.0
                 continue
-            values, value_counts = np.unique(member_labels, return_counts=True)
-            top = value_counts.max()
-            winner = min(v for v, c in zip(values, value_counts) if c == top)
-            majority.append(winner)
-            coverage[j] = top / member_labels.size
+            label, coverage[j] = majority_baseline(labels[assign == j])
+            majority.append(label)
 
     return ClusterSummary(centroids=centroids, counts=counts,
                           inertia=float(point_d2.sum()),

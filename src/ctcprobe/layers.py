@@ -1,11 +1,13 @@
 """Network building blocks with hand-written forward and backward passes.
 
 Each layer owns its parameters (``params``) and non-learned state
-(``buffers``), updated only in place; `named_arrays` lists them for the
-model's registry.  Layers cache intermediates on forward, and return
-(input-gradient, parameter-gradients) on backward.  Everything is
-float64 numpy; recurrent layers run both directions and concatenate.
-Convolution unfolds each time-stride phase of its input along frequency
+(``buffers``), updated only in place; `registry` keys them for a stack of
+layers, the model's or a probe's.  Layers cache intermediates on a
+train-mode forward, and ``backward(dout, input_grad=True)`` returns
+(input-gradient, parameter-gradients), the input gradient None when
+``input_grad`` is false.  The model's layers are float64 numpy, a probe's
+take its data's dtype; recurrent layers run both directions and
+concatenate.  Convolution unfolds each time-stride phase of its input along frequency
 once per pass; forward and ``dx`` are one BLAS GEMM per phase and row
 block, ``dW`` one per kernel row, and every output still adds its kernel
 rows in ascending order (see `ConvLayer`).
@@ -42,6 +44,13 @@ def named_arrays(block, kind):
             out.update({f"{child}.{k}": v
                         for k, v in named_arrays(sub, kind).items()})
     return out
+
+
+def registry(layers, kind):
+    """Live ``params`` or ``buffers`` arrays of a layer stack, keyed
+    "L<i>.<path>" with ``i`` the 1-based position in ``layers``."""
+    return {f"L{i}.{k}": v for i, layer in enumerate(layers, start=1)
+            for k, v in named_arrays(layer, kind).items()}
 
 
 class BatchNorm:
@@ -308,7 +317,7 @@ class _Direction:
             self._cache = (x, hs, cs, acts)
         return hs
 
-    def backward(self, dh_seq):
+    def backward(self, dh_seq, input_grad=True):
         """(dx, grads) for the cached forward; ``dh_seq`` is
         direction-ordered like its input."""
         x, hs, cs, acts = self._cache
@@ -345,7 +354,7 @@ class _Direction:
                  **{f"bn.{k}": v for k, v in bn_grads.items()},
                  # h_{-1} = 0, so step 0 adds nothing to dWh.
                  "Wh": dzn[1:].T @ hs[:-1], "b": dzn.sum(axis=0)}
-        return dz @ self.params["Wx"], grads
+        return (dz @ self.params["Wx"] if input_grad else None), grads
 
 
 class RecurrentLayer:
@@ -368,18 +377,19 @@ class RecurrentLayer:
         return np.concatenate([self.fwd.forward(x, train),
                                self.bwd.forward(x[::-1], train)[::-1]], axis=1)
 
-    def backward(self, dout):
+    def backward(self, dout, input_grad=True):
         h = self.spec.hidden_size // 2
-        dx_f, grads_f = self.fwd.backward(dout[:, :h])
-        dx_b, grads_b = self.bwd.backward(dout[::-1, h:])
+        dx_f, grads_f = self.fwd.backward(dout[:, :h], input_grad)
+        dx_b, grads_b = self.bwd.backward(dout[::-1, h:], input_grad)
         grads = {f"fwd.{k}": v for k, v in grads_f.items()}
         grads.update({f"bwd.{k}": v for k, v in grads_b.items()})
-        return dx_f + dx_b[::-1], grads
+        return (dx_f + dx_b[::-1] if input_grad else None), grads
 
 
 class FCLayer:
-    """Per-frame fully connected projection (logits; softmax lives in the
-    model so CTC can consume pre-softmax gradients)."""
+    """Per-frame fully connected projection: the model's logits (its
+    softmax follows the stack, so CTC can consume pre-softmax gradients),
+    and every layer of a probe."""
 
     def __init__(self, spec, in_size, rng):
         self.spec = spec
@@ -394,7 +404,7 @@ class FCLayer:
             self._cache = x
         return x @ self.params["W"].T + self.params["b"]
 
-    def backward(self, dout):
+    def backward(self, dout, input_grad=True):
         x = self._cache
         grads = {"W": dout.T @ x, "b": dout.sum(axis=0)}
-        return dout @ self.params["W"], grads
+        return (dout @ self.params["W"] if input_grad else None), grads

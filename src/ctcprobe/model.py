@@ -10,6 +10,7 @@ without retraining.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, asdict
 
@@ -232,10 +233,8 @@ class TrainedModel:
         # The one registry of live arrays, {"L<i>.<path>": ndarray}: every
         # write (Adam, batchnorm statistics, checkpoint load, snapshot
         # restore) goes into these arrays in place.
-        self.params, self.buffers = (
-            {f"L{i}.{k}": v for i, layer in enumerate(self.layers, start=1)
-             for k, v in L.named_arrays(layer, kind).items()}
-            for kind in ("params", "buffers"))
+        self.params = L.registry(self.layers, "params")
+        self.buffers = L.registry(self.layers, "buffers")
         self._fwd_state = None
 
     # -- forward / backward -------------------------------------------
@@ -252,46 +251,33 @@ class TrainedModel:
         train = mode == "train"
         taps = [frames]
         cur = frames[None, :, :]  # (C=1, T, F)
-        flat = None
         for spec, layer in zip(self.config.layers, self.layers):
             if spec.kind in CONV_KINDS:
                 stride_t = spec.stride[0] if strides_enabled else 1
                 cur, _pre = layer.forward(cur, train, stride_t=stride_t)
                 taps.append(layer.output_tap(cur))
             else:
-                if flat is None:
-                    boundary_shape = cur.shape
-                    flat = cur.transpose(1, 0, 2).reshape(cur.shape[1], -1)
-                if spec.kind in RECURRENT_KINDS:
-                    flat = layer.forward(flat, train)
-                    taps.append(flat)
-                else:
-                    logits = layer.forward(flat, train)
-                    lp = log_softmax(logits)
-                    taps.append(np.exp(lp))
-                    if train:
-                        self._fwd_state = boundary_shape
-                    return ForwardResult(taps, logits, lp)
-        raise AssertionError("unreachable: config guarantees a final fc layer")
+                taps.append(layer.forward(taps[-1], train))
+        if train:
+            self._fwd_state = cur.shape  # the last conv's (C, T, F)
+        logits = taps[-1]
+        lp = log_softmax(logits)
+        taps[-1] = np.exp(lp)
+        return ForwardResult(taps, logits, lp)
 
     def backward(self, dlogits):
         """Parameter gradients for the cached train-mode forward pass."""
         if self._fwd_state is None:
             raise RuntimeError("backward called without a cached forward pass")
-        boundary_shape = self._fwd_state
         grads = {}
         d = np.asarray(dlogits, dtype=np.float64)
         for i in range(len(self.layers), 0, -1):
-            spec = self.config.layers[i - 1]
-            if spec.kind in CONV_KINDS and d.ndim == 2:
+            if self.config.layers[i - 1].kind in CONV_KINDS and d.ndim == 2:
                 # re-enter conv territory: (T, C*F) -> (C, T, F)
-                c, t, f = boundary_shape
+                c, t, f = self._fwd_state
                 d = d.reshape(t, c, f).transpose(1, 0, 2)
-            if i == 1 and spec.kind in CONV_KINDS:
-                # Nothing uses the spectrogram's gradient.
-                d, layer_grads = self.layers[0].backward(d, input_grad=False)
-            else:
-                d, layer_grads = self.layers[i - 1].backward(d)
+            # Nothing uses the spectrogram's gradient.
+            d, layer_grads = self.layers[i - 1].backward(d, input_grad=i > 1)
             for name, g in layer_grads.items():
                 grads[f"L{i}.{name}"] = g
         return grads
@@ -315,23 +301,30 @@ class TrainedModel:
 
     @classmethod
     def load(cls, path):
-        header, payload = read_artifact(
+        """The model a `save` file holds.  Each header section must list
+        the registry's (name, shape) entries in its order."""
+        def parse(header, payload):
+            model = cls(ModelConfig.from_dict(header["config"]))
+            offset = 0
+            for section in ("params", "buffers"):
+                live = getattr(model, section)
+                for i, (got, want) in enumerate(itertools.zip_longest(
+                        [(e["name"], e["shape"]) for e in header[section]],
+                        [(k, list(v.shape)) for k, v in live.items()])):
+                    if got != want:
+                        raise ValueError(f"{path}: {section} entry {i} is "
+                                         f"{got}, the model config's is "
+                                         f"{want}")
+                for target in live.values():
+                    target[...] = np.frombuffer(
+                        payload, np.float32, target.size,
+                        offset).reshape(target.shape)
+                    offset += 4 * target.size
+            return model
+
+        return read_artifact(
             path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "model checkpoint",
             lambda h: 4 * sum(math.prod(e["shape"])
                               for section in ("params", "buffers")
-                              for e in h[section]))
-        model = cls(ModelConfig.from_dict(header["config"]))
-        offset = 0
-        for section in ("params", "buffers"):
-            live = getattr(model, section)
-            for entry in header[section]:
-                target = live.get(entry["name"])
-                if target is None or list(target.shape) != entry["shape"]:
-                    raise ValueError(
-                        f"{path}: {section} entry {entry['name']!r} "
-                        f"{entry['shape']} does not fit the model config")
-                target[...] = np.frombuffer(
-                    payload, np.float32, target.size, offset).reshape(target.shape)
-                offset += 4 * target.size
-        return model
-
+                              for e in h[section]),
+            parse)

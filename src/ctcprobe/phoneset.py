@@ -89,16 +89,12 @@ def synthetic_inventory(phones, class_map=None) -> PhoneInventory:
                           name="synthetic")
 
 
-def majority_baseline(dataset):
-    """Most frequent label and its relative frequency (ties break
-    lexicographically).  Accepts a FrameDataset or any label iterable."""
-    if hasattr(dataset, "label_names"):
-        labels = [dataset.label_names[i] for i in dataset.labels]
-    else:
-        labels = list(dataset)
-    if not labels:
-        raise ValueError("empty dataset")
+def majority_baseline(labels):
+    """Most frequent of the label names ``labels`` and its relative
+    frequency; ties go to the smallest name."""
     counts = Counter(labels)
+    if not counts:
+        raise ValueError("no labels")
     top_count = max(counts.values())
     label = min(lbl for lbl, n in counts.items() if n == top_count)
-    return label, top_count / len(labels)
+    return label, top_count / counts.total()

@@ -14,8 +14,8 @@ import numpy as np
 from . import ctc, phoneset
 from .acoustic import check_unique_ids
 from .artifacts import artifact_header, atomic_write, read_artifact
-from .layers import uniform_init
-from .model import log_softmax
+from .layers import FCLayer, registry
+from .model import LayerSpec, log_softmax
 
 DATASET_MAGIC = b"CPFD"
 DATASET_VERSION = 2
@@ -168,96 +168,87 @@ def _windowed(tap, w):
 # ---------------------------------------------------------------------------
 
 class TrainedProbe:
-    """Frame classifier over frozen features.
-
-    hidden layer -> ReLU -> dropout (train only) -> softmax; or a plain
-    linear softmax when ``hidden`` is None.  Parameters have the dtype of
-    the data it trains on, and every method computes in the dtype of its
-    parameters and inputs.
+    """Frame classifier over frozen features: a stack of `FCLayer`s with
+    ReLU and dropout (train only) between them, then a softmax.  One layer
+    is a linear probe.  Parameters have the dtype of the data it trains on,
+    and every method computes in the dtype of its parameters and inputs.
+    An eval-mode pass writes nothing on the probe or its layers.
     """
 
-    def __init__(self, params, label_names, hidden, dropout):
-        self.params = params
+    def __init__(self, layers, label_names, dropout):
+        self.layers = layers
         self.label_names = list(label_names)
-        self.hidden = hidden
         self.dropout = dropout
+        self.params = registry(layers, "params")
 
     @classmethod
     def init(cls, dim, label_names, hidden=500, dropout=0.5, seed=0,
              dtype=np.float64):
-        """Weights drawn in float64 whatever ``dtype``, then cast, so every
-        dtype starts from the same random stream."""
+        """A ``hidden``-unit layer then the output layer, or the output
+        layer alone when ``hidden`` is None.  Weights are drawn in float64
+        whatever ``dtype``, then cast, so every dtype starts from the same
+        random stream."""
         rng = np.random.default_rng(seed)
-        n_out = len(label_names)
-        if hidden is None:
-            params = {"W": uniform_init(rng, (n_out, dim), dim),
-                      "b": np.zeros(n_out)}
-        else:
-            params = {"W1": uniform_init(rng, (hidden, dim), dim),
-                      "b1": np.zeros(hidden),
-                      "W2": uniform_init(rng, (n_out, hidden), hidden),
-                      "b2": np.zeros(n_out)}
-        params = {k: v.astype(dtype, copy=False) for k, v in params.items()}
-        return cls(params, label_names, hidden, dropout)
-
-    @property
-    def dim(self):
-        key = "W" if self.hidden is None else "W1"
-        return self.params[key].shape[1]
+        layers = []
+        for n in ([] if hidden is None else [hidden]) + [len(label_names)]:
+            layer = FCLayer(LayerSpec("fully_connected", hidden_size=n,
+                                      batchnorm=False), dim, rng)
+            layer.params = {k: v.astype(dtype, copy=False)
+                            for k, v in layer.params.items()}
+            layers.append(layer)
+            dim = n
+        return cls(layers, label_names, dropout)
 
     def logits(self, x):
         """Deterministic eval-mode forward (no dropout)."""
-        if self.hidden is None:
-            return x @ self.params["W"].T + self.params["b"]
-        h = np.maximum(x @ self.params["W1"].T + self.params["b1"], 0.0)
-        return h @ self.params["W2"].T + self.params["b2"]
+        for layer in self.layers[:-1]:
+            x = np.maximum(layer.forward(x, False), 0.0)
+        return self.layers[-1].forward(x, False)
 
     def predict(self, x):
         return np.argmax(self.logits(x), axis=1)
 
     def evaluate_loss(self, x, y):
         logits = self.logits(x)
-        lp = log_softmax(logits)
-        loss = float(-lp[np.arange(len(y)), y].mean())
+        loss, _lp = _cross_entropy(logits, y)
         acc = float((np.argmax(logits, axis=1) == y).mean())
         return loss, acc
 
     def loss_and_grads(self, x, y, rng):
         """Train-mode loss (dropout active) and parameter gradients."""
-        n = x.shape[0]
-        if self.hidden is None:
-            logits = x @ self.params["W"].T + self.params["b"]
-            lp = log_softmax(logits)
-            loss = float(-lp[np.arange(n), y].mean())
-            dlogits = np.exp(lp)
-            dlogits[np.arange(n), y] -= 1.0
-            dlogits /= n
-            return loss, {"W": dlogits.T @ x, "b": dlogits.sum(axis=0)}
-        h_pre = x @ self.params["W1"].T + self.params["b1"]
-        h = np.maximum(h_pre, 0.0)
-        if self.dropout > 0.0:
-            keep = 1.0 - self.dropout
-            mask = ((rng.random(h.shape) < keep) / keep).astype(
-                h.dtype, copy=False)
-            h = h * mask
-        else:
+        pres, masks = [], []
+        for layer in self.layers[:-1]:
+            pres.append(layer.forward(x, True))
+            x = np.maximum(pres[-1], 0.0)
             mask = None
-        logits = h @ self.params["W2"].T + self.params["b2"]
-        lp = log_softmax(logits)
-        loss = float(-lp[np.arange(n), y].mean())
-        dlogits = np.exp(lp)
-        dlogits[np.arange(n), y] -= 1.0
-        dlogits /= n
-        dh = dlogits @ self.params["W2"]
-        if mask is not None:
-            dh = dh * mask
-        dh_pre = dh * (h_pre > 0)
-        return loss, {
-            "W1": dh_pre.T @ x,
-            "b1": dh_pre.sum(axis=0),
-            "W2": dlogits.T @ h,
-            "b2": dlogits.sum(axis=0),
-        }
+            if self.dropout > 0.0:
+                keep = 1.0 - self.dropout
+                mask = ((rng.random(x.shape) < keep) / keep).astype(
+                    x.dtype, copy=False)
+                x = x * mask
+            masks.append(mask)
+        loss, lp = _cross_entropy(self.layers[-1].forward(x, True), y)
+        n = len(y)
+        d = np.exp(lp)
+        d[np.arange(n), y] -= 1.0
+        d /= n
+        grads = {}
+        for i in range(len(self.layers), 0, -1):
+            d, layer_grads = self.layers[i - 1].backward(d, input_grad=i > 1)
+            for name, g in layer_grads.items():
+                grads[f"L{i}.{name}"] = g
+            if i > 1:
+                if masks[i - 2] is not None:
+                    d = d * masks[i - 2]
+                d = d * (pres[i - 2] > 0)
+        return loss, grads
+
+
+def _cross_entropy(logits, y):
+    """Mean softmax cross-entropy of ``logits`` against the labels ``y``,
+    and the log-softmax."""
+    lp = log_softmax(logits)
+    return float(-lp[np.arange(len(y)), y].mean()), lp
 
 
 # ---------------------------------------------------------------------------
@@ -315,13 +306,12 @@ def _prf(cm, label_names):
     return precision, recall, f1
 
 
-def evaluate_probe(probe: TrainedProbe, dataset: FrameDataset) -> ProbeReport:
-    if probe.dim != dataset.dim:
-        raise ValueError(
-            f"probe expects dim {probe.dim}, dataset has {dataset.dim}")
-    if probe.label_names != dataset.label_names:
-        raise ValueError("probe and dataset label spaces differ")
-    pred = probe.predict(dataset.vectors)
+def evaluate_probe(pred, dataset: FrameDataset) -> ProbeReport:
+    """Report of the predicted label indices ``pred`` of ``dataset``'s
+    rows."""
+    if len(pred) != dataset.n_frames:
+        raise ValueError(f"{len(pred)} predictions for {dataset.n_frames} "
+                         f"rows")
     cm = confusion_matrix(dataset.labels, pred, len(dataset.label_names))
     precision, recall, f1 = _prf(cm, dataset.label_names)
     accuracy = float(np.trace(cm)) / max(1, dataset.n_frames)
@@ -330,24 +320,21 @@ def evaluate_probe(probe: TrainedProbe, dataset: FrameDataset) -> ProbeReport:
                        dict(dataset.provenance))
 
 
-@dataclass
-class CtcBreakdown:
-    per_category: dict     # category -> {accuracy, share, n_frames}
-    overall_accuracy: float
+def breakdown_by_ctc_symbol(correct, spans, categories) -> dict:
+    """Probe accuracy within each category of the model's own greedy CTC
+    prediction: {"blank" | "space" | "letter": {n_frames, share,
+    accuracy}}.
 
-
-def breakdown_by_ctc_symbol(probe, dataset, categories) -> CtcBreakdown:
-    """Partition frames by the model's own greedy CTC prediction (blank,
-    space, or letter) and report probe accuracy within each category.
-
-    ``categories`` is `Extraction.categories` of a pass over the dataset's
-    utterances at its strides setting ("b", "s" or "l" per softmax frame);
-    the dataset's layer must have the softmax's time resolution, so that
-    each utterance has one category per row."""
-    if not dataset.spans:
+    ``correct`` marks the rows the probe got right, and ``spans`` lists
+    their (utterance id, rows) in order.  ``categories`` is
+    `Extraction.categories` of a pass over those utterances at the rows'
+    strides setting ("b", "s" or "l" per softmax frame); the rows' layer
+    must have the softmax's time resolution, so that each utterance has
+    one category per row."""
+    if not spans:
         raise ValueError("dataset lacks extraction provenance")
     per_row = []
-    for utt_id, n_rows in dataset.spans:
+    for utt_id, n_rows in spans:
         if utt_id not in categories:
             raise ValueError(f"no CTC categories for utterance {utt_id!r}")
         if len(categories[utt_id]) != n_rows:
@@ -357,9 +344,8 @@ def breakdown_by_ctc_symbol(probe, dataset, categories) -> CtcBreakdown:
                 f"output have different time resolutions")
         per_row.append(categories[utt_id])
     per_row = np.array(list("".join(per_row)))
-    correct = probe.predict(dataset.vectors) == dataset.labels
     per_category = {}
-    n = dataset.n_frames
+    n = len(correct)
     for cat in ("blank", "space", "letter"):
         m = per_row == cat[0]
         per_category[cat] = {
@@ -367,7 +353,7 @@ def breakdown_by_ctc_symbol(probe, dataset, categories) -> CtcBreakdown:
             "share": float(m.sum()) / n,
             "accuracy": float(correct[m].mean()) if m.any() else 0.0,
         }
-    return CtcBreakdown(per_category, float(correct.mean()))
+    return per_category
 
 
 # ---------------------------------------------------------------------------
@@ -413,23 +399,28 @@ def load_dataset(path, window=0, scheme="full",
         raise ValueError("window must be >= 0")
     if inventory is None and scheme != "full":
         raise ValueError("reduction schemes need a phone inventory")
-    header, payload = read_artifact(
-        path, DATASET_MAGIC, DATASET_VERSION, "frame dataset",
-        lambda h: 4 * h["n"] * (h["d"] + 1))
-    n, d, phones = header["n"], header["d"], header["label_names"]
-    spans = [(s[0], s[1]) for s in header["spans"]]
-    ends = np.cumsum([0] + [n_rows for _id, n_rows in spans])
-    codes = np.frombuffer(payload, np.int32, n, 4 * n * d)
-    if ends[-1] != n:
-        raise ValueError(f"{path}: spans cover {ends[-1]} rows, not its {n}")
-    if codes.size and not 0 <= codes.min() <= codes.max() < len(phones):
-        raise ValueError(f"{path}: phone index outside its label_names")
-    inventory = inventory or phoneset.synthetic_inventory(phones)
-    names = inventory.labels_for_scheme(scheme)
-    lut = [names.index(inventory.reduce(phone, scheme)) for phone in phones]
-    tap = np.frombuffer(payload, np.float32, n * d).reshape(n, d)
-    return FrameDataset(
-        np.concatenate([_windowed(rows, window)
-                        for rows in np.split(tap, ends[1:-1])]),
-        np.array(lut, np.int64)[codes], names,
-        {**header["provenance"], "window": window, "scheme": scheme}, spans)
+
+    def parse(header, payload):
+        n, d, phones = header["n"], header["d"], header["label_names"]
+        spans = [(s[0], s[1]) for s in header["spans"]]
+        ends = np.cumsum([0] + [n_rows for _id, n_rows in spans])
+        codes = np.frombuffer(payload, np.int32, n, 4 * n * d)
+        if ends[-1] != n:
+            raise ValueError(f"{path}: spans cover {ends[-1]} rows, not "
+                             f"its {n}")
+        if codes.size and not 0 <= codes.min() <= codes.max() < len(phones):
+            raise ValueError(f"{path}: phone index outside its label_names")
+        inv = inventory or phoneset.synthetic_inventory(phones)
+        names = inv.labels_for_scheme(scheme)
+        lut = [names.index(inv.reduce(phone, scheme)) for phone in phones]
+        tap = np.frombuffer(payload, np.float32, n * d).reshape(n, d)
+        return FrameDataset(
+            np.concatenate([_windowed(rows, window)
+                            for rows in np.split(tap, ends[1:-1])]),
+            np.array(lut, np.int64)[codes], names,
+            {**header["provenance"], "window": window, "scheme": scheme},
+            spans)
+
+    return read_artifact(path, DATASET_MAGIC, DATASET_VERSION,
+                         "frame dataset",
+                         lambda h: 4 * h["n"] * (h["d"] + 1), parse)

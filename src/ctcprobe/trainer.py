@@ -16,6 +16,7 @@ import numpy as np
 from . import ctc
 from .acoustic import check_unique_ids
 from .model import ModelConfig, TrainedModel
+from .probing import TrainedProbe
 
 log = logging.getLogger(__name__)
 
@@ -307,15 +308,13 @@ class ProbeConfig(FitConfig):
 
 @dataclass
 class ProbeTrainResult:
-    probe: "object"      # probing.TrainedProbe
+    probe: TrainedProbe
     curve: list          # rows: {epoch, train_loss, dev_loss, dev_accuracy}
     best_epoch: int
 
 
 def train_probe(train, dev, probe_config: ProbeConfig) -> ProbeTrainResult:
     """Train the frame classifier, selecting the best-dev-loss epoch."""
-    from .probing import TrainedProbe  # probe definition lives with probing
-
     if train.vectors.shape[1] != dev.vectors.shape[1]:
         raise ValueError("train and dev feature dimensions differ")
     if train.label_names != dev.label_names:

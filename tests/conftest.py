@@ -1,3 +1,7 @@
+import json
+
+from ctcprobe.artifacts import _PREFIX, artifact_header
+
 # Damage applied to every binary artifact (corpus, checkpoint, `.fds`): a
 # cut inside the payload or the header, and junk appended to the payload.
 # Each must fail to load with an error naming the file.
@@ -6,3 +10,23 @@ DAMAGE = {
     "short_header": lambda data: data[:40],
     "trailing_bytes": lambda data: data + b"junk",
 }
+
+
+def drop_header_key(path, magic, key_path):
+    """Rewrite the binary artifact at ``path`` without the header key at
+    ``key_path`` (dict keys and list indices from the root), leaving its
+    version and payload as they were."""
+    data = path.read_bytes()
+    version, header_len = _PREFIX.unpack_from(data, len(magic))
+    start = len(magic) + _PREFIX.size
+    header = json.loads(data[start:start + header_len])
+    node = header
+    for key in key_path[:-1]:
+        node = node[key]
+    del node[key_path[-1]]
+    path.write_bytes(artifact_header(magic, version, header)
+                     + data[start + header_len:])
+
+
+def key_id(key_path):
+    return ".".join(map(str, key_path))

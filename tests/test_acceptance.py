@@ -198,9 +198,11 @@ def sanity_pipeline(tmp_path_factory):
                                      tmp_path_factory.mktemp("frames"))
     for layer, (ds_train, ds_dev) in frames.items():
         fit = train_probe(ds_train, ds_dev, probe_cfg)
-        report = evaluate_probe(fit.probe, ds_dev)
-        _, baseline = majority_baseline(ds_dev)
-        layers[layer] = {"probe": fit.probe, "dataset": ds_dev,
+        pred = fit.probe.predict(ds_dev.vectors)
+        report = evaluate_probe(pred, ds_dev)
+        _, baseline = majority_baseline(ds_dev.label_names[i]
+                                        for i in ds_dev.labels)
+        layers[layer] = {"pred": pred, "dataset": ds_dev,
                          "report": report, "baseline": baseline}
     return {"asr": asr, "categories": categories, "layers": layers}
 
@@ -220,13 +222,13 @@ def test_pipeline_sanity_on_synthetic_corpus(sanity_pipeline):
 @pytest.mark.slow
 def test_breakdown_shares_and_recombination(sanity_pipeline):
     entry = sanity_pipeline["layers"][4]
-    breakdown = breakdown_by_ctc_symbol(entry["probe"], entry["dataset"],
-                                        sanity_pipeline["categories"])
-    cats = breakdown.per_category
+    ds = entry["dataset"]
+    cats = breakdown_by_ctc_symbol(entry["pred"] == ds.labels, ds.spans,
+                                   sanity_pipeline["categories"])
     assert sum(c["share"] for c in cats.values()) == pytest.approx(1.0,
                                                                    abs=1e-12)
     recombined = sum(c["share"] * c["accuracy"] for c in cats.values())
-    assert abs(recombined - breakdown.overall_accuracy) < 1e-9
+    assert abs(recombined - entry["report"].accuracy) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +296,8 @@ def run_trend_experiment(out_dir):
                                       out_dir)
     for layer, (ds_train, ds_dev) in frames.items():
         fit = train_probe(ds_train, ds_dev, probe_cfg)
-        accuracies[layer] = evaluate_probe(fit.probe, ds_dev).accuracy
+        accuracies[layer] = evaluate_probe(fit.probe.predict(ds_dev.vectors),
+                                           ds_dev).accuracy
     return accuracies
 
 

@@ -2,11 +2,10 @@ import re
 
 import numpy as np
 import pytest
-from conftest import DAMAGE
+from conftest import DAMAGE, drop_header_key, key_id
 from oracles import decode_transcript, export_timit_dir, frame_label
 
 from ctcprobe import acoustic
-from ctcprobe.artifacts import artifact_header
 from ctcprobe.acoustic import (PhoneSegment, Spectrogram, SynthConfig,
                                Utterance, hamming_window, spectrogram,
                                synthesize_corpus)
@@ -229,14 +228,21 @@ class TestCorpusSerialization:
             assert (spec.sample_rate_hz, spec.window_ms,
                     spec.frame_shift_ms) == (8000, 25.0, 5.0)
 
-    def test_header_lacking_a_key_names_file_and_key(self, tmp_path):
+    @pytest.mark.parametrize("key_path", [
+        ("utterances",), ("spectrogram",), ("utterances", 1, "id"),
+        ("utterances", 1, "transcript"), ("utterances", 1, "segments"),
+        ("utterances", 1, "shape"),
+        *(("spectrogram", key) for key in acoustic.SPECTROGRAM_META)],
+        ids=key_id)
+    def test_header_lacking_a_key_names_file_and_key(self, tmp_path,
+                                                     key_path):
         path = tmp_path / "corpus.bin"
-        path.write_bytes(artifact_header(acoustic.CORPUS_MAGIC,
-                                         acoustic.CORPUS_VERSION, {}))
+        acoustic.save_corpus(path, synthesize_corpus(SynthConfig(seed=5), 2))
+        drop_header_key(path, acoustic.CORPUS_MAGIC, key_path)
         with pytest.raises(ValueError, match=re.escape(str(path))) as err:
             acoustic.load_corpus(path)
-        assert "corpus" in str(err.value)
-        assert "'utterances'" in str(err.value)
+        assert "malformed corpus header" in str(err.value)
+        assert repr(key_path[-1]) in str(err.value)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "other.bin"

@@ -193,18 +193,6 @@ class TestConvLayer:
     def test_backward_matches_finite_differences_cases(self, case):
         check_backward_matches_fd(case)
 
-    def test_backward_without_input_grad(self):
-        rng = np.random.default_rng(15)
-        layer = L.ConvLayer(conv_spec(), 2, rng)
-        x = rng.normal(size=(2, 8, 10))
-        dy = rng.normal(size=layer.forward(x, train=True)[0].shape)
-        _dx, grads = layer.backward(dy)
-        no_dx, grads_only = layer.backward(dy, input_grad=False)
-        assert no_dx is None
-        assert list(grads_only) == list(grads)
-        for name, g in grads.items():
-            np.testing.assert_array_equal(grads_only[name], g, err_msg=name)
-
 
 class RowConvOracle(L.ConvLayer):
     """Reference convolution: one GEMM per kernel row over that row's own
@@ -468,6 +456,40 @@ class TestFCLayer:
         assert rel_err(dx, fd_grad(loss, x)) < 1e-6
         for name, value in L.named_arrays(layer, "params").items():
             assert rel_err(grads[name], fd_grad(loss, value)) < 1e-6, name
+
+
+# kind -> make(rng): (a layer of that kind, an input for it)
+WITHOUT_INPUT_GRAD = {
+    "conv": lambda rng: (L.ConvLayer(conv_spec(), 2, rng),
+                         rng.normal(size=(2, 8, 10))),
+    "fc": lambda rng: (L.FCLayer(LayerSpec("fully_connected", hidden_size=5,
+                                           batchnorm=False), 4, rng),
+                       rng.normal(size=(6, 4))),
+    "rnn": lambda rng: (L.RecurrentLayer(recurrent_spec("rnn_bidir"), 5, rng),
+                        rng.normal(size=(7, 5))),
+    "lstm": lambda rng: (L.RecurrentLayer(recurrent_spec("lstm_bidir"), 5,
+                                          rng),
+                         rng.normal(size=(7, 5))),
+}
+
+
+@pytest.mark.parametrize("kind", WITHOUT_INPUT_GRAD)
+def test_backward_without_input_grad(kind):
+    # Every layer skips its input gradient the same way: dx is None, and
+    # the parameter gradients are those of a full backward, bit for bit.
+    rng = np.random.default_rng(15)
+    layer, x = WITHOUT_INPUT_GRAD[kind](rng)
+    out = layer.forward(x, train=True)
+    if kind == "conv":
+        out = out[0]
+    dy = rng.normal(size=out.shape)
+    dx, grads = layer.backward(dy)
+    assert dx.shape == x.shape
+    no_dx, grads_only = layer.backward(dy, input_grad=False)
+    assert no_dx is None
+    assert list(grads_only) == list(grads)
+    for name, g in grads.items():
+        np.testing.assert_array_equal(grads_only[name], g, err_msg=name)
 
 
 def test_uniform_init_range():

@@ -1,11 +1,12 @@
+import math
 import re
 
 import numpy as np
 import pytest
-from conftest import DAMAGE
+from conftest import DAMAGE, drop_header_key, key_id
 
 from ctcprobe import ctc
-from ctcprobe.artifacts import artifact_header
+from ctcprobe.artifacts import artifact_header, read_artifact
 from ctcprobe.model import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, LayerSpec,
                             ModelConfig, TrainedModel, conv_output_len,
                             preset)
@@ -287,14 +288,59 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             TrainedModel.load(path)
 
-    def test_header_lacking_a_key_names_file_and_key(self, tmp_path):
+    @pytest.mark.parametrize("key_path", [
+        ("config",), ("params",), ("buffers",), ("params", 0, "name"),
+        ("params", 0, "shape"), ("buffers", 0, "name"),
+        ("buffers", 0, "shape"), ("config", "layers"), ("config", "alphabet"),
+        ("config", "input_freq_bins"), ("config", "seed"),
+        ("config", "layers", 0, "kind")], ids=key_id)
+    def test_header_lacking_a_key_names_file_and_key(self, tmp_path,
+                                                     key_path):
         path = tmp_path / "m.ckpt"
-        path.write_bytes(artifact_header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-                                         {}))
+        TrainedModel(tiny_config(seed=7)).save(path)
+        drop_header_key(path, CHECKPOINT_MAGIC, key_path)
         with pytest.raises(ValueError, match=re.escape(str(path))) as err:
             TrainedModel.load(path)
         assert "model checkpoint" in str(err.value)
-        assert "'params'" in str(err.value)
+        assert repr(key_path[-1]) in str(err.value)
+
+    @staticmethod
+    def rewrite_params(path, edit):
+        """Rewrite the checkpoint at ``path`` with ``edit`` applied to its
+        list of (params entry, that entry's payload bytes)."""
+        header, payload = read_artifact(
+            path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "model checkpoint",
+            lambda h: 4 * sum(math.prod(e["shape"])
+                              for section in ("params", "buffers")
+                              for e in h[section]),
+            lambda h, p: (h, bytes(p)))
+        params, offset = [], 0
+        for entry in header["params"]:
+            size = 4 * math.prod(entry["shape"])
+            params.append((entry, payload[offset:offset + size]))
+            offset += size
+        params = edit(params)
+        header["params"] = [entry for entry, _chunk in params]
+        path.write_bytes(
+            artifact_header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header)
+            + b"".join(chunk for _entry, chunk in params) + payload[offset:])
+
+    @pytest.mark.parametrize("edit, found, want", [
+        (lambda params: [p for p in params if p[0]["name"] != "L10.b"],
+         None, ("L10.b", [29])),
+        (lambda params: params[:1] + params, ("L1.W", [8, 1, 11, 41]),
+         ("L1.b", [8]))],
+        ids=["dropped_entry", "repeated_entry"])
+    def test_header_names_must_be_the_registry(self, tmp_path, edit, found,
+                                               want):
+        # Each rewritten file is whole: its payload matches its header.
+        path = tmp_path / "m.ckpt"
+        TrainedModel(preset("ds2-mini", seed=1)).save(path)
+        self.rewrite_params(path, edit)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: params entry ")) as err:
+            TrainedModel.load(path)
+        assert f"is {found}, the model config's is {want}" in str(err.value)
 
     @pytest.mark.parametrize("damage", DAMAGE)
     def test_rejects_damaged_file(self, tmp_path, damage):

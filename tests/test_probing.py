@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import DAMAGE
+from conftest import DAMAGE, drop_header_key
 from oracles import frame_label, greedy_decode
 
 from ctcprobe import phoneset, probing
@@ -283,9 +283,30 @@ class TestExtractFrames:
 class TestTrainedProbe:
     def test_linear_probe_when_hidden_none(self):
         probe = TrainedProbe.init(4, ["a", "b"], hidden=None)
-        assert set(probe.params) == {"W", "b"}
+        assert set(probe.params) == {"L1.W", "L1.b"}
         x = np.random.default_rng(0).normal(size=(5, 4))
         assert probe.logits(x).shape == (5, 2)
+
+    @pytest.mark.parametrize("hidden", [None, 7])
+    def test_eval_pass_writes_no_attribute(self, hidden):
+        rng = np.random.default_rng(2)
+        probe = TrainedProbe.init(5, ["a", "b", "c"], hidden=hidden, seed=1)
+        x = rng.normal(size=(6, 5))
+        y = np.array([0, 1, 2, 1, 0, 2])
+        probe.loss_and_grads(x, y, rng)  # leaves a train-mode cache
+        objects = [probe, *probe.layers]
+        before = [dict(vars(obj)) for obj in objects]
+        params = {k: v.copy() for k, v in probe.params.items()}
+        x_dev = rng.normal(size=(4, 5))
+        probe.logits(x_dev)
+        probe.predict(x_dev)
+        probe.evaluate_loss(x_dev, y[:4])
+        for obj, attrs in zip(objects, before):
+            assert vars(obj).keys() == attrs.keys()
+            for name, value in vars(obj).items():
+                assert value is attrs[name], name
+        for k, v in params.items():
+            np.testing.assert_array_equal(probe.params[k], v, err_msg=k)
 
     def test_loss_and_grads_finite_differences(self):
         rng = np.random.default_rng(1)
@@ -336,34 +357,43 @@ class TestTrainedProbe:
                                           seed=1).params.items():
                 np.testing.assert_array_equal(fresh.params[k], p.astype(dtype))
 
-    def test_float64_keeps_the_whole_expression_bits(self):
+    @pytest.mark.parametrize("hidden", [None, 9])
+    def test_float64_keeps_the_whole_expression_bits(self, hidden):
         # The dtype-generic forward and backward, on float64 data, equal
         # the float64 expressions written out whole, bit for bit.
         rng = np.random.default_rng(5)
-        probe = TrainedProbe.init(6, ["a", "b", "c"], hidden=9, dropout=0.5,
-                                  seed=3)
+        probe = TrainedProbe.init(6, ["a", "b", "c"], hidden=hidden,
+                                  dropout=0.5, seed=3)
         x = rng.normal(size=(11, 6))
         y = rng.integers(0, 3, 11)
         loss, grads = probe.loss_and_grads(x, y, np.random.default_rng(7))
         P = probe.params
-        h_pre = x @ P["W1"].T + P["b1"]
-        mask = (np.random.default_rng(7).random(h_pre.shape) < 0.5) / 0.5
-        h = np.maximum(h_pre, 0.0) * mask
-        z = h @ P["W2"].T + P["b2"]
+        if hidden is None:
+            h = x
+        else:
+            h_pre = x @ P["L1.W"].T + P["L1.b"]
+            mask = (np.random.default_rng(7).random(h_pre.shape) < 0.5) / 0.5
+            h = np.maximum(h_pre, 0.0) * mask
+        out = "L1" if hidden is None else "L2"
+        z = h @ P[f"{out}.W"].T + P[f"{out}.b"]
         z = z - z.max(axis=1, keepdims=True)
         lp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
         assert loss == float(-lp[np.arange(11), y].mean())
         dz = np.exp(lp)
         dz[np.arange(11), y] -= 1.0
         dz /= 11
-        dh_pre = dz @ P["W2"] * mask * (h_pre > 0)
-        want = {"W1": dh_pre.T @ x, "b1": dh_pre.sum(axis=0),
-                "W2": dz.T @ h, "b2": dz.sum(axis=0)}
+        want = {f"{out}.W": dz.T @ h, f"{out}.b": dz.sum(axis=0)}
+        if hidden is None:
+            want_logits = x @ P["L1.W"].T + P["L1.b"]
+        else:
+            dh_pre = dz @ P["L2.W"] * mask * (h_pre > 0)
+            want.update({"L1.W": dh_pre.T @ x, "L1.b": dh_pre.sum(axis=0)})
+            want_logits = (np.maximum(h_pre, 0.0) @ P["L2.W"].T
+                           + P["L2.b"])
         assert set(grads) == set(want)
         for k in want:
             np.testing.assert_array_equal(grads[k], want[k], err_msg=k)
-        np.testing.assert_array_equal(
-            probe.logits(x), np.maximum(h_pre, 0.0) @ P["W2"].T + P["b2"])
+        np.testing.assert_array_equal(probe.logits(x), want_logits)
 
     @pytest.mark.parametrize("hidden", [None, 50])
     def test_float32_agrees_with_float64(self, hidden):
@@ -374,12 +404,11 @@ class TestTrainedProbe:
         x = rng.normal(size=(64, 40)).astype(np.float32)
         y = rng.integers(0, 8, 64)
         names = [f"p{i}" for i in range(8)]
-        wide = TrainedProbe.init(40, names, hidden=hidden, seed=2,
-                                 dtype=np.float32)
-        wide.params = {k: p.astype(np.float64)
-                       for k, p in wide.params.items()}
         narrow = TrainedProbe.init(40, names, hidden=hidden, seed=2,
                                    dtype=np.float32)
+        wide = TrainedProbe.init(40, names, hidden=hidden, seed=2)
+        for k, p in wide.params.items():
+            p[...] = narrow.params[k]  # the float32 weights, in float64
         loss64, g64 = wide.loss_and_grads(x.astype(np.float64), y,
                                           np.random.default_rng(8))
         loss32, g32 = narrow.loss_and_grads(x, y, np.random.default_rng(8))
@@ -406,10 +435,11 @@ class TestEvaluateProbe:
         labels = np.array([0, 0, 0, 1, 2])
         ds = FrameDataset(rng.normal(size=(5, 3)), labels, ["a", "b", "c"])
         probe = TrainedProbe.init(3, ds.label_names, hidden=None)
-        probe.params["W"][:] = 0.0
-        probe.params["b"][:] = [1.0, 0.0, 0.0]  # always predict "a"
-        report = evaluate_probe(probe, ds)
-        _, baseline = phoneset.majority_baseline(ds)
+        probe.params["L1.W"][:] = 0.0
+        probe.params["L1.b"][:] = [1.0, 0.0, 0.0]  # always predict "a"
+        report = evaluate_probe(probe.predict(ds.vectors), ds)
+        _, baseline = phoneset.majority_baseline(
+            ds.label_names[i] for i in ds.labels)
         assert report.accuracy == baseline == 0.6
 
     def test_hand_built_confusion(self):
@@ -417,9 +447,9 @@ class TestEvaluateProbe:
         ds = FrameDataset(np.array([[5.0], [-1.0], [-3.0], [-4.0]]),
                           np.array([0, 0, 1, 1]), ["a", "b"])
         probe = TrainedProbe.init(1, ds.label_names, hidden=None)
-        probe.params["W"][:] = np.array([[1.0], [-1.0]])
-        probe.params["b"][:] = 0.0
-        report = evaluate_probe(probe, ds)
+        probe.params["L1.W"][:] = np.array([[1.0], [-1.0]])
+        probe.params["L1.b"][:] = 0.0
+        report = evaluate_probe(probe.predict(ds.vectors), ds)
         np.testing.assert_array_equal(report.confusion, [[1, 1], [0, 2]])
         assert report.accuracy == pytest.approx(0.75)
         assert report.precision["b"] == pytest.approx(2.0 / 3.0)
@@ -430,7 +460,7 @@ class TestEvaluateProbe:
         ds = FrameDataset(rng.normal(size=(40, 4)),
                           rng.integers(0, 3, size=40), ["a", "b", "c"])
         probe = TrainedProbe.init(4, ds.label_names, hidden=6, seed=1)
-        report = evaluate_probe(probe, ds)
+        report = evaluate_probe(probe.predict(ds.vectors), ds)
         assert report.accuracy == np.trace(report.confusion) / 40
         assert report.confusion.sum() == 40
 
@@ -439,7 +469,7 @@ class TestEvaluateProbe:
         ds = FrameDataset(rng.normal(size=(10, 3)),
                           rng.integers(0, 2, size=10), ["a", "b"])
         probe = TrainedProbe.init(3, ds.label_names, hidden=4, seed=0)
-        report = evaluate_probe(probe, ds)
+        report = evaluate_probe(probe.predict(ds.vectors), ds)
         again = ProbeReport.from_dict(report.to_dict())
         assert again.accuracy == report.accuracy
         np.testing.assert_array_equal(again.confusion, report.confusion)
@@ -448,7 +478,9 @@ class TestEvaluateProbe:
         ds = FrameDataset(np.zeros((2, 3)), np.zeros(2, dtype=int), ["a"])
         probe = TrainedProbe.init(4, ["a"], hidden=None)
         with pytest.raises(ValueError):
-            evaluate_probe(probe, ds)
+            probe.predict(ds.vectors)
+        with pytest.raises(ValueError, match="3 predictions for 2 rows"):
+            evaluate_probe(np.zeros(3, dtype=int), ds)
 
 
 def all_blank_model():
@@ -479,22 +511,24 @@ class TestBreakdown:
         model = all_blank_model()
         ds, categories = self.make_dataset(tmp_path, model, utts, cfg)
         probe = TrainedProbe.init(ds.dim, ds.label_names, hidden=None, seed=0)
-        bd = breakdown_by_ctc_symbol(probe, ds, categories)
-        assert bd.per_category["blank"]["share"] == 1.0
-        assert bd.per_category["space"]["n_frames"] == 0
-        assert bd.per_category["letter"]["n_frames"] == 0
+        bd = breakdown_by_ctc_symbol(probe.predict(ds.vectors) == ds.labels,
+                                     ds.spans, categories)
+        assert bd["blank"]["share"] == 1.0
+        assert bd["space"]["n_frames"] == 0
+        assert bd["letter"]["n_frames"] == 0
 
     def test_shares_sum_to_one_and_recombine(self, tmp_path, corpus,
                                              mini_model):
         cfg, utts = corpus
         ds, categories = self.make_dataset(tmp_path, mini_model, utts, cfg)
         probe = TrainedProbe.init(ds.dim, ds.label_names, hidden=6, seed=3)
-        bd = breakdown_by_ctc_symbol(probe, ds, categories)
-        shares = [v["share"] for v in bd.per_category.values()]
+        pred = probe.predict(ds.vectors)
+        bd = breakdown_by_ctc_symbol(pred == ds.labels, ds.spans, categories)
+        shares = [v["share"] for v in bd.values()]
         assert sum(shares) == pytest.approx(1.0, abs=1e-12)
-        recombined = sum(v["share"] * v["accuracy"]
-                         for v in bd.per_category.values())
-        assert recombined == pytest.approx(bd.overall_accuracy, abs=1e-9)
+        recombined = sum(v["share"] * v["accuracy"] for v in bd.values())
+        assert recombined == pytest.approx(evaluate_probe(pred, ds).accuracy,
+                                           abs=1e-9)
 
     def test_resolution_mismatch_rejected(self, tmp_path, corpus, mini_model):
         cfg, utts = corpus
@@ -502,7 +536,8 @@ class TestBreakdown:
                                            layer=0)
         probe = TrainedProbe.init(ds.dim, ds.label_names, hidden=None)
         with pytest.raises(ValueError, match="time resolutions"):
-            breakdown_by_ctc_symbol(probe, ds, categories)
+            breakdown_by_ctc_symbol(probe.predict(ds.vectors) == ds.labels,
+                                    ds.spans, categories)
 
 
 def report_from_confusion(cm, names):
@@ -614,7 +649,8 @@ class TestDatasetSerialization:
         extract_frames(mini_model, utts, [(1, path)], True)
         header, _payload = read_artifact(
             path, probing.DATASET_MAGIC, probing.DATASET_VERSION,
-            "frame dataset", lambda h: 4 * h["n"] * (h["d"] + 1))
+            "frame dataset", lambda h: 4 * h["n"] * (h["d"] + 1),
+            lambda h, p: (h, p))
         assert header["d"] == mini_model.config.tap_width(1)
         assert header["label_names"] == sorted(
             {seg.phone for u in utts for seg in u.segments})
@@ -631,14 +667,18 @@ class TestDatasetSerialization:
         with pytest.raises(ValueError, match="window"):
             probing.load_dataset(path, window=-1)
 
-    def test_header_lacking_a_key_names_file_and_key(self, tmp_path):
+    @pytest.mark.parametrize("key", ["n", "d", "label_names", "spans",
+                                     "provenance"])
+    def test_header_lacking_a_key_names_file_and_key(self, tmp_path, corpus,
+                                                     mini_model, key):
+        _cfg, utts = corpus
         path = tmp_path / "frames.fds"
-        path.write_bytes(artifact_header(probing.DATASET_MAGIC,
-                                         probing.DATASET_VERSION, {}))
+        extract_frames(mini_model, utts, [(1, path)], True)
+        drop_header_key(path, probing.DATASET_MAGIC, (key,))
         with pytest.raises(ValueError, match=re.escape(str(path))) as err:
             probing.load_dataset(path)
-        assert "frame dataset" in str(err.value)
-        assert "'n'" in str(err.value)
+        assert "malformed frame dataset header" in str(err.value)
+        assert repr(key) in str(err.value)
 
     @pytest.mark.parametrize("field", ["spans", "phone_index"])
     def test_rejects_header_that_disagrees_with_rows(self, tmp_path, corpus,
@@ -648,7 +688,8 @@ class TestDatasetSerialization:
         extract_frames(mini_model, utts, [(1, path)], True)
         header, payload = read_artifact(
             path, probing.DATASET_MAGIC, probing.DATASET_VERSION,
-            "frame dataset", lambda h: 4 * h["n"] * (h["d"] + 1))
+            "frame dataset", lambda h: 4 * h["n"] * (h["d"] + 1),
+            lambda h, p: (h, p))
         payload = bytearray(payload)
         if field == "spans":
             header["spans"][0][1] += 1
