@@ -42,9 +42,10 @@ def read_artifact(path, magic, version, kind, payload_bytes, parse):
     `artifact_header`.
 
     ``payload_bytes(header)`` is the payload length the header implies.  A
-    foreign magic, another version, a short read, trailing bytes, or a
-    header lacking a key (or holding a mistyped one) that ``payload_bytes``
-    or ``parse`` reads raise ValueError naming ``path``.
+    foreign magic, another version, a short read, trailing bytes, a header
+    lacking a key (or holding a mistyped one) that ``payload_bytes`` or
+    ``parse`` reads, or a ValueError of either raise ValueError naming
+    ``path``, so their own messages leave the path out.
     """
     data = Path(path).read_bytes()
     if data[:len(magic)] != magic:
@@ -65,8 +66,10 @@ def read_artifact(path, magic, version, kind, payload_bytes, parse):
     try:
         expected = payload_bytes(header)
         if len(payload) != expected:
-            raise ValueError(f"{path}: {kind} payload is {len(payload)} "
-                             f"bytes, its header describes {expected}")
+            raise ValueError(f"{kind} payload is {len(payload)} bytes, its "
+                             f"header describes {expected}")
         return parse(header, payload)
     except (KeyError, TypeError) as exc:  # a missing or mistyped key
         raise ValueError(f"{path}: malformed {kind} header ({exc!r})") from exc
+    except ValueError as exc:  # a value the header or payload may not hold
+        raise ValueError(f"{path}: {exc}") from exc

@@ -187,6 +187,12 @@ class ExperimentConfig:
         if top > model_cfg.n_layers:
             raise ConfigError(f"probe or clustering layer {top} outside "
                               f"[0, {model_cfg.n_layers}]")
+        view, grid = self.clustering_cfg, self.probe_grid
+        if view.enabled and (view.layer not in grid.layers
+                             or view.strides not in grid.strides):
+            raise ConfigError(f"clustering needs the layer-{view.layer} tap "
+                              f"with strides={view.strides}, which the probe "
+                              f"grid does not extract")
         codes = "".join(synth.phone_to_chars.values()) if synth else ""
         if synth and (synth.n_bins != model_cfg.input_freq_bins
                       or not set(codes) <= set(model_cfg.alphabet)):
@@ -240,14 +246,20 @@ class ArtifactDir:
         return self.write_text(rel, json.dumps(obj, sort_keys=True, indent=1)
                                + "\n")
 
-    def read_json(self, rel):
-        """A JSON artifact; a corrupt one is a ValueError naming its path."""
+    def read_json(self, rel, parse):
+        """``parse`` of a JSON artifact.  A corrupt one, or one lacking a key
+        (or holding a mistyped one) that ``parse`` reads, is a ValueError
+        naming its path."""
         path = self.path(rel)
         with open(path) as fh:
             try:
-                return json.load(fh)
+                data = json.load(fh)
             except ValueError as exc:  # JSON or UTF-8 decoding
                 raise ValueError(f"{path}: corrupt JSON ({exc})") from exc
+        try:
+            return parse(data)
+        except (KeyError, TypeError) as exc:  # a missing or mistyped key
+            raise ValueError(f"{path}: malformed JSON ({exc!r})") from exc
 
     def write_csv(self, rel, rows):
         buf = io.StringIO()
@@ -373,7 +385,9 @@ def stage_extract(cfg, art):
 def stage_probe(cfg, art):
     # The breakdown's categories come from extract's forwards: this stage
     # reads no model and no corpus, and forwards nothing.
-    dev_categories = art.read_json(CATEGORIES_FILE)
+    dev_categories = art.read_json(CATEGORIES_FILE, lambda d: {
+        key: (d[key]["subsample_factor"], d[key]["categories"])
+        for key in map(strides_key, cfg.probe_grid.strides)})
     inventory = _inventory_for(cfg)
     reports = {}
     summary = [("layer", "strides", "window", "scheme", "dev_accuracy",
@@ -390,30 +404,26 @@ def stage_probe(cfg, art):
         pred = result.probe.predict(ds_dev.vectors)
         report = probing.evaluate_probe(pred, ds_dev)
         reports[combo] = report
-        art.write_json(f"probe_{name}.json", report.to_dict())
+        art.write_json(f"probe_{name}.json", report)
         art.write_csv(f"probe_{name}_curve.csv",
                       [("epoch", "train_loss", "dev_loss", "dev_accuracy")] +
                       [(r["epoch"], _fnum(r["train_loss"]),
                         _fnum(r["dev_loss"]), _fnum(r["dev_accuracy"]))
                        for r in result.curve])
+        names = report["label_names"]
         art.write_csv(f"probe_{name}_confusion.csv",
-                      [[""] + report.label_names] +
-                      [[report.label_names[i]] + report.confusion[i].tolist()
-                       for i in range(len(report.label_names))])
+                      [[""] + names] + [[label] + row for label, row in
+                                        zip(names, report["confusion"])])
         _base_label, base_acc = phoneset.majority_baseline(
             ds_dev.label_names[i] for i in ds_dev.labels)
         summary.append((layer, int(strides), window, scheme,
-                        _fnum(report.accuracy), _fnum(base_acc),
+                        _fnum(report["accuracy"]), _fnum(base_acc),
                         result.best_epoch))
-        recorded = dev_categories.get(strides_key(strides))
-        if recorded is None:
-            raise ValueError(f"{art.path(CATEGORIES_FILE)} has no "
-                             f"{strides_key(strides)} categories")
         # A layer at the softmax's time resolution gets the breakdown.
-        if ds_dev.provenance["subsample_factor"] == \
-                recorded["subsample_factor"]:
+        factor, categories = dev_categories[strides_key(strides)]
+        if ds_dev.provenance["subsample_factor"] == factor:
             per_category = probing.breakdown_by_ctc_symbol(
-                pred == ds_dev.labels, ds_dev.spans, recorded["categories"])
+                pred == ds_dev.labels, ds_dev.spans, categories)
             for cat, stats in sorted(per_category.items()):
                 breakdown_rows.append(
                     (layer, int(strides), window, scheme, cat,
@@ -448,38 +458,35 @@ def stage_cluster(cfg, art):
     spec = cfg.clustering_cfg
     if not spec.enabled:
         return
-    layer, strides = spec.layer, spec.strides
-    if (layer, strides) not in {combo[:2] for combo in probe_combos(cfg)}:
-        raise ValueError(f"clustering needs the layer-{layer} tap with "
-                         f"strides={strides} to be extracted")
-    ds_dev = probing.load_dataset(art.path(tap_file(layer, strides, "dev")),
-                                  spec.window, spec.scheme,
-                                  _inventory_for(cfg))
-    labels = np.array([ds_dev.label_names[i] for i in ds_dev.labels])
-    summary = clustering.kmeans(ds_dev.vectors, min(spec.k, ds_dev.n_frames),
-                                labels=labels, seed=cfg.seed,
-                                max_iter=spec.max_iter, tol=spec.tol)
-    pruned = clustering.prune_clusters(summary, spec.min_coverage)
-    if pruned.k < clustering.PROJECTIONS[spec.method]:
+    ds_dev = probing.load_dataset(
+        art.path(tap_file(spec.layer, spec.strides, "dev")), spec.window,
+        spec.scheme, _inventory_for(cfg))
+    result = clustering.kmeans(ds_dev.vectors, min(spec.k, ds_dev.n_frames),
+                               seed=cfg.seed, max_iter=spec.max_iter,
+                               tol=spec.tol)
+    kept = clustering.majority_clusters(
+        result.assignments,
+        np.array([ds_dev.label_names[i] for i in ds_dev.labels]),
+        spec.min_coverage)
+    ids = [j for j, _label, _coverage in kept]
+    if len(ids) < clustering.PROJECTIONS[spec.method]:
         raise ValueError(
-            f"only {pruned.k} of k={spec.k} clusters (ids "
-            f"{pruned.cluster_ids}) survive pruning at min_coverage="
-            f"{spec.min_coverage}; {spec.method} needs at least "
+            f"only {len(ids)} of k={spec.k} clusters (ids {ids}) "
+            f"survive pruning at min_coverage={spec.min_coverage}; "
+            f"{spec.method} needs at least "
             f"{clustering.PROJECTIONS[spec.method]}")
     coords = clustering.project_2d(
-        pruned.centroids, method=spec.method, seed=cfg.seed,
-        perplexity=min(spec.perplexity, pruned.k - 1 - 1e-9),
+        result.centroids[ids], method=spec.method, seed=cfg.seed,
+        perplexity=min(spec.perplexity, len(ids) - 1 - 1e-9),
         iters=spec.iters)
-    rows = [("cluster_id", "majority_label", "coverage", "x", "y")]
-    for i in range(pruned.k):
-        rows.append((pruned.cluster_ids[i], pruned.majority_label[i],
-                     _fnum(pruned.coverage[i]), _fnum(coords[i, 0]),
-                     _fnum(coords[i, 1])))
-    art.write_csv("clusters.csv", rows)
+    art.write_csv("clusters.csv",
+                  [("cluster_id", "majority_label", "coverage", "x", "y")] +
+                  [(j, label, _fnum(coverage), _fnum(x), _fnum(y))
+                   for (j, label, coverage), (x, y) in zip(kept, coords)])
     art.write_text("centroids.svg",
-                   svg_scatter(coords, pruned.majority_label,
+                   svg_scatter(coords, [label for _j, label, _c in kept],
                                title=f"cluster centroids ({spec.method}, "
-                                     f"layer {layer})"))
+                                     f"layer {spec.layer})"))
 
 
 def layer_display_names(model_cfg: ModelConfig):
@@ -499,7 +506,8 @@ def plot_layer_accuracy(reports, model_cfg: ModelConfig):
     names = layer_display_names(model_cfg)
     panels = {}
     for (layer, strides, _window, _scheme), report in sorted(reports.items()):
-        panels.setdefault(strides, []).append((names[layer], report.accuracy))
+        panels.setdefault(strides, []).append((names[layer],
+                                               report["accuracy"]))
     return {strides: svg_bar_chart(
         [n for n, _ in bars], [v for _, v in bars], y_max=1.0,
         title=f"frame accuracy by layer ({'with' if strides else 'without'} "
@@ -509,10 +517,10 @@ def plot_layer_accuracy(reports, model_cfg: ModelConfig):
 
 def stage_report(cfg, art):
     """Figures from the probe reports, then the manifest of every file."""
-    reports = {}
-    for combo in probe_combos(cfg):
-        reports[combo] = probing.ProbeReport.from_dict(
-            art.read_json(f"probe_{combo_name(*combo)}.json"))
+    keys = ("accuracy", "confusion", "label_names")  # what the figures read
+    reports = {combo: art.read_json(f"probe_{combo_name(*combo)}.json",
+                                    lambda d: {k: d[k] for k in keys})
+               for combo in probe_combos(cfg)}
     schemes = {combo[3] for combo in reports}
     main_scheme = "full" if "full" in schemes else min(schemes)
     fine = {k: v for k, v in reports.items() if k[3] == main_scheme}
@@ -522,8 +530,9 @@ def stage_report(cfg, art):
     for combo, report in reports.items():
         if combo[3] == "sound_class":
             art.write_text(f"confusion_{combo_name(*combo)}.svg",
-                           svg_heatmap(report.confusion, report.label_names,
-                                       report.label_names,
+                           svg_heatmap(report["confusion"],
+                                       report["label_names"],
+                                       report["label_names"],
                                        title=f"sound classes, layer {combo[0]}"))
     art.write_manifest(cfg)
 

@@ -6,7 +6,7 @@ t-SNE here is the exact O(k^2) formulation; PCA is a plain SVD.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,20 +14,10 @@ from .phoneset import majority_baseline
 
 
 @dataclass
-class ClusterSummary:
-    centroids: np.ndarray                 # k x D
-    counts: np.ndarray                    # points per cluster
-    inertia: float
-    per_cluster_inertia: np.ndarray
-    inertia_history: list
-    majority_label: list | None = None    # per cluster, when labels given
-    coverage: np.ndarray | None = None    # majority count / cluster size
-    assignments: np.ndarray | None = None
-    cluster_ids: list = field(default_factory=list)  # original ids after pruning
-
-    @property
-    def k(self):
-        return self.centroids.shape[0]
+class KMeansResult:
+    centroids: np.ndarray       # k x D
+    assignments: np.ndarray     # each point's nearest final centroid
+    inertia_history: list       # per Lloyd iteration
 
 
 def _pairwise_sq_dists(x, c):
@@ -59,8 +49,7 @@ def _kmeanspp_init(vectors, k, rng):
     return centroids
 
 
-def kmeans(vectors, k, labels=None, seed=0, max_iter=100, tol=1e-6
-           ) -> ClusterSummary:
+def kmeans(vectors, k, seed=0, max_iter=100, tol=1e-6) -> KMeansResult:
     """Lloyd iterations from k-means++ seeding.
 
     Stops at max_iter or when the relative inertia improvement drops
@@ -101,53 +90,23 @@ def kmeans(vectors, k, labels=None, seed=0, max_iter=100, tol=1e-6
                 centroids[j] = vectors[members].mean(axis=0)
 
     # Final assignment against the final centroids.
-    d2 = _pairwise_sq_dists(vectors, centroids)
-    assign = np.argmin(d2, axis=1)
-    point_d2 = d2[np.arange(n), assign]
-    counts = np.bincount(assign, minlength=k)
-    per_cluster = np.array([point_d2[assign == j].sum() for j in range(k)])
-
-    majority = None
-    coverage = None
-    if labels is not None:
-        labels = np.asarray(labels)
-        majority = []
-        coverage = np.zeros(k)
-        for j in range(k):
-            if counts[j] == 0:
-                majority.append(None)
-                continue
-            label, coverage[j] = majority_baseline(labels[assign == j])
-            majority.append(label)
-
-    return ClusterSummary(centroids=centroids, counts=counts,
-                          inertia=float(point_d2.sum()),
-                          per_cluster_inertia=per_cluster,
-                          inertia_history=history,
-                          majority_label=majority, coverage=coverage,
-                          assignments=assign,
-                          cluster_ids=list(range(k)))
+    assign = np.argmin(_pairwise_sq_dists(vectors, centroids), axis=1)
+    return KMeansResult(centroids, assign, history)
 
 
-def prune_clusters(summary: ClusterSummary, min_coverage: float
-                   ) -> ClusterSummary:
-    """Keep clusters whose majority label covers >= min_coverage of members."""
+def majority_clusters(assignments, labels, min_coverage):
+    """(id, majority label, coverage) of each non-empty cluster whose
+    majority label covers at least ``min_coverage`` of its members, in id
+    order; ``labels`` names each point's label."""
     if not 0.0 < min_coverage <= 1.0:
         raise ValueError("min_coverage must be in (0, 1]")
-    if summary.coverage is None:
-        raise ValueError("summary has no coverage (kmeans ran without labels)")
-    keep = np.flatnonzero(summary.coverage >= min_coverage)
-    return ClusterSummary(
-        centroids=summary.centroids[keep],
-        counts=summary.counts[keep],
-        inertia=float(summary.per_cluster_inertia[keep].sum()),
-        per_cluster_inertia=summary.per_cluster_inertia[keep],
-        inertia_history=list(summary.inertia_history),
-        majority_label=[summary.majority_label[j] for j in keep],
-        coverage=summary.coverage[keep],
-        assignments=None,
-        cluster_ids=[summary.cluster_ids[j] for j in keep],
-    )
+    labels = np.asarray(labels)
+    rows = []
+    for j in np.unique(assignments):
+        label, coverage = majority_baseline(labels[assignments == j])
+        if coverage >= min_coverage:
+            rows.append((int(j), label, coverage))
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -312,9 +312,8 @@ class TrainedModel:
                         [(e["name"], e["shape"]) for e in header[section]],
                         [(k, list(v.shape)) for k, v in live.items()])):
                     if got != want:
-                        raise ValueError(f"{path}: {section} entry {i} is "
-                                         f"{got}, the model config's is "
-                                         f"{want}")
+                        raise ValueError(f"{section} entry {i} is {got}, "
+                                         f"the model config's is {want}")
                 for target in live.values():
                     target[...] = np.frombuffer(
                         payload, np.float32, target.size,

@@ -255,37 +255,6 @@ def _cross_entropy(logits, y):
 # Reports
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ProbeReport:
-    accuracy: float
-    precision: dict
-    recall: dict
-    f1: dict
-    confusion: np.ndarray               # rows true, cols predicted
-    label_names: list[str]
-    n_frames: int
-    provenance: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "confusion": self.confusion.tolist(),
-            "label_names": self.label_names,
-            "n_frames": self.n_frames,
-            "provenance": self.provenance,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(d["accuracy"], d["precision"], d["recall"], d["f1"],
-                   np.array(d["confusion"], dtype=np.int64),
-                   list(d["label_names"]), d["n_frames"],
-                   dict(d.get("provenance", {})))
-
-
 def confusion_matrix(y_true, y_pred, n_labels):
     cm = np.zeros((n_labels, n_labels), dtype=np.int64)
     np.add.at(cm, (y_true, y_pred), 1)
@@ -306,18 +275,22 @@ def _prf(cm, label_names):
     return precision, recall, f1
 
 
-def evaluate_probe(pred, dataset: FrameDataset) -> ProbeReport:
+def evaluate_probe(pred, dataset: FrameDataset) -> dict:
     """Report of the predicted label indices ``pred`` of ``dataset``'s
-    rows."""
+    rows, as its JSON file holds it: accuracy, per-label precision, recall
+    and f1, the confusion matrix (rows true, columns predicted) as nested
+    lists, label_names, n_frames and provenance."""
     if len(pred) != dataset.n_frames:
         raise ValueError(f"{len(pred)} predictions for {dataset.n_frames} "
                          f"rows")
     cm = confusion_matrix(dataset.labels, pred, len(dataset.label_names))
     precision, recall, f1 = _prf(cm, dataset.label_names)
     accuracy = float(np.trace(cm)) / max(1, dataset.n_frames)
-    return ProbeReport(accuracy, precision, recall, f1, cm,
-                       list(dataset.label_names), dataset.n_frames,
-                       dict(dataset.provenance))
+    return {"accuracy": accuracy, "precision": precision, "recall": recall,
+            "f1": f1, "confusion": cm.tolist(),
+            "label_names": list(dataset.label_names),
+            "n_frames": dataset.n_frames,
+            "provenance": dict(dataset.provenance)}
 
 
 def breakdown_by_ctc_symbol(correct, spans, categories) -> dict:
@@ -360,25 +333,26 @@ def breakdown_by_ctc_symbol(correct, spans, categories) -> dict:
 # Inter/intra sound-class F1
 # ---------------------------------------------------------------------------
 
-def inter_intra_f1(fine_report: ProbeReport, coarse_report: ProbeReport,
+def inter_intra_f1(fine_report: dict, coarse_report: dict,
                    class_map: dict) -> dict:
-    """Per-class {inter_f1, intra_f1}.
+    """Per-class {inter_f1, intra_f1} of two `evaluate_probe` reports.
 
     inter: one-vs-rest F1 from the coarse (direct class prediction)
     confusion matrix.  intra: micro-averaged fine-phone F1 inside the
     class, counting only within-class confusions -- equal to the accuracy
     of the class-restricted confusion submatrix.
     """
-    for name in fine_report.label_names:
+    fine_names = fine_report["label_names"]
+    for name in fine_names:
         if name not in class_map:
             raise ValueError(f"phone {name!r} missing from class map")
-    classes = list(coarse_report.label_names)
+    confusion = np.asarray(fine_report["confusion"], dtype=np.int64)
     out = {}
-    for cls_name in classes:
-        inter = coarse_report.f1[cls_name]
-        members = [i for i, name in enumerate(fine_report.label_names)
+    for cls_name in coarse_report["label_names"]:
+        inter = coarse_report["f1"][cls_name]
+        members = [i for i, name in enumerate(fine_names)
                    if class_map[name] == cls_name]
-        sub = fine_report.confusion[np.ix_(members, members)]
+        sub = confusion[np.ix_(members, members)]
         total = sub.sum()
         intra = float(np.trace(sub)) / total if total > 0 else 0.0
         out[cls_name] = {"inter_f1": inter, "intra_f1": intra}
@@ -406,10 +380,9 @@ def load_dataset(path, window=0, scheme="full",
         ends = np.cumsum([0] + [n_rows for _id, n_rows in spans])
         codes = np.frombuffer(payload, np.int32, n, 4 * n * d)
         if ends[-1] != n:
-            raise ValueError(f"{path}: spans cover {ends[-1]} rows, not "
-                             f"its {n}")
+            raise ValueError(f"spans cover {ends[-1]} rows, not its {n}")
         if codes.size and not 0 <= codes.min() <= codes.max() < len(phones):
-            raise ValueError(f"{path}: phone index outside its label_names")
+            raise ValueError("phone index outside its label_names")
         inv = inventory or phoneset.synthetic_inventory(phones)
         names = inv.labels_for_scheme(scheme)
         lut = [names.index(inv.reduce(phone, scheme)) for phone in phones]

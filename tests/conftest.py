@@ -12,20 +12,27 @@ DAMAGE = {
 }
 
 
-def drop_header_key(path, magic, key_path):
-    """Rewrite the binary artifact at ``path`` without the header key at
-    ``key_path`` (dict keys and list indices from the root), leaving its
-    version and payload as they were."""
+def edit_header(path, magic, edit):
+    """Rewrite the binary artifact at ``path`` with ``edit`` applied to its
+    parsed header, leaving its version and payload as they were."""
     data = path.read_bytes()
     version, header_len = _PREFIX.unpack_from(data, len(magic))
     start = len(magic) + _PREFIX.size
     header = json.loads(data[start:start + header_len])
-    node = header
-    for key in key_path[:-1]:
-        node = node[key]
-    del node[key_path[-1]]
+    edit(header)
     path.write_bytes(artifact_header(magic, version, header)
                      + data[start + header_len:])
+
+
+def drop_header_key(path, magic, key_path):
+    """`edit_header` deleting the key at ``key_path`` (dict keys and list
+    indices from the root)."""
+    def drop(header):
+        for key in key_path[:-1]:
+            header = header[key]
+        del header[key_path[-1]]
+
+    edit_header(path, magic, drop)
 
 
 def key_id(key_path):

@@ -13,7 +13,6 @@ from ctcprobe import acoustic, cli, model, plots, probing
 from ctcprobe.artifacts import artifact_header, read_artifact
 from ctcprobe.cli import ExperimentConfig, load_config, main
 from ctcprobe.model import TrainedModel, preset
-from ctcprobe.probing import ProbeReport
 
 
 def small_config(out_dir, **overrides):
@@ -222,6 +221,21 @@ class TestConfigValidation:
                                          (2, True, 0, "full")]
         assert cli.probe_combos(cfg) == cli.probe_combos(ExperimentConfig())
 
+    @pytest.mark.parametrize("view", [{"layer": 1}, {"strides": False}])
+    def test_clustering_a_tap_the_grid_does_not_extract_rejected(
+            self, tmp_path, capsys, view):
+        cfg = small_config(tmp_path / "out")
+        cfg["clustering"].update(view)
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+        layer, strides = view.get("layer", 2), view.get("strides", True)
+        assert f"config error: clustering needs the layer-{layer} tap with " \
+            f"strides={strides}, which the probe grid does not extract" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        cfg["clustering"]["enabled"] = False  # a disabled view is not read
+        assert not load_config(write_config(tmp_path, cfg)) \
+            .clustering_cfg.enabled
+
     def test_directly_built_config_is_checked(self):
         with pytest.raises(cli.ConfigError, match="strides"):
             ExperimentConfig(probe={"strides": []})
@@ -371,9 +385,10 @@ class TestRunArtifacts:
 
 
 def report_with_accuracy(acc, layer, strides=True):
-    return ProbeReport(acc, {}, {}, {}, np.zeros((2, 2), dtype=np.int64),
-                       ["a", "b"], 4,
-                       {"layer": layer, "strides_enabled": strides})
+    return {"accuracy": acc, "precision": {}, "recall": {}, "f1": {},
+            "confusion": [[0, 0], [0, 0]], "label_names": ["a", "b"],
+            "n_frames": 4,
+            "provenance": {"layer": layer, "strides_enabled": strides}}
 
 
 def parse_svg_data(svg):
@@ -535,6 +550,33 @@ class TestSubcommands:
         assert "stage 'probe' failed" in err
         assert str(staged / cli.CATEGORIES_FILE) in err
 
+    @pytest.mark.parametrize("command, name, key_path", [
+        ("report", f"probe_{cli.combo_name(0, True, 0, 'full')}.json",
+         ("accuracy",)),
+        ("report", f"probe_{cli.combo_name(2, True, 0, 'sound_class')}.json",
+         ("confusion",)),
+        ("probe", cli.CATEGORIES_FILE, ("strides_on", "subsample_factor")),
+        ("probe", cli.CATEGORIES_FILE, ("strides_on", "categories"))],
+        ids=lambda v: v[-1] if isinstance(v, tuple) else v)
+    def test_json_lacking_a_key_names_stage_and_file(
+            self, finished_run, tmp_path, capsys, command, name, key_path):
+        out, cfg, _ = finished_run
+        staged = tmp_path / "staged"
+        shutil.copytree(out, staged)
+        path = staged / name
+        data = json.loads(path.read_text())
+        node = data
+        for key in key_path[:-1]:
+            node = node[key]
+        del node[key_path[-1]]
+        path.write_text(json.dumps(data))
+        cfg_path = write_config(tmp_path, dict(cfg, out_dir=str(staged)))
+        capsys.readouterr()
+        assert main([command, "--config", cfg_path]) == 3
+        err = capsys.readouterr().err
+        assert f"stage {command!r} failed: {path}: malformed JSON " \
+            f"(KeyError({key_path[-1]!r}))" in err
+
     @pytest.mark.parametrize("command", ["train-asr", "extract"])
     def test_cut_corpus_names_stage_and_file(self, finished_run, tmp_path,
                                              capsys, command):
@@ -551,7 +593,7 @@ class TestSubcommands:
         assert str(path) in err
 
     def test_cluster_and_report_read_only_their_inputs(self, finished_run,
-                                                       tmp_path, capsys):
+                                                       tmp_path):
         out, cfg, _ = finished_run
         staged = tmp_path / "staged"
         shutil.copytree(out, staged)
@@ -575,16 +617,9 @@ class TestSubcommands:
         (staged / keep).unlink()
         off = dict(cfg, out_dir=str(staged), clustering={"enabled": False})
         assert main(["cluster", "--config", write_config(tmp_path, off)]) == 0
-        unprobed = dict(cfg, out_dir=str(staged),
-                        clustering=dict(cfg["clustering"], layer=1))
-        capsys.readouterr()
-        rc = main(["cluster", "--config", write_config(tmp_path, unprobed)])
-        assert rc == 3
-        assert "clustering needs the layer-1 tap with strides=True" in \
-            capsys.readouterr().err
 
     def test_cluster_views_any_window_and_scheme_of_an_extracted_tap(
-            self, finished_run, tmp_path, capsys):
+            self, finished_run, tmp_path):
         out, cfg, _ = finished_run
         staged = tmp_path / "staged"
         shutil.copytree(out, staged)
@@ -594,15 +629,6 @@ class TestSubcommands:
             cfg["clustering"], window=1, scheme="reduced48"))
         assert main(["cluster", "--config", write_config(tmp_path, wide)]) == 0
         assert (staged / "clusters.csv").exists()
-        for change in ({"layer": 1}, {"strides": False}):
-            unextracted = dict(cfg, out_dir=str(staged), clustering=dict(
-                cfg["clustering"], **change))
-            capsys.readouterr()
-            rc = main(["cluster", "--config",
-                       write_config(tmp_path, unextracted)])
-            assert rc == 3, change
-            err = capsys.readouterr().err
-            assert "stage 'cluster' failed: clustering needs the layer-" in err
 
     def test_too_few_clusters_left_by_pruning_named(self, finished_run,
                                                     tmp_path, capsys):

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from ctcprobe.clustering import (kmeans, pca_2d, project_2d, prune_clusters,
-                                 tsne_2d)
+from ctcprobe.clustering import (kmeans, majority_clusters, pca_2d,
+                                 project_2d, tsne_2d)
+
+
+def inertia(x, result):
+    """Sum of squared distances of the points to their assigned centroids."""
+    return float(np.sum((x - result.centroids[result.assignments]) ** 2))
 
 
 class TestKmeans:
@@ -10,8 +15,8 @@ class TestKmeans:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(12, 3))
         summary = kmeans(x, 12, seed=0)
-        assert summary.inertia == pytest.approx(0.0, abs=1e-12)
-        assert summary.counts.sum() == 12
+        assert inertia(x, summary) == pytest.approx(0.0, abs=1e-12)
+        assert np.bincount(summary.assignments, minlength=12).sum() == 12
 
     def test_two_separated_blobs(self):
         rng = np.random.default_rng(1)
@@ -55,7 +60,8 @@ class TestKmeans:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(77, 3))
         summary = kmeans(x, 9, seed=1)
-        assert summary.counts.sum() == 77
+        counts = np.bincount(summary.assignments, minlength=9)
+        assert counts.shape == (9,) and counts.sum() == 77
 
     def test_invalid_k(self):
         x = np.zeros((5, 2))
@@ -68,20 +74,24 @@ class TestKmeans:
         rng = np.random.default_rng(6)
         x = rng.normal(size=(120, 4))
         labels = np.array([f"p{int(v)}" for v in rng.integers(0, 4, size=120)])
-        summary = kmeans(x, 8, labels=labels, seed=2)
-        for j in range(8):
+        summary = kmeans(x, 8, seed=2)
+        rows = majority_clusters(summary.assignments, labels, 1e-12)
+        assert [j for j, _label, _coverage in rows] == \
+            sorted(set(summary.assignments.tolist()))
+        for j, label, coverage in rows:
             members = labels[summary.assignments == j]
             counts = {}
             for lbl in members:
                 counts[lbl] = counts.get(lbl, 0) + 1
             top = max(counts.values())
-            assert counts[summary.majority_label[j]] == top
-            assert summary.coverage[j] == pytest.approx(top / len(members))
+            assert counts[label] == top
+            assert coverage == pytest.approx(top / len(members))
 
 
-def constructed_summary():
+def constructed_clusters():
+    """Assignments and labels of 3 clusters whose coverages are 0.05 (1/20),
+    0.15 (3/20) and 0.9 (18/20)."""
     rng = np.random.default_rng(7)
-    # 3 clusters with coverages 0.05 (1/20), 0.15 (3/20), 0.9 (18/20)
     x = []
     labels = []
     for j, n_major in enumerate([1, 3, 18]):
@@ -89,46 +99,42 @@ def constructed_summary():
         x.append(rng.normal(center, 0.1, size=(20, 2)))
         labels += ["maj"] * n_major
         labels += [f"min{i}" for i in range(20 - n_major)]
-    return kmeans(np.concatenate(x), 3, labels=np.array(labels), seed=0)
+    return (kmeans(np.concatenate(x), 3, seed=0).assignments,
+            np.array(labels))
 
 
-class TestPruneClusters:
+def coverages(rows):
+    return [coverage for _j, _label, coverage in rows]
+
+
+class TestMajorityClusters:
     def test_hand_constructed_coverages(self):
-        summary = constructed_summary()
-        assert sorted(np.round(summary.coverage, 3)) == [0.05, 0.15, 0.9]
-        pruned = prune_clusters(summary, 0.10)
-        assert pruned.k == 2
-        assert all(c >= 0.10 for c in pruned.coverage)
+        assign, labels = constructed_clusters()
+        every = majority_clusters(assign, labels, 0.01)
+        assert sorted(np.round(coverages(every), 3)) == [0.05, 0.15, 0.9]
+        kept = majority_clusters(assign, labels, 0.10)
+        assert len(kept) == 2
+        assert all(c >= 0.10 for c in coverages(kept))
+        assert [label for _j, label, _c in kept] == ["maj", "maj"]
 
     def test_threshold_above_max_empties(self):
-        summary = constructed_summary()
-        pruned = prune_clusters(summary, min(summary.coverage.max() + 0.01,
-                                             1.0))
-        assert pruned.k == 0
+        assign, labels = constructed_clusters()
+        every = majority_clusters(assign, labels, 0.01)
+        assert majority_clusters(
+            assign, labels, min(max(coverages(every)) + 0.01, 1.0)) == []
 
     def test_threshold_at_min_is_identity(self):
-        summary = constructed_summary()
-        pruned = prune_clusters(summary, float(summary.coverage.min()))
-        assert pruned.k == summary.k
-        np.testing.assert_array_equal(pruned.centroids, summary.centroids)
+        assign, labels = constructed_clusters()
+        every = majority_clusters(assign, labels, 0.01)
+        assert [j for j, _label, _c in every] == [0, 1, 2]
+        assert majority_clusters(assign, labels,
+                                 float(min(coverages(every)))) == every
 
-    def test_pruned_inertia_is_sum_of_kept(self):
-        summary = constructed_summary()
-        pruned = prune_clusters(summary, 0.10)
-        keep = summary.coverage >= 0.10
-        assert pruned.inertia == pytest.approx(
-            summary.per_cluster_inertia[keep].sum())
-
-    def test_requires_labels(self):
-        rng = np.random.default_rng(8)
-        summary = kmeans(rng.normal(size=(20, 2)), 3, seed=0)
-        with pytest.raises(ValueError):
-            prune_clusters(summary, 0.1)
-
-    def test_invalid_threshold(self):
-        summary = constructed_summary()
-        with pytest.raises(ValueError):
-            prune_clusters(summary, 0.0)
+    @pytest.mark.parametrize("threshold", [0.0, -0.1, 1.01])
+    def test_invalid_threshold(self, threshold):
+        assign, labels = constructed_clusters()
+        with pytest.raises(ValueError, match=r"min_coverage must be in"):
+            majority_clusters(assign, labels, threshold)
 
 
 class TestPca:

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import DAMAGE, drop_header_key, key_id
+from conftest import DAMAGE, drop_header_key, edit_header, key_id
 
 from ctcprobe import ctc
 from ctcprobe.artifacts import artifact_header, read_artifact
@@ -341,6 +341,18 @@ class TestCheckpoint:
                 f"{path}: params entry ")) as err:
             TrainedModel.load(path)
         assert f"is {found}, the model config's is {want}" in str(err.value)
+        assert str(err.value).count(str(path)) == 1
+
+    def test_config_failing_validation_names_file(self, tmp_path):
+        # Layer 3 of ds2-light-mini is an LSTM, which has no activation.
+        path = tmp_path / "m.ckpt"
+        TrainedModel(preset("ds2-light-mini", seed=1)).save(path)
+        edit_header(path, CHECKPOINT_MAGIC, lambda header: header["config"][
+            "layers"][3].update(activation="relu"))
+        with pytest.raises(ValueError) as err:
+            TrainedModel.load(path)
+        assert str(err.value) == \
+            f"{path}: activation 'relu' is not one a lstm_bidir layer has"
 
     @pytest.mark.parametrize("damage", DAMAGE)
     def test_rejects_damaged_file(self, tmp_path, damage):
