@@ -389,49 +389,65 @@ def stage_probe(cfg, art):
         key: (d[key]["subsample_factor"], d[key]["categories"])
         for key in map(strides_key, cfg.probe_grid.strides)})
     inventory = _inventory_for(cfg)
-    reports = {}
-    summary = [("layer", "strides", "window", "scheme", "dev_accuracy",
-                "majority_baseline", "best_epoch")]
-    breakdown_rows = [("layer", "strides", "window", "scheme", "category",
-                       "share", "accuracy")]
-    for combo in probe_combos(cfg):
-        layer, strides, window, scheme = combo
-        name = combo_name(*combo)
-        ds_train, ds_dev = (probing.load_dataset(
-            art.path(tap_file(layer, strides, split)), window, scheme,
-            inventory) for split in ("train", "dev"))
-        result = trainer.train_probe(ds_train, ds_dev, cfg.probe_cfg)
-        pred = result.probe.predict(ds_dev.vectors)
-        report = probing.evaluate_probe(pred, ds_dev)
-        reports[combo] = report
-        art.write_json(f"probe_{name}.json", report)
-        art.write_csv(f"probe_{name}_curve.csv",
-                      [("epoch", "train_loss", "dev_loss", "dev_accuracy")] +
-                      [(r["epoch"], _fnum(r["train_loss"]),
-                        _fnum(r["dev_loss"]), _fnum(r["dev_accuracy"]))
-                       for r in result.curve])
-        names = report["label_names"]
-        art.write_csv(f"probe_{name}_confusion.csv",
-                      [[""] + names] + [[label] + row for label, row in
-                                        zip(names, report["confusion"])])
-        _base_label, base_acc = phoneset.majority_baseline(
-            ds_dev.label_names[i] for i in ds_dev.labels)
-        summary.append((layer, int(strides), window, scheme,
-                        _fnum(report["accuracy"]), _fnum(base_acc),
-                        result.best_epoch))
-        # A layer at the softmax's time resolution gets the breakdown.
-        factor, categories = dev_categories[strides_key(strides)]
-        if ds_dev.provenance["subsample_factor"] == factor:
-            per_category = probing.breakdown_by_ctc_symbol(
-                pred == ds_dev.labels, ds_dev.spans, categories)
-            for cat, stats in sorted(per_category.items()):
-                breakdown_rows.append(
-                    (layer, int(strides), window, scheme, cat,
-                     _fnum(stats["share"]), _fnum(stats["accuracy"])))
-    art.write_csv("layer_accuracy.csv", summary)
-    if len(breakdown_rows) > 1:
-        art.write_csv("ctc_breakdown.csv", breakdown_rows)
-    _write_inter_intra(art, reports, inventory)
+    combos = probe_combos(cfg)
+    # Each tap file is read once: every (window, scheme) view of a
+    # (layer, strides) pair comes from the same arrays.
+    views = {}
+    for layer, strides, window, scheme in combos:
+        views.setdefault((layer, strides), []).append((window, scheme))
+    reports, summary, breakdown = {}, {}, {}
+    for (layer, strides), pair_views in views.items():
+        for (window, scheme), ds_train, ds_dev in zip(pair_views, *(
+                probing.load_views(art.path(tap_file(layer, strides, split)),
+                                   pair_views, inventory)
+                for split in ("train", "dev"))):
+            combo = (layer, strides, window, scheme)
+            reports[combo], summary[combo], breakdown[combo] = _probe_combo(
+                cfg, art, combo, ds_train, ds_dev, dev_categories)
+    art.write_csv("layer_accuracy.csv", [
+        ("layer", "strides", "window", "scheme", "dev_accuracy",
+         "majority_baseline", "best_epoch")] + [summary[c] for c in combos])
+    breakdown_rows = [row for combo in combos for row in breakdown[combo]]
+    if breakdown_rows:
+        art.write_csv("ctc_breakdown.csv", [
+            ("layer", "strides", "window", "scheme", "category", "share",
+             "accuracy")] + breakdown_rows)
+    _write_inter_intra(art, {c: reports[c] for c in combos}, inventory)
+
+
+def _probe_combo(cfg, art, combo, ds_train, ds_dev, dev_categories):
+    """Train and evaluate one combo's probe and write its own files.
+    Returns its report, its `layer_accuracy.csv` row and its
+    `ctc_breakdown.csv` rows."""
+    layer, strides, window, scheme = combo
+    name = combo_name(*combo)
+    result = trainer.train_probe(ds_train, ds_dev, cfg.probe_cfg)
+    pred = result.probe.predict(ds_dev.vectors)
+    report = probing.evaluate_probe(pred, ds_dev)
+    art.write_json(f"probe_{name}.json", report)
+    art.write_csv(f"probe_{name}_curve.csv",
+                  [("epoch", "train_loss", "dev_loss", "dev_accuracy")] +
+                  [(r["epoch"], _fnum(r["train_loss"]),
+                    _fnum(r["dev_loss"]), _fnum(r["dev_accuracy"]))
+                   for r in result.curve])
+    names = report["label_names"]
+    art.write_csv(f"probe_{name}_confusion.csv",
+                  [[""] + names] + [[label] + row for label, row in
+                                    zip(names, report["confusion"])])
+    _base_label, base_acc = phoneset.majority_baseline(
+        ds_dev.label_names[i] for i in ds_dev.labels)
+    summary = (layer, int(strides), window, scheme, _fnum(report["accuracy"]),
+               _fnum(base_acc), result.best_epoch)
+    breakdown = []
+    # A layer at the softmax's time resolution gets the breakdown.
+    factor, categories = dev_categories[strides_key(strides)]
+    if ds_dev.provenance["subsample_factor"] == factor:
+        per_category = probing.breakdown_by_ctc_symbol(
+            pred == ds_dev.labels, ds_dev.spans, categories)
+        for cat, stats in sorted(per_category.items()):
+            breakdown.append((layer, int(strides), window, scheme, cat,
+                              _fnum(stats["share"]), _fnum(stats["accuracy"])))
+    return report, summary, breakdown
 
 
 def _write_inter_intra(art, reports, inventory):

@@ -2,12 +2,24 @@
 
 Each layer owns its parameters (``params``) and non-learned state
 (``buffers``), updated only in place; `registry` keys them for a stack of
-layers, the model's or a probe's.  Layers cache intermediates on a
-train-mode forward, and ``backward(dout, input_grad=True)`` returns
-(input-gradient, parameter-gradients), the input gradient None when
-``input_grad`` is false.  The model's layers are float64 numpy, a probe's
-take its data's dtype; recurrent layers run both directions and
-concatenate.  Convolution unfolds each time-stride phase of its input along frequency
+layers, the model's or a probe's.  A train-mode forward queues what its
+backward reads, and ``backward(dout, input_grad=True)`` takes the oldest
+entry and returns (input-gradient, parameter-gradients), the input
+gradient None when ``input_grad`` is false; so utterances can go through
+a layer one at a time and back in the same order.  The model's layers are
+float64 numpy, a probe's take its data's dtype.
+
+A recurrent layer takes a minibatch as a zero-padded, time-major
+(T, B, D) array and the utterances' lengths.  The input projection and
+batch norm run per utterance; the cell recurrence steps every utterance
+at once, longest first, each dropping out when it ends.  A step's
+recurrent product is one stacked matrix-vector product (`np.matmul` of Wh
+and a (B, H, 1) stack), which makes the same BLAS gemv call per utterance
+as the utterance alone; a (B, H) GEMM would round differently.  So a
+batch gives its utterances' outputs and gradients bit for bit, the
+gradients summed in utterance order.
+
+Convolution unfolds each time-stride phase of its input along frequency
 once per pass; forward and ``dx`` are one BLAS GEMM per phase and row
 block, ``dW`` one per kernel row, and every output still adds its kernel
 rows in ascending order (see `ConvLayer`).
@@ -46,6 +58,27 @@ def named_arrays(block, kind):
     return out
 
 
+def drop_caches(layers):
+    """Forget what train-mode forwards of ``layers`` and their sub-blocks
+    cached and no backward has taken."""
+    for block in layers:
+        block._cache.clear()
+        drop_caches([sub for sub in (getattr(block, child, None)
+                                     for child in ("fwd", "bwd", "bn"))
+                     if sub is not None])
+
+
+def add_grads(total, grads, prefix=""):
+    """Add each of ``grads`` into ``total[prefix + name]`` in place; a name
+    ``total`` lacks takes the array itself.  Summing utterances' gradients
+    through it in utterance order fixes how they round."""
+    for name, g in grads.items():
+        if prefix + name in total:
+            total[prefix + name] += g
+        else:
+            total[prefix + name] = g
+
+
 def registry(layers, kind):
     """Live ``params`` or ``buffers`` arrays of a layer stack, keyed
     "L<i>.<path>" with ``i`` the 1-based position in ``layers``."""
@@ -62,7 +95,7 @@ class BatchNorm:
         self.params = {"gamma": np.ones(n_features), "beta": np.zeros(n_features)}
         self.buffers = {"running_mean": np.zeros(n_features),
                         "running_var": np.ones(n_features)}
-        self._cache = None
+        self._cache = []
 
     def forward(self, x, train):
         gamma = self.params["gamma"]
@@ -83,12 +116,13 @@ class BatchNorm:
         if train:
             # Cache only for backward; eval-mode forward stays mutation-free
             # so it is safe to call concurrently.
-            self._cache = (xhat, inv_std)
+            self._cache.append((xhat, inv_std))
         return gamma * xhat + self.params["beta"]
 
     def backward(self, dy):
-        """Gradients through the last train-mode forward's batch statistics."""
-        xhat, inv_std = self._cache
+        """Gradients through the batch statistics of the oldest cached
+        train-mode forward."""
+        xhat, inv_std = self._cache.pop(0)
         gamma = self.params["gamma"]
         grads = {"gamma": (dy * xhat).sum(axis=0), "beta": dy.sum(axis=0)}
         dxhat = dy * gamma
@@ -130,7 +164,7 @@ class ConvLayer:
             "b": np.zeros(spec.out_channels),
         }
         self.bn = BatchNorm(spec.out_channels) if spec.batchnorm else None
-        self._cache = None
+        self._cache = []
 
     def _phase_rows(self, xp, p, st, q0, n, sf, f_out):
         """(n*f_out, c_in*kf) frequency unfold of phase p's rows q0 ..
@@ -204,13 +238,17 @@ class ConvLayer:
             del cols, prod  # one block's unfold and products at a time
         return dxp
 
+    def _padded(self, x):
+        """The (c_in, t, f) input as padded (Tp, Fp, c_in) rows."""
+        pt, pf = self.spec.padding
+        return np.pad(x.transpose(1, 2, 0), ((pt, pt), (pf, pf), (0, 0)))
+
     def forward(self, x, train, stride_t=None):
         spec = self.spec
         kt, kf = spec.kernel
         st = spec.stride[0] if stride_t is None else stride_t
         sf = spec.stride[1]
-        pt, pf = spec.padding
-        xp = np.pad(x.transpose(1, 2, 0), ((pt, pt), (pf, pf), (0, 0)))
+        xp = self._padded(x)
         if xp.shape[0] < kt or xp.shape[1] < kf:
             raise ValueError("input smaller than the convolution kernel")
         t_out = (xp.shape[0] - kt) // st + 1
@@ -222,20 +260,24 @@ class ConvLayer:
         if self.bn is not None:
             z = self.bn.forward(z, train)
         pre = z.reshape(t_out, f_out, c_out).transpose(2, 0, 1)
-        out = np.maximum(pre, 0.0) if spec.activation == "relu" else pre
+        relu = spec.activation == "relu"
+        out = np.maximum(pre, 0.0) if relu else pre
         if train:
-            self._cache = (xp, pre, st, sf)
+            # The input, not its padded copy, and where the ReLU passes.
+            self._cache.append((x, pre > 0 if relu else None, st, sf))
         return out, pre
 
     def backward(self, dout, input_grad=True):
-        """Gradients for the cached train-mode forward.  With
+        """Gradients for the oldest cached train-mode forward.  With
         ``input_grad=False`` the input gradient is skipped and None."""
-        xp, pre, st, sf = self._cache
+        x, passes, st, sf = self._cache.pop(0)
         spec = self.spec
         kt, kf = spec.kernel
         pt, pf = spec.padding
-        if spec.activation == "relu":
-            dout = dout * (pre > 0)
+        xp = self._padded(x)
+        del x
+        if passes is not None:
+            dout = dout * passes
         c_out, t_out, f_out = dout.shape
         dz = dout.transpose(1, 2, 0).reshape(-1, c_out)  # (t*f, c_out)
         if self.bn is not None:
@@ -251,14 +293,16 @@ class ConvLayer:
                 dW[:, :, i] = (dz.T @ phase[j * f_out:j * f_out + m]
                                ).reshape(c_out, -1, kf)
             del phase  # before the next phase is unfolded
+        xp_shape = xp.shape
+        del xp  # dx needs only its shape
         grads = {"W": dW, "b": dz.sum(axis=0)}
         if self.bn is not None:
             grads["bn.gamma"] = bn_grads["gamma"]
             grads["bn.beta"] = bn_grads["beta"]
         if not input_grad:
             return None, grads
-        dxp = self._input_grad(dz, xp.shape, st, sf, t_out, f_out)
-        dx = dxp[pt:xp.shape[0] - pt, pf:xp.shape[1] - pf]
+        dxp = self._input_grad(dz, xp_shape, st, sf, t_out, f_out)
+        dx = dxp[pt:xp_shape[0] - pt, pf:xp_shape[1] - pf]
         return dx.transpose(2, 0, 1), grads
 
     def output_tap(self, out):
@@ -266,15 +310,16 @@ class ConvLayer:
         return out.transpose(1, 0, 2).reshape(out.shape[1], -1)
 
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+def _sigmoid(x, out=None):
+    return np.divide(1.0, 1.0 + np.exp(-x), out=out)
 
 
 class _Direction:
-    """One direction of a recurrent layer over direction-ordered input:
-    the input projection, optional sequence-wise BN on the input-to-hidden
-    pre-activation, then the tanh-RNN or LSTM cell recurrence.  LSTM gate
-    rows are i, f, g, o."""
+    """One direction of a recurrent layer over a batch of direction-ordered
+    utterances.  Per utterance, in batch order: the input projection and
+    optional sequence-wise BN on the input-to-hidden pre-activation.  Then
+    the tanh-RNN or LSTM cell recurrence steps all of them at once.  LSTM
+    gate rows are i, f, g, o."""
 
     def __init__(self, in_size, hidden, lstm, rng, batchnorm):
         self.hidden = hidden
@@ -286,82 +331,149 @@ class _Direction:
             "b": np.zeros(gates * hidden),
         }
         self.bn = BatchNorm(gates * hidden) if batchnorm else None
-        self._cache = None
+        self._cache = []
 
-    def forward(self, x, train):
-        """Hidden states (T, hidden); only a train-mode pass caches."""
-        zn = x @ self.params["Wx"].T
-        if self.bn is not None:
-            zn = self.bn.forward(zn, train)
-        wh, b = self.params["Wh"], self.params["b"]
-        H, lstm, T = self.hidden, self.lstm, x.shape[0]
-        hs = np.zeros((T, H))
-        cs = np.zeros((T, H)) if lstm else None
-        acts = np.zeros((T, 4 * H)) if lstm else None
-        h = c = np.zeros(H)
-        for t in range(T):
-            pre = zn[t] + wh @ h + b
-            if lstm:
-                i = _sigmoid(pre[:H])
-                f = _sigmoid(pre[H:2 * H])
-                g = np.tanh(pre[2 * H:3 * H])
-                o = _sigmoid(pre[3 * H:])
-                c = f * c + i * g
-                h = o * np.tanh(c)
-                cs[t] = c
-                acts[t] = np.concatenate([i, f, g, o])
-            else:
-                h = np.tanh(pre)
-            hs[t] = h
-        if train:
-            self._cache = (x, hs, cs, acts)
-        return hs
+    def _gates(self, a):
+        """The i, f, g and o columns of (..., 4*hidden) gate arrays."""
+        H = self.hidden
+        return [a[..., k * H:(k + 1) * H] for k in range(4)]
 
-    def backward(self, dh_seq, input_grad=True):
-        """(dx, grads) for the cached forward; ``dh_seq`` is
-        direction-ordered like its input."""
-        x, hs, cs, acts = self._cache
+    def forward(self, xs, train):
+        """Hidden states of each utterance of ``xs``, one (T_b, hidden)
+        array each; only a train-mode pass caches.
+
+        The recurrence holds utterance u in column ``slot[u]`` of (time,
+        column, unit) arrays, longest first; over each (n, start, stop) of
+        ``runs`` the first n columns are running.  Row t + 1 of ``hs`` and
+        ``cs`` is the state after step t; row 0 is zero.  ``hs`` has a
+        trailing unit axis, so that a step's states are a (n, hidden, 1)
+        stack, which ``np.matmul`` multiplies by Wh one gemv at a time.
+        """
         wh = self.params["Wh"]
-        H, lstm, T = self.hidden, self.lstm, x.shape[0]
-        dzn = np.zeros((T, wh.shape[0]))
-        dh_next = np.zeros(H)
-        dc_next = np.zeros(H)
-        for t in range(T - 1, -1, -1):
-            dh = dh_seq[t] + dh_next
+        H, lstm = self.hidden, self.lstm
+        lengths = [len(x) for x in xs]
+        B = len(xs)
+        slot, runs = _columns(lengths)
+        T = max(lengths, default=0)
+        zn = np.zeros((T, B, wh.shape[0]))
+        for u, x in enumerate(xs):
+            z = x @ self.params["Wx"].T
+            if self.bn is not None:
+                z = self.bn.forward(z, train)
+            zn[:len(x), slot[u]] = z
+        hs = np.zeros((T + 1, B, H, 1))
+        cs = np.zeros((T + 1, B, H)) if lstm else None
+        acts = np.zeros((T, B, 4 * H)) if lstm else None
+        pre = np.empty((B, wh.shape[0]))
+        # b in every row, as a broadcast add is slower on a few rows.
+        bias = np.empty_like(pre)
+        bias[...] = self.params["b"]
+        for n, start, stop in runs:
+            z, h_in, h, p, b = (zn[:, :n], hs[:, :n], hs[:, :n, :, 0],
+                                pre[:n], bias[:n])
+            p_out = p[:, :, None]
             if lstm:
-                i, f, g, o = (acts[t][:H], acts[t][H:2 * H],
-                              acts[t][2 * H:3 * H], acts[t][3 * H:])
-                c_prev = cs[t - 1] if t > 0 else np.zeros(H)
-                tc = np.tanh(cs[t])
-                do = dh * tc
-                dc = dc_next + dh * o * (1.0 - tc ** 2)
-                di = dc * g
-                df = dc * c_prev
-                dg = dc * i
-                dc_next = dc * f
-                dpre = np.concatenate([
-                    di * i * (1.0 - i),
-                    df * f * (1.0 - f),
-                    dg * (1.0 - g ** 2),
-                    do * o * (1.0 - o),
-                ])
-            else:
-                dpre = dh * (1.0 - hs[t] ** 2)
-            dzn[t] = dpre
-            dh_next = wh.T @ dpre
-        dz, bn_grads = (dzn, {}) if self.bn is None else self.bn.backward(dzn)
-        grads = {"Wx": dz.T @ x,
-                 **{f"bn.{k}": v for k, v in bn_grads.items()},
-                 # h_{-1} = 0, so step 0 adds nothing to dWh.
-                 "Wh": dzn[1:].T @ hs[:-1], "b": dzn.sum(axis=0)}
-        return (dz @ self.params["Wx"] if input_grad else None), grads
+                c, a = cs[:, :n], acts[:, :n]
+                i, f, g, o = self._gates(a)
+            for t in range(start, stop):
+                np.matmul(wh, h_in[t], out=p_out)
+                p += z[t]
+                p += b
+                if lstm:
+                    _sigmoid(p, out=a[t])  # g's columns are replaced next
+                    np.tanh(p[:, 2 * H:3 * H], out=g[t])
+                    np.add(f[t] * c[t], i[t] * g[t], out=c[t + 1])
+                    np.multiply(o[t], np.tanh(c[t + 1]), out=h[t + 1])
+                else:
+                    np.tanh(p, out=h[t + 1])
+        if train:
+            self._cache.append((xs, slot, runs, hs, cs, acts))
+        return [hs[1:n + 1, slot[u], :, 0] for u, n in enumerate(lengths)]
+
+    def backward(self, dhs, input_grad=True):
+        """(dxs, grads) for the oldest cached forward: ``dhs`` holds each
+        utterance's direction-ordered output gradient, ``dxs`` its input
+        gradient (None without ``input_grad``), and ``grads`` sums the
+        utterances' parameter gradients in batch order."""
+        xs, slot, runs, hs, cs, acts = self._cache.pop(0)
+        wh = self.params["Wh"]
+        H, lstm = self.hidden, self.lstm
+        T, B = hs.shape[0] - 1, hs.shape[1]
+        dh_seq = np.zeros((T, B, H))
+        for u, d in enumerate(dhs):
+            dh_seq[:len(d), slot[u]] = d
+        # With a trailing unit axis, as the stack ``np.matmul`` takes.
+        dzn = np.zeros((T, B, wh.shape[0], 1))
+        # Gradients reaching step t from step t + 1; a column's rows stay
+        # zero until its utterance's last step.
+        dh_next = np.zeros((B, H))
+        dc_next = np.zeros((B, H))
+        for n, start, stop in reversed(runs):
+            d_seq, dz_in, dz, dh_n = (dh_seq[:, :n], dzn[:, :n],
+                                      dzn[:, :n, :, 0], dh_next[:n])
+            dh_out = dh_n[:, :, None]
+            h = hs[:, :n, :, 0]
+            if lstm:
+                c, a, dc_n = cs[:, :n], acts[:, :n], dc_next[:n]
+                i, f, g, o = self._gates(a)
+                dzi, dzf, dzg, dzo = self._gates(dz)
+            for t in range(stop - 1, start - 1, -1):
+                dh = d_seq[t] + dh_n
+                if lstm:
+                    tc = np.tanh(c[t + 1])
+                    dc = dc_n + dh * o[t] * (1.0 - tc ** 2)
+                    # Each gate's upstream factor, then its own derivative:
+                    # a * (1 - a) for i, f and o, 1 - g^2 for g.
+                    np.multiply(dc, g[t], out=dzi[t])
+                    np.multiply(dc, c[t], out=dzf[t])
+                    np.multiply(dc, i[t], out=dzg[t])
+                    np.multiply(dh, tc, out=dzo[t])
+                    np.multiply(dc, f[t], out=dc_n)
+                    dg = dzg[t] * (1.0 - g[t] ** 2)
+                    dz[t] *= a[t]
+                    dz[t] *= 1.0 - a[t]
+                    dzg[t] = dg
+                else:
+                    np.multiply(dh, 1.0 - h[t + 1] ** 2, out=dz[t])
+                np.matmul(wh.T, dz_in[t], out=dh_out)
+        grads, dxs = {}, []
+        for u, x in enumerate(xs):
+            n = len(x)
+            # Contiguous copies: the arrays an utterance alone would have.
+            dzn_u = np.ascontiguousarray(dzn[:n, slot[u], :, 0])
+            hs_u = np.ascontiguousarray(hs[1:n, slot[u], :, 0])
+            dz, bn_grads = ((dzn_u, {}) if self.bn is None
+                            else self.bn.backward(dzn_u))
+            add_grads(grads, {
+                "Wx": dz.T @ x, **{f"bn.{k}": v for k, v in bn_grads.items()},
+                # h_{-1} = 0, so step 0 adds nothing to dWh.
+                "Wh": dzn_u[1:].T @ hs_u, "b": dzn_u.sum(axis=0)})
+            if input_grad:
+                dxs.append(dz @ self.params["Wx"])
+        return (dxs if input_grad else None), grads
+
+
+def _columns(lengths):
+    """(slot, runs) of a batch: utterance u's column ``slot[u]``, longest
+    first (ties in batch order), and the (n, start, stop) runs of steps
+    over which the first n columns are running, n descending."""
+    order = sorted(range(len(lengths)), key=lengths.__getitem__,
+                   reverse=True)
+    slot = [0] * len(lengths)
+    for column, u in enumerate(order):
+        slot[u] = column
+    ends = [lengths[u] for u in order] + [0]
+    return slot, [(n, ends[n], ends[n - 1]) for n in range(len(order), 0, -1)
+                  if ends[n] < ends[n - 1]]
 
 
 class RecurrentLayer:
-    """Bidirectional simple-RNN (tanh cell) or LSTM.
+    """Bidirectional simple-RNN (tanh cell) or LSTM over a minibatch.
 
     ``hidden_size`` is the layer's output width; each direction has
     hidden_size // 2 units and the two directions are concatenated.
+    Inputs, outputs and their gradients are zero-padded, time-major
+    (T, B, width) arrays: utterance b's ``lengths[b]`` frames, then zeros.
     """
 
     def __init__(self, spec, in_size, rng):
@@ -372,18 +484,38 @@ class RecurrentLayer:
         h = spec.hidden_size // 2
         self.fwd = _Direction(in_size, h, lstm, rng, spec.batchnorm)
         self.bwd = _Direction(in_size, h, lstm, rng, spec.batchnorm)
+        self._cache = []
 
-    def forward(self, x, train):
-        return np.concatenate([self.fwd.forward(x, train),
-                               self.bwd.forward(x[::-1], train)[::-1]], axis=1)
+    def forward(self, x, lengths, train):
+        xs = [np.ascontiguousarray(x[:n, u]) for u, n in enumerate(lengths)]
+        fwd = self.fwd.forward(xs, train)
+        bwd = self.bwd.forward([v[::-1] for v in xs], train)
+        h = self.spec.hidden_size // 2
+        out = np.zeros(x.shape[:2] + (2 * h,))
+        for u, n in enumerate(lengths):
+            out[:n, u, :h] = fwd[u]
+            out[:n, u, h:] = bwd[u][::-1]
+        if train:
+            self._cache.append(lengths)
+        return out
 
     def backward(self, dout, input_grad=True):
+        lengths = self._cache.pop(0)
         h = self.spec.hidden_size // 2
-        dx_f, grads_f = self.fwd.backward(dout[:, :h], input_grad)
-        dx_b, grads_b = self.bwd.backward(dout[::-1, h:], input_grad)
-        grads = {f"fwd.{k}": v for k, v in grads_f.items()}
-        grads.update({f"bwd.{k}": v for k, v in grads_b.items()})
-        return (dx_f + dx_b[::-1] if input_grad else None), grads
+        dx_f, grads_f = self.fwd.backward(
+            [dout[:n, u, :h] for u, n in enumerate(lengths)], input_grad)
+        dx_b, grads_b = self.bwd.backward(
+            [dout[:n, u, h:][::-1] for u, n in enumerate(lengths)],
+            input_grad)
+        grads = {}
+        add_grads(grads, grads_f, "fwd.")
+        add_grads(grads, grads_b, "bwd.")
+        if not input_grad:
+            return None, grads
+        dx = np.zeros(dout.shape[:2] + self.fwd.params["Wx"].shape[1:])
+        for u, n in enumerate(lengths):
+            dx[:n, u] = dx_f[u] + dx_b[u][::-1]
+        return dx, grads
 
 
 class FCLayer:
@@ -397,14 +529,14 @@ class FCLayer:
             "W": uniform_init(rng, (spec.hidden_size, in_size), in_size),
             "b": np.zeros(spec.hidden_size),
         }
-        self._cache = None
+        self._cache = []
 
     def forward(self, x, train):
         if train:
-            self._cache = x
+            self._cache.append(x)
         return x @ self.params["W"].T + self.params["b"]
 
     def backward(self, dout, input_grad=True):
-        x = self._cache
+        x = self._cache.pop(0)
         grads = {"W": dout.T @ x, "b": dout.sum(axis=0)}
         return (dout @ self.params["W"] if input_grad else None), grads

@@ -199,7 +199,8 @@ def preset(name: str, seed=0) -> ModelConfig:
 
 @dataclass
 class ForwardResult:
-    taps: list[np.ndarray]        # T_k x D_k per layer, input first
+    taps: list[np.ndarray]        # T_k x D_k per layer, input first; in
+                                  # train mode None for a conv another follows
     logits: np.ndarray            # T_K x S, pre-softmax
     log_probs: np.ndarray
 
@@ -235,51 +236,100 @@ class TrainedModel:
         # restore) goes into these arrays in place.
         self.params = L.registry(self.layers, "params")
         self.buffers = L.registry(self.layers, "buffers")
+        self._n_conv = sum(spec.kind in CONV_KINDS for spec in config.layers)
         self._fwd_state = None
 
     # -- forward / backward -------------------------------------------
 
-    def forward(self, x, strides_enabled=True, mode="eval") -> ForwardResult:
+    def forward(self, batch, strides_enabled=True,
+                mode="eval") -> list[ForwardResult]:
+        """One ForwardResult per utterance of ``batch``, a list of
+        spectrograms or T x F arrays.
+
+        Convolutions and fc run one utterance at a time, the recurrent
+        layers on the whole batch; every result is bit for bit the
+        utterance's own forward.  A train-mode pass caches for `backward`
+        and builds no tap of a convolution that another one follows, as
+        nothing reads it.
+        """
         if mode not in ("train", "eval"):
             raise ValueError("mode must be 'train' or 'eval'")
-        frames = x.frames if isinstance(x, Spectrogram) else np.asarray(
-            x, dtype=np.float64)
-        if frames.ndim != 2 or frames.shape[1] != self.config.input_freq_bins:
-            raise ValueError(
-                f"input must be T x {self.config.input_freq_bins}, "
-                f"got {frames.shape}")
         train = mode == "train"
-        taps = [frames]
-        cur = frames[None, :, :]  # (C=1, T, F)
-        for spec, layer in zip(self.config.layers, self.layers):
-            if spec.kind in CONV_KINDS:
+        if train:
+            L.drop_caches(self.layers)
+        n_conv = self._n_conv
+        taps, shapes = [], []
+        for x in batch:
+            frames = x.frames if isinstance(x, Spectrogram) else np.asarray(
+                x, dtype=np.float64)
+            if (frames.ndim != 2
+                    or frames.shape[1] != self.config.input_freq_bins):
+                raise ValueError(
+                    f"input must be T x {self.config.input_freq_bins}, "
+                    f"got {frames.shape}")
+            taps.append([frames])
+            cur = frames[None, :, :]  # (C=1, T, F)
+            for k, (spec, layer) in enumerate(
+                    zip(self.config.layers[:n_conv], self.layers), start=1):
                 stride_t = spec.stride[0] if strides_enabled else 1
                 cur, _pre = layer.forward(cur, train, stride_t=stride_t)
-                taps.append(layer.output_tap(cur))
-            else:
-                taps.append(layer.forward(taps[-1], train))
+                taps[-1].append(layer.output_tap(cur)
+                                if k == n_conv or not train else None)
+            shapes.append(cur.shape)
+        lengths = [len(utt_taps[-1]) for utt_taps in taps]
+        x = np.zeros((max(lengths), len(taps), taps[0][-1].shape[1]))
+        for u, utt_taps in enumerate(taps):
+            x[:lengths[u], u] = utt_taps[-1]
+        for layer in self.layers[n_conv:-1]:
+            x = layer.forward(x, lengths, train)
+            for u, utt_taps in enumerate(taps):
+                utt_taps.append(x[:lengths[u], u])
+        results = []
+        for utt_taps in taps:
+            logits = self.layers[-1].forward(
+                np.ascontiguousarray(utt_taps[-1]), train)
+            lp = log_softmax(logits)
+            utt_taps.append(np.exp(lp))
+            results.append(ForwardResult(utt_taps, logits, lp))
         if train:
-            self._fwd_state = cur.shape  # the last conv's (C, T, F)
-        logits = taps[-1]
-        lp = log_softmax(logits)
-        taps[-1] = np.exp(lp)
-        return ForwardResult(taps, logits, lp)
+            self._fwd_state = (lengths, shapes)
+        return results
 
     def backward(self, dlogits):
-        """Parameter gradients for the cached train-mode forward pass."""
+        """Parameter gradients for the cached train-mode forward, summed
+        over its utterances in batch order; ``dlogits`` holds each
+        utterance's gradient of the pre-softmax logits."""
         if self._fwd_state is None:
             raise RuntimeError("backward called without a cached forward pass")
+        lengths, shapes = self._fwd_state
+        self._fwd_state = None
+        n, n_conv = len(self.layers), self._n_conv
         grads = {}
-        d = np.asarray(dlogits, dtype=np.float64)
-        for i in range(len(self.layers), 0, -1):
-            if self.config.layers[i - 1].kind in CONV_KINDS and d.ndim == 2:
-                # re-enter conv territory: (T, C*F) -> (C, T, F)
-                c, t, f = self._fwd_state
-                d = d.reshape(t, c, f).transpose(1, 0, 2)
-            # Nothing uses the spectrogram's gradient.
-            d, layer_grads = self.layers[i - 1].backward(d, input_grad=i > 1)
-            for name, g in layer_grads.items():
-                grads[f"L{i}.{name}"] = g
+        ds = []
+        for d in dlogits:
+            d, layer_grads = self.layers[-1].backward(
+                np.asarray(d, dtype=np.float64), input_grad=n > 1)
+            L.add_grads(grads, layer_grads, f"L{n}.")
+            ds.append(d)
+        if n - 1 > n_conv:
+            d = np.zeros((max(lengths), len(ds), ds[0].shape[1]))
+            for u, d_u in enumerate(ds):
+                d[:lengths[u], u] = d_u
+            del ds
+            for i in range(n - 1, n_conv, -1):
+                d, layer_grads = self.layers[i - 1].backward(
+                    d, input_grad=i > 1)
+                L.add_grads(grads, layer_grads, f"L{i}.")
+            ds = [] if d is None else [d[:m, u] for u, m in enumerate(lengths)]
+        if n_conv:
+            # The conv stack one utterance at a time, so one input gradient
+            # exists at a time.  Nothing uses the spectrogram's gradient.
+            for (c, t, f), d in zip(shapes, ds):
+                d = d.reshape(t, c, f).transpose(1, 0, 2)  # -> (C, T, F)
+                for i in range(n_conv, 0, -1):
+                    d, layer_grads = self.layers[i - 1].backward(
+                        d, input_grad=i > 1)
+                    L.add_grads(grads, layer_grads, f"L{i}.")
         return grads
 
     # -- checkpoint io ------------------------------------------------

@@ -132,8 +132,8 @@ def _eval_forwards(model, corpus, strides_enabled, threads=1):
     are consumed: one at a time on this thread, or with ``threads`` > 1 in
     chunks of ``threads`` on a pool."""
     def one(utt):
-        return model.forward(utt.spectrogram, strides_enabled=strides_enabled,
-                             mode="eval")
+        return model.forward([utt.spectrogram],
+                             strides_enabled=strides_enabled, mode="eval")[0]
 
     if threads == 1:
         yield from map(one, corpus)
@@ -366,13 +366,23 @@ def inter_intra_f1(fine_report: dict, coarse_report: dict,
 
 def load_dataset(path, window=0, scheme="full",
                  inventory=None) -> FrameDataset:
-    """The (``window``, ``scheme``) view of an `extract_frames` file: each
-    utterance's rows `_windowed`, and each row's phone reduced onto the
-    ``inventory``'s labels for ``scheme`` (or the file's own, for "full")."""
-    if window < 0:
-        raise ValueError("window must be >= 0")
-    if inventory is None and scheme != "full":
-        raise ValueError("reduction schemes need a phone inventory")
+    """The (``window``, ``scheme``) view of an `extract_frames` file (see
+    `load_views`)."""
+    return next(load_views(path, [(window, scheme)], inventory))
+
+
+def load_views(path, views, inventory=None):
+    """The FrameDataset of each (window, scheme) of ``views``, in order,
+    from one read of an `extract_frames` file, each made when it is
+    consumed: each utterance's rows `_windowed`, and each row's phone
+    reduced onto the ``inventory``'s labels for the scheme (or the file's
+    own, for "full")."""
+    views = list(views)
+    for window, scheme in views:
+        if window < 0:
+            raise ValueError("window must be >= 0")
+        if inventory is None and scheme != "full":
+            raise ValueError("reduction schemes need a phone inventory")
 
     def parse(header, payload):
         n, d, phones = header["n"], header["d"], header["label_names"]
@@ -384,16 +394,21 @@ def load_dataset(path, window=0, scheme="full",
         if codes.size and not 0 <= codes.min() <= codes.max() < len(phones):
             raise ValueError("phone index outside its label_names")
         inv = inventory or phoneset.synthetic_inventory(phones)
-        names = inv.labels_for_scheme(scheme)
-        lut = [names.index(inv.reduce(phone, scheme)) for phone in phones]
+        labels = {}  # scheme -> (label names, each row's label)
+        for scheme in dict.fromkeys(scheme for _window, scheme in views):
+            names = inv.labels_for_scheme(scheme)
+            lut = [names.index(inv.reduce(phone, scheme)) for phone in phones]
+            labels[scheme] = names, np.array(lut, np.int64)[codes]
         tap = np.frombuffer(payload, np.float32, n * d).reshape(n, d)
-        return FrameDataset(
-            np.concatenate([_windowed(rows, window)
-                            for rows in np.split(tap, ends[1:-1])]),
-            np.array(lut, np.int64)[codes], names,
-            {**header["provenance"], "window": window, "scheme": scheme},
-            spans)
+        return (np.split(tap, ends[1:-1]), labels, header["provenance"],
+                spans)
 
-    return read_artifact(path, DATASET_MAGIC, DATASET_VERSION,
-                         "frame dataset",
-                         lambda h: 4 * h["n"] * (h["d"] + 1), parse)
+    rows, labels, provenance, spans = read_artifact(
+        path, DATASET_MAGIC, DATASET_VERSION, "frame dataset",
+        lambda h: 4 * h["n"] * (h["d"] + 1), parse)
+    for window, scheme in views:
+        names, row_labels = labels[scheme]
+        yield FrameDataset(
+            np.concatenate([_windowed(utt_rows, window) for utt_rows in rows]),
+            row_labels, names,
+            {**provenance, "window": window, "scheme": scheme}, spans)

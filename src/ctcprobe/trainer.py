@@ -190,6 +190,7 @@ def _fit(params, live, n, config, rng, batch_grads, dev_row, train_loss0):
                 order[start:start + config.batch_size])
             losses += batch_losses
             adam_step(params, grads, opt)
+            del grads  # before the next minibatch's gradients exist
         flush_subnormals(opt)
         rows.append({"epoch": epoch, "train_loss": float(np.mean(losses)),
                      **dev_row()})
@@ -210,16 +211,18 @@ class AsrTrainResult:
                          # transcript, or output too short to carry it
 
 
-def _mean_ctc_loss(model, utts, labels_by_id):
-    losses = []
-    for utt in utts:
-        labels = labels_by_id.get(utt.id)
-        if labels is None:
-            continue
-        result = model.forward(utt.spectrogram, mode="eval")
-        losses.append(ctc.ctc_loss(result.log_probs, labels))
-    if not losses:
+def _mean_ctc_loss(model, utts, labels_by_id, batch_size):
+    """Mean CTC loss of the feasible ``utts``, forwarded in minibatches."""
+    utts = [utt for utt in utts if utt.id in labels_by_id]
+    if not utts:
         raise ValueError("no feasible utterances to evaluate")
+    losses = []
+    for start in range(0, len(utts), batch_size):
+        batch = utts[start:start + batch_size]
+        results = model.forward([utt.spectrogram for utt in batch],
+                                mode="eval")
+        losses += [ctc.ctc_loss(result.log_probs, labels_by_id[utt.id])
+                   for utt, result in zip(batch, results)]
     return float(np.mean(losses))
 
 
@@ -258,26 +261,24 @@ def train_asr(corpus, model_config: ModelConfig, train_config: TrainConfig,
 
     def batch_grads(idx):
         """Mean gradient of the batch's utterances."""
-        losses, acc = [], None
-        for i in idx:
-            utt = train_utts[i]
-            result = model.forward(utt.spectrogram, mode="train")
-            loss, dlogits = ctc.ctc_loss_and_grad(
-                result.log_probs, labels_by_id[utt.id])
-            grads = model.backward(dlogits)
+        batch = [train_utts[i] for i in idx]
+        losses, dlogits = [], []
+        for utt, result in zip(batch, model.forward(
+                [utt.spectrogram for utt in batch], mode="train")):
+            loss, d = ctc.ctc_loss_and_grad(result.log_probs,
+                                            labels_by_id[utt.id])
             losses.append(loss)
-            if acc is None:
-                acc = grads
-            else:
-                for k in acc:
-                    acc[k] += grads[k]
-        return losses, {k: g / len(losses) for k, g in acc.items()}
+            dlogits.append(d)
+        grads = model.backward(dlogits)
+        return losses, {k: g / len(losses) for k, g in grads.items()}
 
+    batch_size = train_config.batch_size
     rows, best_epoch = _fit(
         model.params, {**model.params, **model.buffers}, len(train_utts),
         train_config, np.random.default_rng(train_config.seed), batch_grads,
-        lambda: {"dev_loss": _mean_ctc_loss(model, dev_corpus, labels_by_id)},
-        _mean_ctc_loss(model, train_utts, labels_by_id))
+        lambda: {"dev_loss": _mean_ctc_loss(model, dev_corpus, labels_by_id,
+                                            batch_size)},
+        _mean_ctc_loss(model, train_utts, labels_by_id, batch_size))
     if best_epoch == 0:
         later = min(rows[1:], key=lambda r: r["dev_loss"])
         log.warning(

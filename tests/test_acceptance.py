@@ -120,12 +120,12 @@ def test_gradients_match_finite_differences():
         labels = [int(v) for v in rng.integers(1, 5, size=3)]
 
         def loss():
-            result = model.forward(x, mode="train")
+            result = model.forward([x], mode="train")[0]
             return ctc.ctc_loss(result.log_probs, labels)
 
-        result = model.forward(x, mode="train")
+        result = model.forward([x], mode="train")[0]
         _, dlogits = ctc.ctc_loss_and_grad(result.log_probs, labels)
-        grads = model.backward(dlogits)
+        grads = model.backward([dlogits])
         for name, param in model.params.items():
             flat = param.reshape(-1)
             gflat = grads[name].reshape(-1)

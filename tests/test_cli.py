@@ -468,8 +468,8 @@ def staged_run(finished_run, tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(TrainedModel, "load",
                    classmethod(counted("ckpt", TrainedModel.load.__func__)))
-        mp.setattr(probing, "load_dataset",
-                   counted("fds", probing.load_dataset))
+        mp.setattr(probing, "load_views",
+                   counted("fds", probing.load_views))
         for command in COMMANDS:
             current[0] = command
             assert main([command, "--config", cfg_path]) == 0, command
@@ -490,9 +490,12 @@ class TestSubcommands:
                                                       staged_run):
         _out, cfg, _ = finished_run
         _staged, loads = staged_run
-        n_combos = len(cli.probe_combos(ExperimentConfig.from_dict(cfg)))
+        # probe reads each tap file once, for every combo of its
+        # (layer, strides) pair.
+        n_pairs = len({combo[:2] for combo in cli.probe_combos(
+            ExperimentConfig.from_dict(cfg))})
         expected = {"synth": (0, 0), "train-asr": (0, 0), "extract": (1, 0),
-                    "probe": (0, 2 * n_combos), "cluster": (0, 1),
+                    "probe": (0, 2 * n_pairs), "cluster": (0, 1),
                     "report": (0, 0)}
         assert {command: (loads[command, "ckpt"], loads[command, "fds"])
                 for command in COMMANDS} == expected

@@ -226,11 +226,11 @@ class RowConvOracle(L.ConvLayer):
         pre = z.reshape(t_out, f_out, c_out).transpose(2, 0, 1)
         out = np.maximum(pre, 0.0) if spec.activation == "relu" else pre
         if train:
-            self._cache = (xp, pre, st, sf)
+            self._cache.append((xp, pre, st, sf))
         return out, pre
 
     def backward(self, dout, input_grad=True):
-        xp, pre, st, sf = self._cache
+        xp, pre, st, sf = self._cache.pop(0)
         spec = self.spec
         kt, kf = spec.kernel
         pt, pf = spec.padding
@@ -337,8 +337,7 @@ def test_ds2_conv_peak_memory_within_oracle(index):
 
     def train_step(conv):
         conv.forward(x, True)
-        conv.backward(dy, input_grad=index > 0)
-        conv._cache = None
+        conv.backward(dy, input_grad=index > 0)  # takes the cached entry
 
     for run in (lambda conv: conv.forward(x, False), train_step):
         peak, oracle_peak = traced_peak(lambda: run(layer)), traced_peak(
@@ -348,6 +347,25 @@ def test_ds2_conv_peak_memory_within_oracle(index):
 
 def recurrent_spec(kind, hidden=6, batchnorm=True):
     return LayerSpec(kind, hidden_size=hidden, batchnorm=batchnorm)
+
+
+def padded(xs):
+    """The zero-padded, time-major (T, B, D) batch of ``xs`` and their
+    lengths, as a recurrent layer takes them."""
+    lengths = [len(x) for x in xs]
+    batch = np.zeros((max(lengths), len(xs), xs[0].shape[1]))
+    for u, x in enumerate(xs):
+        batch[:len(x), u] = x
+    return batch, lengths
+
+
+def run_one(layer, x):
+    """A recurrent layer's eval output for one utterance: a batch of one."""
+    return layer.forward(x[:, None], [len(x)], train=False)[:, 0]
+
+
+# Lengths of a ragged batch whose longest utterance is not first.
+RAGGED = (7, 5, 6)
 
 
 def reference_recurrent(layer, x):
@@ -380,28 +398,35 @@ def reference_recurrent(layer, x):
 class TestRecurrentLayer:
     @pytest.mark.parametrize("kind", ["rnn_bidir", "lstm_bidir"])
     def test_forward_matches_the_cell_equations(self, kind):
+        # On a ragged batch: each utterance's frames, then zeros.
         rng = np.random.default_rng(8)
         layer = L.RecurrentLayer(recurrent_spec(kind, batchnorm=False),
                                  in_size=3, rng=rng)
         for value in L.named_arrays(layer, "params").values():
             value[...] = rng.normal(size=value.shape)  # b is zero at init
-        x = rng.normal(size=(5, 3))
-        np.testing.assert_allclose(layer.forward(x, train=False),
-                                   reference_recurrent(layer, x), atol=1e-12)
+        xs = [rng.normal(size=(n, 3)) for n in RAGGED]
+        out = layer.forward(*padded(xs), train=False)
+        for u, x in enumerate(xs):
+            np.testing.assert_allclose(out[:len(x), u],
+                                       reference_recurrent(layer, x),
+                                       atol=1e-12)
+            assert not out[len(x):, u].any()
 
     @pytest.mark.parametrize("kind", ["rnn_bidir", "lstm_bidir"])
     def test_backward_matches_finite_differences(self, kind):
+        # A ragged batch, with output gradients on the padding too: they
+        # must reach nothing, and the padding's input gradient is zero.
         rng = np.random.default_rng(9)
         layer = L.RecurrentLayer(recurrent_spec(kind), in_size=5, rng=rng)
-        x = rng.normal(size=(7, 5))
-        dy = np.random.default_rng(10).normal(size=(7, 6))
+        x, lengths = padded([rng.normal(size=(n, 5)) for n in RAGGED])
+        dy = np.random.default_rng(10).normal(size=x.shape[:2] + (6,))
         buffers = L.named_arrays(layer, "buffers")
         running = {k: v.copy() for k, v in buffers.items()}
 
         def loss():
             for k, v in running.items():
                 buffers[k][...] = v
-            return float((layer.forward(x, train=True) * dy).sum())
+            return float((layer.forward(x, lengths, train=True) * dy).sum())
 
         loss()
         dx, grads = layer.backward(dy)
@@ -416,10 +441,10 @@ class TestRecurrentLayer:
         layer = L.RecurrentLayer(recurrent_spec("rnn_bidir", batchnorm=False),
                                  in_size=4, rng=rng)
         x = rng.normal(size=(8, 4))
-        base = layer.forward(x, train=False)
+        base = run_one(layer, x)
         perturbed = x.copy()
         perturbed[5:] += rng.normal(size=(3, 4))
-        out = layer.forward(perturbed, train=False)
+        out = run_one(layer, perturbed)
         np.testing.assert_allclose(out[:5, :3], base[:5, :3], atol=1e-12)
         assert not np.allclose(out[:5, 3:], base[:5, 3:])
 
@@ -428,10 +453,10 @@ class TestRecurrentLayer:
         layer = L.RecurrentLayer(recurrent_spec("lstm_bidir", batchnorm=False),
                                  in_size=4, rng=rng)
         x = rng.normal(size=(8, 4))
-        base = layer.forward(x, train=False)
+        base = run_one(layer, x)
         perturbed = x.copy()
         perturbed[:3] += rng.normal(size=(3, 4))
-        out = layer.forward(perturbed, train=False)
+        out = run_one(layer, perturbed)
         np.testing.assert_allclose(out[5:, 3:], base[5:, 3:], atol=1e-12)
 
     def test_odd_hidden_size_rejected(self):
@@ -458,18 +483,18 @@ class TestFCLayer:
             assert rel_err(grads[name], fd_grad(loss, value)) < 1e-6, name
 
 
-# kind -> make(rng): (a layer of that kind, an input for it)
+# kind -> make(rng): (a layer of that kind, its forward's inputs)
 WITHOUT_INPUT_GRAD = {
     "conv": lambda rng: (L.ConvLayer(conv_spec(), 2, rng),
-                         rng.normal(size=(2, 8, 10))),
+                         [rng.normal(size=(2, 8, 10))]),
     "fc": lambda rng: (L.FCLayer(LayerSpec("fully_connected", hidden_size=5,
                                            batchnorm=False), 4, rng),
-                       rng.normal(size=(6, 4))),
+                       [rng.normal(size=(6, 4))]),
     "rnn": lambda rng: (L.RecurrentLayer(recurrent_spec("rnn_bidir"), 5, rng),
-                        rng.normal(size=(7, 5))),
+                        padded([rng.normal(size=(n, 5)) for n in RAGGED])),
     "lstm": lambda rng: (L.RecurrentLayer(recurrent_spec("lstm_bidir"), 5,
                                           rng),
-                         rng.normal(size=(7, 5))),
+                         padded([rng.normal(size=(n, 5)) for n in RAGGED])),
 }
 
 
@@ -477,9 +502,13 @@ WITHOUT_INPUT_GRAD = {
 def test_backward_without_input_grad(kind):
     # Every layer skips its input gradient the same way: dx is None, and
     # the parameter gradients are those of a full backward, bit for bit.
+    # Each backward takes one cached forward, so the input goes forward
+    # twice.
     rng = np.random.default_rng(15)
-    layer, x = WITHOUT_INPUT_GRAD[kind](rng)
-    out = layer.forward(x, train=True)
+    layer, args = WITHOUT_INPUT_GRAD[kind](rng)
+    x = args[0]
+    for _ in range(2):
+        out = layer.forward(*args, train=True)
     if kind == "conv":
         out = out[0]
     dy = rng.normal(size=out.shape)

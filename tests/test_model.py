@@ -136,7 +136,7 @@ class TestForward:
     def test_softmax_rows_sum_to_one(self):
         model = TrainedModel(tiny_config())
         x = np.abs(np.random.default_rng(0).normal(size=(12, 13)))
-        result = model.forward(x)
+        result = model.forward([x])[0]
         np.testing.assert_allclose(result.taps[-1].sum(axis=1), 1.0,
                                    atol=1e-6)
 
@@ -145,7 +145,7 @@ class TestForward:
         model = TrainedModel(cfg)
         x = np.abs(np.random.default_rng(1).normal(size=(12, 13)))
         for strides in (True, False):
-            result = model.forward(x, strides_enabled=strides)
+            result = model.forward([x], strides_enabled=strides)[0]
             assert len(result.taps) == cfg.n_layers + 1
             for k, tap in enumerate(result.taps):
                 assert tap.shape == (
@@ -155,7 +155,7 @@ class TestForward:
     def test_stride_free_keeps_length(self):
         model = TrainedModel(tiny_config())
         x = np.abs(np.random.default_rng(2).normal(size=(17, 13)))
-        result = model.forward(x, strides_enabled=False)
+        result = model.forward([x], strides_enabled=False)[0]
         assert all(t.shape[0] == 17 for t in result.taps)
 
     def test_zero_fc_weights_give_uniform_softmax(self):
@@ -163,14 +163,14 @@ class TestForward:
         model.layers[-1].params["W"][:] = 0.0
         model.layers[-1].params["b"][:] = 0.0
         x = np.abs(np.random.default_rng(3).normal(size=(10, 13)))
-        result = model.forward(x)
+        result = model.forward([x])[0]
         np.testing.assert_allclose(result.taps[-1], 1.0 / 5.0, atol=1e-12)
 
     def test_eval_forward_bit_identical(self):
         model = TrainedModel(tiny_config())
         x = np.abs(np.random.default_rng(4).normal(size=(11, 13)))
-        a = model.forward(x)
-        b = model.forward(x)
+        a = model.forward([x])[0]
+        b = model.forward([x])[0]
         assert np.array_equal(a.logits, b.logits)
         for ta, tb in zip(a.taps, b.taps):
             assert np.array_equal(ta, tb)
@@ -178,20 +178,26 @@ class TestForward:
     def test_shape_mismatch_rejected(self):
         model = TrainedModel(tiny_config())
         with pytest.raises(ValueError):
-            model.forward(np.zeros((10, 12)))
+            model.forward([np.zeros((10, 12))])
 
 
 class TestBackward:
     def test_requires_train_forward(self):
         model = TrainedModel(tiny_config())
         with pytest.raises(RuntimeError):
-            model.backward(np.zeros((6, 5)))
+            model.backward([np.zeros((6, 5))])
+        # A backward takes its forward's caches: a second one has none.
+        x = np.abs(np.random.default_rng(5).normal(size=(12, 13)))
+        model.backward([np.zeros_like(model.forward([x], mode="train")[0]
+                                      .logits)])
+        with pytest.raises(RuntimeError):
+            model.backward([np.zeros((6, 5))])
 
     def test_zero_upstream_gives_zero_grads(self):
         model = TrainedModel(tiny_config())
         x = np.abs(np.random.default_rng(6).normal(size=(12, 13)))
-        result = model.forward(x, mode="train")
-        grads = model.backward(np.zeros_like(result.logits))
+        result = model.forward([x], mode="train")[0]
+        grads = model.backward([np.zeros_like(result.logits)])
         assert set(grads) == set(model.params)
         for name, g in grads.items():
             assert np.all(g == 0.0), name
@@ -199,26 +205,28 @@ class TestBackward:
     def test_grad_shapes_match_params(self):
         model = TrainedModel(tiny_config())
         x = np.abs(np.random.default_rng(7).normal(size=(12, 13)))
-        result = model.forward(x, mode="train")
-        grads = model.backward(np.random.default_rng(8).normal(
-            size=result.logits.shape))
+        result = model.forward([x], mode="train")[0]
+        grads = model.backward([np.random.default_rng(8).normal(
+            size=result.logits.shape)])
         for name, p in model.params.items():
             assert grads[name].shape == p.shape, name
 
     def test_full_model_finite_differences(self):
-        # End-to-end CTC loss gradcheck on one seed; the acceptance suite
-        # sweeps many seeds.
+        # End-to-end CTC loss gradcheck of a ragged minibatch (the summed
+        # loss of its utterances) on one seed; the acceptance suite sweeps
+        # many seeds of one utterance.
         model = TrainedModel(tiny_config(seed=3))
-        x = np.abs(np.random.default_rng(9).normal(size=(12, 13)))
-        labels = [1, 2]
+        xs, labels = ragged_batch(9)
 
         def loss():
-            result = model.forward(x, mode="train")
-            return ctc.ctc_loss(result.log_probs, labels)
+            return sum(ctc.ctc_loss(result.log_probs, utt_labels)
+                       for result, utt_labels in zip(
+                           model.forward(xs, mode="train"), labels))
 
-        result = model.forward(x, mode="train")
-        _, dlogits = ctc.ctc_loss_and_grad(result.log_probs, labels)
-        grads = model.backward(dlogits)
+        grads = model.backward([
+            ctc.ctc_loss_and_grad(result.log_probs, utt_labels)[1]
+            for result, utt_labels in zip(model.forward(xs, mode="train"),
+                                          labels)])
         h = 1e-5
         rng = np.random.default_rng(10)
         for name, p in model.params.items():
@@ -234,6 +242,63 @@ class TestBackward:
                 fd = (fp - fm) / (2 * h)
                 g = grads[name].reshape(-1)[i]
                 assert abs(fd - g) / max(abs(fd), abs(g), 1.0) < 1e-4, name
+
+
+def ragged_batch(seed):
+    """Three inputs for `tiny_config` that are 7, 5 and 6 frames long after
+    its strided convolution, and a transcript for each."""
+    rng = np.random.default_rng(seed)
+    return ([np.abs(rng.normal(size=(n, 13))) for n in (14, 10, 12)],
+            [[1, 2], [3], [4, 4]])
+
+
+class TestMinibatch:
+    """A minibatch forward and backward are its utterances' own, one at a
+    time, bit for bit: taps, log-probs, the gradients summed in batch
+    order, and the batch-norm statistics.  The model has a simple-RNN and
+    an LSTM layer."""
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_ragged_batch_is_its_utterances_one_at_a_time(self, mode):
+        xs, labels = ragged_batch(11)
+        batched, single = (TrainedModel(tiny_config(seed=4))
+                           for _ in range(2))
+        got = batched.forward(xs, mode=mode)
+        want, want_grads = [], {}
+        for x, utt_labels in zip(xs, labels):
+            want.append(single.forward([x], mode=mode)[0])
+            if mode == "train":
+                for name, g in single.backward([ctc.ctc_loss_and_grad(
+                        want[-1].log_probs, utt_labels)[1]]).items():
+                    want_grads[name] = (want_grads[name] + g
+                                        if name in want_grads else g)
+        for result, expected in zip(got, want, strict=True):
+            np.testing.assert_array_equal(result.log_probs,
+                                          expected.log_probs)
+            assert len(result.taps) == len(expected.taps)
+            for k, (tap, tap_want) in enumerate(zip(result.taps,
+                                                    expected.taps)):
+                assert (tap is None) == (tap_want is None), k
+                if tap is not None:
+                    np.testing.assert_array_equal(tap, tap_want, err_msg=k)
+        if mode == "train":
+            grads = batched.backward([
+                ctc.ctc_loss_and_grad(result.log_probs, utt_labels)[1]
+                for result, utt_labels in zip(got, labels)])
+            assert list(grads) == list(want_grads)
+            for name, g in grads.items():
+                np.testing.assert_array_equal(g, want_grads[name],
+                                              err_msg=name)
+        for name, v in batched.buffers.items():
+            np.testing.assert_array_equal(v, single.buffers[name],
+                                          err_msg=name)
+
+    def test_train_forward_skips_only_unread_conv_taps(self):
+        cfg = preset("ds2-mini")
+        model = TrainedModel(cfg)
+        x = np.abs(np.random.default_rng(12).normal(size=(30, 161)))
+        taps = model.forward([x], mode="train")[0].taps
+        assert [k for k, tap in enumerate(taps) if tap is None] == [1]
 
 
 class TestCheckpoint:
@@ -252,10 +317,10 @@ class TestCheckpoint:
         loaded = TrainedModel.load(path)
         assert loaded.config == model.config
         x = np.abs(np.random.default_rng(11).normal(size=(10, 13)))
-        got = loaded.forward(x).logits
+        got = loaded.forward([x])[0].logits
         for v in model.params.values():
             v[...] = v.astype(np.float32).astype(np.float64)
-        expected = model.forward(x).logits
+        expected = model.forward([x])[0].logits
         np.testing.assert_array_equal(got, expected)
 
     def test_failed_save_leaves_no_partial_or_temp_file(self, tmp_path,

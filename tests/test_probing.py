@@ -47,8 +47,8 @@ def greedy_categories(model, utts, strides_enabled=True):
     """Oracle for `Extraction.categories`: the initial of each frame's
     greedy CTC category, from a fresh eval forward per utterance."""
     return {utt.id: "".join(cat[0] for cat in greedy_decode(
-                model.forward(utt.spectrogram, strides_enabled=strides_enabled,
-                              mode="eval").log_probs,
+                model.forward([utt.spectrogram],
+                              strides_enabled=strides_enabled)[0].log_probs,
                 model.config.alphabet).categories)
             for utt in utts}
 
@@ -125,7 +125,7 @@ class TestExtractFrames:
             for layer, path in taps:
                 base = probing.load_dataset(path)
                 forwards = [mini_model.forward(
-                    u.spectrogram, strides_enabled=strides).taps[layer]
+                    [u.spectrogram], strides_enabled=strides)[0].taps[layer]
                     for u in group]
                 np.testing.assert_array_equal(
                     base.vectors, rounded(np.concatenate(forwards)))
@@ -631,7 +631,7 @@ class TestDatasetSerialization:
         path = tmp_path / "frames.fds"
         extract_frames(mini_model, utts, [(1, path)], True)
         loaded = probing.load_dataset(path, 1, "full", inv)
-        taps = [mini_model.forward(u.spectrogram).taps[1] for u in utts]
+        taps = [mini_model.forward([u.spectrogram])[0].taps[1] for u in utts]
         np.testing.assert_array_equal(
             loaded.vectors,
             rounded(np.concatenate([probing._windowed(t, 1) for t in taps])))
@@ -642,6 +642,28 @@ class TestDatasetSerialization:
             "scheme": "full", "subsample_factor": 2,
             "receptive_center_offset": 0, "standardized": False}
         assert loaded.spans == [(u.id, len(t)) for u, t in zip(utts, taps)]
+
+    def test_views_of_one_read_are_each_views_own(self, tmp_path, corpus,
+                                                  mini_model, monkeypatch):
+        cfg, utts = corpus
+        inv = phoneset.synthetic_inventory(cfg.phones)
+        path = tmp_path / "frames.fds"
+        extract_frames(mini_model, utts, [(1, path)], True)
+        views = [(0, "full"), (2, "sound_class"), (1, "full"),
+                 (0, "sound_class")]
+        want = [probing.load_dataset(path, window, scheme, inv)
+                for window, scheme in views]
+        reads = []
+        monkeypatch.setattr(probing, "read_artifact",
+                            lambda *args: reads.append(1) or read_artifact(
+                                *args))
+        got = list(probing.load_views(path, views, inv))
+        assert len(reads) == 1
+        for a, b in zip(got, want, strict=True):
+            np.testing.assert_array_equal(a.vectors, b.vectors)
+            np.testing.assert_array_equal(a.labels, b.labels)
+            assert (a.label_names, a.provenance, a.spans) == (
+                b.label_names, b.provenance, b.spans)
 
     def test_file_holds_the_raw_tap_and_corpus_phones(self, tmp_path, corpus,
                                                       mini_model):

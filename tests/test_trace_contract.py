@@ -1,7 +1,8 @@
 """The benchmark's tracer (`perfbench/tracing.py`) wraps every public
 function of ctcprobe by name and reads fields of their arguments and
 results: `kmeans(...).inertia_history`, `extract_frames(...).n_frames`,
-`ConvLayer.forward`'s `(out, pre)` and `TrainedModel.forward`'s `mode`.
+`ConvLayer.forward`'s `(out, pre)`, the time axis of `RecurrentLayer`'s
+padded batch and `TrainedModel.forward`'s `mode`.
 A traced run of a small config must finish and give every module's counts,
 so a rename that breaks `perfbench/run.py --trace 1` fails here."""
 
@@ -40,5 +41,9 @@ def test_traced_run_counts_every_module(tmp_path):
         n_strides=len(cfg["probe"]["strides"]), artifact_files=0)
     for name in ("clustering.kmeans_iters", "probing.probe_step_calls",
                  "model.forward_train_calls", "probing.frames_out",
-                 "ctc.dp_cells", "layers.cnn1.fwd_gmac"):
+                 "ctc.dp_cells", "layers.cnn1.fwd_gmac",
+                 # The recurrence and the model's backward run through
+                 # the public methods the tracer wraps.
+                 "layers.recurrent.fwd_s", "layers.recurrent.bwd_s",
+                 "model.backward_s"):
         assert metrics[name] > 0, name
