@@ -21,6 +21,9 @@ from .artifacts import artifact_header, atomic_write, read_artifact
 DEFAULT_SAMPLE_RATE = 16000
 DEFAULT_WINDOW_MS = 20.0
 DEFAULT_HOP_MS = 10.0
+# Samples per analysis window (320) and per hop (160) at that rate.
+WINDOW_SAMPLES = round(DEFAULT_SAMPLE_RATE * DEFAULT_WINDOW_MS / 1000)
+HOP_SAMPLES = round(DEFAULT_SAMPLE_RATE * DEFAULT_HOP_MS / 1000)
 
 CORPUS_MAGIC = b"CPCO"
 CORPUS_VERSION = 1
@@ -116,22 +119,15 @@ def hamming_window(n: int) -> np.ndarray:
     return 0.54 - 0.46 * np.cos(2.0 * np.pi * i / (n - 1))
 
 
-def spectrogram(samples, sample_rate_hz=DEFAULT_SAMPLE_RATE,
-                window_ms=DEFAULT_WINDOW_MS, hop_ms=DEFAULT_HOP_MS,
-                log_compress=False) -> Spectrogram:
-    """Magnitude spectrogram of Hamming-windowed frames.
+def spectrogram(samples) -> Spectrogram:
+    """Linear magnitude spectrogram of Hamming-windowed frames of 16 kHz
+    ``samples``.
 
-    T = floor((len - win) / hop) + 1, F = win/2 + 1 (161 at 16 kHz with a
-    20ms window).  Linear magnitudes by default; ``log_compress`` applies
-    log1p.
+    T = floor((len - win) / hop) + 1, F = win/2 + 1 = 161 with the 320-sample
+    (20ms) window and 160-sample (10ms) hop.
     """
-    if sample_rate_hz <= 0:
-        raise ValueError("sample_rate_hz must be positive")
     samples = np.asarray(samples, dtype=np.float64)
-    win = int(round(sample_rate_hz * window_ms / 1000.0))
-    hop = int(round(sample_rate_hz * hop_ms / 1000.0))
-    if win < 1 or hop < 1:
-        raise ValueError("window/hop too short for this sample rate")
+    win, hop = WINDOW_SAMPLES, HOP_SAMPLES
     if len(samples) < win:
         raise ValueError(
             f"need at least {win} samples for one window, got {len(samples)}"
@@ -139,10 +135,7 @@ def spectrogram(samples, sample_rate_hz=DEFAULT_SAMPLE_RATE,
     n_frames = (len(samples) - win) // hop + 1
     w = hamming_window(win)
     idx = np.arange(win)[None, :] + hop * np.arange(n_frames)[:, None]
-    frames = np.abs(np.fft.rfft(samples[idx] * w[None, :], axis=1))
-    if log_compress:
-        frames = np.log1p(frames)
-    return Spectrogram(frames, sample_rate_hz, window_ms, hop_ms)
+    return Spectrogram(np.abs(np.fft.rfft(samples[idx] * w[None, :], axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -350,13 +343,12 @@ def load_corpus(path):
 SILENCE_PHONE = "h#"
 
 
-def _frame_for_sample(sample, hop):
+def _frame_for_sample(sample):
     # Frame i's slot is [i*hop, (i+1)*hop); containment is by slot center.
-    return int(sample) // hop
+    return int(sample) // HOP_SAMPLES
 
 
-def import_timit_dir(path, sample_rate_hz=DEFAULT_SAMPLE_RATE,
-                     window_ms=DEFAULT_WINDOW_MS, hop_ms=DEFAULT_HOP_MS):
+def import_timit_dir(path):
     """Import paired .wav/.phn (optionally .txt) files under ``path``.
 
     Returns (utterances, errors); a failing file is reported and skipped.
@@ -383,7 +375,7 @@ def import_timit_dir(path, sample_rate_hz=DEFAULT_SAMPLE_RATE,
             continue
         try:
             utt = _import_one(wav_path, phn_path, _sibling(stem, ".txt"),
-                              sample_rate_hz, window_ms, hop_ms, utt_id)
+                              utt_id)
             utterances.append(utt)
         except Exception as exc:  # per-file error, keep going
             errors.append((wav_path, str(exc)))
@@ -397,24 +389,21 @@ def _sibling(stem, ext):
     return None
 
 
-def _read_wav(path, expected_rate):
+def _read_wav(path):
     with wave.open(path, "rb") as wf:
         if wf.getsampwidth() != 2:
             raise ValueError("expected 16-bit PCM audio")
         if wf.getnchannels() != 1:
             raise ValueError("expected mono audio")
-        if wf.getframerate() != expected_rate:
-            raise ValueError(
-                f"sample rate {wf.getframerate()} != expected {expected_rate}")
+        if wf.getframerate() != DEFAULT_SAMPLE_RATE:
+            raise ValueError(f"sample rate {wf.getframerate()} != expected "
+                             f"{DEFAULT_SAMPLE_RATE}")
         data = wf.readframes(wf.getnframes())
     return np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
 
 
-def _import_one(wav_path, phn_path, txt_path, sample_rate_hz, window_ms, hop_ms,
-                utt_id):
-    samples = _read_wav(wav_path, sample_rate_hz)
-    spec = spectrogram(samples, sample_rate_hz, window_ms, hop_ms)
-    hop = int(round(sample_rate_hz * hop_ms / 1000.0))
+def _import_one(wav_path, phn_path, txt_path, utt_id):
+    spec = spectrogram(_read_wav(wav_path))
 
     raw_segments = []
     with open(phn_path) as fh:
@@ -437,8 +426,8 @@ def _import_one(wav_path, phn_path, txt_path, sample_rate_hz, window_ms, hop_ms,
 
     frame_segs = []
     for start_s, end_s, phone in raw_segments:
-        f0 = _frame_for_sample(start_s, hop)
-        f1 = _frame_for_sample(end_s, hop)
+        f0 = _frame_for_sample(start_s)
+        f1 = _frame_for_sample(end_s)
         if f1 > f0:
             frame_segs.append([phone, f0, f1])
     if not frame_segs:
@@ -475,8 +464,7 @@ def _import_one(wav_path, phn_path, txt_path, sample_rate_hz, window_ms, hop_ms,
             parts = fh.read().strip().split(None, 2)
         if len(parts) == 3:
             transcript = _clean_transcript(parts[2])
-    return Utterance(Spectrogram(frames, sample_rate_hz, window_ms, hop_ms),
-                     segments, transcript, utt_id)
+    return Utterance(Spectrogram(frames), segments, transcript, utt_id)
 
 
 def _clean_transcript(text):

@@ -362,8 +362,8 @@ def stage_extract(cfg, art):
     model = TrainedModel.load(art.path("model.ckpt"))
     train, dev = load_split(art)
     # One pass per strides setting and split: each utterance is forwarded
-    # once, and its rows for every probed layer of that setting go straight
-    # to their files.
+    # once, in minibatches of train.batch_size, and its rows for every
+    # probed layer of that setting go straight to their files.
     combos = probe_combos(cfg)
     dev_categories = {}
     for strides in dict.fromkeys(combo[1] for combo in combos):
@@ -372,8 +372,9 @@ def stage_extract(cfg, art):
         for split, corpus in (("train", train), ("dev", dev)):
             taps = [(layer, art.path(tap_file(layer, strides, split)))
                     for layer in layers]
-            extraction = probing.extract_frames(model, corpus, taps, strides,
-                                                cfg.threads)
+            extraction = probing.extract_frames(
+                model, corpus, taps, strides, cfg.threads,
+                cfg.train_cfg.batch_size)
         # `extraction` is now the dev pass's
         dev_categories[strides_key(strides)] = {
             "subsample_factor": model.config.subsample_factor(
@@ -525,7 +526,7 @@ def plot_layer_accuracy(reports, model_cfg: ModelConfig):
         panels.setdefault(strides, []).append((names[layer],
                                                report["accuracy"]))
     return {strides: svg_bar_chart(
-        [n for n, _ in bars], [v for _, v in bars], y_max=1.0,
+        [n for n, _ in bars], [v for _, v in bars],
         title=f"frame accuracy by layer ({'with' if strides else 'without'} "
               f"strides)")
         for strides, bars in panels.items()}

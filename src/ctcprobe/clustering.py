@@ -175,11 +175,10 @@ def _tsne_kl(P, y):
     return float((P * (np.log(P) - np.log(Q))).sum())
 
 
-def tsne_2d(points, seed=0, perplexity=30.0, iters=1000,
-            learning_rate=100.0) -> TsneResult:
+def tsne_2d(points, seed=0, perplexity=30.0, iters=1000) -> TsneResult:
     """Exact t-SNE: KL between perplexity-calibrated Gaussian input
     affinities and Student-t output affinities, minimized by gradient
-    descent with momentum and early exaggeration."""
+    descent (step 100) with momentum and early exaggeration."""
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
     if n < 3:
@@ -206,7 +205,7 @@ def tsne_2d(points, seed=0, perplexity=30.0, iters=1000,
         coeff = (Pe - Q) * w
         grad = 4.0 * ((np.diag(coeff.sum(axis=1)) - coeff) @ y)
         momentum = 0.5 if it < 250 else 0.8
-        velocity = momentum * velocity - learning_rate * grad
+        velocity = momentum * velocity - 100.0 * grad
         y = y + velocity
         y = y - y.mean(axis=0)
     return TsneResult(coords=y, kl_initial=kl_initial,

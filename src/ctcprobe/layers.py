@@ -89,9 +89,7 @@ def registry(layers, kind):
 class BatchNorm:
     """Per-feature batch norm over axis 0 of an (N, C) matrix."""
 
-    def __init__(self, n_features, eps=BN_EPS, momentum=BN_MOMENTUM):
-        self.eps = eps
-        self.momentum = momentum
+    def __init__(self, n_features):
         self.params = {"gamma": np.ones(n_features), "beta": np.zeros(n_features)}
         self.buffers = {"running_mean": np.zeros(n_features),
                         "running_var": np.ones(n_features)}
@@ -102,7 +100,7 @@ class BatchNorm:
         if train:
             mu = x.mean(axis=0)
             var = x.var(axis=0)
-            m = self.momentum
+            m = BN_MOMENTUM
             # In place, so the model's registry keeps pointing at them.
             for name, batch in (("running_mean", mu), ("running_var", var)):
                 running = self.buffers[name]
@@ -111,7 +109,7 @@ class BatchNorm:
         else:
             mu = self.buffers["running_mean"]
             var = self.buffers["running_var"]
-        inv_std = 1.0 / np.sqrt(var + self.eps)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat = (x - mu) * inv_std
         if train:
             # Cache only for backward; eval-mode forward stays mutation-free

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -58,6 +59,9 @@ class LayerSpec:
                                    else ("none",)):
             raise ValueError(f"activation {self.activation!r} is not one a "
                              f"{self.kind} layer has")
+        if self.batchnorm and self.kind == "fully_connected":
+            raise ValueError("batchnorm is not one a fully_connected layer "
+                             "has")
         if self.kind in CONV_KINDS:
             for name in ("kernel", "stride", "padding", "out_channels"):
                 if getattr(self, name) is None:
@@ -294,6 +298,30 @@ class TrainedModel:
         if train:
             self._fwd_state = (lengths, shapes)
         return results
+
+    def forward_corpus(self, utts, batch_size, strides_enabled=True,
+                       threads=1):
+        """Each (utterance, eval-mode ForwardResult) of ``utts``, in order,
+        made as they are consumed: minibatches of ``batch_size`` utterances
+        go through `forward` one at a time on this thread, or ``threads``
+        > 1 at a time on a pool, so one minibatch of results per thread is
+        alive at once.  Every result is the utterance's own forward, bit
+        for bit, whatever the batch size or thread count."""
+        batches = [utts[i:i + batch_size]
+                   for i in range(0, len(utts), batch_size)]
+
+        def one(batch):
+            return zip(batch, self.forward(
+                [utt.spectrogram for utt in batch], strides_enabled, "eval"))
+
+        if threads == 1:
+            for batch in batches:
+                yield from one(batch)
+            return
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            for i in range(0, len(batches), threads):
+                for pairs in pool.map(one, batches[i:i + threads]):
+                    yield from pairs
 
     def backward(self, dlogits):
         """Parameter gradients for the cached train-mode forward, summed

@@ -2,13 +2,13 @@
 
 The TIMIT table (60 phones, 48-phone folding, six coarse sound classes)
 ships as an editable data file; synthetic corpora carry their own
-miniature inventory with a user-supplied class map.
+miniature inventory with a round-robin class map.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 SOUND_CLASSES = ("affricates", "fricatives", "nasals",
@@ -22,8 +22,6 @@ class PhoneInventory:
     phones: list[str]
     reduced_map: dict[str, str]       # phone -> reduced-set phone
     class_map: dict[str, str]         # phone -> coarse sound class
-    review_flags: set[str] = field(default_factory=set)
-    name: str = ""
 
     def __post_init__(self):
         for phone in self.phones:
@@ -52,8 +50,10 @@ class PhoneInventory:
         return sorted({self.reduce(p, scheme) for p in self.phones})
 
 
-def load_table(lines, name=""):
-    phones, reduced, classes, flags = [], {}, {}, set()
+def load_table(lines):
+    """The inventory of tab-separated "phone, reduced phone, sound class"
+    rows; a further column (the data file's review flag) is ignored."""
+    phones, reduced, classes = [], {}, {}
     for raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -65,28 +65,22 @@ def load_table(lines, name=""):
         phones.append(phone)
         reduced[phone] = red
         classes[phone] = cls
-        if len(parts) > 3 and parts[3] == "review":
-            flags.add(phone)
-    return PhoneInventory(phones, reduced, classes, flags, name=name)
+    return PhoneInventory(phones, reduced, classes)
 
 
 def timit_inventory() -> PhoneInventory:
     text = resources.files("ctcprobe.data").joinpath("timit60.tsv").read_text()
-    return load_table(text.splitlines(), name="timit60")
+    return load_table(text.splitlines())
 
 
-def synthetic_inventory(phones, class_map=None) -> PhoneInventory:
-    """Miniature inventory for synthetic corpora.
-
-    Without an explicit class map the six sound classes are assigned
-    round-robin (metrics only need a total map, not phonetic truth).
-    """
+def synthetic_inventory(phones) -> PhoneInventory:
+    """Miniature inventory for synthetic corpora: each phone is its own
+    reduced phone, and the six sound classes are assigned round-robin
+    (metrics only need a total map, not phonetic truth)."""
     phones = list(phones)
-    if class_map is None:
-        class_map = {p: SOUND_CLASSES[i % len(SOUND_CLASSES)]
-                     for i, p in enumerate(phones)}
-    return PhoneInventory(phones, {p: p for p in phones}, dict(class_map),
-                          name="synthetic")
+    return PhoneInventory(phones, {p: p for p in phones},
+                          {p: SOUND_CLASSES[i % len(SOUND_CLASSES)]
+                           for i, p in enumerate(phones)})
 
 
 def majority_baseline(labels):

@@ -36,13 +36,13 @@ def _data_comment(rows):
     return f"<!--data\n{body}\n-->"
 
 
-def svg_bar_chart(labels, values, title="", width=640, height=360,
-                  y_max=None) -> str:
-    """Vertical bars in input order (e.g. input, cnn1, cnn2, rnn1, ...)."""
+def svg_bar_chart(labels, values, title="") -> str:
+    """Vertical bars in input order (e.g. input, cnn1, cnn2, rnn1, ...) on
+    a 0-1 axis; a value outside it is drawn clipped."""
     if not labels or len(labels) != len(values):
         raise ValueError("need matching non-empty labels and values")
     values = [float(v) for v in values]
-    y_max = y_max if y_max is not None else max(max(values), 1e-12)
+    width, height = 640, 360
     margin_l, margin_b, margin_t = 50, 50, 30
     plot_w = width - margin_l - 20
     plot_h = height - margin_t - margin_b
@@ -58,7 +58,7 @@ def svg_bar_chart(labels, values, title="", width=640, height=360,
         f'<line x1="{margin_l}" y1="{margin_t}" x2="{margin_l}" '
         f'y2="{margin_t + plot_h}" stroke="black"/>')
     for i, (label, value) in enumerate(zip(labels, values)):
-        h = plot_h * min(max(value / y_max, 0.0), 1.0)
+        h = plot_h * min(max(value, 0.0), 1.0)
         x = margin_l + i * slot + (slot - bar_w) / 2
         y = margin_t + plot_h - h
         parts.append(
@@ -76,15 +76,13 @@ def svg_bar_chart(labels, values, title="", width=640, height=360,
     return "\n".join(parts)
 
 
-def svg_heatmap(matrix, row_labels=None, col_labels=None, title="",
-                cell=28) -> str:
+def svg_heatmap(matrix, row_labels, col_labels, title="") -> str:
     """Row-normalized heatmap (confusion-matrix style)."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise ValueError("matrix must be 2-D")
     n_rows, n_cols = matrix.shape
-    row_labels = row_labels or [str(i) for i in range(n_rows)]
-    col_labels = col_labels or [str(j) for j in range(n_cols)]
+    cell = 28
     margin_l, margin_t = 110, 90
     width = margin_l + cell * n_cols + 20
     height = margin_t + cell * n_rows + 20
@@ -118,14 +116,13 @@ def svg_heatmap(matrix, row_labels=None, col_labels=None, title="",
     return "\n".join(parts)
 
 
-def svg_scatter(coords, point_labels=None, title="", width=640,
-                height=640) -> str:
+def svg_scatter(coords, point_labels, title="") -> str:
     """Labelled scatter of 2-D points (cluster centroids)."""
     coords = np.asarray(coords, dtype=np.float64)
     if coords.ndim != 2 or coords.shape[1] != 2:
         raise ValueError("coords must be k x 2")
     n = coords.shape[0]
-    point_labels = point_labels if point_labels is not None else [""] * n
+    width = height = 640
     margin = 40
     span = coords.max(axis=0) - coords.min(axis=0)
     span = np.where(span > 0, span, 1.0)
@@ -146,10 +143,8 @@ def svg_scatter(coords, point_labels=None, title="", width=640,
         parts.append(
             f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4" '
             f'fill="{color_of[label]}"/>')
-        if label:
-            parts.append(
-                f'<text x="{x + 6:.2f}" y="{y + 4:.2f}" '
-                f'font-family="sans-serif" font-size="9">'
-                f'{_escape(label)}</text>')
+        parts.append(
+            f'<text x="{x + 6:.2f}" y="{y + 4:.2f}" '
+            f'font-family="sans-serif" font-size="9">{_escape(label)}</text>')
     parts.append("</svg>")
     return "\n".join(parts)

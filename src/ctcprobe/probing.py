@@ -6,7 +6,6 @@ and confusion matrices.
 from __future__ import annotations
 
 import contextlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,18 +59,21 @@ class Extraction:
     categories: dict    # utterance id -> one of "b", "s", "l" per frame
 
 
-def extract_frames(model, corpus, taps, strides_enabled=True,
-                   threads=1) -> Extraction:
+def extract_frames(model, corpus, taps, strides_enabled=True, threads=1,
+                   batch_size=1) -> Extraction:
     """Forward each utterance once and append its rows for every tap to
     that tap's file, then each row's phone: its index in the sorted corpus
     phones, taken at the row's receptive-field center.
 
     ``taps`` lists (layer, path); `load_dataset` applies windows and label
-    schemes.  ``threads`` > 1 forwards chunks of that many utterances on a
-    pool.  Headers follow from the config and the utterance lengths, so no
-    row waits in memory, and the files replace their paths only when the
-    whole pass succeeds.  The same forwards give each utterance's greedy CTC
-    category per softmax frame ("b"lank, "s"pace or "l"etter).
+    schemes.  The forwards are `TrainedModel.forward_corpus` minibatches of
+    ``batch_size`` utterances, ``threads`` of them at once; the files are
+    the same bytes at any batch size and thread count.  Headers follow
+    from the config and the utterance lengths, so no row waits in memory
+    beyond one minibatch's results per thread, and the files replace their
+    paths only when the whole pass succeeds.  The same forwards give each
+    utterance's greedy CTC category per softmax frame ("b"lank, "s"pace or
+    "l"etter).
     """
     cfg = model.config
     check_unique_ids(corpus)
@@ -106,10 +108,10 @@ def extract_frames(model, corpus, taps, strides_enabled=True,
                  for _layer, path in taps]
         for header, fh in zip(headers, files):
             fh.write(artifact_header(DATASET_MAGIC, DATASET_VERSION, header))
-        for u, result in enumerate(_eval_forwards(model, corpus,
-                                                  strides_enabled, threads)):
-            categories[corpus[u].id] = ctc.greedy_categories(
-                result.log_probs, cfg.alphabet)
+        for u, (utt, result) in enumerate(model.forward_corpus(
+                corpus, batch_size, strides_enabled, threads)):
+            categories[utt.id] = ctc.greedy_categories(result.log_probs,
+                                                       cfg.alphabet)
             for (layer, path), header, fh in zip(taps, headers, files):
                 tap = result.taps[layer]
                 utt_id, n_rows = header["spans"][u]
@@ -125,22 +127,6 @@ def extract_frames(model, corpus, taps, strides_enabled=True,
                                        prov["receptive_center_offset"])
                 fh.write(labels.astype(np.int32).tobytes())
     return Extraction(sum(header["n"] for header in headers), categories)
-
-
-def _eval_forwards(model, corpus, strides_enabled, threads=1):
-    """Eval-mode ForwardResult of each utterance, in order, made as they
-    are consumed: one at a time on this thread, or with ``threads`` > 1 in
-    chunks of ``threads`` on a pool."""
-    def one(utt):
-        return model.forward([utt.spectrogram],
-                             strides_enabled=strides_enabled, mode="eval")[0]
-
-    if threads == 1:
-        yield from map(one, corpus)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for i in range(0, len(corpus), threads):
-            yield from pool.map(one, corpus[i:i + threads])
 
 
 def _frame_labels(utt, phone_code, n_rows, factor, offset):

@@ -216,14 +216,9 @@ def _mean_ctc_loss(model, utts, labels_by_id, batch_size):
     utts = [utt for utt in utts if utt.id in labels_by_id]
     if not utts:
         raise ValueError("no feasible utterances to evaluate")
-    losses = []
-    for start in range(0, len(utts), batch_size):
-        batch = utts[start:start + batch_size]
-        results = model.forward([utt.spectrogram for utt in batch],
-                                mode="eval")
-        losses += [ctc.ctc_loss(result.log_probs, labels_by_id[utt.id])
-                   for utt, result in zip(batch, results)]
-    return float(np.mean(losses))
+    return float(np.mean([
+        ctc.ctc_loss(result.log_probs, labels_by_id[utt.id])
+        for utt, result in model.forward_corpus(utts, batch_size)]))
 
 
 def train_asr(corpus, model_config: ModelConfig, train_config: TrainConfig,

@@ -56,12 +56,6 @@ class TestSpectrogram:
         with pytest.raises(ValueError):
             spectrogram(np.zeros(100))
 
-    def test_log_compress_flag(self):
-        samples = np.random.default_rng(0).normal(size=1600)
-        lin = spectrogram(samples)
-        logged = spectrogram(samples, log_compress=True)
-        np.testing.assert_allclose(logged.frames, np.log1p(lin.frames))
-
     def test_negative_magnitudes_rejected(self):
         with pytest.raises(ValueError):
             Spectrogram(np.array([[-1.0, 0.0]]))

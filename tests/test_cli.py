@@ -429,7 +429,8 @@ class TestPlots:
         assert shades[3] == 0 and shades[2] == 255
 
     def test_identity_heatmap_diagonal_only(self):
-        svg = plots.svg_heatmap(np.eye(3, dtype=int))
+        svg = plots.svg_heatmap(np.eye(3, dtype=int), list("abc"),
+                                list("abc"))
         data = parse_svg_data(svg)
         matrix = np.array([[float(v) for v in row[1:]] for row in data[1:]])
         np.testing.assert_array_equal(matrix, np.eye(3))
@@ -704,8 +705,9 @@ def test_run_forwards_each_utterance_once_per_strides_setting(tmp_path,
 
     def counting_forward(self, x, strides_enabled=True, mode="eval",
                          **kwargs):
+        # A call forwards a minibatch: count its utterances.
         key = (stage[0], strides_enabled, mode)
-        counts[key] = counts.get(key, 0) + 1
+        counts[key] = counts.get(key, 0) + len(x)
         return forward(self, x, strides_enabled, mode, **kwargs)
 
     forward = TrainedModel.forward
@@ -736,7 +738,9 @@ def test_failed_extract_removes_its_partial_files(tmp_path, monkeypatch,
 
     def failing_forward(self, *args, **kwargs):
         calls.append(1)
-        if len(calls) == 3:  # inside the first pass, over the train split
+        # The second minibatch of 8 of the 14 train utterances: inside the
+        # first pass, after it has written the first minibatch's rows.
+        if len(calls) == 2:
             raise RuntimeError("forward failed")
         return forward(self, *args, **kwargs)
 

@@ -66,7 +66,7 @@ class TestBatchNorm:
         x = rng.normal(1.0, 2.0, size=(16, 3))
         y = bn.forward(x, train=False)
         expected = ((x - bn.buffers["running_mean"])
-                    / np.sqrt(bn.buffers["running_var"] + bn.eps))
+                    / np.sqrt(bn.buffers["running_var"] + L.BN_EPS))
         np.testing.assert_allclose(y, expected, atol=1e-12)
 
     def test_eval_forward_does_not_mutate(self):

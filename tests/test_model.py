@@ -92,7 +92,8 @@ class TestModelConfigValidation:
         with pytest.raises(ValueError):
             ModelConfig([LayerSpec("rnn_bidir", hidden_size=8)])
         with pytest.raises(ValueError):
-            ModelConfig([LayerSpec("fully_connected", hidden_size=7)])
+            ModelConfig([LayerSpec("fully_connected", hidden_size=7,
+                                   batchnorm=False)])
 
     def test_layer_ordering_enforced(self):
         fc = LayerSpec("fully_connected", hidden_size=29, batchnorm=False)
@@ -111,6 +112,13 @@ class TestModelConfigValidation:
         d["layers"][2]["activation"] = "relu"
         with pytest.raises(ValueError, match="activation 'relu'"):
             ModelConfig.from_dict(d)
+
+    def test_batchnorm_not_on_fc(self):
+        # A fully connected layer has no batch norm to claim.
+        with pytest.raises(ValueError, match="batchnorm is not one a "
+                                             "fully_connected layer has"):
+            LayerSpec("fully_connected", hidden_size=8)
+        LayerSpec("fully_connected", hidden_size=8, batchnorm=False)
 
     def test_round_trip_dict(self):
         cfg = preset("ds2-light-mini", seed=5)
@@ -418,6 +426,16 @@ class TestCheckpoint:
             TrainedModel.load(path)
         assert str(err.value) == \
             f"{path}: activation 'relu' is not one a lstm_bidir layer has"
+
+    def test_fc_batchnorm_in_header_names_file(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        TrainedModel(preset("ds2-mini", seed=1)).save(path)
+        edit_header(path, CHECKPOINT_MAGIC, lambda header: header["config"][
+            "layers"][-1].update(batchnorm=True))
+        with pytest.raises(ValueError) as err:
+            TrainedModel.load(path)
+        assert str(err.value) == \
+            f"{path}: batchnorm is not one a fully_connected layer has"
 
     @pytest.mark.parametrize("damage", DAMAGE)
     def test_rejects_damaged_file(self, tmp_path, damage):

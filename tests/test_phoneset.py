@@ -47,9 +47,6 @@ class TestTimitInventory:
         for reduced, classes in by_reduced.items():
             assert len(classes) == 1, (reduced, classes)
 
-    def test_ambiguous_symbols_flagged_for_review(self, timit):
-        assert "q" in timit.review_flags
-
     def test_unknown_phone_rejected(self, timit):
         with pytest.raises(ValueError):
             timit.reduce("zz", "full")
@@ -70,10 +67,6 @@ class TestSyntheticInventory:
         inv = synthetic_inventory(["p00", "p01"])
         assert inv.reduce("p01", "reduced48") == "p01"
 
-    def test_custom_class_map_validated(self):
-        with pytest.raises(ValueError):
-            synthetic_inventory(["p00"], class_map={"p00": "clicks"})
-
 
 class TestLoadTable:
     def test_malformed_row_rejected(self):
@@ -83,6 +76,15 @@ class TestLoadTable:
     def test_comments_and_blanks_ignored(self):
         inv = load_table(["# comment", "", "aa\taa\tvowels"])
         assert inv.phones == ["aa"]
+
+    def test_review_flag_column_ignored(self):
+        inv = load_table(["q\tq\tstops\treview", "aa\taa\tvowels"])
+        assert inv.phones == ["q", "aa"]
+        assert inv.reduce("q", "sound_class") == "stops"
+
+    def test_unknown_sound_class_rejected(self):
+        with pytest.raises(ValueError, match="unknown sound class 'clicks'"):
+            load_table(["aa\taa\tclicks"])
 
 
 class TestMajorityBaseline:

@@ -227,6 +227,32 @@ class TestExtractFrames:
                 rows += probing.load_dataset(path).n_frames
             assert written.n_frames == rows
 
+    @pytest.mark.parametrize("name", ["ds2-mini", "ds2-light-mini"])
+    def test_files_and_categories_match_at_any_batch_size_and_threads(
+            self, tmp_path, corpus, name):
+        # Ragged utterances, so a minibatch of two or more pads.
+        cfg, utts = corpus
+        assert len({utt.n_frames for utt in utts}) > 1
+        model = TrainedModel(preset(name, seed=2))
+        layers = range(model.config.n_layers + 1)
+        for strides in (True, False):
+            written = {}
+            for batch_size in (1, 2, len(utts) + 1):
+                for threads in (1, 2):
+                    taps = [(layer, tmp_path / f"{batch_size}_{threads}_"
+                                               f"{layer}.fds")
+                            for layer in layers]
+                    categories = extract_frames(
+                        model, utts, taps, strides, threads,
+                        batch_size).categories
+                    written[batch_size, threads] = (
+                        [path.read_bytes() for _layer, path in taps],
+                        categories)
+            files, categories = written[1, 1]
+            for key, (got_files, got_categories) in written.items():
+                assert got_files == files, (strides, key)
+                assert got_categories == categories, (strides, key)
+
     def test_duplicate_ids_rejected(self, tmp_path, corpus, mini_model):
         cfg, utts = corpus
         inv = phoneset.synthetic_inventory(cfg.phones)
@@ -263,7 +289,7 @@ class TestExtractFrames:
 
     def test_peak_memory_does_not_grow_with_corpus(self, tmp_path, corpus,
                                                    mini_model):
-        # Rows stream to disk, so only one utterance's forward is held,
+        # Rows stream to disk, so only one minibatch's forwards are held,
         # whatever the corpus size; twins keep the utterance lengths.
         cfg, utts = corpus
         doubled = utts + [Utterance(u.spectrogram, u.segments, u.transcript,
@@ -274,7 +300,7 @@ class TestExtractFrames:
                     for layer in range(mini_model.config.n_layers + 1)]
             tracemalloc.start()
             try:
-                extract_frames(mini_model, group, taps, True)
+                extract_frames(mini_model, group, taps, True, batch_size=2)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
