@@ -6,8 +6,9 @@ layers, the model's or a probe's.  A train-mode forward queues what its
 backward reads, and ``backward(dout, input_grad=True)`` takes the oldest
 entry and returns (input-gradient, parameter-gradients), the input
 gradient None when ``input_grad`` is false; so utterances can go through
-a layer one at a time and back in the same order.  The model's layers are
-float64 numpy, a probe's take its data's dtype.
+a layer one at a time and back in the same order.  A layer computes in its
+parameters' dtype: every array it allocates takes that dtype, and `cast`
+changes it for a whole stack.  Layers are built float64.
 
 A recurrent layer takes a minibatch as a zero-padded, time-major
 (T, B, D) array and the utterances' lengths.  The input projection and
@@ -58,14 +59,31 @@ def named_arrays(block, kind):
     return out
 
 
+def _sub_blocks(block):
+    return [sub for sub in (getattr(block, child, None)
+                            for child in ("fwd", "bwd", "bn"))
+            if sub is not None]
+
+
 def drop_caches(layers):
     """Forget what train-mode forwards of ``layers`` and their sub-blocks
     cached and no backward has taken."""
     for block in layers:
         block._cache.clear()
-        drop_caches([sub for sub in (getattr(block, child, None)
-                                     for child in ("fwd", "bwd", "bn"))
-                     if sub is not None])
+        drop_caches(_sub_blocks(block))
+
+
+def cast(layers, dtype):
+    """Give ``layers`` and their sub-blocks ``params`` and ``buffers`` of
+    ``dtype``, new arrays where the dtype changes; a registry of them must
+    be built again."""
+    for block in layers:
+        for kind in ("params", "buffers"):
+            arrays = getattr(block, kind, None)
+            if arrays is not None:
+                setattr(block, kind, {k: v.astype(dtype, copy=False)
+                                      for k, v in arrays.items()})
+        cast(_sub_blocks(block), dtype)
 
 
 def add_grads(total, grads, prefix=""):
@@ -187,7 +205,7 @@ class ConvLayer:
         w_ph = [W[:, :, p::st].transpose(2, 0, 1, 3).reshape(-1, c_in * kf).T
                 for p in range(min(st, kt))]
         n_rows = [t_out + w.shape[1] // c_out - 1 for w in w_ph]
-        z = np.zeros((t_out, f_out, c_out))
+        z = np.zeros((t_out, f_out, c_out), W.dtype)
         block = max(1, CONV_BLOCK_BYTES
                     // (z.itemsize * f_out * (c_in * kf + kt * c_out)))
         for q0 in range(0, n_rows[0], block):
@@ -215,13 +233,14 @@ class ConvLayer:
         c_out, c_in, kt, kf = W.shape
         # Input position f collects output column f' through tap j = f - sf*f':
         # a correlation of the dilated, padded gradient with the flipped row.
-        dil = np.zeros((t_out, sf * (f_out - 1) + 1 + 2 * (kf - 1), c_out))
+        dil = np.zeros((t_out, sf * (f_out - 1) + 1 + 2 * (kf - 1), c_out),
+                       W.dtype)
         dil[:, kf - 1:kf - 1 + sf * f_out:sf] = dz.reshape(t_out, f_out, c_out)
         f_cov = dil.shape[1] - kf + 1  # input columns some output reads
         # Phase p's flipped kernel rows side by side: (c_out*kf, kt_p*c_in).
         w_ph = [W[:, :, p::st, ::-1].transpose(0, 3, 2, 1).reshape(c_out * kf, -1)
                 for p in range(min(st, kt))]
-        dxp = np.zeros(xp_shape)
+        dxp = np.zeros(xp_shape, W.dtype)
         block = max(1, CONV_BLOCK_BYTES
                     // (dil.itemsize * f_cov * (c_out * kf + kt * c_in)))
         for t0 in reversed(range(0, t_out, block)):
@@ -353,16 +372,16 @@ class _Direction:
         B = len(xs)
         slot, runs = _columns(lengths)
         T = max(lengths, default=0)
-        zn = np.zeros((T, B, wh.shape[0]))
+        zn = np.zeros((T, B, wh.shape[0]), wh.dtype)
         for u, x in enumerate(xs):
             z = x @ self.params["Wx"].T
             if self.bn is not None:
                 z = self.bn.forward(z, train)
             zn[:len(x), slot[u]] = z
-        hs = np.zeros((T + 1, B, H, 1))
-        cs = np.zeros((T + 1, B, H)) if lstm else None
-        acts = np.zeros((T, B, 4 * H)) if lstm else None
-        pre = np.empty((B, wh.shape[0]))
+        hs = np.zeros((T + 1, B, H, 1), wh.dtype)
+        cs = np.zeros((T + 1, B, H), wh.dtype) if lstm else None
+        acts = np.zeros((T, B, 4 * H), wh.dtype) if lstm else None
+        pre = np.empty((B, wh.shape[0]), wh.dtype)
         # b in every row, as a broadcast add is slower on a few rows.
         bias = np.empty_like(pre)
         bias[...] = self.params["b"]
@@ -397,15 +416,15 @@ class _Direction:
         wh = self.params["Wh"]
         H, lstm = self.hidden, self.lstm
         T, B = hs.shape[0] - 1, hs.shape[1]
-        dh_seq = np.zeros((T, B, H))
+        dh_seq = np.zeros((T, B, H), wh.dtype)
         for u, d in enumerate(dhs):
             dh_seq[:len(d), slot[u]] = d
         # With a trailing unit axis, as the stack ``np.matmul`` takes.
-        dzn = np.zeros((T, B, wh.shape[0], 1))
+        dzn = np.zeros((T, B, wh.shape[0], 1), wh.dtype)
         # Gradients reaching step t from step t + 1; a column's rows stay
         # zero until its utterance's last step.
-        dh_next = np.zeros((B, H))
-        dc_next = np.zeros((B, H))
+        dh_next = np.zeros((B, H), wh.dtype)
+        dc_next = np.zeros((B, H), wh.dtype)
         for n, start, stop in reversed(runs):
             d_seq, dz_in, dz, dh_n = (dh_seq[:, :n], dzn[:, :n],
                                       dzn[:, :n, :, 0], dh_next[:n])
@@ -489,7 +508,7 @@ class RecurrentLayer:
         fwd = self.fwd.forward(xs, train)
         bwd = self.bwd.forward([v[::-1] for v in xs], train)
         h = self.spec.hidden_size // 2
-        out = np.zeros(x.shape[:2] + (2 * h,))
+        out = np.zeros(x.shape[:2] + (2 * h,), self.fwd.params["Wx"].dtype)
         for u, n in enumerate(lengths):
             out[:n, u, :h] = fwd[u]
             out[:n, u, h:] = bwd[u][::-1]
@@ -510,7 +529,8 @@ class RecurrentLayer:
         add_grads(grads, grads_b, "bwd.")
         if not input_grad:
             return None, grads
-        dx = np.zeros(dout.shape[:2] + self.fwd.params["Wx"].shape[1:])
+        wx = self.fwd.params["Wx"]
+        dx = np.zeros(dout.shape[:2] + wx.shape[1:], wx.dtype)
         for u, n in enumerate(lengths):
             dx[:n, u] = dx_f[u] + dx_b[u][::-1]
         return dx, grads

@@ -219,7 +219,9 @@ class TrainedModel:
 
     Mutable only through training (parameter updates + batchnorm running
     statistics), which writes the arrays of ``params`` and ``buffers`` in
-    place; forward in eval mode is pure.
+    place; forward in eval mode is pure.  A model built here is float64;
+    `load` gives one of the checkpoint's float32 arrays.  Either computes
+    in its parameters' dtype, `dtype`.
     """
 
     def __init__(self, config: ModelConfig):
@@ -243,12 +245,17 @@ class TrainedModel:
         self._n_conv = sum(spec.kind in CONV_KINDS for spec in config.layers)
         self._fwd_state = None
 
+    @property
+    def dtype(self):
+        return next(iter(self.params.values())).dtype
+
     # -- forward / backward -------------------------------------------
 
     def forward(self, batch, strides_enabled=True,
                 mode="eval") -> list[ForwardResult]:
         """One ForwardResult per utterance of ``batch``, a list of
-        spectrograms or T x F arrays.
+        spectrograms or T x F arrays, which it casts to the model's `dtype`;
+        every layer and result is in that dtype.
 
         Convolutions and fc run one utterance at a time, the recurrent
         layers on the whole batch; every result is bit for bit the
@@ -264,8 +271,8 @@ class TrainedModel:
         n_conv = self._n_conv
         taps, shapes = [], []
         for x in batch:
-            frames = x.frames if isinstance(x, Spectrogram) else np.asarray(
-                x, dtype=np.float64)
+            frames = np.asarray(x.frames if isinstance(x, Spectrogram) else x,
+                                dtype=self.dtype)
             if (frames.ndim != 2
                     or frames.shape[1] != self.config.input_freq_bins):
                 raise ValueError(
@@ -281,7 +288,8 @@ class TrainedModel:
                                 if k == n_conv or not train else None)
             shapes.append(cur.shape)
         lengths = [len(utt_taps[-1]) for utt_taps in taps]
-        x = np.zeros((max(lengths), len(taps), taps[0][-1].shape[1]))
+        x = np.zeros((max(lengths), len(taps), taps[0][-1].shape[1]),
+                     self.dtype)
         for u, utt_taps in enumerate(taps):
             x[:lengths[u], u] = utt_taps[-1]
         for layer in self.layers[n_conv:-1]:
@@ -336,11 +344,11 @@ class TrainedModel:
         ds = []
         for d in dlogits:
             d, layer_grads = self.layers[-1].backward(
-                np.asarray(d, dtype=np.float64), input_grad=n > 1)
+                np.asarray(d, dtype=self.dtype), input_grad=n > 1)
             L.add_grads(grads, layer_grads, f"L{n}.")
             ds.append(d)
         if n - 1 > n_conv:
-            d = np.zeros((max(lengths), len(ds), ds[0].shape[1]))
+            d = np.zeros((max(lengths), len(ds), ds[0].shape[1]), self.dtype)
             for u, d_u in enumerate(ds):
                 d[:lengths[u], u] = d_u
             del ds
@@ -379,10 +387,15 @@ class TrainedModel:
 
     @classmethod
     def load(cls, path):
-        """The model a `save` file holds.  Each header section must list
-        the registry's (name, shape) entries in its order."""
+        """The model a `save` file holds, its parameters and buffers the
+        file's float32 arrays, so that it computes in float32.  Each header
+        section must list the registry's (name, shape) entries in its
+        order."""
         def parse(header, payload):
             model = cls(ModelConfig.from_dict(header["config"]))
+            L.cast(model.layers, np.float32)
+            model.params = L.registry(model.layers, "params")
+            model.buffers = L.registry(model.layers, "buffers")
             offset = 0
             for section in ("params", "buffers"):
                 live = getattr(model, section)

@@ -13,7 +13,7 @@ import numpy as np
 from . import ctc, phoneset
 from .acoustic import check_unique_ids
 from .artifacts import artifact_header, atomic_write, read_artifact
-from .layers import FCLayer, registry
+from .layers import FCLayer, cast, registry
 from .model import LayerSpec, log_softmax
 
 DATASET_MAGIC = b"CPFD"
@@ -66,8 +66,10 @@ def extract_frames(model, corpus, taps, strides_enabled=True, threads=1,
     phones, taken at the row's receptive-field center.
 
     ``taps`` lists (layer, path); `load_dataset` applies windows and label
-    schemes.  The forwards are `TrainedModel.forward_corpus` minibatches of
-    ``batch_size`` utterances, ``threads`` of them at once; the files are
+    schemes.  Rows are float32: a loaded model's taps as they are, a
+    float64 model's rounded.  The forwards are
+    `TrainedModel.forward_corpus` minibatches of ``batch_size``
+    utterances, ``threads`` of them at once; the files are
     the same bytes at any batch size and thread count.  Headers follow
     from the config and the utterance lengths, so no row waits in memory
     beyond one minibatch's results per thread, and the files replace their
@@ -118,7 +120,7 @@ def extract_frames(model, corpus, taps, strides_enabled=True, threads=1,
                 if len(tap) != n_rows:
                     raise ValueError(f"{path}: {utt_id!r} has {len(tap)} "
                                      f"layer-{layer} rows, its header {n_rows}")
-                fh.write(tap.astype(np.float32).tobytes())
+                fh.write(np.ascontiguousarray(tap, np.float32))
         for header, fh in zip(headers, files):
             prov = header["provenance"]
             for utt, (_id, n_rows) in zip(corpus, header["spans"]):
@@ -177,12 +179,10 @@ class TrainedProbe:
         rng = np.random.default_rng(seed)
         layers = []
         for n in ([] if hidden is None else [hidden]) + [len(label_names)]:
-            layer = FCLayer(LayerSpec("fully_connected", hidden_size=n,
-                                      batchnorm=False), dim, rng)
-            layer.params = {k: v.astype(dtype, copy=False)
-                            for k, v in layer.params.items()}
-            layers.append(layer)
+            layers.append(FCLayer(LayerSpec("fully_connected", hidden_size=n,
+                                            batchnorm=False), dim, rng))
             dim = n
+        cast(layers, dtype)
         return cls(layers, label_names, dropout)
 
     def logits(self, x):

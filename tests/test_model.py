@@ -6,10 +6,17 @@ import pytest
 from conftest import DAMAGE, drop_header_key, edit_header, key_id
 
 from ctcprobe import ctc
+from ctcprobe import layers as L
 from ctcprobe.artifacts import artifact_header, read_artifact
 from ctcprobe.model import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, LayerSpec,
                             ModelConfig, TrainedModel, conv_output_len,
                             preset)
+
+# Largest difference of a loaded (float32) model's eval taps, logits and
+# log-probs from the float64 model on the same weights, relative to each
+# array's largest entry (float32's unit roundoff is 6e-8; on the two mini
+# presets the worst seen was 5.7e-7).
+MODEL_FLOAT32_AGREEMENT = 1e-5
 
 
 class TestConvOutputLen:
@@ -309,6 +316,58 @@ class TestMinibatch:
         assert [k for k, tap in enumerate(taps) if tap is None] == [1]
 
 
+class TestDtype:
+    """A model computes in its parameters' dtype, float64 as built and
+    float32 as loaded, whatever the dtype of its inputs and logit
+    gradients: every array it returns or allocates has that dtype."""
+
+    @staticmethod
+    def dtypes(model, inputs_dtype, monkeypatch):
+        """Dtype names of ``model``'s parameters and buffers and of every
+        array that its eval forwards (both strides settings), a train
+        forward and its backward of a ragged batch of ``inputs_dtype``
+        return, or make through numpy's array constructors.  The logit
+        gradients, from the CTC's own float64, are cast to
+        ``inputs_dtype`` and not recorded."""
+        rng = np.random.default_rng(15)
+        xs = [np.abs(rng.normal(size=(n, 161))).astype(inputs_dtype)
+              for n in (30, 22, 26)]
+        made = set()
+        for name in ("zeros", "empty", "ones", "full", "zeros_like",
+                     "empty_like"):
+            def record(*args, make=getattr(np, name), **kwargs):
+                out = make(*args, **kwargs)
+                made.add(out.dtype.name)
+                return out
+
+            monkeypatch.setattr(np, name, record)
+        train = model.forward(xs, mode="train")
+        results = [*train, *model.forward(xs, True),
+                   *model.forward(xs, False)]
+        seen = set(made)
+        dlogits = [ctc.ctc_loss_and_grad(r.log_probs, y)[1].astype(
+            inputs_dtype) for r, y in zip(train, [[1, 2], [3], [4, 4]])]
+        made.clear()
+        grads = model.backward(dlogits)
+        return seen | made | {a.dtype.name for a in [
+            *(a for r in results for a in [*r.taps, r.logits, r.log_probs]
+              if a is not None),
+            *grads.values(), *model.params.values(),
+            *model.buffers.values()]}
+
+    @pytest.mark.parametrize("name", ["ds2-mini", "ds2-light-mini"])
+    def test_loaded_model_computes_in_float32(self, tmp_path, monkeypatch,
+                                              name):
+        TrainedModel(preset(name, seed=6)).save(tmp_path / "m.ckpt")
+        model = TrainedModel.load(tmp_path / "m.ckpt")
+        assert self.dtypes(model, np.float64, monkeypatch) == {"float32"}
+
+    @pytest.mark.parametrize("name", ["ds2-mini", "ds2-light-mini"])
+    def test_built_model_stays_float64(self, monkeypatch, name):
+        model = TrainedModel(preset(name, seed=6))
+        assert self.dtypes(model, np.float32, monkeypatch) == {"float64"}
+
+
 class TestCheckpoint:
     def test_save_load_save_byte_identical(self, tmp_path):
         model = TrainedModel(tiny_config(seed=7))
@@ -318,18 +377,48 @@ class TestCheckpoint:
         TrainedModel.load(p1).save(p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_loaded_model_forward_matches_f32_cast(self, tmp_path):
+    def test_loaded_arrays_are_the_saved_float32(self, tmp_path):
         model = TrainedModel(tiny_config(seed=8))
+        model.forward(ragged_batch(12)[0], mode="train")  # moves the stats
         path = tmp_path / "m.ckpt"
         model.save(path)
         loaded = TrainedModel.load(path)
         assert loaded.config == model.config
-        x = np.abs(np.random.default_rng(11).normal(size=(10, 13)))
-        got = loaded.forward([x])[0].logits
-        for v in model.params.values():
-            v[...] = v.astype(np.float32).astype(np.float64)
-        expected = model.forward([x])[0].logits
-        np.testing.assert_array_equal(got, expected)
+        for section in ("params", "buffers"):
+            saved, live = getattr(model, section), getattr(loaded, section)
+            layers_own = L.registry(loaded.layers, section)
+            assert list(live) == list(saved)
+            for name, v in live.items():
+                assert v.dtype == np.float32, name
+                assert v is layers_own[name], name
+                np.testing.assert_array_equal(
+                    v, saved[name].astype(np.float32), err_msg=name)
+
+    @pytest.mark.parametrize("strides", [True, False])
+    @pytest.mark.parametrize("name", ["ds2-mini", "ds2-light-mini"])
+    def test_loaded_model_agrees_with_float64_on_its_weights(
+            self, tmp_path, name, strides):
+        # A ragged batch of float32-representable frames, as a corpus file
+        # holds them.
+        rng = np.random.default_rng(13)
+        xs = [np.abs(rng.normal(size=(n, 161))).astype(np.float32)
+              .astype(np.float64) for n in (40, 31, 35)]
+        model = TrainedModel(preset(name, seed=5))
+        model.forward(xs, mode="train")  # moves the batch-norm statistics
+        model.save(tmp_path / "m.ckpt")
+        loaded = TrainedModel.load(tmp_path / "m.ckpt")
+        for section in ("params", "buffers"):
+            for key, v in getattr(model, section).items():
+                v[...] = getattr(loaded, section)[key]
+        for got, want in zip(loaded.forward(xs, strides),
+                             model.forward(xs, strides), strict=True):
+            assert len(got.taps) == len(want.taps)
+            for what, a, b in [*((f"tap {k}", a, b) for k, (a, b) in
+                                 enumerate(zip(got.taps, want.taps))),
+                               ("logits", got.logits, want.logits),
+                               ("log_probs", got.log_probs, want.log_probs)]:
+                err = np.abs(a - b).max() / np.abs(b).max()
+                assert err <= MODEL_FLOAT32_AGREEMENT, (what, err)
 
     def test_failed_save_leaves_no_partial_or_temp_file(self, tmp_path,
                                                         monkeypatch):

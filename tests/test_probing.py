@@ -227,13 +227,20 @@ class TestExtractFrames:
                 rows += probing.load_dataset(path).n_frames
             assert written.n_frames == rows
 
-    @pytest.mark.parametrize("name", ["ds2-mini", "ds2-light-mini"])
+    @pytest.mark.parametrize("name, loaded", [
+        pytest.param(name, loaded, id=name + ("-loaded" if loaded else ""))
+        for name in ("ds2-mini", "ds2-light-mini")
+        for loaded in (False, True)])
     def test_files_and_categories_match_at_any_batch_size_and_threads(
-            self, tmp_path, corpus, name):
-        # Ragged utterances, so a minibatch of two or more pads.
+            self, tmp_path, corpus, name, loaded):
+        # Ragged utterances, so a minibatch of two or more pads; the model
+        # as built (float64) or loaded from its checkpoint (float32).
         cfg, utts = corpus
         assert len({utt.n_frames for utt in utts}) > 1
         model = TrainedModel(preset(name, seed=2))
+        if loaded:
+            model.save(tmp_path / "m.ckpt")
+            model = TrainedModel.load(tmp_path / "m.ckpt")
         layers = range(model.config.n_layers + 1)
         for strides in (True, False):
             written = {}
