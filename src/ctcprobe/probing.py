@@ -209,9 +209,9 @@ class TrainedProbe:
             mask = None
             if self.dropout > 0.0:
                 keep = 1.0 - self.dropout
-                mask = ((rng.random(x.shape) < keep) / keep).astype(
-                    x.dtype, copy=False)
-                x = x * mask
+                mask = np.multiply(rng.random(x.shape) < keep,
+                                   x.dtype.type(1.0 / keep), dtype=x.dtype)
+                x *= mask
             masks.append(mask)
         loss, lp = _cross_entropy(self.layers[-1].forward(x, True), y)
         n = len(y)
@@ -225,8 +225,8 @@ class TrainedProbe:
                 grads[f"L{i}.{name}"] = g
             if i > 1:
                 if masks[i - 2] is not None:
-                    d = d * masks[i - 2]
-                d = d * (pres[i - 2] > 0)
+                    d *= masks[i - 2]
+                d *= pres[i - 2] > 0
         return loss, grads
 
 

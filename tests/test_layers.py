@@ -482,6 +482,38 @@ class TestFCLayer:
         for name, value in L.named_arrays(layer, "params").items():
             assert rel_err(grads[name], fd_grad(loss, value)) < 1e-6, name
 
+    # The forward computes the transpose of ``W @ x.T``.  In float32 that
+    # is ``x @ W.T`` bit for bit at the probe's shapes: minibatch and dev
+    # rows, tap widths, and the output widths of the probe's layers.  In
+    # float64 it is not always so: OpenBLAS 0.3.31 (Haswell kernels) gave
+    # other last bits whenever the rows or the output width passed 192 and
+    # were not a multiple of 8.  So at the float64 model's fc shape
+    # (64 -> 29), 270 rows are pinned to rounding only.  No pipeline path
+    # runs a float64 probe; the float64 model forwards its fc at each
+    # training utterance's output length.
+    @pytest.mark.parametrize("dtype, in_size, out_size", [
+        *[pytest.param(np.float32, k, n, id=f"float32-{k}-{n}")
+          for k in (64, 161, 488, 1640) for n in (29, 40, 500)],
+        pytest.param(np.float64, 64, 29, id="float64-64-29")])
+    def test_forward_is_x_times_w_transposed_plus_b(self, dtype, in_size,
+                                                   out_size):
+        rng = np.random.default_rng(in_size * out_size)
+        layer = L.FCLayer(LayerSpec("fully_connected", hidden_size=out_size,
+                                    batchnorm=False), in_size, rng)
+        L.cast([layer], dtype)
+        layer.params["b"][...] = rng.normal(size=out_size)
+        W, b = layer.params["W"], layer.params["b"]
+        for rows in (1, 16, 70, 270):
+            x = rng.normal(size=(rows, in_size)).astype(dtype)
+            out = layer.forward(x, train=False)
+            assert out.dtype == dtype and out.flags.c_contiguous
+            if dtype == np.float64 and rows > 192:
+                np.testing.assert_allclose(out, x @ W.T + b, rtol=0,
+                                           atol=1e-13)
+            else:
+                np.testing.assert_array_equal(out, x @ W.T + b,
+                                              err_msg=rows)
+
 
 # kind -> make(rng): (a layer of that kind, its forward's inputs)
 WITHOUT_INPUT_GRAD = {
