@@ -9,6 +9,7 @@ accumulation happens in a fixed order.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,9 +56,13 @@ def adam_step(params, grads, state: AdamState):
     Every gradient shape is checked before anything is written, so a bad
     one leaves `params` and `state` as they were.  The arithmetic follows
     m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g;
-    p = p - (alpha*(m/c1)) / (sqrt(v/c2) + eps)  with c = 1 - b**t,
-    operation for operation, so results are bit-identical to evaluating
-    those expressions on whole arrays.
+    p = p - (alpha_t*m) / (sqrt(v) + eps_hat)  with c = 1 - b**t,
+    alpha_t = alpha*sqrt(c2)/c1 and eps_hat = eps*sqrt(c2): Kingma and
+    Ba's efficient form (arXiv 1412.6980, section 2), the textbook update
+    in exact arithmetic with the bias corrections folded into two scalars.
+    Those are Python floats, so float32 parameters compute in float32.
+    The order of operations is that of the expressions, so results are
+    bit-identical to evaluating them on whole arrays.
     """
     for name, p in params.items():
         if grads[name].shape != p.shape:
@@ -77,6 +82,8 @@ def adam_step(params, grads, state: AdamState):
     b1, b2, alpha, eps = ADAM_BETA1, ADAM_BETA2, state.alpha, ADAM_EPS
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
+    alpha_t = alpha * math.sqrt(c2) / c1
+    eps_hat = eps * math.sqrt(c2)
     for name, p in params.items():
         pf, gf = p.reshape(-1), grads[name].reshape(-1)
         mf, vf = state.m[name].reshape(-1), state.v[name].reshape(-1)
@@ -91,11 +98,9 @@ def adam_step(params, grads, state: AdamState):
             np.multiply(g, 1.0 - b2, out=a)
             a *= g
             v += a
-            np.divide(m, c1, out=a)
-            a *= alpha
-            np.divide(v, c2, out=b)
-            np.sqrt(b, out=b)
-            b += eps
+            np.multiply(m, alpha_t, out=a)
+            np.sqrt(v, out=b)
+            b += eps_hat
             a /= b
             ps -= a
 
