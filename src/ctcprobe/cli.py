@@ -267,6 +267,16 @@ class ArtifactDir:
         writer.writerows(rows)
         return self.write_text(rel, buf.getvalue())
 
+    def remove_temps(self):
+        """Remove every ``*.tmp`` file under the directory.  `atomic_write`
+        removes its temp file when its block raises, but a killed process
+        runs no handler; one process writes a directory at a time, so a
+        temp file present between stages is a killed stage's."""
+        for root, _dirs, names in os.walk(self.base):
+            for name in names:
+                if name.endswith(".tmp"):
+                    os.remove(os.path.join(root, name))
+
     def write_manifest(self, config):
         files = {}
         for root, _dirs, names in os.walk(self.base):
@@ -564,6 +574,7 @@ STAGES = {"synth": "corpus", "train-asr": "train-asr", "extract": "extract",
 
 def run_stage(stage, cfg, art):
     try:
+        art.remove_temps()
         globals()["stage_" + stage.replace("-", "_")](cfg, art)
     except Exception as exc:
         raise StageError(stage, exc) from exc

@@ -551,9 +551,10 @@ class FCLayer:
 
     def forward(self, x, train):
         """``x @ W.T + b``, computed as the transpose of ``W @ x.T``: the
-        same bits in float32, and up to twice as fast on OpenBLAS for the
-        probe's short minibatches.  The sum is C-ordered, so a row-wise
-        reduction after it (`log_softmax`) adds in the same order."""
+        same bits in float32 (float64 can differ in the last bit), and up
+        to twice as fast on OpenBLAS for the probe's short minibatches.
+        The sum is C-ordered, so a row-wise reduction after it
+        (`log_softmax`) adds in the same order."""
         if train:
             self._cache.append(x)
         return np.add((self.params["W"] @ x.T).T, self.params["b"], order="C")

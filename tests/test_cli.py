@@ -4,6 +4,10 @@ import io
 import json
 import os
 import shutil
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -763,3 +767,38 @@ def test_failed_extract_removes_its_partial_files(tmp_path, monkeypatch,
     assert {path.name: path.read_bytes()
             for path in out.glob("*.fds")} == before
     assert list(out.glob("*.tmp")) == []
+
+
+def test_killed_extract_leaves_nothing_a_later_stage_hashes(finished_run,
+                                                           tmp_path,
+                                                           monkeypatch):
+    # A SIGKILL runs no handler, so `atomic_write` cannot remove its temp
+    # file; the next stage must, or `report` hashes it into the manifest.
+    out, cfg, cfg_path = finished_run
+    killed = tmp_path / "killed"
+    shutil.copytree(out, killed)
+    clean = (out / "manifest.json").read_bytes()
+    first_tap = killed / (cli.tap_file(cfg["probe"]["layers"][0],
+                                       cfg["probe"]["strides"][0], "train")
+                          + ".tmp")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src, **{cli.OUT_ROOT_ENV: str(killed)})
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ctcprobe.cli", "extract", "--config",
+         cfg_path], env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 120.0
+        while not first_tap.exists():
+            assert proc.poll() is None, "extract ended before its first write"
+            assert time.monotonic() < deadline, "no temp file within 120 s"
+            time.sleep(0.001)
+    finally:
+        proc.send_signal(signal.SIGKILL)
+        proc.wait()
+    assert list(killed.glob("*.tmp"))
+
+    monkeypatch.setenv(cli.OUT_ROOT_ENV, str(killed))
+    assert main(["report", "--config", cfg_path]) == 0
+    assert list(killed.glob("*.tmp")) == []
+    assert (killed / "manifest.json").read_bytes() == clean
