@@ -1,9 +1,9 @@
 """Spectrogram front-end and frame-labelled corpora.
 
-Produces the model input (magnitude spectrograms, 20ms Hamming window,
-10ms hop) plus two corpus sources: a deterministic synthetic corpus with
-known per-frame phone labels, and an importer for TIMIT-layout data
-(paired PCM audio + "start end phone" segmentation files).
+Produces the model input (161-bin magnitude spectrograms, 20ms Hamming
+window, 10ms hop) plus two corpus sources: a deterministic synthetic
+corpus with known per-frame phone labels, and an importer for TIMIT-layout
+data (paired PCM audio + "start end phone" segmentation files).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import math
 import os
 import wave
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,34 +24,10 @@ DEFAULT_HOP_MS = 10.0
 # Samples per analysis window (320) and per hop (160) at that rate.
 WINDOW_SAMPLES = round(DEFAULT_SAMPLE_RATE * DEFAULT_WINDOW_MS / 1000)
 HOP_SAMPLES = round(DEFAULT_SAMPLE_RATE * DEFAULT_HOP_MS / 1000)
+N_BINS = WINDOW_SAMPLES // 2 + 1  # frequency bins per frame (161)
 
 CORPUS_MAGIC = b"CPCO"
-CORPUS_VERSION = 1
-
-
-@dataclass
-class Spectrogram:
-    """T x F matrix of non-negative frequency magnitudes."""
-
-    frames: np.ndarray
-    sample_rate_hz: int = DEFAULT_SAMPLE_RATE
-    window_ms: float = DEFAULT_WINDOW_MS
-    frame_shift_ms: float = DEFAULT_HOP_MS
-
-    def __post_init__(self):
-        self.frames = np.asarray(self.frames, dtype=np.float64)
-        if self.frames.ndim != 2:
-            raise ValueError("spectrogram frames must be 2-D (T x F)")
-        if np.any(self.frames < 0):
-            raise ValueError("spectrogram magnitudes must be non-negative")
-
-    @property
-    def n_frames(self):
-        return self.frames.shape[0]
-
-    @property
-    def n_bins(self):
-        return self.frames.shape[1]
+CORPUS_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -72,17 +48,26 @@ class PhoneSegment:
 
 @dataclass
 class Utterance:
-    spectrogram: Spectrogram
+    """``frames``: a T x F spectrogram of finite, non-negative magnitudes,
+    kept in the dtype it arrives in (float32 from `load_corpus`)."""
+
+    frames: np.ndarray
     segments: list[PhoneSegment]
     transcript: str
     id: str
 
     def __post_init__(self):
-        check_segments(self.segments, self.spectrogram.n_frames)
+        self.frames = np.asarray(self.frames)
+        if self.frames.ndim != 2:
+            raise ValueError("spectrogram frames must be 2-D (T x F)")
+        if not (np.isfinite(self.frames).all() and (self.frames >= 0).all()):
+            raise ValueError(f"utterance {self.id!r}: spectrogram magnitudes "
+                             f"must be finite and non-negative")
+        check_segments(self.segments, self.n_frames)
 
     @property
     def n_frames(self):
-        return self.spectrogram.n_frames
+        return self.frames.shape[0]
 
 
 def check_segments(segments, n_frames):
@@ -119,12 +104,12 @@ def hamming_window(n: int) -> np.ndarray:
     return 0.54 - 0.46 * np.cos(2.0 * np.pi * i / (n - 1))
 
 
-def spectrogram(samples) -> Spectrogram:
-    """Linear magnitude spectrogram of Hamming-windowed frames of 16 kHz
-    ``samples``.
+def spectrogram(samples) -> np.ndarray:
+    """T x F linear magnitude spectrogram of Hamming-windowed frames of
+    16 kHz ``samples``.
 
-    T = floor((len - win) / hop) + 1, F = win/2 + 1 = 161 with the 320-sample
-    (20ms) window and 160-sample (10ms) hop.
+    T = floor((len - win) / hop) + 1, F = win/2 + 1 = N_BINS = 161 with the
+    320-sample (20ms) window and 160-sample (10ms) hop.
     """
     samples = np.asarray(samples, dtype=np.float64)
     win, hop = WINDOW_SAMPLES, HOP_SAMPLES
@@ -135,21 +120,21 @@ def spectrogram(samples) -> Spectrogram:
     n_frames = (len(samples) - win) // hop + 1
     w = hamming_window(win)
     idx = np.arange(win)[None, :] + hop * np.arange(n_frames)[:, None]
-    return Spectrogram(np.abs(np.fft.rfft(samples[idx] * w[None, :], axis=1)))
+    return np.abs(np.fft.rfft(samples[idx] * w[None, :], axis=1))
 
 
 # ---------------------------------------------------------------------------
 # Synthetic corpus
 # ---------------------------------------------------------------------------
 
-def default_formant_table(n_phones, n_bins=161):
+def default_formant_table(n_phones):
     """Distinct 3-formant signature per phone, spread over the bins."""
     table = {}
     for i in range(n_phones):
         pid = phone_id(i)
-        b1 = 8 + (i * 37) % (n_bins - 40)
-        b2 = 20 + (i * 71) % (n_bins - 50)
-        b3 = 30 + (i * 113) % (n_bins - 60)
+        b1 = 8 + (i * 37) % (N_BINS - 40)
+        b2 = 20 + (i * 71) % (N_BINS - 50)
+        b3 = 30 + (i * 113) % (N_BINS - 60)
         table[pid] = [(b1, 3.0, 1.0), (b2, 4.0, 0.7), (b3, 5.0, 0.5)]
     return table
 
@@ -174,8 +159,6 @@ class SynthConfig:
     formant_table: dict | None = None
     phone_to_chars: dict | None = None
     word_phones: tuple[int, int] = (2, 4)
-    n_bins: int = 161
-    sample_rate_hz: int = DEFAULT_SAMPLE_RATE
     seed: int = 0
 
     def __post_init__(self):
@@ -189,7 +172,7 @@ class SynthConfig:
             raise ValueError("noise_stddev must be >= 0")
         if self.formant_table is None:
             self.formant_table = default_formant_table(
-                self.phone_inventory_size, self.n_bins)
+                self.phone_inventory_size)
         if self.phone_to_chars is None:
             self.phone_to_chars = default_phone_to_chars(self.phone_inventory_size)
         for name in ("formant_table", "phone_to_chars"):
@@ -233,8 +216,8 @@ def _check_prefix_free(code):
 
 def phone_template(cfg: SynthConfig, phone: str) -> np.ndarray:
     """Noise-free magnitude spectrum of one phone."""
-    bins = np.arange(cfg.n_bins, dtype=np.float64)
-    spec = np.zeros(cfg.n_bins)
+    bins = np.arange(N_BINS, dtype=np.float64)
+    spec = np.zeros(N_BINS)
     for center, bandwidth, amplitude in cfg.formant_table[phone]:
         spec += amplitude * np.exp(-0.5 * ((bins - center) / bandwidth) ** 2)
     return spec
@@ -261,14 +244,13 @@ def synthesize_corpus(cfg: SynthConfig, n_utterances: int) -> list[Utterance]:
         t = 0
         for phone, seg_len in zip(phones, seg_lens):
             block = templates[phone][None, :] + rng.normal(
-                0.0, cfg.noise_stddev, size=(seg_len, cfg.n_bins))
+                0.0, cfg.noise_stddev, size=(seg_len, N_BINS))
             frames.append(np.maximum(block, 0.0))
             segments.append(PhoneSegment(phone, t, t + seg_len))
             t += seg_len
         transcript = _phones_to_transcript(cfg, phones, rng)
-        spec = Spectrogram(np.concatenate(frames, axis=0),
-                           cfg.sample_rate_hz)
-        utts.append(Utterance(spec, segments, transcript, f"synth-{u:05d}"))
+        utts.append(Utterance(np.concatenate(frames, axis=0), segments,
+                              transcript, f"synth-{u:05d}"))
     return utts
 
 
@@ -288,33 +270,23 @@ def _phones_to_transcript(cfg, phones, rng):
 # transcript, segments and frame shape, and whose payload is their f32 frames
 # ---------------------------------------------------------------------------
 
-SPECTROGRAM_META = ("sample_rate_hz", "window_ms", "frame_shift_ms")
-
-
 def save_corpus(path, utterances):
     header = {"utterances": [
         {"id": utt.id, "transcript": utt.transcript,
          "segments": [[s.phone, s.start_frame, s.end_frame]
                       for s in utt.segments],
-         "shape": list(utt.spectrogram.frames.shape)}
+         "shape": list(utt.frames.shape)}
         for utt in utterances]}
-    if utterances:  # one header entry holds every utterance's metadata
-        s = utterances[0].spectrogram
-        meta = header["spectrogram"] = {k: getattr(s, k)
-                                        for k in SPECTROGRAM_META}
-        for utt in utterances:
-            for key, first in meta.items():
-                if (value := getattr(utt.spectrogram, key)) != first:
-                    raise ValueError(f"{path}: mixed {key} {first}/{value}")
     with atomic_write(path, "wb") as fh:
         fh.write(artifact_header(CORPUS_MAGIC, CORPUS_VERSION, header))
         for utt in utterances:
             fh.write(np.ascontiguousarray(
-                utt.spectrogram.frames, dtype=np.float32).tobytes())
+                utt.frames, dtype=np.float32).tobytes())
 
 
 def load_corpus(path):
-    """The utterances of a `save_corpus` file, read by `read_artifact`."""
+    """The utterances of a `save_corpus` file, read by `read_artifact`;
+    their frames are float32 views of the file's payload."""
     def parse(header, payload):
         utts = []
         offset = 0
@@ -322,12 +294,9 @@ def load_corpus(path):
             size = math.prod(entry["shape"])
             frames = np.frombuffer(payload, np.float32, size, offset)
             offset += 4 * size
-            spec = Spectrogram(frames.reshape(entry["shape"]),
-                               *(header["spectrogram"][k]
-                                 for k in SPECTROGRAM_META))
             segs = [PhoneSegment(p, a, b) for p, a, b in entry["segments"]]
-            utts.append(Utterance(spec, segs, entry["transcript"],
-                                  entry["id"]))
+            utts.append(Utterance(frames.reshape(entry["shape"]), segs,
+                                  entry["transcript"], entry["id"]))
         return utts
 
     return read_artifact(
@@ -434,12 +403,12 @@ def _import_one(wav_path, phn_path, txt_path, utt_id):
         raise ValueError("no segment spans a full frame")
 
     lo = frame_segs[0][1]
-    hi = min(frame_segs[-1][2], spec.n_frames)
+    hi = min(frame_segs[-1][2], len(spec))
     if hi <= lo:
         raise ValueError("labelled span outside the spectrogram")
 
     # Crop to the labelled span and force contiguity (gaps split midway).
-    frames = spec.frames[lo:hi]
+    frames = spec[lo:hi]
     segments = []
     prev_end = 0
     for i, (phone, f0, f1) in enumerate(frame_segs):
@@ -464,7 +433,7 @@ def _import_one(wav_path, phn_path, txt_path, utt_id):
             parts = fh.read().strip().split(None, 2)
         if len(parts) == 3:
             transcript = _clean_transcript(parts[2])
-    return Utterance(Spectrogram(frames), segments, transcript, utt_id)
+    return Utterance(frames, segments, transcript, utt_id)
 
 
 def _clean_transcript(text):

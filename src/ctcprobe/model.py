@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import layers as L
-from .acoustic import Spectrogram
 from .artifacts import artifact_header, atomic_write, read_artifact
 from .ctc import default_alphabet
 
@@ -205,8 +204,7 @@ def preset(name: str, seed=0) -> ModelConfig:
 class ForwardResult:
     taps: list[np.ndarray]        # T_k x D_k per layer, input first; in
                                   # train mode None for a conv another follows
-    logits: np.ndarray            # T_K x S, pre-softmax
-    log_probs: np.ndarray
+    log_probs: np.ndarray         # T_K x S
 
 
 def log_softmax(logits):
@@ -253,9 +251,9 @@ class TrainedModel:
 
     def forward(self, batch, strides_enabled=True,
                 mode="eval") -> list[ForwardResult]:
-        """One ForwardResult per utterance of ``batch``, a list of
-        spectrograms or T x F arrays, which it casts to the model's `dtype`;
-        every layer and result is in that dtype.
+        """One ForwardResult per utterance of ``batch``, a list of T x F
+        spectrogram arrays, which it casts to the model's `dtype`; every
+        layer and result is in that dtype.
 
         Convolutions and fc run one utterance at a time, the recurrent
         layers on the whole batch; every result is bit for bit the
@@ -271,8 +269,7 @@ class TrainedModel:
         n_conv = self._n_conv
         taps, shapes = [], []
         for x in batch:
-            frames = np.asarray(x.frames if isinstance(x, Spectrogram) else x,
-                                dtype=self.dtype)
+            frames = np.asarray(x, dtype=self.dtype)
             if (frames.ndim != 2
                     or frames.shape[1] != self.config.input_freq_bins):
                 raise ValueError(
@@ -298,11 +295,10 @@ class TrainedModel:
                 utt_taps.append(x[:lengths[u], u])
         results = []
         for utt_taps in taps:
-            logits = self.layers[-1].forward(
-                np.ascontiguousarray(utt_taps[-1]), train)
-            lp = log_softmax(logits)
+            lp = log_softmax(self.layers[-1].forward(
+                np.ascontiguousarray(utt_taps[-1]), train))
             utt_taps.append(np.exp(lp))
-            results.append(ForwardResult(utt_taps, logits, lp))
+            results.append(ForwardResult(utt_taps, lp))
         if train:
             self._fwd_state = (lengths, shapes)
         return results
@@ -320,7 +316,7 @@ class TrainedModel:
 
         def one(batch):
             return zip(batch, self.forward(
-                [utt.spectrogram for utt in batch], strides_enabled, "eval"))
+                [utt.frames for utt in batch], strides_enabled, "eval"))
 
         if threads == 1:
             for batch in batches:
@@ -390,7 +386,7 @@ class TrainedModel:
         """The model a `save` file holds, its parameters and buffers the
         file's float32 arrays, so that it computes in float32.  Each header
         section must list the registry's (name, shape) entries in its
-        order."""
+        order, and every value must be finite."""
         def parse(header, payload):
             model = cls(ModelConfig.from_dict(header["config"]))
             L.cast(model.layers, np.float32)
@@ -405,11 +401,14 @@ class TrainedModel:
                     if got != want:
                         raise ValueError(f"{section} entry {i} is {got}, "
                                          f"the model config's is {want}")
-                for target in live.values():
+                for name, target in live.items():
                     target[...] = np.frombuffer(
                         payload, np.float32, target.size,
                         offset).reshape(target.shape)
                     offset += 4 * target.size
+                    if not np.isfinite(target).all():
+                        raise ValueError(f"{section} entry {name!r} holds a "
+                                         f"non-finite value")
             return model
 
         return read_artifact(

@@ -264,7 +264,7 @@ def train_asr(corpus, model_config: ModelConfig, train_config: TrainConfig,
         batch = [train_utts[i] for i in idx]
         losses, dlogits = [], []
         for utt, result in zip(batch, model.forward(
-                [utt.spectrogram for utt in batch], mode="train")):
+                [utt.frames for utt in batch], mode="train")):
             loss, d = ctc.ctc_loss_and_grad(result.log_probs,
                                             labels_by_id[utt.id])
             losses.append(loss)

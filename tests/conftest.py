@@ -1,14 +1,18 @@
 import json
+import struct
 
 from ctcprobe.artifacts import _PREFIX, artifact_header
 
 # Damage applied to every binary artifact (corpus, checkpoint, `.fds`): a
-# cut inside the payload or the header, and junk appended to the payload.
-# Each must fail to load with an error naming the file.
+# cut inside the payload or the header, junk appended to the payload, and
+# a float32 NaN over the payload's last 4 bytes.  Each must fail to load
+# with an error naming the file.
 DAMAGE = {
     "short_payload": lambda data: data[:-100],
     "short_header": lambda data: data[:40],
     "trailing_bytes": lambda data: data + b"junk",
+    "non_finite_payload":
+        lambda data: data[:-4] + struct.pack("<f", float("nan")),
 }
 
 

@@ -26,7 +26,7 @@ import pytest
 from oracles import ctc_brute_force, ctc_grad
 
 from ctcprobe import ctc, probing
-from ctcprobe.acoustic import (PhoneSegment, Spectrogram, SynthConfig,
+from ctcprobe.acoustic import (N_BINS, PhoneSegment, SynthConfig,
                                Utterance, phone_template, synthesize_corpus)
 from ctcprobe.clustering import kmeans, majority_clusters, pca_2d, tsne_2d
 from ctcprobe.model import (LayerSpec, ModelConfig, TrainedModel, log_softmax,
@@ -264,12 +264,12 @@ def make_context_corpus(n_utterances, noise, seed):
             for phone in words[name]:
                 seg_len = int(rng.integers(36, 45))
                 block = templates[phone][None, :] + rng.normal(
-                    0.0, noise, size=(seg_len, cfg.n_bins))
+                    0.0, noise, size=(seg_len, N_BINS))
                 frames.append(np.maximum(block, 0.0))
                 segments.append(PhoneSegment(phone, t, t + seg_len))
                 t += seg_len
-        spec = Spectrogram(np.concatenate(frames, axis=0), cfg.sample_rate_hz)
-        utts.append(Utterance(spec, segments, " ".join(names), f"ctx-{u:05d}"))
+        utts.append(Utterance(np.concatenate(frames, axis=0), segments,
+                              " ".join(names), f"ctx-{u:05d}"))
     return cfg, utts
 
 

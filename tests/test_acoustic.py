@@ -6,9 +6,8 @@ from conftest import DAMAGE, drop_header_key, key_id
 from oracles import decode_transcript, export_timit_dir, frame_label
 
 from ctcprobe import acoustic
-from ctcprobe.acoustic import (PhoneSegment, Spectrogram, SynthConfig,
-                               Utterance, hamming_window, spectrogram,
-                               synthesize_corpus)
+from ctcprobe.acoustic import (N_BINS, PhoneSegment, SynthConfig, Utterance,
+                               hamming_window, spectrogram, synthesize_corpus)
 
 
 class TestHammingWindow:
@@ -30,35 +29,37 @@ class TestHammingWindow:
 
 class TestSpectrogram:
     def test_one_second_shape(self):
-        spec = spectrogram(np.zeros(16000))
-        assert spec.n_frames == 99
-        assert spec.n_bins == 161
+        assert spectrogram(np.zeros(16000)).shape == (99, 161)
+        assert N_BINS == 161
 
     def test_length_formula(self):
         # T = floor((len - win)/hop) + 1 for assorted lengths
         for n in (320, 321, 479, 480, 481, 5000):
-            spec = spectrogram(np.zeros(n))
-            assert spec.n_frames == (n - 320) // 160 + 1
+            assert len(spectrogram(np.zeros(n))) == (n - 320) // 160 + 1
 
     def test_all_zero_samples(self):
-        spec = spectrogram(np.zeros(1600))
-        assert np.all(spec.frames == 0.0)
+        assert np.all(spectrogram(np.zeros(1600)) == 0.0)
 
     def test_sinusoid_peaks_at_its_bin(self):
         # Bin k of a 320-point window sits at k * 16000/320 = 50k Hz.
         freq_bin = 40
         t = np.arange(16000) / 16000.0
         samples = np.sin(2 * np.pi * (freq_bin * 50.0) * t)
-        spec = spectrogram(samples)
-        assert np.all(np.argmax(spec.frames, axis=1) == freq_bin)
+        assert np.all(np.argmax(spectrogram(samples), axis=1) == freq_bin)
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             spectrogram(np.zeros(100))
 
     def test_negative_magnitudes_rejected(self):
-        with pytest.raises(ValueError):
-            Spectrogram(np.array([[-1.0, 0.0]]))
+        with pytest.raises(ValueError, match="must be finite and non-neg"):
+            _utterance([("p00", 0, 1)], np.array([[-1.0, 0.0]]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_magnitudes_rejected(self, value):
+        with pytest.raises(ValueError, match="'u0': spectrogram magnitudes "
+                                             "must be finite"):
+            _utterance([("p00", 0, 1)], np.array([[value, 0.0]]))
 
 
 class TestSynthesizeCorpus:
@@ -68,7 +69,7 @@ class TestSynthesizeCorpus:
         b = synthesize_corpus(SynthConfig(seed=42), 5)
         assert len(a) == len(b) == 5
         for ua, ub in zip(a, b):
-            assert np.array_equal(ua.spectrogram.frames, ub.spectrogram.frames)
+            assert np.array_equal(ua.frames, ub.frames)
             assert ua.transcript == ub.transcript
             assert ua.segments == ub.segments
 
@@ -77,7 +78,7 @@ class TestSynthesizeCorpus:
         for utt in synthesize_corpus(cfg, 4):
             for seg in utt.segments:
                 template = acoustic.phone_template(cfg, seg.phone)
-                block = utt.spectrogram.frames[seg.start_frame:seg.end_frame]
+                block = utt.frames[seg.start_frame:seg.end_frame]
                 np.testing.assert_array_equal(
                     block, np.broadcast_to(block[0], block.shape))
                 np.testing.assert_allclose(block[0], template)
@@ -113,13 +114,14 @@ class TestSynthesizeCorpus:
     def test_magnitudes_clamped_non_negative(self):
         cfg = SynthConfig(noise_stddev=5.0, seed=2)
         for utt in synthesize_corpus(cfg, 3):
-            assert np.all(utt.spectrogram.frames >= 0.0)
+            assert np.all(utt.frames >= 0.0)
 
 
-def _utterance(segment_spec, n_bins=4):
-    total = segment_spec[-1][2]
+def _utterance(segment_spec, frames=None):
+    if frames is None:
+        frames = np.zeros((segment_spec[-1][2], 4))
     segs = [PhoneSegment(p, a, b) for p, a, b in segment_spec]
-    return Utterance(Spectrogram(np.zeros((total, n_bins))), segs, "", "u0")
+    return Utterance(frames, segs, "", "u0")
 
 
 class TestFrameLabel:
@@ -164,9 +166,10 @@ class TestCorpusSerialization:
             assert got.id == orig.id
             assert got.transcript == orig.transcript
             assert got.segments == orig.segments
-            np.testing.assert_array_equal(
-                got.spectrogram.frames,
-                orig.spectrogram.frames.astype(np.float32).astype(np.float64))
+            # The file's float32 frames, as stored: not widened.
+            assert got.frames.dtype == np.float32
+            np.testing.assert_array_equal(got.frames,
+                                          orig.frames.astype(np.float32))
 
     def test_failed_save_leaves_no_partial_or_temp_file(self, tmp_path,
                                                         monkeypatch):
@@ -192,42 +195,10 @@ class TestCorpusSerialization:
         assert list(tmp_path.iterdir()) == [path]
         assert path.read_bytes() == before
 
-    @pytest.mark.parametrize("field, other", [
-        ("sample_rate_hz", 8000), ("window_ms", 25.0),
-        ("frame_shift_ms", 5.0)])
-    def test_rejects_mixed_spectrogram_metadata(self, tmp_path, field, other):
-        # The header holds one copy of the metadata, so a corpus whose
-        # utterances differ in it cannot be saved.
-        corpus = synthesize_corpus(SynthConfig(seed=5), 2)
-        first = getattr(corpus[0].spectrogram, field)
-        odd = corpus[1]
-        corpus[1] = Utterance(
-            Spectrogram(odd.spectrogram.frames, **{field: other}),
-            odd.segments, odd.transcript, odd.id)
-        path = tmp_path / "corpus.bin"
-        with pytest.raises(ValueError, match=re.escape(
-                f"mixed {field} {first}/{other}")):
-            acoustic.save_corpus(path, corpus)
-        assert list(tmp_path.iterdir()) == []
-
-    def test_uniform_metadata_round_trips(self, tmp_path):
-        corpus = [Utterance(Spectrogram(utt.spectrogram.frames, 8000, 25.0,
-                                        5.0), utt.segments, utt.transcript,
-                            utt.id)
-                  for utt in synthesize_corpus(SynthConfig(seed=5), 2)]
-        path = tmp_path / "corpus.bin"
-        acoustic.save_corpus(path, corpus)
-        for utt in acoustic.load_corpus(path):
-            spec = utt.spectrogram
-            assert (spec.sample_rate_hz, spec.window_ms,
-                    spec.frame_shift_ms) == (8000, 25.0, 5.0)
-
     @pytest.mark.parametrize("key_path", [
-        ("utterances",), ("spectrogram",), ("utterances", 1, "id"),
+        ("utterances",), ("utterances", 1, "id"),
         ("utterances", 1, "transcript"), ("utterances", 1, "segments"),
-        ("utterances", 1, "shape"),
-        *(("spectrogram", key) for key in acoustic.SPECTROGRAM_META)],
-        ids=key_id)
+        ("utterances", 1, "shape")], ids=key_id)
     def test_header_lacking_a_key_names_file_and_key(self, tmp_path,
                                                      key_path):
         path = tmp_path / "corpus.bin"
@@ -251,7 +222,7 @@ class TestCorpusSerialization:
         acoustic.save_corpus(path, corpus)
         data = path.read_bytes()
         if damage == "cut_after_two_records":  # ends after utterance 2
-            rest = sum(utt.spectrogram.frames.size for utt in corpus[2:])
+            rest = sum(utt.frames.size for utt in corpus[2:])
             data = data[:-4 * rest]
         else:
             data = DAMAGE[damage](data)
@@ -290,8 +261,7 @@ class TestTimitImport:
         pcm = np.clip(samples * 32768.0, -32768, 32767).astype("<i2")
         direct = spectrogram(pcm.astype(np.float64) / 32768.0)
         n = utt.n_frames
-        np.testing.assert_allclose(utt.spectrogram.frames,
-                                   direct.frames[:n], atol=1e-12)
+        np.testing.assert_allclose(utt.frames, direct[:n], atol=1e-12)
         assert utt.segments[0].phone == "aa"
         assert utt.segments[0].start_frame == 0
         assert utt.segments[0].end_frame == 50

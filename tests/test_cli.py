@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -11,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import DAMAGE
 from oracles import export_timit_dir
 
 from ctcprobe import acoustic, cli, model, plots, probing
@@ -41,6 +43,18 @@ def write_config(tmp_path, cfg):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def load_benchmark_workloads():
+    """The `WORKLOADS` table of `perfbench/workloads.py`: name ->
+    (config factory of a seed, staged?)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", os.path.join(
+            os.path.dirname(__file__), os.pardir, "perfbench",
+            "workloads.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
 
 
 class TestConfigValidation:
@@ -175,6 +189,9 @@ class TestConfigValidation:
         ('corpus.synthetic.n_utterances=0', "n_utterances"),
         ('corpus.synthetic.n_utterances=1', "n_utterances"),
         ('corpus.synthetic.n_bins=100', "n_bins"),
+        ('corpus.synthetic.n_bins=161', "corpus.synthetic.n_bins"),
+        ('corpus.synthetic.sample_rate_hz=16000',
+         "corpus.synthetic.sample_rate_hz"),
         ('corpus.synthetic.phone_to_chars='
          '{"p00": "A", "p01": "b", "p02": "c", "p03": "d"}', "alphabet"),
         ('clustering.layer=1.5', "clustering"),
@@ -245,6 +262,16 @@ class TestConfigValidation:
             ExperimentConfig(probe={"strides": []})
         with pytest.raises(cli.ConfigError, match="clustering"):
             ExperimentConfig(clustering={"enabled": False, "k": 0})
+
+    @pytest.mark.parametrize("seed", [3, 7919])
+    def test_benchmark_workload_configs_load(self, seed):
+        # The benchmark runs these configs: a key the program no longer
+        # takes would fail every benchmark repetition.
+        workloads = load_benchmark_workloads()
+        assert sorted(workloads) == ["asr-train", "probe-sweep",
+                                     "staged-lstm"]
+        for factory, _staged in workloads.values():
+            ExperimentConfig.from_dict(factory(seed))
 
     def test_set_overrides(self, tmp_path):
         cfg_path = write_config(tmp_path, small_config(tmp_path / "out"))
@@ -688,6 +715,22 @@ class TestSubcommands:
         assert main([command, "--config", cfg_path]) == 3
         err = capsys.readouterr().err
         assert f"stage {command!r} failed: {path}: malformed" in err
+
+    @pytest.mark.parametrize("command, name", [
+        ("train-asr", "corpus_train.bin"), ("extract", "model.ckpt"),
+        ("probe", cli.tap_file(0, True, "train"))])
+    def test_non_finite_payload_names_stage_and_file(
+            self, finished_run, tmp_path, capsys, command, name):
+        out, cfg, _ = finished_run
+        staged = tmp_path / "staged"
+        shutil.copytree(out, staged)
+        path = staged / name
+        path.write_bytes(DAMAGE["non_finite_payload"](path.read_bytes()))
+        cfg_path = write_config(tmp_path, dict(cfg, out_dir=str(staged)))
+        capsys.readouterr()
+        assert main([command, "--config", cfg_path]) == 3
+        assert f"stage {command!r} failed: {path}: " in \
+            capsys.readouterr().err
 
 
 def test_run_forwards_each_utterance_once_per_strides_setting(tmp_path,

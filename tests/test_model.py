@@ -7,15 +7,17 @@ from conftest import DAMAGE, drop_header_key, edit_header, key_id
 
 from ctcprobe import ctc
 from ctcprobe import layers as L
+from ctcprobe.acoustic import (SynthConfig, load_corpus, save_corpus,
+                               synthesize_corpus)
 from ctcprobe.artifacts import artifact_header, read_artifact
 from ctcprobe.model import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, LayerSpec,
                             ModelConfig, TrainedModel, conv_output_len,
                             preset)
 
-# Largest difference of a loaded (float32) model's eval taps, logits and
-# log-probs from the float64 model on the same weights, relative to each
-# array's largest entry (float32's unit roundoff is 6e-8; on the two mini
-# presets the worst seen was 5.7e-7).
+# Largest difference of a loaded (float32) model's eval taps and log-probs
+# from the float64 model on the same weights, relative to each array's
+# largest entry (float32's unit roundoff is 6e-8; on the two mini presets
+# the worst seen was 5.7e-7).
 MODEL_FLOAT32_AGREEMENT = 1e-5
 
 
@@ -186,7 +188,7 @@ class TestForward:
         x = np.abs(np.random.default_rng(4).normal(size=(11, 13)))
         a = model.forward([x])[0]
         b = model.forward([x])[0]
-        assert np.array_equal(a.logits, b.logits)
+        assert np.array_equal(a.log_probs, b.log_probs)
         for ta, tb in zip(a.taps, b.taps):
             assert np.array_equal(ta, tb)
 
@@ -204,7 +206,7 @@ class TestBackward:
         # A backward takes its forward's caches: a second one has none.
         x = np.abs(np.random.default_rng(5).normal(size=(12, 13)))
         model.backward([np.zeros_like(model.forward([x], mode="train")[0]
-                                      .logits)])
+                                      .log_probs)])
         with pytest.raises(RuntimeError):
             model.backward([np.zeros((6, 5))])
 
@@ -212,7 +214,7 @@ class TestBackward:
         model = TrainedModel(tiny_config())
         x = np.abs(np.random.default_rng(6).normal(size=(12, 13)))
         result = model.forward([x], mode="train")[0]
-        grads = model.backward([np.zeros_like(result.logits)])
+        grads = model.backward([np.zeros_like(result.log_probs)])
         assert set(grads) == set(model.params)
         for name, g in grads.items():
             assert np.all(g == 0.0), name
@@ -222,7 +224,7 @@ class TestBackward:
         x = np.abs(np.random.default_rng(7).normal(size=(12, 13)))
         result = model.forward([x], mode="train")[0]
         grads = model.backward([np.random.default_rng(8).normal(
-            size=result.logits.shape)])
+            size=result.log_probs.shape)])
         for name, p in model.params.items():
             assert grads[name].shape == p.shape, name
 
@@ -350,7 +352,7 @@ class TestDtype:
         made.clear()
         grads = model.backward(dlogits)
         return seen | made | {a.dtype.name for a in [
-            *(a for r in results for a in [*r.taps, r.logits, r.log_probs]
+            *(a for r in results for a in [*r.taps, r.log_probs]
               if a is not None),
             *grads.values(), *model.params.values(),
             *model.buffers.values()]}
@@ -366,6 +368,36 @@ class TestDtype:
     def test_built_model_stays_float64(self, monkeypatch, name):
         model = TrainedModel(preset(name, seed=6))
         assert self.dtypes(model, np.float32, monkeypatch) == {"float64"}
+
+    @pytest.mark.parametrize("name", ["ds2-mini", "ds2-light-mini"])
+    def test_corpus_frames_train_as_their_float64_widening(self, tmp_path,
+                                                           name):
+        # A corpus file's frames reach a float64 model as the float32 they
+        # are stored in; its input cast widens them exactly, so a train
+        # forward and backward equal those of the widened copies.
+        path = tmp_path / "corpus.bin"
+        save_corpus(path, synthesize_corpus(SynthConfig(seed=4), 3))
+        frames = [utt.frames for utt in load_corpus(path)]
+        assert {x.dtype.name for x in frames} == {"float32"}
+        passes = []
+        for xs in (frames, [x.astype(np.float64) for x in frames]):
+            model = TrainedModel(preset(name, seed=2))
+            results = model.forward(xs, mode="train")
+            rng = np.random.default_rng(3)
+            grads = model.backward([rng.normal(size=r.log_probs.shape)
+                                    for r in results])
+            passes.append((results, grads, model.buffers))
+        (got, got_grads, got_buffers), (want, want_grads, want_buffers) = \
+            passes
+        for a, b in zip(got, want, strict=True):
+            assert np.array_equal(a.log_probs, b.log_probs)
+            for k, (ta, tb) in enumerate(zip(a.taps, b.taps, strict=True)):
+                assert (ta is tb is None) or np.array_equal(ta, tb), k
+        for mine, theirs in ((got_grads, want_grads),
+                             (got_buffers, want_buffers)):
+            assert mine.keys() == theirs.keys()
+            for key in mine:
+                assert np.array_equal(mine[key], theirs[key]), key
 
 
 class TestCheckpoint:
@@ -415,7 +447,6 @@ class TestCheckpoint:
             assert len(got.taps) == len(want.taps)
             for what, a, b in [*((f"tap {k}", a, b) for k, (a, b) in
                                  enumerate(zip(got.taps, want.taps))),
-                               ("logits", got.logits, want.logits),
                                ("log_probs", got.log_probs, want.log_probs)]:
                 err = np.abs(a - b).max() / np.abs(b).max()
                 assert err <= MODEL_FLOAT32_AGREEMENT, (what, err)

@@ -47,7 +47,7 @@ def greedy_categories(model, utts, strides_enabled=True):
     """Oracle for `Extraction.categories`: the initial of each frame's
     greedy CTC category, from a fresh eval forward per utterance."""
     return {utt.id: "".join(cat[0] for cat in greedy_decode(
-                model.forward([utt.spectrogram],
+                model.forward([utt.frames],
                               strides_enabled=strides_enabled)[0].log_probs,
                 model.config.alphabet).categories)
             for utt in utts}
@@ -65,7 +65,7 @@ class TestExtractFrames:
         inv = phoneset.synthetic_inventory(cfg.phones)
         ds = extract(tmp_path, mini_model, utts, 0, inventory=inv)
         assert ds.dim == 161
-        stacked = np.concatenate([u.spectrogram.frames for u in utts])
+        stacked = np.concatenate([u.frames for u in utts])
         np.testing.assert_array_equal(ds.vectors, rounded(stacked))
         # labels match direct segment lookup
         i = 0
@@ -125,7 +125,7 @@ class TestExtractFrames:
             for layer, path in taps:
                 base = probing.load_dataset(path)
                 forwards = [mini_model.forward(
-                    [u.spectrogram], strides_enabled=strides)[0].taps[layer]
+                    [u.frames], strides_enabled=strides)[0].taps[layer]
                     for u in group]
                 np.testing.assert_array_equal(
                     base.vectors, rounded(np.concatenate(forwards)))
@@ -263,7 +263,7 @@ class TestExtractFrames:
     def test_duplicate_ids_rejected(self, tmp_path, corpus, mini_model):
         cfg, utts = corpus
         inv = phoneset.synthetic_inventory(cfg.phones)
-        twin = Utterance(utts[1].spectrogram, utts[1].segments,
+        twin = Utterance(utts[1].frames, utts[1].segments,
                          utts[1].transcript, utts[0].id)
         with pytest.raises(ValueError, match=utts[0].id):
             extract(tmp_path, mini_model, [utts[0], twin], 2, inventory=inv)
@@ -299,7 +299,7 @@ class TestExtractFrames:
         # Rows stream to disk, so only one minibatch's forwards are held,
         # whatever the corpus size; twins keep the utterance lengths.
         cfg, utts = corpus
-        doubled = utts + [Utterance(u.spectrogram, u.segments, u.transcript,
+        doubled = utts + [Utterance(u.frames, u.segments, u.transcript,
                                     u.id + "-twin") for u in utts]
         peaks = []
         for n, group in enumerate((utts, doubled)):
@@ -664,7 +664,7 @@ class TestDatasetSerialization:
         path = tmp_path / "frames.fds"
         extract_frames(mini_model, utts, [(1, path)], True)
         loaded = probing.load_dataset(path, 1, "full", inv)
-        taps = [mini_model.forward([u.spectrogram])[0].taps[1] for u in utts]
+        taps = [mini_model.forward([u.frames])[0].taps[1] for u in utts]
         np.testing.assert_array_equal(
             loaded.vectors,
             rounded(np.concatenate([probing._windowed(t, 1) for t in taps])))

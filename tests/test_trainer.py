@@ -414,7 +414,7 @@ class TestTrainAsr:
         short_cfg = SynthConfig(phone_inventory_size=4,
                                 phones_per_utterance=(6, 6),
                                 segment_frames=(1, 1), seed=5)
-        short = [Utterance(u.spectrogram, u.segments, u.transcript,
+        short = [Utterance(u.frames, u.segments, u.transcript,
                            f"short-{i}")
                  for i, u in enumerate(synthesize_corpus(short_cfg, 3))]
         result = self.train(corpus + short, epochs=1, batch_size=4, seed=0)
