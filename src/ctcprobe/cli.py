@@ -404,15 +404,24 @@ def stage_probe(cfg, art):
     views = {}
     for layer, strides, window, scheme in combos:
         views.setdefault((layer, strides), []).append((window, scheme))
+    # Combos whose train and dev views hold the same rows and labels share
+    # one fit (layer 0 at either strides setting; reduced48 on a synthetic
+    # inventory), of which this keeps what their files need, not the probe.
+    fits = {}
     reports, summary, breakdown = {}, {}, {}
     for (layer, strides), pair_views in views.items():
         for (window, scheme), ds_train, ds_dev in zip(pair_views, *(
                 probing.load_views(art.path(tap_file(layer, strides, split)),
                                    pair_views, inventory)
                 for split in ("train", "dev"))):
+            key = ds_train.digest, ds_dev.digest
+            if key not in fits:
+                result = trainer.train_probe(ds_train, ds_dev, cfg.probe_cfg)
+                fits[key] = result.curve, result.best_epoch, result.dev_pred
+                del result
             combo = (layer, strides, window, scheme)
             reports[combo], summary[combo], breakdown[combo] = _probe_combo(
-                cfg, art, combo, ds_train, ds_dev, dev_categories)
+                art, combo, ds_dev, *fits[key], dev_categories)
     art.write_csv("layer_accuracy.csv", [
         ("layer", "strides", "window", "scheme", "dev_accuracy",
          "majority_baseline", "best_epoch")] + [summary[c] for c in combos])
@@ -424,21 +433,20 @@ def stage_probe(cfg, art):
     _write_inter_intra(art, {c: reports[c] for c in combos}, inventory)
 
 
-def _probe_combo(cfg, art, combo, ds_train, ds_dev, dev_categories):
-    """Train and evaluate one combo's probe and write its own files.
-    Returns its report, its `layer_accuracy.csv` row and its
-    `ctc_breakdown.csv` rows."""
+def _probe_combo(art, combo, ds_dev, curve, best_epoch, pred,
+                 dev_categories):
+    """Evaluate one combo's fit (its `train_probe` curve, selected epoch and
+    dev predictions) and write its own files.  Returns its report, its
+    `layer_accuracy.csv` row and its `ctc_breakdown.csv` rows."""
     layer, strides, window, scheme = combo
     name = combo_name(*combo)
-    result = trainer.train_probe(ds_train, ds_dev, cfg.probe_cfg)
-    pred = result.probe.predict(ds_dev.vectors)
     report = probing.evaluate_probe(pred, ds_dev)
     art.write_json(f"probe_{name}.json", report)
     art.write_csv(f"probe_{name}_curve.csv",
                   [("epoch", "train_loss", "dev_loss", "dev_accuracy")] +
                   [(r["epoch"], _fnum(r["train_loss"]),
                     _fnum(r["dev_loss"]), _fnum(r["dev_accuracy"]))
-                   for r in result.curve])
+                   for r in curve])
     names = report["label_names"]
     art.write_csv(f"probe_{name}_confusion.csv",
                   [[""] + names] + [[label] + row for label, row in
@@ -446,7 +454,7 @@ def _probe_combo(cfg, art, combo, ds_train, ds_dev, dev_categories):
     _base_label, base_acc = phoneset.majority_baseline(
         ds_dev.label_names[i] for i in ds_dev.labels)
     summary = (layer, int(strides), window, scheme, _fnum(report["accuracy"]),
-               _fnum(base_acc), result.best_epoch)
+               _fnum(base_acc), best_epoch)
     breakdown = []
     # A layer at the softmax's time resolution gets the breakdown.
     factor, categories = dev_categories[strides_key(strides)]

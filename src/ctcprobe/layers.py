@@ -41,7 +41,9 @@ CONV_BLOCK_BYTES = 1 << 21
 
 
 def uniform_init(rng, shape, fan_in):
-    return rng.uniform(-1.0, 1.0, size=shape) / np.sqrt(fan_in)
+    w = rng.uniform(-1.0, 1.0, size=shape)
+    w /= np.sqrt(fan_in)  # in place: no second array of the shape
+    return w
 
 
 def named_arrays(block, kind):

@@ -6,6 +6,8 @@ and confusion matrices.
 from __future__ import annotations
 
 import contextlib
+import hashlib
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +29,8 @@ class FrameDataset:
     label_names: list[str]
     provenance: dict = field(default_factory=dict)
     spans: list = field(default_factory=list)  # (utterance_id, n_rows) in order
+    digest: str = ""    # `load_views`' sha256 of what it made the view from:
+                        # equal digests, equal vectors and labels
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors)
@@ -194,11 +198,13 @@ class TrainedProbe:
     def predict(self, x):
         return np.argmax(self.logits(x), axis=1)
 
-    def evaluate_loss(self, x, y):
+    def evaluate_loss(self, x, y, pred=None):
+        """Mean cross-entropy and accuracy of an eval-mode pass on (x, y);
+        the predicted labels go into ``pred`` if given."""
         logits = self.logits(x)
         loss, _lp = _cross_entropy(logits, y)
-        acc = float((np.argmax(logits, axis=1) == y).mean())
-        return loss, acc
+        pred = np.argmax(logits, axis=1, out=pred)
+        return loss, float((pred == y).mean())
 
     def loss_and_grads(self, x, y, rng):
         """Train-mode loss (dropout active) and parameter gradients."""
@@ -362,7 +368,9 @@ def load_views(path, views, inventory=None):
     from one read of an `extract_frames` file, each made when it is
     consumed: each utterance's rows `_windowed`, and each row's phone
     reduced onto the ``inventory``'s labels for the scheme (or the file's
-    own, for "full")."""
+    own, for "full").  Its `digest` hashes what it is made from: the
+    file's payload (rows and phone codes) and spans, the window, and the
+    view's label names and labels, but not the header's provenance."""
     views = list(views)
     for window, scheme in views:
         if window < 0:
@@ -386,15 +394,21 @@ def load_views(path, views, inventory=None):
             lut = [names.index(inv.reduce(phone, scheme)) for phone in phones]
             labels[scheme] = names, np.array(lut, np.int64)[codes]
         tap = np.frombuffer(payload, np.float32, n * d).reshape(n, d)
+        source = hashlib.sha256(payload)
+        source.update(json.dumps(spans).encode())
         return (np.split(tap, ends[1:-1]), labels, header["provenance"],
-                spans)
+                spans, source)
 
-    rows, labels, provenance, spans = read_artifact(
+    rows, labels, provenance, spans, source = read_artifact(
         path, DATASET_MAGIC, DATASET_VERSION, "frame dataset",
         lambda h: 4 * h["n"] * (h["d"] + 1), parse)
     for window, scheme in views:
         names, row_labels = labels[scheme]
+        digest = source.copy()
+        digest.update(json.dumps([window, names]).encode())
+        digest.update(row_labels)
         yield FrameDataset(
             np.concatenate([_windowed(utt_rows, window) for utt_rows in rows]),
             row_labels, names,
-            {**provenance, "window": window, "scheme": scheme}, spans)
+            {**provenance, "window": window, "scheme": scheme}, spans,
+            digest.hexdigest())

@@ -312,10 +312,13 @@ class ProbeTrainResult:
     probe: TrainedProbe
     curve: list          # rows: {epoch, train_loss, dev_loss, dev_accuracy}
     best_epoch: int
+    dev_pred: np.ndarray  # the selected epoch's predicted dev labels
 
 
 def train_probe(train, dev, probe_config: ProbeConfig) -> ProbeTrainResult:
-    """Train the frame classifier, selecting the best-dev-loss epoch."""
+    """Train the frame classifier, selecting the best-dev-loss epoch.  The
+    selected epoch's dev predictions come from its dev pass, and equal
+    `predict` on the restored probe."""
     if train.vectors.shape[1] != dev.vectors.shape[1]:
         raise ValueError("train and dev feature dimensions differ")
     if train.label_names != dev.label_names:
@@ -334,11 +337,15 @@ def train_probe(train, dev, probe_config: ProbeConfig) -> ProbeTrainResult:
                                            train.labels[idx], rng)
         return [loss], grads
 
+    # The live parameters' dev predictions, restored with them.
+    pred = np.empty(dev.n_frames, np.intp)
+
     def dev_row():
-        loss, acc = probe.evaluate_loss(dev.vectors, dev.labels)
+        loss, acc = probe.evaluate_loss(dev.vectors, dev.labels, pred)
         return {"dev_loss": loss, "dev_accuracy": acc}
 
-    rows, best_epoch = _fit(probe.params, probe.params, train.vectors.shape[0],
-                            probe_config, rng, batch_grads, dev_row,
-                            float("nan"))
-    return ProbeTrainResult(probe=probe, curve=rows, best_epoch=best_epoch)
+    rows, best_epoch = _fit(probe.params, {**probe.params, "dev_pred": pred},
+                            train.vectors.shape[0], probe_config, rng,
+                            batch_grads, dev_row, float("nan"))
+    return ProbeTrainResult(probe=probe, curve=rows, best_epoch=best_epoch,
+                            dev_pred=pred)

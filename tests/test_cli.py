@@ -15,8 +15,8 @@ import pytest
 from conftest import DAMAGE
 from oracles import export_timit_dir
 
-from ctcprobe import acoustic, cli, model, plots, probing
-from ctcprobe.artifacts import artifact_header, read_artifact
+from ctcprobe import acoustic, cli, model, plots, probing, trainer
+from ctcprobe.artifacts import _PREFIX, artifact_header, read_artifact
 from ctcprobe.cli import ExperimentConfig, load_config, main
 from ctcprobe.model import TrainedModel, preset
 
@@ -773,6 +773,106 @@ def test_run_forwards_each_utterance_once_per_strides_setting(tmp_path,
             len(train) + len(dev)
     # Only train-asr forwards besides: probe, cluster and report make none.
     assert {key[0] for key in counts} <= {"train-asr"}
+
+
+def counted_fits(monkeypatch):
+    """A list that grows by one at each `train_probe` call."""
+    fits, train_probe = [], trainer.train_probe
+    monkeypatch.setattr(trainer, "train_probe", lambda *args: (
+        fits.append(None) or train_probe(*args)))
+    return fits
+
+
+# What the probe stage reads: the tap files and the CTC categories.
+PROBE_INPUTS = shutil.ignore_patterns("probe_*", "*.csv", "corpus_*",
+                                      "model.ckpt")
+
+
+@pytest.fixture(scope="module")
+def shared_grid(tmp_path_factory):
+    """A 12-combo grid extracted at both strides settings and probed, with
+    its `train_probe` calls counted."""
+    tmp = tmp_path_factory.mktemp("shared")
+    cfg = small_config(tmp / "out", clustering={"enabled": False})
+    cfg["probe"].update(layers=[0, 2], strides=[True, False],
+                        schemes=["full", "reduced48", "sound_class"])
+    cfg_path = write_config(tmp, cfg)
+    for command in ("synth", "train-asr", "extract"):
+        assert main([command, "--config", cfg_path]) == 0, command
+    with pytest.MonkeyPatch.context() as mp:
+        fits = counted_fits(mp)
+        assert main(["probe", "--config", cfg_path]) == 0
+    return tmp / "out", cfg, len(fits)
+
+
+def combo_files(out, combo):
+    name = cli.combo_name(*combo)
+    return {rel: (out / rel).read_bytes() for rel in (
+        f"probe_{name}.json", f"probe_{name}_curve.csv",
+        f"probe_{name}_confusion.csv")}
+
+
+class TestSharedFits:
+    def test_combos_with_equal_views_share_one_fit(self, shared_grid):
+        out, cfg, n_fits = shared_grid
+        combos = cli.probe_combos(ExperimentConfig.from_dict(cfg))
+        # Layer 0 is one tap at either strides setting, and a synthetic
+        # inventory gives reduced48 the full labels: 2 fits for layer 0's
+        # 6 combos, and 2 for each strides setting's 3 of layer 2.
+        assert (len(combos), n_fits) == (12, 6)
+        for combo in combos:
+            assert len(combo_files(out, combo)) == 3
+
+    @pytest.mark.parametrize("strides", [True, False])
+    @pytest.mark.parametrize("scheme", ["full", "reduced48", "sound_class"])
+    def test_shared_fits_write_what_separate_fits_write(
+            self, shared_grid, tmp_path, monkeypatch, strides, scheme):
+        out, cfg, _ = shared_grid
+        alone = tmp_path / "alone"
+        shutil.copytree(out, alone, ignore=PROBE_INPUTS)
+        one = dict(cfg, out_dir=str(alone), probe=dict(
+            cfg["probe"], strides=[strides], schemes=[scheme]))
+        fits = counted_fits(monkeypatch)
+        assert main(["probe", "--config", write_config(tmp_path, one)]) == 0
+        assert len(fits) == 2
+        for combo in cli.probe_combos(ExperimentConfig.from_dict(one)):
+            assert combo_files(alone, combo) == combo_files(out, combo)
+        for rel in ("layer_accuracy.csv", "ctc_breakdown.csv"):
+            rows = (alone / rel).read_text().splitlines()
+            assert set(rows) <= set((out / rel).read_text().splitlines())
+
+    def test_fits_key_on_the_views_content_not_the_layer(
+            self, shared_grid, tmp_path, monkeypatch):
+        out, cfg, n_fits = shared_grid
+        staged = tmp_path / "staged"
+        shutil.copytree(out, staged, ignore=PROBE_INPUTS)
+        path = staged / cli.tap_file(0, False, "train")
+        data = bytearray(path.read_bytes())
+        start = len(probing.DATASET_MAGIC)
+        _version, header_len = _PREFIX.unpack_from(data, start)
+        # the lowest mantissa bit of the first row's first value
+        data[start + _PREFIX.size + header_len] ^= 1
+        path.write_bytes(bytes(data))
+        fits = counted_fits(monkeypatch)
+        cfg_path = write_config(tmp_path, dict(cfg, out_dir=str(staged)))
+        assert main(["probe", "--config", cfg_path]) == 0
+        # Layer 0's two fits (full and reduced48; sound_class) now run once
+        # per strides setting.
+        assert len(fits) == n_fits + 2
+
+    def test_benchmark_probe_sweep_fits_22_probes_for_24_combos(
+            self, tmp_path, monkeypatch):
+        factory, _staged = load_benchmark_workloads()["probe-sweep"]
+        cfg = ExperimentConfig.from_dict(dict(factory(3),
+                                              out_dir=str(tmp_path / "out")))
+        art = cli.ArtifactDir(cfg.out_dir)
+        for stage in ("corpus", "train-asr", "extract"):
+            cli.run_stage(stage, cfg, art)
+        fits = counted_fits(monkeypatch)
+        cli.run_stage("probe", cfg, art)
+        # Its full and sound_class probes of layer 0 each fit once for
+        # both strides settings.
+        assert (len(cli.probe_combos(cfg)), len(fits)) == (24, 22)
 
 
 def test_failed_extract_removes_its_partial_files(tmp_path, monkeypatch,

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from ctcprobe import layers as L
-from ctcprobe.model import LayerSpec, preset
+from ctcprobe.model import LayerSpec, TrainedModel, preset
+from ctcprobe.probing import TrainedProbe
 
 
 def rel_err(a, b):
@@ -551,6 +552,23 @@ def test_backward_without_input_grad(kind):
     assert list(grads_only) == list(grads)
     for name, g in grads.items():
         np.testing.assert_array_equal(grads_only[name], g, err_msg=name)
+
+
+def test_uniform_init_is_the_scaled_draw(monkeypatch):
+    # Dividing the draw in place is the same true_divide as dividing it
+    # into a new array, on every shape a mini preset or a probe draws.
+    shapes, real = [], L.uniform_init
+    monkeypatch.setattr(L, "uniform_init", lambda rng, shape, fan_in: (
+        shapes.append((shape, fan_in)) or real(rng, shape, fan_in)))
+    for name in ("ds2-mini", "ds2-light-mini"):
+        TrainedModel(preset(name))
+    TrainedProbe.init(1640, [f"p{i}" for i in range(29)])
+    assert ((500, 1640), 1640) in shapes and ((29, 500), 500) in shapes
+    for i, (shape, fan_in) in enumerate(shapes):
+        np.testing.assert_array_equal(
+            real(np.random.default_rng(i), shape, fan_in),
+            np.random.default_rng(i).uniform(-1.0, 1.0, shape)
+            / np.sqrt(fan_in), err_msg=str(shape))
 
 
 def test_uniform_init_range():

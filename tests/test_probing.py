@@ -111,6 +111,21 @@ class TestExtractFrames:
                      inventory=inv)
         assert ds.n_frames == sum(u.n_frames for u in utts)
 
+    def test_layer_zero_file_is_the_same_at_either_strides_setting(
+            self, tmp_path, corpus, mini_model):
+        # The input tap does not depend on strides, so the probe stage
+        # shares one fit between the two settings' layer-0 views.
+        cfg, utts = corpus
+        inv = phoneset.synthetic_inventory(cfg.phones)
+        on, off = [extract(tmp_path, mini_model, utts, 0, strides,
+                           inventory=inv) for strides in (True, False)]
+        np.testing.assert_array_equal(on.vectors, off.vectors)
+        np.testing.assert_array_equal(on.labels, off.labels)
+        assert on.spans == off.spans
+        assert on.provenance["strides_enabled"] is True
+        assert off.provenance["strides_enabled"] is False
+        assert on.digest == off.digest
+
     @pytest.mark.parametrize("strides", [True, False])
     def test_view_is_windowed_tap_with_scheme_labels(self, tmp_path, corpus,
                                                      mini_model, strides):
@@ -697,6 +712,25 @@ class TestDatasetSerialization:
             np.testing.assert_array_equal(a.labels, b.labels)
             assert (a.label_names, a.provenance, a.spans) == (
                 b.label_names, b.provenance, b.spans)
+
+    def test_reduced48_of_a_synthetic_inventory_is_the_full_view(
+            self, tmp_path, corpus, mini_model):
+        # A synthetic inventory maps each phone to itself, so the probe
+        # stage shares one fit between a reduced48 view and its full view.
+        cfg, utts = corpus
+        inv = phoneset.synthetic_inventory(cfg.phones)
+        assert inv.labels_for_scheme("reduced48") == \
+            inv.labels_for_scheme("full")
+        assert [inv.reduce(p, "reduced48") for p in inv.phones] == inv.phones
+        path = tmp_path / "frames.fds"
+        extract_frames(mini_model, utts, [(1, path)], True)
+        full, reduced, classes, wide = probing.load_views(
+            path, [(0, "full"), (0, "reduced48"), (0, "sound_class"),
+                   (1, "full")], inv)
+        assert reduced.label_names == full.label_names
+        np.testing.assert_array_equal(reduced.labels, full.labels)
+        assert reduced.digest == full.digest
+        assert len({full.digest, classes.digest, wide.digest}) == 3
 
     def test_file_holds_the_raw_tap_and_corpus_phones(self, tmp_path, corpus,
                                                       mini_model):

@@ -516,6 +516,21 @@ class TestTrainProbe:
             np.testing.assert_array_equal(full.probe.params[k], want,
                                           err_msg=k)
 
+    @pytest.mark.parametrize("alpha, best_epoch", [(0.5, 0), (0.05, 2)])
+    def test_dev_predictions_are_the_restored_probe_s(self, alpha,
+                                                      best_epoch):
+        # The selected epoch's predictions come from its own dev pass; a
+        # later epoch's pass must not leave its predictions in their place.
+        train, dev = shuffled_label_datasets()
+        result = train_probe(train, dev, ProbeConfig(hidden=16, epochs=3,
+                                                     seed=0, alpha=alpha))
+        assert result.best_epoch == best_epoch
+        want = result.probe.predict(dev.vectors)
+        assert result.dev_pred.dtype == want.dtype
+        np.testing.assert_array_equal(result.dev_pred, want)
+        assert float((want == dev.labels).mean()) == \
+            result.curve[best_epoch]["dev_accuracy"]
+
     @pytest.mark.parametrize("field, value, message", [
         ("batch_size", 0, "batch_size must be >= 1"),
     ])
