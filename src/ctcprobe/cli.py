@@ -533,14 +533,17 @@ def layer_display_names(model_cfg: ModelConfig):
 
 
 def plot_layer_accuracy(reports, model_cfg: ModelConfig):
-    """One accuracy bar chart per strides setting, bars in layer order."""
+    """One accuracy bar chart per strides setting, bars in layer order;
+    when the reports span more than one window, each label names its
+    window ("cnn2 w2")."""
     if not reports:
         raise ValueError("no probe reports to plot")
     names = layer_display_names(model_cfg)
+    windowed = len({combo[2] for combo in reports}) > 1
     panels = {}
-    for (layer, strides, _window, _scheme), report in sorted(reports.items()):
-        panels.setdefault(strides, []).append((names[layer],
-                                               report["accuracy"]))
+    for (layer, strides, window, _scheme), report in sorted(reports.items()):
+        label = f"{names[layer]} w{window}" if windowed else names[layer]
+        panels.setdefault(strides, []).append((label, report["accuracy"]))
     return {strides: svg_bar_chart(
         [n for n, _ in bars], [v for _, v in bars],
         title=f"frame accuracy by layer ({'with' if strides else 'without'} "
@@ -560,13 +563,15 @@ def stage_report(cfg, art):
     charts = plot_layer_accuracy(fine, cfg.model_cfg)
     for strides, svg in charts.items():
         art.write_text(f"accuracy_{strides_key(strides)}.svg", svg)
-    for combo, report in reports.items():
-        if combo[3] == "sound_class":
-            art.write_text(f"confusion_{combo_name(*combo)}.svg",
-                           svg_heatmap(report["confusion"],
-                                       report["label_names"],
-                                       report["label_names"],
-                                       title=f"sound classes, layer {combo[0]}"))
+    for (layer, strides, window, scheme), report in reports.items():
+        if scheme == "sound_class":
+            art.write_text(
+                f"confusion_{combo_name(layer, strides, window, scheme)}.svg",
+                svg_heatmap(report["confusion"], report["label_names"],
+                            report["label_names"],
+                            title=f"sound classes, layer {layer} "
+                                  f"({'with' if strides else 'without'} "
+                                  f"strides, window {window})"))
     art.write_manifest(cfg)
 
 

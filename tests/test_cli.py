@@ -4,6 +4,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -439,6 +440,16 @@ class TestPlots:
         assert [float(row[1]) for row in data[1:]] == pytest.approx(
             [0.0, 0.1, 0.2, 0.3])
 
+    def test_bars_of_two_windows_name_their_window(self):
+        cfg = preset("ds2-mini")
+        reports = {(k, True, w, "full"): report_with_accuracy(0.5, k)
+                   for k in (0, 2) for w in (0, 2)}
+        svg = cli.plot_layer_accuracy(reports, cfg)[True]
+        labels = ["input w0", "input w2", "cnn2 w0", "cnn2 w2"]
+        assert [row[0] for row in parse_svg_data(svg)[1:]] == labels
+        texts = re.findall(r'font-size="11">([^<]*)</text>', svg)
+        assert texts == labels
+
     def test_single_report_single_bar(self):
         cfg = preset("ds2-mini")
         charts = cli.plot_layer_accuracy(
@@ -840,6 +851,27 @@ class TestSharedFits:
         for rel in ("layer_accuracy.csv", "ctc_breakdown.csv"):
             rows = (alone / rel).read_text().splitlines()
             assert set(rows) <= set((out / rel).read_text().splitlines())
+
+    def test_report_figures_tell_windows_and_strides_apart(
+            self, shared_grid, tmp_path):
+        out, cfg, _ = shared_grid
+        staged = tmp_path / "staged"
+        shutil.copytree(out, staged, ignore=PROBE_INPUTS)
+        wide = dict(cfg, out_dir=str(staged),
+                    probe=dict(cfg["probe"], windows=[0, 1]))
+        cfg_path = write_config(tmp_path, wide)
+        for command in ("probe", "report"):
+            assert main([command, "--config", cfg_path]) == 0, command
+        for strides in ("on", "off"):
+            svg = (staged / f"accuracy_strides_{strides}.svg").read_text()
+            labels = [row[0] for row in parse_svg_data(svg)[1:]]
+            assert labels == ["input w0", "input w1", "cnn2 w0", "cnn2 w1"]
+            assert re.findall(r'font-size="11">([^<]*)</text>', svg) == labels
+        titles = [re.search(r'font-size="14">([^<]*)</text>',
+                            path.read_text()).group(1)
+                  for path in sorted(staged.glob("confusion_*.svg"))]
+        assert len(titles) == 8 == len(set(titles))
+        assert "sound classes, layer 2 (without strides, window 1)" in titles
 
     def test_fits_key_on_the_views_content_not_the_layer(
             self, shared_grid, tmp_path, monkeypatch):
