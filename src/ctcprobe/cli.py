@@ -366,17 +366,31 @@ def tap_file(layer, strides, split):
     return f"frames_layer{layer}_{'str' if strides else 'nostr'}.{split}.fds"
 
 
+def layer_views(art, layer, strides, split, views, inventory):
+    """The (window, scheme) ``views`` of one split's rows of ``layer`` at a
+    strides setting, from one read: layer 0, the input, is the split's
+    corpus, of which extract writes no copy; a deeper layer is its tap
+    file."""
+    if layer == 0:
+        return probing.corpus_views(
+            acoustic.load_corpus(art.path(f"corpus_{split}.bin")), strides,
+            views, inventory)
+    return probing.load_views(art.path(tap_file(layer, strides, split)),
+                              views, inventory)
+
+
 def stage_extract(cfg, art):
     model = TrainedModel.load(art.path("model.ckpt"))
     train, dev = load_split(art)
     # One pass per strides setting and split: each utterance is forwarded
     # once, in minibatches of train.batch_size, and its rows for every
-    # probed layer of that setting go straight to their files.
+    # probed layer of that setting go straight to their files.  Layer 0,
+    # the input, gets none: its views come from the corpus.
     combos = probe_combos(cfg)
     dev_categories = {}
     for strides in dict.fromkeys(combo[1] for combo in combos):
         layers = dict.fromkeys(combo[0] for combo in combos
-                               if combo[1] == strides)
+                               if combo[1] == strides and combo[0] > 0)
         for split, corpus in (("train", train), ("dev", dev)):
             taps = [(layer, art.path(tap_file(layer, strides, split)))
                     for layer in layers]
@@ -393,14 +407,15 @@ def stage_extract(cfg, art):
 
 def stage_probe(cfg, art):
     # The breakdown's categories come from extract's forwards: this stage
-    # reads no model and no corpus, and forwards nothing.
+    # reads no model and forwards nothing.  Layer 0's views come from the
+    # corpus, every other layer's from its tap files.
     dev_categories = art.read_json(CATEGORIES_FILE, lambda d: {
         key: (d[key]["subsample_factor"], d[key]["categories"])
         for key in map(strides_key, cfg.probe_grid.strides)})
     inventory = _inventory_for(cfg)
     combos = probe_combos(cfg)
-    # Each tap file is read once: every (window, scheme) view of a
-    # (layer, strides) pair comes from the same arrays.
+    # Each split's rows of a (layer, strides) pair are read once: every
+    # (window, scheme) view of the pair comes from the same arrays.
     views = {}
     for layer, strides, window, scheme in combos:
         views.setdefault((layer, strides), []).append((window, scheme))
@@ -411,8 +426,8 @@ def stage_probe(cfg, art):
     reports, summary, breakdown = {}, {}, {}
     for (layer, strides), pair_views in views.items():
         for (window, scheme), ds_train, ds_dev in zip(pair_views, *(
-                probing.load_views(art.path(tap_file(layer, strides, split)),
-                                   pair_views, inventory)
+                layer_views(art, layer, strides, split, pair_views,
+                            inventory)
                 for split in ("train", "dev"))):
             key = ds_train.digest, ds_dev.digest
             if key not in fits:
@@ -491,9 +506,8 @@ def stage_cluster(cfg, art):
     spec = cfg.clustering_cfg
     if not spec.enabled:
         return
-    ds_dev = probing.load_dataset(
-        art.path(tap_file(spec.layer, spec.strides, "dev")), spec.window,
-        spec.scheme, _inventory_for(cfg))
+    ds_dev, = layer_views(art, spec.layer, spec.strides, "dev",
+                          [(spec.window, spec.scheme)], _inventory_for(cfg))
     result = clustering.kmeans(ds_dev.vectors, min(spec.k, ds_dev.n_frames),
                                seed=cfg.seed, max_iter=spec.max_iter,
                                tol=spec.tol)

@@ -9,6 +9,7 @@ import contextlib
 import hashlib
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +30,7 @@ class FrameDataset:
     label_names: list[str]
     provenance: dict = field(default_factory=dict)
     spans: list = field(default_factory=list)  # (utterance_id, n_rows) in order
-    digest: str = ""    # `load_views`' sha256 of what it made the view from:
+    digest: str = ""    # `_views`' sha256 of what it made the view from:
                         # equal digests, equal vectors and labels
 
     def __post_init__(self):
@@ -69,8 +70,10 @@ def extract_frames(model, corpus, taps, strides_enabled=True, threads=1,
     that tap's file, then each row's phone: its index in the sorted corpus
     phones, taken at the row's receptive-field center.
 
-    ``taps`` lists (layer, path); `load_dataset` applies windows and label
-    schemes.  Rows are float32: a loaded model's taps as they are, a
+    ``taps`` lists (layer, path), any layer from 0, the input, to the
+    softmax; `load_views` applies windows and label schemes.  The extract
+    stage taps no layer 0: `corpus_views` makes its views, the same ones,
+    from the corpus.  Rows are float32: a loaded model's taps as they are, a
     float64 model's rounded.  The forwards are
     `TrainedModel.forward_corpus` minibatches of ``batch_size``
     utterances, ``threads`` of them at once; the files are
@@ -83,8 +86,7 @@ def extract_frames(model, corpus, taps, strides_enabled=True, threads=1,
     """
     cfg = model.config
     check_unique_ids(corpus)
-    phones = sorted({seg.phone for utt in corpus for seg in utt.segments})
-    phone_code = {phone: i for i, phone in enumerate(phones)}
+    phones, phone_code = _phone_codes(corpus)
     headers = []
     for layer, _path in taps:
         if not 0 <= layer <= cfg.n_layers:
@@ -133,6 +135,12 @@ def extract_frames(model, corpus, taps, strides_enabled=True, threads=1,
                                        prov["receptive_center_offset"])
                 fh.write(labels.astype(np.int32).tobytes())
     return Extraction(sum(header["n"] for header in headers), categories)
+
+
+def _phone_codes(corpus):
+    """The corpus's phones, sorted, and each one's index among them."""
+    phones = sorted({seg.phone for utt in corpus for seg in utt.segments})
+    return phones, {phone: i for i, phone in enumerate(phones)}
 
 
 def _frame_labels(utt, phone_code, n_rows, factor, offset):
@@ -352,9 +360,19 @@ def inter_intra_f1(fine_report: dict, coarse_report: dict,
 
 
 # ---------------------------------------------------------------------------
-# Tap files (header JSON + f32 rows + int32 phone indices), written by
-# extract_frames and read as (window, scheme) views
+# Views: (window, scheme) frame datasets of one split's rows of a layer, from
+# a tap file (header JSON + f32 rows + int32 phone indices, written by
+# extract_frames) or, for layer 0, from the corpus itself
 # ---------------------------------------------------------------------------
+
+class _Source(NamedTuple):
+    """What every view of one split's layer is made from."""
+    rows: list          # each utterance's float32 rows, C-contiguous
+    codes: np.ndarray   # each row's phone, int32 indices into phones
+    phones: list        # the split's phones, sorted
+    spans: list         # (utterance id, n_rows) in order
+    provenance: dict
+
 
 def load_dataset(path, window=0, scheme="full",
                  inventory=None) -> FrameDataset:
@@ -366,18 +384,9 @@ def load_dataset(path, window=0, scheme="full",
 def load_views(path, views, inventory=None):
     """The FrameDataset of each (window, scheme) of ``views``, in order,
     from one read of an `extract_frames` file, each made when it is
-    consumed: each utterance's rows `_windowed`, and each row's phone
-    reduced onto the ``inventory``'s labels for the scheme (or the file's
-    own, for "full").  Its `digest` hashes what it is made from: the
-    file's payload (rows and phone codes) and spans, the window, and the
-    view's label names and labels, but not the header's provenance."""
-    views = list(views)
-    for window, scheme in views:
-        if window < 0:
-            raise ValueError("window must be >= 0")
-        if inventory is None and scheme != "full":
-            raise ValueError("reduction schemes need a phone inventory")
-
+    consumed: its utterances' rows windowed, its phones reduced to the
+    scheme's labels, and a `digest` of the file's payload and spans, the
+    window and the labels (see `_views`)."""
     def parse(header, payload):
         n, d, phones = header["n"], header["d"], header["label_names"]
         spans = [(s[0], s[1]) for s in header["spans"]]
@@ -387,28 +396,68 @@ def load_views(path, views, inventory=None):
             raise ValueError(f"spans cover {ends[-1]} rows, not its {n}")
         if codes.size and not 0 <= codes.min() <= codes.max() < len(phones):
             raise ValueError("phone index outside its label_names")
-        inv = inventory or phoneset.synthetic_inventory(phones)
-        labels = {}  # scheme -> (label names, each row's label)
-        for scheme in dict.fromkeys(scheme for _window, scheme in views):
-            names = inv.labels_for_scheme(scheme)
-            lut = [names.index(inv.reduce(phone, scheme)) for phone in phones]
-            labels[scheme] = names, np.array(lut, np.int64)[codes]
         tap = np.frombuffer(payload, np.float32, n * d).reshape(n, d)
-        source = hashlib.sha256(payload)
-        source.update(json.dumps(spans).encode())
-        return (np.split(tap, ends[1:-1]), labels, header["provenance"],
-                spans, source)
+        return _Source(np.split(tap, ends[1:-1]), codes, phones, spans,
+                       header["provenance"])
 
-    rows, labels, provenance, spans, source = read_artifact(
+    return _views(read_artifact(
         path, DATASET_MAGIC, DATASET_VERSION, "frame dataset",
-        lambda h: 4 * h["n"] * (h["d"] + 1), parse)
+        lambda h: 4 * h["n"] * (h["d"] + 1), parse), views, inventory)
+
+
+def corpus_views(corpus, strides_enabled, views, inventory=None):
+    """Layer 0's views of ``corpus``, the utterances' own frames (in
+    float32, as `load_corpus` gives them): the same FrameDatasets, digests
+    included, as `load_views` of the layer-0 file that `extract_frames`
+    writes of ``corpus`` at ``strides_enabled``, so no stage need write
+    that file."""
+    check_unique_ids(corpus)
+    phones, phone_code = _phone_codes(corpus)
+    codes = [_frame_labels(utt, phone_code, utt.n_frames, 1, 0)
+             for utt in corpus]
+    return _views(_Source(
+        [np.ascontiguousarray(utt.frames, np.float32) for utt in corpus],
+        np.concatenate(codes).astype(np.int32), phones,
+        [(utt.id, utt.n_frames) for utt in corpus],
+        {"layer": 0, "strides_enabled": bool(strides_enabled),
+         "subsample_factor": 1, "receptive_center_offset": 0,
+         "standardized": False}), views, inventory)
+
+
+def _views(source, views, inventory):
+    """The FrameDataset of each (window, scheme) of ``views``, in order,
+    made from ``source`` when it is consumed: each utterance's rows
+    `_windowed`, and each row's phone reduced onto the ``inventory``'s
+    labels for the scheme (or the source's own phones, for "full").  Its
+    `digest` hashes what it is made from: the rows and phone codes as one
+    byte stream (a tap file's payload), the spans, the window, and the
+    view's label names and labels, but not the provenance."""
+    views = list(views)
+    for window, scheme in views:
+        if window < 0:
+            raise ValueError("window must be >= 0")
+        if inventory is None and scheme != "full":
+            raise ValueError("reduction schemes need a phone inventory")
+    inv = inventory or phoneset.synthetic_inventory(source.phones)
+    labels = {}  # scheme -> (label names, each row's label)
+    for scheme in dict.fromkeys(scheme for _window, scheme in views):
+        names = inv.labels_for_scheme(scheme)
+        lut = [names.index(inv.reduce(phone, scheme))
+               for phone in source.phones]
+        labels[scheme] = names, np.array(lut, np.int64)[source.codes]
+    hashed = hashlib.sha256()
+    for utt_rows in source.rows:
+        hashed.update(utt_rows)
+    hashed.update(source.codes)
+    hashed.update(json.dumps(source.spans).encode())
     for window, scheme in views:
         names, row_labels = labels[scheme]
-        digest = source.copy()
+        digest = hashed.copy()
         digest.update(json.dumps([window, names]).encode())
         digest.update(row_labels)
         yield FrameDataset(
-            np.concatenate([_windowed(utt_rows, window) for utt_rows in rows]),
+            np.concatenate([_windowed(utt_rows, window)
+                            for utt_rows in source.rows]),
             row_labels, names,
-            {**provenance, "window": window, "scheme": scheme}, spans,
-            digest.hexdigest())
+            {**source.provenance, "window": window, "scheme": scheme},
+            source.spans, digest.hexdigest())

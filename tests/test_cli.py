@@ -490,16 +490,33 @@ class TestPlots:
 
 COMMANDS = ("synth", "train-asr", "extract", "probe", "cluster", "report")
 
+# A binary file that a stage reads, for the damaged-input tests: probe
+# reads layer 0's rows from each split's corpus and layer 2's from its tap
+# files, and cluster, at clustering.layer 0, the dev corpus.
+DAMAGED_INPUTS = [
+    ("train-asr", "corpus_train.bin"), ("extract", "model.ckpt"),
+    ("probe", cli.tap_file(2, True, "train")), ("probe", "corpus_train.bin"),
+    ("probe", "corpus_dev.bin"), ("cluster", "corpus_dev.bin")]
+
+
+def damaged_input_config(cfg, staged, command):
+    """finished_run's config on the copy ``staged``; `cluster` views layer
+    0, so that it reads the corpus."""
+    cfg = dict(cfg, out_dir=str(staged))
+    if command == "cluster":
+        cfg["clustering"] = dict(cfg["clustering"], layer=0)
+    return cfg
+
 
 @pytest.fixture(scope="module")
 def staged_run(finished_run, tmp_path_factory):
     """finished_run's config run one subcommand at a time, with the
-    checkpoint and `.fds` loads counted per subcommand."""
+    checkpoint, `.fds` and corpus loads counted per subcommand."""
     _out, cfg, _ = finished_run
     tmp = tmp_path_factory.mktemp("staged")
     cfg_path = write_config(tmp, dict(cfg, out_dir=str(tmp / "out")))
     loads = {(command, kind): 0 for command in COMMANDS
-             for kind in ("ckpt", "fds")}
+             for kind in ("ckpt", "fds", "corpus")}
     current = [None]
 
     def counted(kind, fn):
@@ -513,6 +530,8 @@ def staged_run(finished_run, tmp_path_factory):
                    classmethod(counted("ckpt", TrainedModel.load.__func__)))
         mp.setattr(probing, "load_views",
                    counted("fds", probing.load_views))
+        mp.setattr(acoustic, "load_corpus",
+                   counted("corpus", acoustic.load_corpus))
         for command in COMMANDS:
             current[0] = command
             assert main([command, "--config", cfg_path]) == 0, command
@@ -533,14 +552,19 @@ class TestSubcommands:
                                                       staged_run):
         _out, cfg, _ = finished_run
         _staged, loads = staged_run
-        # probe reads each tap file once, for every combo of its
-        # (layer, strides) pair.
-        n_pairs = len({combo[:2] for combo in cli.probe_combos(
-            ExperimentConfig.from_dict(cfg))})
-        expected = {"synth": (0, 0), "train-asr": (0, 0), "extract": (1, 0),
-                    "probe": (0, 2 * n_pairs), "cluster": (0, 1),
-                    "report": (0, 0)}
-        assert {command: (loads[command, "ckpt"], loads[command, "fds"])
+        # probe reads each split's rows of a (layer, strides) pair once,
+        # for every combo of the pair: layer 0's from the corpus, a deeper
+        # layer's from its tap file.
+        pairs = {combo[:2] for combo in cli.probe_combos(
+            ExperimentConfig.from_dict(cfg))}
+        n_input = sum(layer == 0 for layer, _strides in pairs)
+        assert 0 < n_input < len(pairs)
+        expected = {"synth": (0, 0, 0), "train-asr": (0, 0, 2),
+                    "extract": (1, 0, 2),
+                    "probe": (0, 2 * (len(pairs) - n_input), 2 * n_input),
+                    "cluster": (0, 1, 0), "report": (0, 0, 0)}
+        assert {command: tuple(loads[command, kind]
+                               for kind in ("ckpt", "fds", "corpus"))
                 for command in COMMANDS} == expected
 
     def test_probe_combos_are_unique(self):
@@ -551,8 +575,7 @@ class TestSubcommands:
             (2, True, 0, "full"), (0, True, 0, "full"),
             (2, False, 0, "full"), (0, False, 0, "full")]
 
-    def test_probe_reads_neither_model_nor_corpus(self, finished_run,
-                                                  tmp_path):
+    def test_probe_reads_no_model(self, finished_run, tmp_path):
         out, cfg, _ = finished_run
         staged = tmp_path / "staged"
         shutil.copytree(out, staged)
@@ -566,7 +589,7 @@ class TestSubcommands:
         for path in staged.iterdir():
             if path.name in made:
                 path.unlink()
-            elif path.name == "model.ckpt" or path.name.startswith("corpus_"):
+            elif path.name == "model.ckpt":
                 path.rename(away / path.name)
         cfg_path = write_config(tmp_path, dict(cfg, out_dir=str(staged)))
         assert main(["probe", "--config", cfg_path]) == 0
@@ -705,14 +728,12 @@ class TestSubcommands:
         names = sorted(path.name for path in out.glob("*.fds"))
         assert names == sorted(
             cli.tap_file(layer, True, split) for layer in cfg["probe"]["layers"]
-            for split in ("train", "dev"))
+            for split in ("train", "dev") if layer > 0)
         assert sorted(path.name for path in staged.glob("*.fds")) == names
         for name in names:
             assert (staged / name).read_bytes() == (out / name).read_bytes()
 
-    @pytest.mark.parametrize("command, name", [
-        ("train-asr", "corpus_train.bin"), ("extract", "model.ckpt"),
-        ("probe", cli.tap_file(0, True, "train"))])
+    @pytest.mark.parametrize("command, name", DAMAGED_INPUTS)
     def test_header_lacking_a_key_names_stage_and_file(
             self, finished_run, tmp_path, capsys, command, name):
         out, cfg, _ = finished_run
@@ -721,15 +742,14 @@ class TestSubcommands:
         path = staged / name
         data = path.read_bytes()  # keep the file's magic and version
         path.write_bytes(artifact_header(data[:4], data[4], {}))
-        cfg_path = write_config(tmp_path, dict(cfg, out_dir=str(staged)))
+        cfg_path = write_config(tmp_path, damaged_input_config(
+            cfg, staged, command))
         capsys.readouterr()
         assert main([command, "--config", cfg_path]) == 3
         err = capsys.readouterr().err
         assert f"stage {command!r} failed: {path}: malformed" in err
 
-    @pytest.mark.parametrize("command, name", [
-        ("train-asr", "corpus_train.bin"), ("extract", "model.ckpt"),
-        ("probe", cli.tap_file(0, True, "train"))])
+    @pytest.mark.parametrize("command, name", DAMAGED_INPUTS)
     def test_non_finite_payload_names_stage_and_file(
             self, finished_run, tmp_path, capsys, command, name):
         out, cfg, _ = finished_run
@@ -737,7 +757,8 @@ class TestSubcommands:
         shutil.copytree(out, staged)
         path = staged / name
         path.write_bytes(DAMAGE["non_finite_payload"](path.read_bytes()))
-        cfg_path = write_config(tmp_path, dict(cfg, out_dir=str(staged)))
+        cfg_path = write_config(tmp_path, damaged_input_config(
+            cfg, staged, command))
         capsys.readouterr()
         assert main([command, "--config", cfg_path]) == 3
         assert f"stage {command!r} failed: {path}: " in \
@@ -786,6 +807,36 @@ def test_run_forwards_each_utterance_once_per_strides_setting(tmp_path,
     assert {key[0] for key in counts} <= {"train-asr"}
 
 
+def test_no_stage_writes_a_copy_of_the_corpus(tmp_path, monkeypatch):
+    # Layer 0 probed at both strides settings and clustered: its views come
+    # from the corpus files, and no tap file holds its rows.
+    cfg = small_config("out")
+    cfg["probe"].update(strides=[True, False])
+    cfg["clustering"].update(layer=0, strides=False)
+    cfg_path = write_config(tmp_path, cfg)
+    monkeypatch.setenv(cli.OUT_ROOT_ENV, str(tmp_path / "run"))
+    assert main(["run", "--config", cfg_path]) == 0
+    monkeypatch.setenv(cli.OUT_ROOT_ENV, str(tmp_path / "staged"))
+    for command in COMMANDS:
+        assert main([command, "--config", cfg_path]) == 0, command
+    run, staged = (json.loads((tmp_path / out / "manifest.json").read_text())
+                   for out in ("run", "staged"))
+    del run["files"]["config.json"]  # which only `run` writes
+    assert run == staged
+    listed = run["files"]
+    assert "clusters.csv" in listed
+    assert [rel for rel in listed if rel.startswith("frames_layer0_")] == []
+    for out in ("run", "staged"):
+        out = tmp_path / out
+        assert list(out.glob("frames_layer0_*")) == []
+        taps = [path.read_bytes() for path in out.glob("*.fds")]
+        assert len(taps) == 4
+        for split in ("train", "dev"):
+            corpus = acoustic.load_corpus(out / f"corpus_{split}.bin")
+            frames = b"".join(utt.frames.tobytes() for utt in corpus)
+            assert not any(frames in tap for tap in taps)
+
+
 def counted_fits(monkeypatch):
     """A list that grows by one at each `train_probe` call."""
     fits, train_probe = [], trainer.train_probe
@@ -794,9 +845,9 @@ def counted_fits(monkeypatch):
     return fits
 
 
-# What the probe stage reads: the tap files and the CTC categories.
-PROBE_INPUTS = shutil.ignore_patterns("probe_*", "*.csv", "corpus_*",
-                                      "model.ckpt")
+# What the probe stage reads: the tap files, the corpus (layer 0's rows)
+# and the CTC categories.
+PROBE_INPUTS = shutil.ignore_patterns("probe_*", "*.csv", "model.ckpt")
 
 
 @pytest.fixture(scope="module")
@@ -878,19 +929,26 @@ class TestSharedFits:
         out, cfg, n_fits = shared_grid
         staged = tmp_path / "staged"
         shutil.copytree(out, staged, ignore=PROBE_INPUTS)
-        path = staged / cli.tap_file(0, False, "train")
+        cfg_path = write_config(tmp_path, dict(cfg, out_dir=str(staged)))
+        # Layer 2's nostr files made to hold its str files' rows: its two
+        # nostr fits (full and reduced48; sound_class) are the str ones.
+        for split in ("train", "dev"):
+            shutil.copyfile(staged / cli.tap_file(2, True, split),
+                            staged / cli.tap_file(2, False, split))
+        fits = counted_fits(monkeypatch)
+        assert main(["probe", "--config", cfg_path]) == 0
+        assert len(fits) == n_fits - 2
+        # Flipping the lowest mantissa bit of the first row's first value
+        # parts them again.
+        path = staged / cli.tap_file(2, False, "train")
         data = bytearray(path.read_bytes())
         start = len(probing.DATASET_MAGIC)
         _version, header_len = _PREFIX.unpack_from(data, start)
-        # the lowest mantissa bit of the first row's first value
         data[start + _PREFIX.size + header_len] ^= 1
         path.write_bytes(bytes(data))
-        fits = counted_fits(monkeypatch)
-        cfg_path = write_config(tmp_path, dict(cfg, out_dir=str(staged)))
+        fits.clear()
         assert main(["probe", "--config", cfg_path]) == 0
-        # Layer 0's two fits (full and reduced48; sound_class) now run once
-        # per strides setting.
-        assert len(fits) == n_fits + 2
+        assert len(fits) == n_fits
 
     def test_benchmark_probe_sweep_fits_22_probes_for_24_combos(
             self, tmp_path, monkeypatch):
@@ -953,9 +1011,9 @@ def test_killed_extract_leaves_nothing_a_later_stage_hashes(finished_run,
     killed = tmp_path / "killed"
     shutil.copytree(out, killed)
     clean = (out / "manifest.json").read_bytes()
-    first_tap = killed / (cli.tap_file(cfg["probe"]["layers"][0],
-                                       cfg["probe"]["strides"][0], "train")
-                          + ".tmp")
+    first_layer = min(layer for layer in cfg["probe"]["layers"] if layer)
+    first_tap = killed / (cli.tap_file(first_layer, cfg["probe"]["strides"][0],
+                                       "train") + ".tmp")
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src, **{cli.OUT_ROOT_ENV: str(killed)})
     proc = subprocess.Popen(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import tracemalloc
@@ -9,7 +10,8 @@ from oracles import frame_label, greedy_decode
 
 from ctcprobe import phoneset, probing
 from ctcprobe.artifacts import artifact_header, read_artifact
-from ctcprobe.acoustic import SynthConfig, Utterance, synthesize_corpus
+from ctcprobe.acoustic import (PhoneSegment, SynthConfig, Utterance,
+                               load_corpus, save_corpus, synthesize_corpus)
 from ctcprobe.model import LayerSpec, ModelConfig, TrainedModel, preset
 from ctcprobe.probing import (FrameDataset, TrainedProbe,
                               breakdown_by_ctc_symbol, confusion_matrix,
@@ -56,6 +58,112 @@ def greedy_categories(model, utts, strides_enabled=True):
 def rounded(x):
     """What a frame-dataset file keeps of float64 rows."""
     return np.asarray(x).astype(np.float32).astype(np.float64)
+
+
+@pytest.fixture(scope="module")
+def timit_splits(tmp_path_factory, corpus):
+    """`corpus` relabelled with TIMIT phones (reduced48 folds ax-h into ax)
+    and split into train and dev corpus files, as `load_corpus` reads them
+    back: float32 frames."""
+    cfg, utts = corpus
+    rename = dict(zip(cfg.phones, ["ax", "ax-h", "bcl", "s", "z"]))
+    tmp = tmp_path_factory.mktemp("timit")
+    splits = {}
+    for split, group in (("train", utts[:4]), ("dev", utts[4:])):
+        path = tmp / f"corpus_{split}.bin"
+        save_corpus(path, [Utterance(
+            u.frames, [PhoneSegment(rename[s.phone], s.start_frame,
+                                    s.end_frame) for s in u.segments],
+            u.transcript, u.id) for u in group])
+        splits[split] = load_corpus(path)
+    return splits
+
+
+@pytest.fixture(scope="module")
+def loaded_model(tmp_path_factory, mini_model):
+    """`mini_model` as its checkpoint loads it: float32."""
+    path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+    mini_model.save(path)
+    return TrainedModel.load(path)
+
+
+class TestCorpusViews:
+    VIEWS = [(window, scheme) for window in (0, 2)
+             for scheme in ("full", "sound_class", "reduced48")]
+
+    @pytest.mark.parametrize("strides", [True, False])
+    @pytest.mark.parametrize("split", ["train", "dev"])
+    def test_views_are_those_of_the_layer_zero_file(
+            self, tmp_path, timit_splits, loaded_model, split, strides):
+        utts = timit_splits[split]
+        inv = phoneset.timit_inventory()
+        path = tmp_path / "layer0.fds"
+        extract_frames(loaded_model, utts, [(0, path)], strides)
+        want = list(probing.load_views(path, self.VIEWS, inv))
+        got = list(probing.corpus_views(utts, strides, self.VIEWS, inv))
+        for a, b in zip(got, want, strict=True):
+            assert a.vectors.dtype == b.vectors.dtype == np.float32
+            np.testing.assert_array_equal(a.vectors, b.vectors)
+            np.testing.assert_array_equal(a.labels, b.labels)
+            assert (a.label_names, a.spans, a.provenance, a.digest) == (
+                b.label_names, b.spans, b.provenance, b.digest)
+        # Three schemes with three label sets, each at two windows.
+        assert len({view.digest for view in got}) == 6
+        assert got[0].label_names != got[2].label_names
+
+    def test_digest_hashes_the_tap_payload(self, tmp_path, timit_splits,
+                                           loaded_model):
+        # The bytes a layer-0 file's payload holds, its spans, then the
+        # view's window, label names and labels.
+        utts = timit_splits["dev"]
+        path = tmp_path / "layer0.fds"
+        extract_frames(loaded_model, utts, [(0, path)], True)
+        _header, payload = read_artifact(
+            path, probing.DATASET_MAGIC, probing.DATASET_VERSION,
+            "frame dataset", lambda h: 4 * h["n"] * (h["d"] + 1),
+            lambda h, p: (h, bytes(p)))
+        view, = probing.corpus_views(utts, True, [(2, "full")])
+        want = hashlib.sha256(payload)
+        for part in (view.spans, [2, view.label_names]):
+            want.update(json.dumps(part).encode())
+        want.update(view.labels)
+        assert view.digest == want.hexdigest()
+
+    def test_float64_frames_are_the_rounded_tap(self, tmp_path, corpus,
+                                                mini_model):
+        # A float64 model's file holds its input rounded to float32, and so
+        # do the views of float64 frames.
+        _cfg, utts = corpus
+        path = tmp_path / "layer0.fds"
+        extract_frames(mini_model, utts, [(0, path)], True)
+        want = probing.load_dataset(path, 1)
+        got, = probing.corpus_views(utts, True, [(1, "full")])
+        np.testing.assert_array_equal(got.vectors, want.vectors)
+        assert got.vectors.dtype == np.float32
+        assert got.digest == want.digest
+
+    def test_duplicate_ids_rejected(self, corpus):
+        _cfg, utts = corpus
+        twin = Utterance(utts[1].frames, utts[1].segments,
+                         utts[1].transcript, utts[0].id)
+        with pytest.raises(ValueError, match=utts[0].id):
+            probing.corpus_views([utts[0], twin], True, [(0, "full")])
+
+    def test_layer_zero_views_are_the_same_at_either_strides_setting(
+            self, timit_splits):
+        # The input does not depend on strides, so the probe stage shares
+        # one fit between the two settings' layer-0 views.
+        inv = phoneset.timit_inventory()
+        on, off = [list(probing.corpus_views(timit_splits["train"], strides,
+                                             self.VIEWS, inv))
+                   for strides in (True, False)]
+        for a, b in zip(on, off, strict=True):
+            np.testing.assert_array_equal(a.vectors, b.vectors)
+            np.testing.assert_array_equal(a.labels, b.labels)
+            assert (a.label_names, a.spans, a.digest) == (
+                b.label_names, b.spans, b.digest)
+            assert b.provenance["strides_enabled"] is False
+            assert a.provenance == {**b.provenance, "strides_enabled": True}
 
 
 class TestExtractFrames:
@@ -110,21 +218,6 @@ class TestExtractFrames:
         ds = extract(tmp_path, mini_model, utts, 3, strides_enabled=False,
                      inventory=inv)
         assert ds.n_frames == sum(u.n_frames for u in utts)
-
-    def test_layer_zero_file_is_the_same_at_either_strides_setting(
-            self, tmp_path, corpus, mini_model):
-        # The input tap does not depend on strides, so the probe stage
-        # shares one fit between the two settings' layer-0 views.
-        cfg, utts = corpus
-        inv = phoneset.synthetic_inventory(cfg.phones)
-        on, off = [extract(tmp_path, mini_model, utts, 0, strides,
-                           inventory=inv) for strides in (True, False)]
-        np.testing.assert_array_equal(on.vectors, off.vectors)
-        np.testing.assert_array_equal(on.labels, off.labels)
-        assert on.spans == off.spans
-        assert on.provenance["strides_enabled"] is True
-        assert off.provenance["strides_enabled"] is False
-        assert on.digest == off.digest
 
     @pytest.mark.parametrize("strides", [True, False])
     def test_view_is_windowed_tap_with_scheme_labels(self, tmp_path, corpus,
