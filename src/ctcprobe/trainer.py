@@ -28,25 +28,25 @@ ADAM_EPS = 1e-8
 
 
 # Adam walks each flattened parameter in slices of this many elements, so
-# its temporaries stay cache-sized (256 KiB of float64, 128 KiB of
-# float32) and are reused.
+# its temporary stays cache-sized (256 KiB of float64, 128 KiB of
+# float32) and is reused.
 ADAM_SLICE = 32768
 
 
 @dataclass
 class AdamState:
     t: int
-    m: dict
-    v: dict
+    u: dict   # first moments / (1 - b1), as adam_step keeps them
+    w: dict   # second moments / (1 - b2)
     alpha: float = ADAM_ALPHA
-    scratch: tuple = ()   # two buffers of one slice in the parameters'
-                          # dtype, reused by every step
+    scratch: np.ndarray | None = None   # one slice in the parameters'
+                                        # dtype, reused by every step
 
     @classmethod
     def init(cls, params, alpha=ADAM_ALPHA):
         return cls(t=0,
-                   m={k: np.zeros_like(v) for k, v in params.items()},
-                   v={k: np.zeros_like(v) for k, v in params.items()},
+                   u={k: np.zeros_like(v) for k, v in params.items()},
+                   w={k: np.zeros_like(v) for k, v in params.items()},
                    alpha=alpha)
 
 
@@ -55,13 +55,13 @@ def adam_step(params, grads, state: AdamState):
 
     Every gradient shape is checked before anything is written, so a bad
     one leaves `params` and `state` as they were.  The arithmetic follows
-    m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g;
-    p = p - (alpha_t*m) / (sqrt(v) + eps_hat)  with c = 1 - b**t,
-    alpha_t = alpha*sqrt(c2)/c1 and eps_hat = eps*sqrt(c2): Kingma and
-    Ba's efficient form (arXiv 1412.6980, section 2), the textbook update
-    in exact arithmetic with the bias corrections folded into two scalars.
-    Those are Python floats, so float32 parameters compute in float32.
-    The order of operations is that of the expressions, so results are
+    u = b1*u + g;  w = b2*w + g*g;  p = p - k_t*(u / (sqrt(w) + e_t))
+    with c = 1 - b**t, k_t = alpha*(1-b1)*sqrt(c2) / (c1*sqrt(1-b2)) and
+    e_t = eps*sqrt(c2)/sqrt(1-b2): Kingma and Ba's efficient form (arXiv
+    1412.6980, section 2) with unnormalised moments, the textbook update
+    in exact arithmetic in ten elementwise passes and one scratch buffer.
+    Python-float k_t and e_t keep float32 parameters in float32.  The
+    order of operations is that of the expressions, so results are
     bit-identical to evaluating them on whole arrays.
     """
     for name, p in params.items():
@@ -74,47 +74,47 @@ def adam_step(params, grads, state: AdamState):
                              f"it cannot be updated in place")
     n = min(ADAM_SLICE, max((p.size for p in params.values()), default=0))
     dtype = np.result_type(*params.values()) if params else np.float64
-    if (not state.scratch or state.scratch[0].size < n
-            or state.scratch[0].dtype != dtype):
-        state.scratch = (np.empty(n, dtype), np.empty(n, dtype))
-    s1, s2 = state.scratch
+    if (state.scratch is None or state.scratch.size < n
+            or state.scratch.dtype != dtype):
+        state.scratch = np.empty(n, dtype)
     state.t += 1
-    b1, b2, alpha, eps = ADAM_BETA1, ADAM_BETA2, state.alpha, ADAM_EPS
-    c1 = 1.0 - b1 ** state.t
-    c2 = 1.0 - b2 ** state.t
-    alpha_t = alpha * math.sqrt(c2) / c1
-    eps_hat = eps * math.sqrt(c2)
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    c1, c2 = 1.0 - b1 ** state.t, 1.0 - b2 ** state.t
+    k_t = (state.alpha * (1.0 - b1) * math.sqrt(c2)
+           / (c1 * math.sqrt(1.0 - b2)))
+    e_t = ADAM_EPS * math.sqrt(c2) / math.sqrt(1.0 - b2)
     for name, p in params.items():
         pf, gf = p.reshape(-1), grads[name].reshape(-1)
-        mf, vf = state.m[name].reshape(-1), state.v[name].reshape(-1)
+        uf, wf = state.u[name].reshape(-1), state.w[name].reshape(-1)
         for lo in range(0, pf.size, ADAM_SLICE):
             ps, g = pf[lo:lo + ADAM_SLICE], gf[lo:lo + ADAM_SLICE]
-            m, v = mf[lo:lo + ADAM_SLICE], vf[lo:lo + ADAM_SLICE]
-            a, b = s1[:ps.size], s2[:ps.size]
-            m *= b1
-            np.multiply(g, 1.0 - b1, out=a)
-            m += a
-            v *= b2
-            np.multiply(g, 1.0 - b2, out=a)
-            a *= g
-            v += a
-            np.multiply(m, alpha_t, out=a)
-            np.sqrt(v, out=b)
-            b += eps_hat
-            a /= b
+            u, w = uf[lo:lo + ADAM_SLICE], wf[lo:lo + ADAM_SLICE]
+            a = state.scratch[:ps.size]
+            u *= b1
+            u += g
+            w *= b2
+            np.multiply(g, g, out=a)
+            w += a
+            np.sqrt(w, out=a)
+            a += e_t
+            np.divide(u, a, out=a)
+            a *= k_t
             ps -= a
 
 
 def flush_subnormals(state: AdamState):
-    """Set every moment entry below its dtype's smallest normal to zero.
+    """Zero the moment entries below their dtype's smallest normal, by slice.
 
     A moment that decays into the subnormal range (float32 ones do, on a
     unit whose gradient has stayed zero) makes every later Adam step on it
     several times slower, and moves its parameter by under 1e-30.
     """
-    for moments in (state.m, state.v):
+    for moments in (state.u, state.w):
         for x in moments.values():
-            x[np.abs(x) < np.finfo(x.dtype).tiny] = 0.0
+            flat, tiny = x.reshape(-1), np.finfo(x.dtype).tiny
+            for lo in range(0, flat.size, ADAM_SLICE):
+                s = flat[lo:lo + ADAM_SLICE]
+                s[np.abs(s) < tiny] = 0.0
 
 
 def check_int(name, value, low):

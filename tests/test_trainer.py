@@ -13,37 +13,43 @@ from ctcprobe.trainer import (AdamState, ProbeConfig, TrainConfig, adam_step,
                               train_probe)
 
 
-def reference_adam_step(params, grads, state: AdamState, folded=False):
-    """One bias-corrected Adam update on whole arrays; returns
-    (new_params, new_state) and leaves its inputs alone.
-
-    By default it is the textbook form, the oracle `adam_step` agrees with
-    to rounding.  ``folded`` evaluates Kingma and Ba's efficient form, the
-    one `adam_step` slices, with Python-float scalars as `adam_step` must
-    use, so it is `adam_step`'s bit-exact reference.
-    """
+def reference_adam_step(params, grads, state: AdamState):
+    """`adam_step`'s update on whole arrays, with Python-float scalars as
+    `adam_step` must use, so it is `adam_step`'s bit-exact reference.
+    Returns (new_params, new_state) and leaves its inputs alone."""
     t = state.t + 1
     b1, b2 = trainer.ADAM_BETA1, trainer.ADAM_BETA2
     c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
-    new_params, new_m, new_v = {}, {}, {}
+    k_t = (state.alpha * (1.0 - b1) * math.sqrt(c2)
+           / (c1 * math.sqrt(1.0 - b2)))
+    e_t = trainer.ADAM_EPS * math.sqrt(c2) / math.sqrt(1.0 - b2)
+    new_params, new_u, new_w = {}, {}, {}
     for name, p in params.items():
         g = grads[name]
-        if g.shape != p.shape:
-            raise ValueError(
-                f"gradient shape {g.shape} != parameter shape {p.shape} "
-                f"for {name!r}")
-        m = b1 * state.m[name] + (1.0 - b1) * g
-        v = b2 * state.v[name] + (1.0 - b2) * g * g
-        if folded:
-            alpha_t = state.alpha * math.sqrt(c2) / c1
-            eps_hat = trainer.ADAM_EPS * math.sqrt(c2)
-            new_params[name] = p - alpha_t * m / (np.sqrt(v) + eps_hat)
-        else:
-            new_params[name] = (p - state.alpha * (m / c1)
-                                / (np.sqrt(v / c2) + trainer.ADAM_EPS))
-        new_m[name] = m
-        new_v[name] = v
-    return new_params, AdamState(t=t, m=new_m, v=new_v, alpha=state.alpha)
+        new_u[name] = b1 * state.u[name] + g
+        new_w[name] = b2 * state.w[name] + g * g
+        new_params[name] = p - k_t * (new_u[name]
+                                      / (np.sqrt(new_w[name]) + e_t))
+    return new_params, AdamState(t=t, u=new_u, w=new_w, alpha=state.alpha)
+
+
+def textbook_adam_step(params, m, v, grads, t):
+    """Step ``t`` of textbook bias-corrected Adam (Kingma and Ba,
+    Algorithm 1) in float64 on whole arrays: replaces the entries of the
+    dicts ``params``, ``m`` and ``v``.  `adam_step` agrees with it to
+    rounding."""
+    b1, b2 = trainer.ADAM_BETA1, trainer.ADAM_BETA2
+    c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    for name, p in params.items():
+        g = grads[name].astype(np.float64)
+        m[name] = b1 * m[name] + (1.0 - b1) * g
+        v[name] = b2 * v[name] + (1.0 - b2) * g * g
+        params[name] = p - (trainer.ADAM_ALPHA * (m[name] / c1)
+                            / (np.sqrt(v[name] / c2) + trainer.ADAM_EPS))
+
+
+def float64_zeros(params):
+    return {k: np.zeros(p.shape) for k, p in params.items()}
 
 
 def adam_case(size, dtype, steps):
@@ -69,14 +75,28 @@ def adam_case(size, dtype, steps):
 
 # Largest |adam_step - textbook| of a float64 parameter over
 # `test_float64_agrees_with_textbook_form`'s 48 steps, as a fraction of the
-# parameter's largest entry.  The moments are bit-identical; the update
-# differs by rounding.  Measured worst 2.1e-16 (48 steps, three gradient
-# seeds, each of ADAM_SIZES); the bound is two float64 epsilons.
+# parameter's largest entry.  Measured worst 1.1e-16 (48 steps, three
+# gradient seeds, each of ADAM_SIZES; 2.1e-16 when the moments kept their
+# (1 - b) factors); the bound is two float64 epsilons.  Per step, it also
+# bounds how far rounding moves a moment times (1 - b) from the textbook
+# moment, as a fraction of the moment's sum of absolute terms: measured
+# worst 1.6 float64 epsilons a step (five gradient seeds).
 ADAM_TEXTBOOK_AGREEMENT = 2 * np.finfo(np.float64).eps
+
+# Largest |adam_step - textbook| of a float32 parameter over 48 steps, as
+# a fraction of the float64 textbook parameter's largest entry: float32
+# rounds the parameter once a step.  Measured worst 6.2e-7 (5.2 float32
+# epsilons) on `adam_case`'s gradients and 9.5e-7 over ten gradient seeds,
+# each of ADAM_SIZES, the same with moments scaled by (1 - b) and without;
+# the bound is sixteen float32 epsilons.
+ADAM_FLOAT32_AGREEMENT = 16 * np.finfo(np.float32).eps
 
 
 # Below one Adam slice, exactly one, and several plus a remainder.
 ADAM_SIZES = (1, 1000, trainer.ADAM_SLICE, 3 * trainer.ADAM_SLICE + 123)
+ADAM_SIZE_DTYPES = [
+    *[pytest.param(n, np.float64, id=str(n)) for n in ADAM_SIZES],
+    *[pytest.param(n, np.float32, id=f"{n}-float32") for n in ADAM_SIZES]]
 
 
 class TestAdam:
@@ -127,13 +147,13 @@ class TestAdam:
         adam_step(params, {k: rng.normal(size=p.shape)
                            for k, p in params.items()}, state)
         before = ({k: p.copy() for k, p in params.items()},
-                  {k: m.copy() for k, m in state.m.items()},
-                  {k: v.copy() for k, v in state.v.items()})
+                  {k: u.copy() for k, u in state.u.items()},
+                  {k: w.copy() for k, w in state.w.items()})
         bad = {"a": rng.normal(size=5), "b": rng.normal(size=(3, 2))}
         with pytest.raises(ValueError, match="'b'"):
             adam_step(params, bad, state)
         assert state.t == 1
-        for live, saved in zip((params, state.m, state.v), before):
+        for live, saved in zip((params, state.u, state.w), before):
             for k in saved:
                 np.testing.assert_array_equal(live[k], saved[k])
 
@@ -161,48 +181,71 @@ class TestAdam:
             assert params["w"][0] != prev[0]
             assert abs(params["w"][0] - prev[0]) <= 0.001 * (1.0 + 1e-6)
 
-    @pytest.mark.parametrize("size, dtype", [
-        *[pytest.param(n, np.float64, id=str(n)) for n in ADAM_SIZES],
-        *[pytest.param(n, np.float32, id=f"{n}-float32") for n in ADAM_SIZES]])
+    @pytest.mark.parametrize("size, dtype", ADAM_SIZE_DTYPES)
     def test_bit_identical_to_whole_array_reference(self, size, dtype):
-        # Slicing changes no bit: the whole-array folded form, parameters
-        # and gradients in one dtype, which the reference computes in too.
-        # Its scalars are Python floats, so an np.float64 scalar in
-        # adam_step, which takes float32 arithmetic through float64 under
-        # NEP 50, fails the float32 cases.
+        # Slicing changes no bit: the whole-array form with unnormalised
+        # moments, parameters and gradients in one dtype, which the
+        # reference computes in too.  Its scalars are Python floats, so an
+        # np.float64 scalar in adam_step, which takes float32 arithmetic
+        # through float64 under NEP 50, fails the float32 cases.
         params, steps_grads = adam_case(size, dtype, 24)
-        ref = {k: p.copy() for k, p in params.items()}
-        ref_state = AdamState.init(ref)
-        state = AdamState.init(params)
-        for grads in steps_grads:
-            ref, ref_state = reference_adam_step(ref, grads, ref_state,
-                                                 folded=True)
-            adam_step(params, grads, state)
-            assert state.t == ref_state.t
-            assert state.scratch[0].dtype == dtype
-            for k in params:
-                assert params[k].dtype == ref[k].dtype == dtype
-                np.testing.assert_array_equal(params[k], ref[k])
-                np.testing.assert_array_equal(state.m[k], ref_state.m[k])
-                np.testing.assert_array_equal(state.v[k], ref_state.v[k])
-
-    @pytest.mark.parametrize("size", ADAM_SIZES)
-    def test_float64_agrees_with_textbook_form(self, size):
-        # Folding the bias corrections into alpha_t and eps_hat is the
-        # textbook update in exact arithmetic: the moments stay bit for
-        # bit, and the parameters agree to rounding.
-        params, steps_grads = adam_case(size, np.float64, 48)
         ref = {k: p.copy() for k, p in params.items()}
         ref_state = AdamState.init(ref)
         state = AdamState.init(params)
         for grads in steps_grads:
             ref, ref_state = reference_adam_step(ref, grads, ref_state)
             adam_step(params, grads, state)
+            assert state.t == ref_state.t
+            assert state.scratch.dtype == dtype
             for k in params:
-                np.testing.assert_array_equal(state.m[k], ref_state.m[k])
-                np.testing.assert_array_equal(state.v[k], ref_state.v[k])
+                assert params[k].dtype == ref[k].dtype == dtype
+                np.testing.assert_array_equal(params[k], ref[k])
+                np.testing.assert_array_equal(state.u[k], ref_state.u[k])
+                np.testing.assert_array_equal(state.w[k], ref_state.w[k])
+
+    @pytest.mark.parametrize("size", ADAM_SIZES)
+    def test_float64_agrees_with_textbook_form(self, size):
+        # Moments kept without their (1 - b) factors, with the bias
+        # corrections folded into k_t and e_t, are the textbook update in
+        # exact arithmetic.  The parameters agree to rounding, and each
+        # step's rounding moves a moment times (1 - b) from the textbook
+        # one by at most ADAM_TEXTBOOK_AGREEMENT of the moment's sum of
+        # absolute terms (v's terms are all >= 0).
+        b1, b2 = trainer.ADAM_BETA1, trainer.ADAM_BETA2
+        params, steps_grads = adam_case(size, np.float64, 48)
+        ref = {k: p.copy() for k, p in params.items()}
+        m, v, m_abs = (float64_zeros(params) for _ in range(3))
+        state = AdamState.init(params)
+        for t, grads in enumerate(steps_grads, 1):
+            textbook_adam_step(ref, m, v, grads, t)
+            adam_step(params, grads, state)
+            for k in params:
+                m_abs[k] = b1 * m_abs[k] + (1.0 - b1) * np.abs(grads[k])
+                bound = t * ADAM_TEXTBOOK_AGREEMENT
+                assert np.all(np.abs(state.u[k] * (1.0 - b1) - m[k])
+                              <= bound * m_abs[k]), k
+                assert np.all(np.abs(state.w[k] * (1.0 - b2) - v[k])
+                              <= bound * v[k]), k
                 worst = np.abs(params[k] - ref[k]).max()
                 assert worst <= (ADAM_TEXTBOOK_AGREEMENT
+                                 * np.abs(ref[k]).max()), k
+
+    @pytest.mark.parametrize("size", ADAM_SIZES)
+    def test_float32_agrees_with_float64_textbook_form(self, size):
+        # Every probe trains in float32: its parameters stay within
+        # ADAM_FLOAT32_AGREEMENT of the float64 textbook update run on the
+        # same float32 start and gradients.
+        params, steps_grads = adam_case(size, np.float32, 48)
+        ref = {k: p.astype(np.float64) for k, p in params.items()}
+        m, v = float64_zeros(params), float64_zeros(params)
+        state = AdamState.init(params)
+        for t, grads in enumerate(steps_grads, 1):
+            textbook_adam_step(ref, m, v, grads, t)
+            adam_step(params, grads, state)
+            for k in params:
+                assert params[k].dtype == np.float32
+                worst = np.abs(params[k] - ref[k]).max()
+                assert worst <= (ADAM_FLOAT32_AGREEMENT
                                  * np.abs(ref[k]).max()), k
 
 
@@ -226,39 +269,74 @@ def capture_adam_states(monkeypatch):
 
 class TestFlushSubnormals:
     def test_float32_moments_gone_subnormal_become_zero(self):
-        # One step, then zero gradients: m decays by b1 and v by b2 a
-        # step.  From these gradients m[3] and v[2] sink below float32's
-        # smallest normal while the rest stay normal.
+        # One step, then zero gradients: u decays by b1 and w by b2 a
+        # step.  From these gradients u[3] and w[2] (from 1.1e-19 squared,
+        # just above float32's smallest normal) sink below that normal
+        # while the rest stay normal or, as (1e-36)**2 does, zero.
         params = {"w": np.zeros(4, np.float32)}
         state = AdamState.init(params)
-        adam_step(params, {"w": np.array([1.0, -1e-3, 1e-18, -1e-36],
+        adam_step(params, {"w": np.array([1.0, -1e-3, 1.1e-19, -1e-36],
                                          np.float32)}, state)
+        assert not subnormal(state.u["w"]).any()
+        assert not subnormal(state.w["w"]).any()
         for _ in range(60):
             adam_step(params, {"w": np.zeros(4, np.float32)}, state)
-        m, v = state.m["w"].copy(), state.v["w"].copy()
-        assert subnormal(m).tolist() == [False, False, False, True]
-        assert subnormal(v).tolist() == [False, False, True, False]
+        u, w = state.u["w"].copy(), state.w["w"].copy()
+        assert subnormal(u).tolist() == [False, False, False, True]
+        assert subnormal(w).tolist() == [False, False, True, False]
         trainer.flush_subnormals(state)
-        for before, after in ((m, state.m["w"]), (v, state.v["w"])):
+        for before, after in ((u, state.u["w"]), (w, state.w["w"])):
             assert after.dtype == np.float32
             np.testing.assert_array_equal(
                 after.view(np.uint32),
                 np.where(subnormal(before), 0, before).view(np.uint32))
 
+    @pytest.mark.parametrize("size, dtype", ADAM_SIZE_DTYPES)
+    def test_sliced_flush_matches_whole_array(self, size, dtype):
+        # Moments drawn from subnormals and zeros of both signs, the
+        # smallest normal and larger values, with subnormals planted on
+        # both sides of every slice boundary: the same bits as flushing
+        # each moment whole.
+        tiny = np.finfo(dtype).tiny
+        pool = np.array([tiny / 2, -tiny / 3, np.nextafter(tiny, 0),
+                         tiny, -tiny, 0.0, -0.0, 1.0, -1e-20], dtype)
+        rng = np.random.default_rng(size)
+        params, _ = adam_case(size, dtype, 0)
+        state = AdamState.init(params)
+        for moments in (state.u, state.w):
+            for x in moments.values():
+                flat = x.reshape(-1)
+                flat[...] = rng.choice(pool, size=flat.size)
+                for edge in range(trainer.ADAM_SLICE, flat.size,
+                                  trainer.ADAM_SLICE):
+                    flat[edge - 1], flat[edge] = tiny / 2, -tiny / 4
+                    assert subnormal(flat[edge - 1:edge + 1]).all()
+        want = [{k: x.copy() for k, x in moments.items()}
+                for moments in (state.u, state.w)]
+        for moments in want:
+            for x in moments.values():
+                x[np.abs(x) < tiny] = 0.0
+        trainer.flush_subnormals(state)
+        for moments, expected in zip((state.u, state.w), want):
+            for k, x in moments.items():
+                bits = f"u{x.itemsize}"
+                np.testing.assert_array_equal(x.view(bits),
+                                              expected[k].view(bits))
+
     @staticmethod
     def fit_one_pulse(monkeypatch):
         """Two epochs of 100 `_fit` steps on a float32 vector whose
-        gradient is nonzero on the first step only; (m, v) after each."""
+        gradient is nonzero on the first step only; (u, w) after each."""
         states = capture_adam_states(monkeypatch)
         params = {"w": np.zeros(3, np.float32)}
-        pulse = iter([np.array([1.0, 1e-18, 1e-33], np.float32)])
+        pulse = iter([np.array([1.0, 1.1e-19, 1e-34], np.float32)])
         seen = []
 
         def batch_grads(_idx):
             return [0.0], {"w": next(pulse, np.zeros(3, np.float32))}
 
         def dev_row():
-            seen.append((states[-1].m["w"].copy(), states[-1].v["w"].copy()))
+            seen.append((states[-1].u["w"].copy(), states[-1].w["w"].copy()))
             return {"dev_loss": 0.0}
 
         trainer._fit(params, params, 100, ProbeConfig(epochs=2, batch_size=1),
@@ -267,11 +345,11 @@ class TestFlushSubnormals:
 
     def test_fit_leaves_no_subnormal_moment_after_any_epoch(self,
                                                            monkeypatch):
-        # 100 steps take m[2] (from 1e-33) and v[1] (from 1e-18) into the
-        # subnormal range by the end of epoch 1.
+        # 100 steps take u[2] (from 1e-34) and w[1] (from 1.1e-19 squared)
+        # into the subnormal range by the end of epoch 1.
         flushed = self.fit_one_pulse(monkeypatch)
-        for m, v in flushed:
-            assert not subnormal(m).any() and not subnormal(v).any()
+        for u, w in flushed:
+            assert not subnormal(u).any() and not subnormal(w).any()
         assert flushed[0][0][2] == 0 and flushed[0][1][1] == 0
         monkeypatch.setattr(trainer, "flush_subnormals", lambda state: None)
         kept = self.fit_one_pulse(monkeypatch)
@@ -289,8 +367,8 @@ class TestFlushSubnormals:
         params, state = run()
         monkeypatch.setattr(trainer, "flush_subnormals", lambda state: None)
         bare_params, bare_state = run()
-        for live, bare in ((params, bare_params), (state.m, bare_state.m),
-                           (state.v, bare_state.v)):
+        for live, bare in ((params, bare_params), (state.u, bare_state.u),
+                           (state.w, bare_state.w)):
             assert set(live) == set(bare)
             for k in live:
                 assert live[k].dtype == np.float64
