@@ -11,14 +11,18 @@ parameters' dtype: every array it allocates takes that dtype, and `cast`
 changes it for a whole stack.  Layers are built float64.
 
 A recurrent layer takes a minibatch as a zero-padded, time-major
-(T, B, D) array and the utterances' lengths.  The input projection and
-batch norm run per utterance; the cell recurrence steps every utterance
-at once, longest first, each dropping out when it ends.  A step's
-recurrent product is one stacked matrix-vector product (`np.matmul` of Wh
-and a (B, H, 1) stack), which makes the same BLAS gemv call per utterance
-as the utterance alone; a (B, H) GEMM would round differently.  So a
-batch gives its utterances' outputs and gradients bit for bit, the
-gradients summed in utterance order.
+(T, B, D) array and the utterances' lengths.  Each direction's input
+projection, batch norm and parameter gradients run per utterance.  The
+cell recurrence steps both directions and every utterance at once, along
+a direction axis (the backward direction reads each utterance
+time-reversed), longest utterance first, each dropping out when it ends.
+A step's recurrent product is one stacked matrix-vector product
+(`np.matmul` of the two directions' Wh, stacked (2, 1, G, H), and a
+(2, B, H, 1) stack of states), which makes the same BLAS gemv call per
+direction and utterance as the utterance alone; a (B, H) GEMM would round
+differently.  The cell's elementwise equations run once per step on
+(2, B, ...) arrays.  So a batch gives its utterances' outputs and
+gradients bit for bit, the gradients summed in utterance order.
 
 Convolution unfolds each time-stride phase of its input along frequency
 once per pass; forward and ``dx`` are one BLAS GEMM per phase and row
@@ -38,6 +42,16 @@ BN_MOMENTUM = 0.1
 # input gradient work through their time rows in blocks of this size, so
 # their scratch memory does not grow with the utterance.
 CONV_BLOCK_BYTES = 1 << 21
+
+
+def _unfold(a, k, step, n):
+    """The first ``n`` windows of ``k`` columns, every ``step``-th, along
+    axis 1 of a (rows, columns, channels) array: a (rows, n, channels, k)
+    view, ``sliding_window_view(a, k, axis=1)[:, :step * n:step]``."""
+    s0, s1, s2 = a.strides
+    return np.lib.stride_tricks.as_strided(
+        a, (a.shape[0], n, a.shape[2], k), (s0, step * s1, s2, s1),
+        writeable=False)
 
 
 def uniform_init(rng, shape, fan_in):
@@ -71,7 +85,7 @@ def drop_caches(layers):
     """Forget what train-mode forwards of ``layers`` and their sub-blocks
     cached and no backward has taken."""
     for block in layers:
-        block._cache.clear()
+        getattr(block, "_cache", []).clear()  # a direction caches nothing
         drop_caches(_sub_blocks(block))
 
 
@@ -116,10 +130,17 @@ class BatchNorm:
         self._cache = []
 
     def forward(self, x, train):
-        gamma = self.params["gamma"]
+        """``gamma * xhat + beta``, ``xhat`` normalised by the batch's
+        statistics in train mode and by the running ones in eval mode.
+        Every (N, C) array it makes is one it returns or caches."""
         if train:
             mu = x.mean(axis=0)
-            var = x.var(axis=0)
+            d = x - mu
+            # x.var(axis=0) without its second mean and subtraction: the
+            # same sum of squares over the same divisor.  The squares'
+            # array then holds the output.
+            out = np.square(d)
+            var = out.sum(axis=0) / len(x)
             m = BN_MOMENTUM
             # In place, so the model's registry keeps pointing at them.
             for name, batch in (("running_mean", mu), ("running_var", var)):
@@ -127,25 +148,31 @@ class BatchNorm:
                 running *= 1 - m
                 running += m * batch
         else:
-            mu = self.buffers["running_mean"]
             var = self.buffers["running_var"]
+            d = out = x - self.buffers["running_mean"]
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = (x - mu) * inv_std
+        xhat = np.multiply(d, inv_std, out=d)
         if train:
             # Cache only for backward; eval-mode forward stays mutation-free
             # so it is safe to call concurrently.
             self._cache.append((xhat, inv_std))
-        return gamma * xhat + self.params["beta"]
+        np.multiply(self.params["gamma"], xhat, out=out)
+        out += self.params["beta"]
+        return out
 
     def backward(self, dy):
         """Gradients through the batch statistics of the oldest cached
-        train-mode forward."""
+        train-mode forward: ``dx = inv_std * (dxhat - mean(dxhat) - xhat *
+        mean(dxhat * xhat))`` with ``dxhat = dy * gamma``, made in two
+        (N, C) arrays."""
         xhat, inv_std = self._cache.pop(0)
-        gamma = self.params["gamma"]
-        grads = {"gamma": (dy * xhat).sum(axis=0), "beta": dy.sum(axis=0)}
-        dxhat = dy * gamma
-        dx = inv_std * (dxhat - dxhat.mean(axis=0)
-                        - xhat * (dxhat * xhat).mean(axis=0))
+        prod = dy * xhat
+        grads = {"gamma": prod.sum(axis=0), "beta": dy.sum(axis=0)}
+        dx = dy * self.params["gamma"]
+        m = np.multiply(dx, xhat, out=prod).mean(axis=0)
+        dx -= dx.mean(axis=0)
+        dx -= np.multiply(xhat, m, out=prod)
+        dx *= inv_std
         return dx, grads
 
 
@@ -189,8 +216,7 @@ class ConvLayer:
         q0+n-1, which are the padded input rows p + st*q."""
         kf = self.spec.kernel[1]
         rows = xp[p + st * q0::st][:n]  # (n, Fp, c_in)
-        win = np.lib.stride_tricks.sliding_window_view(rows, kf, axis=1)
-        return np.ascontiguousarray(win[:, :sf * f_out:sf]).reshape(
+        return np.ascontiguousarray(_unfold(rows, kf, sf, f_out)).reshape(
             -1, rows.shape[2] * kf)
 
     def _correlate(self, xp, st, sf, t_out, f_out):
@@ -247,8 +273,8 @@ class ConvLayer:
                     // (dil.itemsize * f_cov * (c_out * kf + kt * c_in)))
         for t0 in reversed(range(0, t_out, block)):
             nb = min(block, t_out - t0)
-            cols = np.lib.stride_tricks.sliding_window_view(
-                dil[t0:t0 + nb], kf, axis=1).reshape(nb * f_cov, c_out * kf)
+            cols = _unfold(dil[t0:t0 + nb], kf, 1, f_cov).reshape(
+                nb * f_cov, c_out * kf)
             for p, w in enumerate(w_ph):
                 prod = (cols @ w).reshape(nb, f_cov, -1, c_in)
                 for j in range(prod.shape[2]):
@@ -260,7 +286,10 @@ class ConvLayer:
     def _padded(self, x):
         """The (c_in, t, f) input as padded (Tp, Fp, c_in) rows."""
         pt, pf = self.spec.padding
-        return np.pad(x.transpose(1, 2, 0), ((pt, pt), (pf, pf), (0, 0)))
+        c, t, f = x.shape
+        xp = np.zeros((t + 2 * pt, f + 2 * pf, c), x.dtype)
+        xp[pt:pt + t, pf:pf + f] = x.transpose(1, 2, 0)
+        return xp
 
     def forward(self, x, train, stride_t=None):
         spec = self.spec
@@ -334,142 +363,43 @@ def _sigmoid(x, out=None):
 
 
 class _Direction:
-    """One direction of a recurrent layer over a batch of direction-ordered
-    utterances.  Per utterance, in batch order: the input projection and
-    optional sequence-wise BN on the input-to-hidden pre-activation.  Then
-    the tanh-RNN or LSTM cell recurrence steps all of them at once.  LSTM
-    gate rows are i, f, g, o."""
+    """One direction of a recurrent layer: its input projection Wx,
+    recurrent weights Wh and bias b, LSTM gate rows i, f, g, o, and the
+    optional sequence-wise BN on the input-to-hidden pre-activation.  It
+    projects and differentiates one utterance at a time; `RecurrentLayer`
+    steps both directions' recurrences together."""
 
-    def __init__(self, in_size, hidden, lstm, rng, batchnorm):
-        self.hidden = hidden
-        self.lstm = lstm
-        gates = 4 if lstm else 1
+    def __init__(self, in_size, hidden, gates, rng, batchnorm):
         self.params = {
             "Wx": uniform_init(rng, (gates * hidden, in_size), in_size),
             "Wh": uniform_init(rng, (gates * hidden, hidden), hidden),
             "b": np.zeros(gates * hidden),
         }
         self.bn = BatchNorm(gates * hidden) if batchnorm else None
-        self._cache = []
 
-    def _gates(self, a):
-        """The i, f, g and o columns of (..., 4*hidden) gate arrays."""
-        H = self.hidden
-        return [a[..., k * H:(k + 1) * H] for k in range(4)]
+    def project(self, x, train):
+        """The (T, gates*hidden) input-to-hidden pre-activation of one
+        direction-ordered utterance ``x``."""
+        z = x @ self.params["Wx"].T
+        return z if self.bn is None else self.bn.forward(z, train)
 
-    def forward(self, xs, train):
-        """Hidden states of each utterance of ``xs``, one (T_b, hidden)
-        array each; only a train-mode pass caches.
+    def backward(self, x, dz, hs, grads, prefix, input_grad):
+        """Add one utterance's parameter gradients into ``grads`` (see
+        `add_grads`) and return its input gradient, None without
+        ``input_grad``, for the oldest cached projection.  ``dz`` is its
+        pre-activation gradient and ``hs`` its states h_0 .. h_{T-2},
+        contiguous, the arrays the utterance alone would have."""
+        dzx, bn_grads = (dz, {}) if self.bn is None else self.bn.backward(dz)
+        add_grads(grads, {"Wx": dzx.T @ x,
+                          **{f"bn.{k}": v for k, v in bn_grads.items()},
+                          # h_{-1} = 0, so step 0 adds nothing to dWh.
+                          "Wh": dz[1:].T @ hs, "b": dz.sum(axis=0)}, prefix)
+        return dzx @ self.params["Wx"] if input_grad else None
 
-        The recurrence holds utterance u in column ``slot[u]`` of (time,
-        column, unit) arrays, longest first; over each (n, start, stop) of
-        ``runs`` the first n columns are running.  Row t + 1 of ``hs`` and
-        ``cs`` is the state after step t; row 0 is zero.  ``hs`` has a
-        trailing unit axis, so that a step's states are a (n, hidden, 1)
-        stack, which ``np.matmul`` multiplies by Wh one gemv at a time.
-        """
-        wh = self.params["Wh"]
-        H, lstm = self.hidden, self.lstm
-        lengths = [len(x) for x in xs]
-        B = len(xs)
-        slot, runs = _columns(lengths)
-        T = max(lengths, default=0)
-        zn = np.zeros((T, B, wh.shape[0]), wh.dtype)
-        for u, x in enumerate(xs):
-            z = x @ self.params["Wx"].T
-            if self.bn is not None:
-                z = self.bn.forward(z, train)
-            zn[:len(x), slot[u]] = z
-        hs = np.zeros((T + 1, B, H, 1), wh.dtype)
-        cs = np.zeros((T + 1, B, H), wh.dtype) if lstm else None
-        acts = np.zeros((T, B, 4 * H), wh.dtype) if lstm else None
-        pre = np.empty((B, wh.shape[0]), wh.dtype)
-        # b in every row, as a broadcast add is slower on a few rows.
-        bias = np.empty_like(pre)
-        bias[...] = self.params["b"]
-        for n, start, stop in runs:
-            z, h_in, h, p, b = (zn[:, :n], hs[:, :n], hs[:, :n, :, 0],
-                                pre[:n], bias[:n])
-            p_out = p[:, :, None]
-            if lstm:
-                c, a = cs[:, :n], acts[:, :n]
-                i, f, g, o = self._gates(a)
-            for t in range(start, stop):
-                np.matmul(wh, h_in[t], out=p_out)
-                p += z[t]
-                p += b
-                if lstm:
-                    _sigmoid(p, out=a[t])  # g's columns are replaced next
-                    np.tanh(p[:, 2 * H:3 * H], out=g[t])
-                    np.add(f[t] * c[t], i[t] * g[t], out=c[t + 1])
-                    np.multiply(o[t], np.tanh(c[t + 1]), out=h[t + 1])
-                else:
-                    np.tanh(p, out=h[t + 1])
-        if train:
-            self._cache.append((xs, slot, runs, hs, cs, acts))
-        return [hs[1:n + 1, slot[u], :, 0] for u, n in enumerate(lengths)]
 
-    def backward(self, dhs, input_grad=True):
-        """(dxs, grads) for the oldest cached forward: ``dhs`` holds each
-        utterance's direction-ordered output gradient, ``dxs`` its input
-        gradient (None without ``input_grad``), and ``grads`` sums the
-        utterances' parameter gradients in batch order."""
-        xs, slot, runs, hs, cs, acts = self._cache.pop(0)
-        wh = self.params["Wh"]
-        H, lstm = self.hidden, self.lstm
-        T, B = hs.shape[0] - 1, hs.shape[1]
-        dh_seq = np.zeros((T, B, H), wh.dtype)
-        for u, d in enumerate(dhs):
-            dh_seq[:len(d), slot[u]] = d
-        # With a trailing unit axis, as the stack ``np.matmul`` takes.
-        dzn = np.zeros((T, B, wh.shape[0], 1), wh.dtype)
-        # Gradients reaching step t from step t + 1; a column's rows stay
-        # zero until its utterance's last step.
-        dh_next = np.zeros((B, H), wh.dtype)
-        dc_next = np.zeros((B, H), wh.dtype)
-        for n, start, stop in reversed(runs):
-            d_seq, dz_in, dz, dh_n = (dh_seq[:, :n], dzn[:, :n],
-                                      dzn[:, :n, :, 0], dh_next[:n])
-            dh_out = dh_n[:, :, None]
-            h = hs[:, :n, :, 0]
-            if lstm:
-                c, a, dc_n = cs[:, :n], acts[:, :n], dc_next[:n]
-                i, f, g, o = self._gates(a)
-                dzi, dzf, dzg, dzo = self._gates(dz)
-            for t in range(stop - 1, start - 1, -1):
-                dh = d_seq[t] + dh_n
-                if lstm:
-                    tc = np.tanh(c[t + 1])
-                    dc = dc_n + dh * o[t] * (1.0 - tc ** 2)
-                    # Each gate's upstream factor, then its own derivative:
-                    # a * (1 - a) for i, f and o, 1 - g^2 for g.
-                    np.multiply(dc, g[t], out=dzi[t])
-                    np.multiply(dc, c[t], out=dzf[t])
-                    np.multiply(dc, i[t], out=dzg[t])
-                    np.multiply(dh, tc, out=dzo[t])
-                    np.multiply(dc, f[t], out=dc_n)
-                    dg = dzg[t] * (1.0 - g[t] ** 2)
-                    dz[t] *= a[t]
-                    dz[t] *= 1.0 - a[t]
-                    dzg[t] = dg
-                else:
-                    np.multiply(dh, 1.0 - h[t + 1] ** 2, out=dz[t])
-                np.matmul(wh.T, dz_in[t], out=dh_out)
-        grads, dxs = {}, []
-        for u, x in enumerate(xs):
-            n = len(x)
-            # Contiguous copies: the arrays an utterance alone would have.
-            dzn_u = np.ascontiguousarray(dzn[:n, slot[u], :, 0])
-            hs_u = np.ascontiguousarray(hs[1:n, slot[u], :, 0])
-            dz, bn_grads = ((dzn_u, {}) if self.bn is None
-                            else self.bn.backward(dzn_u))
-            add_grads(grads, {
-                "Wx": dz.T @ x, **{f"bn.{k}": v for k, v in bn_grads.items()},
-                # h_{-1} = 0, so step 0 adds nothing to dWh.
-                "Wh": dzn_u[1:].T @ hs_u, "b": dzn_u.sum(axis=0)})
-            if input_grad:
-                dxs.append(dz @ self.params["Wx"])
-        return (dxs if input_grad else None), grads
+def _gates(a, hidden):
+    """The i, f, g and o columns of (..., 4*hidden) gate arrays."""
+    return [a[..., k * hidden:(k + 1) * hidden] for k in range(4)]
 
 
 def _columns(lengths):
@@ -486,6 +416,84 @@ def _columns(lengths):
                   if ends[n] < ends[n - 1]]
 
 
+def _recur(wh, b, zn, hs, cs, runs):
+    """Step the recurrence: fill the states ``hs`` and, for an LSTM, ``cs``
+    from the input pre-activations ``zn`` and the stacked weights ``wh``
+    and biases ``b``.  Step t reads only row t of ``zn`` and reads it
+    first, so the row may take what the step writes: an LSTM step
+    overwrites it with its gate activations, and a simple RNN's ``zn`` may
+    be rows 1 .. T of ``hs``."""
+    H = hs.shape[3]
+    pre = np.empty(zn.shape[1:], zn.dtype)
+    # b in every row, as a broadcast add is slower on a few rows.
+    bias = np.empty_like(pre)
+    bias[...] = b
+    for n, start, stop in runs:
+        z, h, p, bias_n = zn[:, :, :n], hs[:, :, :n], pre[:, :n], bias[:, :n]
+        h_in, p_out = h[..., None], p[..., None]
+        if cs is not None:
+            c = cs[:, :, :n]
+            i, f, g, o = _gates(z, H)  # activations, once a step wrote them
+        for t in range(start, stop):
+            np.matmul(wh, h_in[t], out=p_out)
+            p += z[t]
+            p += bias_n
+            if cs is not None:
+                _sigmoid(p, out=z[t])  # g's columns are replaced next
+                np.tanh(p[..., 2 * H:3 * H], out=g[t])
+                np.add(f[t] * c[t], i[t] * g[t], out=c[t + 1])
+                np.multiply(o[t], np.tanh(c[t + 1]), out=h[t + 1])
+            else:
+                np.tanh(p, out=h[t + 1])
+
+
+def _recur_grad(wh_t, dh_seq, hs, cs, acts, runs):
+    """The pre-activation gradients of the recurrence, given the gradients
+    ``dh_seq`` of its states.  Step t overwrites row t of an array that no
+    other step reads: a simple RNN's gradients take the rows of
+    ``dh_seq``, an LSTM's those of its gate activations ``acts``."""
+    _, _, B, H = dh_seq.shape
+    lstm = cs is not None
+    dzn = acts if lstm else dh_seq
+    # Gradients reaching step t from step t + 1; a column's rows stay
+    # zero until its utterance's last step.
+    dh_next = np.zeros((2, B, H), dh_seq.dtype)
+    dc_next = np.zeros((2, B, H), dh_seq.dtype)
+    # An LSTM step's upstream factor of each gate's gradient.
+    ups = np.empty((2, B, dzn.shape[3]), dh_seq.dtype) if lstm else None
+    for n, start, stop in reversed(runs):
+        d_seq, dz, dh_n = dh_seq[:, :, :n], dzn[:, :, :n], dh_next[:, :n]
+        dz_in, dh_out = dz[..., None], dh_n[..., None]
+        h = hs[:, :, :n]
+        if lstm:
+            c, dc_n, up = cs[:, :, :n], dc_next[:, :n], ups[:, :n]
+            i, f, g, o = _gates(dz, H)  # activations, until a step's own
+            ui, uf, ug, uo = _gates(up, H)
+        for t in range(stop - 1, start - 1, -1):
+            dh = d_seq[t] + dh_n
+            if lstm:
+                a = dz[t]
+                tc = np.tanh(c[t + 1])
+                dc = dc_n + dh * o[t] * (1.0 - tc ** 2)
+                np.multiply(dc, g[t], out=ui)
+                np.multiply(dc, c[t], out=uf)
+                np.multiply(dc, i[t], out=ug)
+                np.multiply(dh, tc, out=uo)
+                np.multiply(dc, f[t], out=dc_n)
+                # Each gate's own derivative: a * (1 - a) for i, f and o,
+                # 1 - g^2 for g; the activations are read before a[t] is
+                # overwritten.
+                dg = ug * (1.0 - g[t] ** 2)
+                one_minus = 1.0 - a
+                np.multiply(up, a, out=a)
+                a *= one_minus
+                g[t] = dg
+            else:
+                np.multiply(dh, 1.0 - h[t + 1] ** 2, out=dz[t])
+            np.matmul(wh_t, dz_in[t], out=dh_out)
+    return dzn
+
+
 class RecurrentLayer:
     """Bidirectional simple-RNN (tanh cell) or LSTM over a minibatch.
 
@@ -493,48 +501,101 @@ class RecurrentLayer:
     hidden_size // 2 units and the two directions are concatenated.
     Inputs, outputs and their gradients are zero-padded, time-major
     (T, B, width) arrays: utterance b's ``lengths[b]`` frames, then zeros.
+
+    Both directions step one recurrence, over (time, direction, column,
+    unit) arrays.  Direction 0 is ``fwd``, which reads each utterance from
+    its first frame; direction 1 is ``bwd``, which reads it time-reversed.
+    Utterance u is in column ``slot[u]`` of both, longest first; over each
+    (n, start, stop) of ``runs`` the first n columns are running.  Row
+    t + 1 of the states ``hs`` and ``cs`` is the state after step t; row 0
+    is zero.  A step's recurrent product is one `np.matmul` of the stacked
+    (2, 1, gates*hidden, hidden) Wh and a (2, n, hidden, 1) stack of
+    states, one gemv per direction and utterance, and the cell equations
+    are one set of elementwise calls on (2, n, ...) arrays.
     """
 
     def __init__(self, spec, in_size, rng):
         if spec.hidden_size % 2 != 0:
             raise ValueError("bidirectional hidden_size must be even")
         self.spec = spec
-        lstm = spec.kind == "lstm_bidir"
+        gates = 4 if spec.kind == "lstm_bidir" else 1
         h = spec.hidden_size // 2
-        self.fwd = _Direction(in_size, h, lstm, rng, spec.batchnorm)
-        self.bwd = _Direction(in_size, h, lstm, rng, spec.batchnorm)
+        self.fwd = _Direction(in_size, h, gates, rng, spec.batchnorm)
+        self.bwd = _Direction(in_size, h, gates, rng, spec.batchnorm)
         self._cache = []
 
+    def _stacked(self, name):
+        """Both directions' ``name`` parameter, stacked (2, 1, ...)."""
+        return np.stack([self.fwd.params[name],
+                         self.bwd.params[name]])[:, None]
+
     def forward(self, x, lengths, train):
+        wh = self.fwd.params["Wh"]
+        (G, H), dtype = wh.shape, wh.dtype
+        lstm = self.spec.kind == "lstm_bidir"
         xs = [np.ascontiguousarray(x[:n, u]) for u, n in enumerate(lengths)]
-        fwd = self.fwd.forward(xs, train)
-        bwd = self.bwd.forward([v[::-1] for v in xs], train)
-        h = self.spec.hidden_size // 2
-        out = np.zeros(x.shape[:2] + (2 * h,), self.fwd.params["Wx"].dtype)
-        for u, n in enumerate(lengths):
-            out[:n, u, :h] = fwd[u]
-            out[:n, u, h:] = bwd[u][::-1]
+        inputs = (xs, [v[::-1] for v in xs])
+        slot, runs = _columns(lengths)
+        T, B = max(lengths, default=0), len(lengths)
+        # A simple RNN's zn is rows 1 .. T of hs (see `_recur`).
+        hs = None if lstm else np.zeros((T + 1, 2, B, H), dtype)
+        zn = np.zeros((T, 2, B, G), dtype) if lstm else hs[1:]
+        for d, direction in enumerate((self.fwd, self.bwd)):
+            for u, v in enumerate(inputs[d]):
+                zn[:len(v), d, slot[u]] = direction.project(v, train)
+        if not train:
+            del xs, inputs  # only a backward reads them again
+        if lstm:  # once the projection's temporaries are gone
+            hs = np.zeros((T + 1, 2, B, H), dtype)
+        cs = np.zeros_like(hs) if lstm else None
+        _recur(self._stacked("Wh"), self._stacked("b"), zn, hs, cs, runs)
         if train:
-            self._cache.append(lengths)
+            # An LSTM's zn now holds its gate activations.
+            self._cache.append((inputs, lengths, slot, runs, hs, cs,
+                                zn if lstm else None))
+        del zn  # an LSTM's, before the output is allocated
+        out = np.zeros(x.shape[:2] + (2 * H,), dtype)
+        for u, n in enumerate(lengths):
+            out[:n, u, :H] = hs[1:n + 1, 0, slot[u]]
+            out[:n, u, H:] = hs[n:0:-1, 1, slot[u]]
         return out
 
     def backward(self, dout, input_grad=True):
-        lengths = self._cache.pop(0)
-        h = self.spec.hidden_size // 2
-        dx_f, grads_f = self.fwd.backward(
-            [dout[:n, u, :h] for u, n in enumerate(lengths)], input_grad)
-        dx_b, grads_b = self.bwd.backward(
-            [dout[:n, u, h:][::-1] for u, n in enumerate(lengths)],
-            input_grad)
-        grads = {}
-        add_grads(grads, grads_f, "fwd.")
-        add_grads(grads, grads_b, "bwd.")
+        """Gradients for the oldest cached train-mode forward, each
+        direction's parameter gradients summed over the utterances in
+        batch order."""
+        inputs, lengths, slot, runs, hs, cs, acts = self._cache.pop(0)
+        H = hs.shape[3]
+        dh_seq = np.zeros((hs.shape[0] - 1,) + hs.shape[1:], hs.dtype)
+        for u, n in enumerate(lengths):
+            dh_seq[:n, 0, slot[u]] = dout[:n, u, :H]
+            dh_seq[:n, 1, slot[u]] = dout[:n, u, H:][::-1]
+        dzn = _recur_grad(self._stacked("Wh").swapaxes(2, 3), dh_seq, hs, cs,
+                          acts, runs)
+        # Each utterance's rows as contiguous copies, the arrays it alone
+        # would have; the batch's arrays go before the gradients are made.
+        rows = [[(np.ascontiguousarray(dzn[:n, d, slot[u]]),
+                  np.ascontiguousarray(hs[1:n, d, slot[u]])) for d in (0, 1)]
+                for u, n in enumerate(lengths)]
+        del dh_seq, cs, acts, dzn, hs
+        grads, dxs = {}, []
+        for u in range(len(lengths)):
+            dx_u = []
+            for d, direction in enumerate((self.fwd, self.bwd)):
+                dx_u.append(direction.backward(
+                    inputs[d][u], *rows[u][d], grads, ("fwd.", "bwd.")[d],
+                    input_grad))
+            rows[u] = None  # its copies go before its input gradient is made
+            if input_grad:
+                dxs.append(dx_u[0] + dx_u[1][::-1])
+            dx_u = None  # and its products before the next utterance's
         if not input_grad:
             return None, grads
+        del inputs  # before the input gradient is allocated
         wx = self.fwd.params["Wx"]
         dx = np.zeros(dout.shape[:2] + wx.shape[1:], wx.dtype)
-        for u, n in enumerate(lengths):
-            dx[:n, u] = dx_f[u] + dx_b[u][::-1]
+        for u, d in enumerate(dxs):
+            dx[:len(d), u] = d
         return dx, grads
 
 

@@ -2,8 +2,8 @@
 helpers that only tests need: CTC path collapse, brute-force path
 enumeration, the textbook backward variable, the gradient from its own
 forward-backward pass, greedy
-decoding, the per-frame phone label, transcript decoding, and TIMIT-layout
-export."""
+decoding, the per-frame phone label, transcript decoding, TIMIT-layout
+export, and a recurrent layer that steps each direction on its own."""
 
 from __future__ import annotations
 
@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ctcprobe import acoustic, ctc
+from ctcprobe.layers import (BatchNorm, _columns, _sigmoid, add_grads,
+                             uniform_init)
 
 
 # ---------------------------------------------------------------------------
@@ -162,3 +164,203 @@ def export_timit_dir(path, items, sample_rate_hz=acoustic.DEFAULT_SAMPLE_RATE):
                 fh.write(f"{start_s} {end_s} {phone}\n")
         with open(stem + ".txt", "w") as fh:
             fh.write(f"0 {len(pcm)} {transcript}\n")
+
+
+# ---------------------------------------------------------------------------
+# Recurrent layers
+# ---------------------------------------------------------------------------
+
+# A recurrent layer whose directions each project, step and differentiate
+# their own batch, which the layer then joins.  `layers.RecurrentLayer`
+# steps both directions in one recurrence; built from the same generator,
+# it draws the same parameters and must match this bit for bit.
+
+class DirectionOracle:
+    """One direction of a recurrent layer over a batch of direction-ordered
+    utterances.  Per utterance, in batch order: the input projection and
+    optional sequence-wise BN on the input-to-hidden pre-activation.  Then
+    the tanh-RNN or LSTM cell recurrence steps all of them at once.  LSTM
+    gate rows are i, f, g, o."""
+
+    def __init__(self, in_size, hidden, lstm, rng, batchnorm):
+        self.hidden = hidden
+        self.lstm = lstm
+        gates = 4 if lstm else 1
+        self.params = {
+            "Wx": uniform_init(rng, (gates * hidden, in_size), in_size),
+            "Wh": uniform_init(rng, (gates * hidden, hidden), hidden),
+            "b": np.zeros(gates * hidden),
+        }
+        self.bn = BatchNorm(gates * hidden) if batchnorm else None
+        self._cache = []
+
+    def _gates(self, a):
+        """The i, f, g and o columns of (..., 4*hidden) gate arrays."""
+        H = self.hidden
+        return [a[..., k * H:(k + 1) * H] for k in range(4)]
+
+    def forward(self, xs, train):
+        """Hidden states of each utterance of ``xs``, one (T_b, hidden)
+        array each; only a train-mode pass caches.
+
+        The recurrence holds utterance u in column ``slot[u]`` of (time,
+        column, unit) arrays, longest first; over each (n, start, stop) of
+        ``runs`` the first n columns are running.  Row t + 1 of ``hs`` and
+        ``cs`` is the state after step t; row 0 is zero.  ``hs`` has a
+        trailing unit axis, so that a step's states are a (n, hidden, 1)
+        stack, which ``np.matmul`` multiplies by Wh one gemv at a time.
+        """
+        wh = self.params["Wh"]
+        H, lstm = self.hidden, self.lstm
+        lengths = [len(x) for x in xs]
+        B = len(xs)
+        slot, runs = _columns(lengths)
+        T = max(lengths, default=0)
+        zn = np.zeros((T, B, wh.shape[0]), wh.dtype)
+        for u, x in enumerate(xs):
+            z = x @ self.params["Wx"].T
+            if self.bn is not None:
+                z = self.bn.forward(z, train)
+            zn[:len(x), slot[u]] = z
+        hs = np.zeros((T + 1, B, H, 1), wh.dtype)
+        cs = np.zeros((T + 1, B, H), wh.dtype) if lstm else None
+        acts = np.zeros((T, B, 4 * H), wh.dtype) if lstm else None
+        pre = np.empty((B, wh.shape[0]), wh.dtype)
+        # b in every row, as a broadcast add is slower on a few rows.
+        bias = np.empty_like(pre)
+        bias[...] = self.params["b"]
+        for n, start, stop in runs:
+            z, h_in, h, p, b = (zn[:, :n], hs[:, :n], hs[:, :n, :, 0],
+                                pre[:n], bias[:n])
+            p_out = p[:, :, None]
+            if lstm:
+                c, a = cs[:, :n], acts[:, :n]
+                i, f, g, o = self._gates(a)
+            for t in range(start, stop):
+                np.matmul(wh, h_in[t], out=p_out)
+                p += z[t]
+                p += b
+                if lstm:
+                    _sigmoid(p, out=a[t])  # g's columns are replaced next
+                    np.tanh(p[:, 2 * H:3 * H], out=g[t])
+                    np.add(f[t] * c[t], i[t] * g[t], out=c[t + 1])
+                    np.multiply(o[t], np.tanh(c[t + 1]), out=h[t + 1])
+                else:
+                    np.tanh(p, out=h[t + 1])
+        if train:
+            self._cache.append((xs, slot, runs, hs, cs, acts))
+        return [hs[1:n + 1, slot[u], :, 0] for u, n in enumerate(lengths)]
+
+    def backward(self, dhs, input_grad=True):
+        """(dxs, grads) for the oldest cached forward: ``dhs`` holds each
+        utterance's direction-ordered output gradient, ``dxs`` its input
+        gradient (None without ``input_grad``), and ``grads`` sums the
+        utterances' parameter gradients in batch order."""
+        xs, slot, runs, hs, cs, acts = self._cache.pop(0)
+        wh = self.params["Wh"]
+        H, lstm = self.hidden, self.lstm
+        T, B = hs.shape[0] - 1, hs.shape[1]
+        dh_seq = np.zeros((T, B, H), wh.dtype)
+        for u, d in enumerate(dhs):
+            dh_seq[:len(d), slot[u]] = d
+        # With a trailing unit axis, as the stack ``np.matmul`` takes.
+        dzn = np.zeros((T, B, wh.shape[0], 1), wh.dtype)
+        # Gradients reaching step t from step t + 1; a column's rows stay
+        # zero until its utterance's last step.
+        dh_next = np.zeros((B, H), wh.dtype)
+        dc_next = np.zeros((B, H), wh.dtype)
+        for n, start, stop in reversed(runs):
+            d_seq, dz_in, dz, dh_n = (dh_seq[:, :n], dzn[:, :n],
+                                      dzn[:, :n, :, 0], dh_next[:n])
+            dh_out = dh_n[:, :, None]
+            h = hs[:, :n, :, 0]
+            if lstm:
+                c, a, dc_n = cs[:, :n], acts[:, :n], dc_next[:n]
+                i, f, g, o = self._gates(a)
+                dzi, dzf, dzg, dzo = self._gates(dz)
+            for t in range(stop - 1, start - 1, -1):
+                dh = d_seq[t] + dh_n
+                if lstm:
+                    tc = np.tanh(c[t + 1])
+                    dc = dc_n + dh * o[t] * (1.0 - tc ** 2)
+                    # Each gate's upstream factor, then its own derivative:
+                    # a * (1 - a) for i, f and o, 1 - g^2 for g.
+                    np.multiply(dc, g[t], out=dzi[t])
+                    np.multiply(dc, c[t], out=dzf[t])
+                    np.multiply(dc, i[t], out=dzg[t])
+                    np.multiply(dh, tc, out=dzo[t])
+                    np.multiply(dc, f[t], out=dc_n)
+                    dg = dzg[t] * (1.0 - g[t] ** 2)
+                    dz[t] *= a[t]
+                    dz[t] *= 1.0 - a[t]
+                    dzg[t] = dg
+                else:
+                    np.multiply(dh, 1.0 - h[t + 1] ** 2, out=dz[t])
+                np.matmul(wh.T, dz_in[t], out=dh_out)
+        grads, dxs = {}, []
+        for u, x in enumerate(xs):
+            n = len(x)
+            # Contiguous copies: the arrays an utterance alone would have.
+            dzn_u = np.ascontiguousarray(dzn[:n, slot[u], :, 0])
+            hs_u = np.ascontiguousarray(hs[1:n, slot[u], :, 0])
+            dz, bn_grads = ((dzn_u, {}) if self.bn is None
+                            else self.bn.backward(dzn_u))
+            add_grads(grads, {
+                "Wx": dz.T @ x, **{f"bn.{k}": v for k, v in bn_grads.items()},
+                # h_{-1} = 0, so step 0 adds nothing to dWh.
+                "Wh": dzn_u[1:].T @ hs_u, "b": dzn_u.sum(axis=0)})
+            if input_grad:
+                dxs.append(dz @ self.params["Wx"])
+        return (dxs if input_grad else None), grads
+
+
+class RecurrentOracle:
+    """Bidirectional simple-RNN (tanh cell) or LSTM over a minibatch.
+
+    ``hidden_size`` is the layer's output width; each direction has
+    hidden_size // 2 units and the two directions are concatenated.
+    Inputs, outputs and their gradients are zero-padded, time-major
+    (T, B, width) arrays: utterance b's ``lengths[b]`` frames, then zeros.
+    """
+
+    def __init__(self, spec, in_size, rng):
+        if spec.hidden_size % 2 != 0:
+            raise ValueError("bidirectional hidden_size must be even")
+        self.spec = spec
+        lstm = spec.kind == "lstm_bidir"
+        h = spec.hidden_size // 2
+        self.fwd = DirectionOracle(in_size, h, lstm, rng, spec.batchnorm)
+        self.bwd = DirectionOracle(in_size, h, lstm, rng, spec.batchnorm)
+        self._cache = []
+
+    def forward(self, x, lengths, train):
+        xs = [np.ascontiguousarray(x[:n, u]) for u, n in enumerate(lengths)]
+        fwd = self.fwd.forward(xs, train)
+        bwd = self.bwd.forward([v[::-1] for v in xs], train)
+        h = self.spec.hidden_size // 2
+        out = np.zeros(x.shape[:2] + (2 * h,), self.fwd.params["Wx"].dtype)
+        for u, n in enumerate(lengths):
+            out[:n, u, :h] = fwd[u]
+            out[:n, u, h:] = bwd[u][::-1]
+        if train:
+            self._cache.append(lengths)
+        return out
+
+    def backward(self, dout, input_grad=True):
+        lengths = self._cache.pop(0)
+        h = self.spec.hidden_size // 2
+        dx_f, grads_f = self.fwd.backward(
+            [dout[:n, u, :h] for u, n in enumerate(lengths)], input_grad)
+        dx_b, grads_b = self.bwd.backward(
+            [dout[:n, u, h:][::-1] for u, n in enumerate(lengths)],
+            input_grad)
+        grads = {}
+        add_grads(grads, grads_f, "fwd.")
+        add_grads(grads, grads_b, "bwd.")
+        if not input_grad:
+            return None, grads
+        wx = self.fwd.params["Wx"]
+        dx = np.zeros(dout.shape[:2] + wx.shape[1:], wx.dtype)
+        for u, n in enumerate(lengths):
+            dx[:n, u] = dx_f[u] + dx_b[u][::-1]
+        return dx, grads

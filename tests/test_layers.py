@@ -1,11 +1,13 @@
 """Finite-difference oracles for every layer's backward pass, a naive
-convolution forward oracle, and a per-kernel-row convolution that the
-phase-blocked `ConvLayer` must match bit for bit."""
+convolution forward oracle, a per-kernel-row convolution that the
+phase-blocked `ConvLayer` must match bit for bit, and a per-direction
+recurrent layer that `RecurrentLayer` must match bit for bit."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import RecurrentOracle
 
 from ctcprobe import layers as L
 from ctcprobe.model import LayerSpec, TrainedModel, preset
@@ -77,6 +79,62 @@ class TestBatchNorm:
         bn.forward(rng.normal(size=(8, 4)), train=False)
         for k in before:
             np.testing.assert_array_equal(bn.buffers[k], before[k])
+
+    # Conv batch norm's (t*f, channels) rows at the asr-train benchmark's
+    # ds2-mini shapes (cnn1, cnn2), and a recurrent direction's (T, gates *
+    # hidden) rows for the simple RNN and the LSTM.
+    @pytest.mark.parametrize("shape", [(3172, 8), (1066, 8), (26, 32),
+                                       (10, 128)], ids=str)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_train_pass_is_the_textbook_one_bit_for_bit(self, dtype, shape):
+        """The forward's output, running statistics and cache are those of
+        the batch's ``x.mean(axis=0)`` and ``x.var(axis=0)``, and the
+        backward is the textbook expression, term by term."""
+        rng = np.random.default_rng(shape[0])
+        bn = L.BatchNorm(shape[1])
+        L.cast([bn], dtype)
+        for v in (*bn.params.values(), *bn.buffers.values()):
+            v[...] = rng.uniform(0.5, 1.5, size=v.shape)
+        running = {k: v.copy() for k, v in bn.buffers.items()}
+        x = rng.normal(3.0, 2.0, size=shape).astype(dtype)
+        y = bn.forward(x, train=True)
+        mu, var = x.mean(axis=0), x.var(axis=0)
+        for name, batch in (("running_mean", mu), ("running_var", var)):
+            want = running[name]
+            want *= 1 - L.BN_MOMENTUM
+            want += L.BN_MOMENTUM * batch
+            np.testing.assert_array_equal(bn.buffers[name], want)
+            assert bn.buffers[name].dtype == dtype
+        inv_std = 1.0 / np.sqrt(var + L.BN_EPS)
+        xhat = (x - mu) * inv_std
+        cached_xhat, cached_inv_std = bn._cache[0]
+        np.testing.assert_array_equal(cached_xhat, xhat)
+        np.testing.assert_array_equal(cached_inv_std, inv_std)
+        want_y = bn.params["gamma"] * xhat + bn.params["beta"]
+        assert y.dtype == cached_xhat.dtype == cached_inv_std.dtype == dtype
+        np.testing.assert_array_equal(y, want_y)
+        dy = rng.normal(size=shape).astype(dtype)
+        dx, grads = bn.backward(dy)
+        dxhat = dy * bn.params["gamma"]
+        want_dx = inv_std * (dxhat - dxhat.mean(axis=0)
+                             - xhat * (dxhat * xhat).mean(axis=0))
+        assert dx.dtype == dtype
+        np.testing.assert_array_equal(dx, want_dx)
+        np.testing.assert_array_equal(grads["gamma"], (dy * xhat).sum(axis=0))
+        np.testing.assert_array_equal(grads["beta"], dy.sum(axis=0))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_eval_forward_is_the_textbook_one_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(26)
+        bn = L.BatchNorm(8)
+        L.cast([bn], dtype)
+        for v in (*bn.params.values(), *bn.buffers.values()):
+            v[...] = rng.uniform(0.5, 1.5, size=v.shape)
+        x = rng.normal(3.0, 2.0, size=(1066, 8)).astype(dtype)
+        mu, var = bn.buffers["running_mean"], bn.buffers["running_var"]
+        want = (bn.params["gamma"] * ((x - mu) * (1.0 / np.sqrt(
+            var + L.BN_EPS))) + bn.params["beta"])
+        np.testing.assert_array_equal(bn.forward(x, train=False), want)
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(3)
@@ -193,6 +251,28 @@ class TestConvLayer:
         "case", [c for c in CONV_CASES if c != BACKWARD_DEFAULT])
     def test_backward_matches_finite_differences_cases(self, case):
         check_backward_matches_fd(case)
+
+    # Both presets' convs (padding (5, 0)), conv_spec()'s padding (1, 0),
+    # and padding along frequency too.
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name, index", [
+        ("ds2-mini", 0), ("ds2-mini", 1), ("ds2", 0), ("ds2", 1),
+        ("padding_1x0", None), ("padding_2x3", None)])
+    def test_padded_is_np_pad_of_the_transposed_input(self, name, index,
+                                                      dtype):
+        if index is None:
+            pt, pf = (1, 0) if name == "padding_1x0" else (2, 3)
+            spec, c_in, f_in = conv_spec(padding=(pt, pf)), 2, 11
+        else:
+            spec, c_in, f_in = model_conv(name, index)
+        layer = L.ConvLayer(spec, c_in, np.random.default_rng(20))
+        x = np.random.default_rng(21).normal(size=(c_in, 23, f_in))
+        x = x.astype(dtype)
+        pt, pf = spec.padding
+        want = np.pad(x.transpose(1, 2, 0), ((pt, pt), (pf, pf), (0, 0)))
+        got = layer._padded(x)
+        assert got.dtype == want.dtype == dtype
+        np.testing.assert_array_equal(got, want)
 
 
 class RowConvOracle(L.ConvLayer):
@@ -464,6 +544,109 @@ class TestRecurrentLayer:
         with pytest.raises(ValueError):
             L.RecurrentLayer(recurrent_spec("rnn_bidir", hidden=7),
                              4, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("kind", ["rnn_bidir", "lstm_bidir"])
+    def test_checkpoint_layout(self, kind):
+        # The registry keys, their order and shapes that checkpoints store,
+        # and the initial draws, those of the per-direction oracle.
+        layer = L.RecurrentLayer(recurrent_spec(kind, hidden=6), 5,
+                                 np.random.default_rng(0))
+        oracle = RecurrentOracle(recurrent_spec(kind, hidden=6), 5,
+                                 np.random.default_rng(0))
+        for section in ("params", "buffers"):
+            want = L.named_arrays(oracle, section)
+            for k, v in L.named_arrays(layer, section).items():
+                np.testing.assert_array_equal(v, want[k], err_msg=k)
+        g = 4 * 3 if kind == "lstm_bidir" else 3
+        direction = [("Wx", (g, 5)), ("Wh", (g, 3)), ("b", (g,)),
+                     ("bn.gamma", (g,)), ("bn.beta", (g,))]
+        assert [(k, v.shape) for k, v in L.named_arrays(
+            layer, "params").items()] == [
+            (f"{d}.{k}", shape) for d in ("fwd", "bwd")
+            for k, shape in direction]
+        assert [(k, v.shape) for k, v in L.named_arrays(
+            layer, "buffers").items()] == [
+            (f"{d}.bn.{k}", (g,)) for d in ("fwd", "bwd")
+            for k in ("running_mean", "running_var")]
+
+
+def recurrent_pair(kind, in_size, hidden, dtype=np.float64):
+    """A `RecurrentLayer` and its per-direction oracle, with the same
+    parameters (drawn, then made nonzero everywhere) in ``dtype``."""
+    spec = recurrent_spec(kind, hidden=hidden)
+    layer, oracle = (cls(spec, in_size, np.random.default_rng(22))
+                     for cls in (L.RecurrentLayer, RecurrentOracle))
+    rng = np.random.default_rng(23)
+    for k, v in L.named_arrays(layer, "params").items():
+        v[...] = rng.normal(size=v.shape) / np.sqrt(v.shape[-1])
+        L.named_arrays(oracle, "params")[k][...] = v
+    L.cast([layer, oracle], dtype)
+    return layer, oracle
+
+
+class TestRecurrentMatchesPerDirectionOracle:
+    """Both directions stepped in one recurrence give the per-direction
+    loop's every bit: outputs, batch-norm statistics, parameter gradients
+    in the same key order, and input gradients.  A ragged batch whose
+    longest utterance is not first goes forward twice and back twice, the
+    second time without the input gradient.  The widths are a small layer
+    and ds2-mini's first recurrent layer."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("in_size, hidden, lengths", [
+        (5, 6, RAGGED), (328, 64, (26, 27, 24, 25))],
+        ids=["small", "ds2_mini"])
+    @pytest.mark.parametrize("kind", ["rnn_bidir", "lstm_bidir"])
+    def test_bit_for_bit(self, kind, in_size, hidden, lengths, train, dtype):
+        layer, oracle = recurrent_pair(kind, in_size, hidden, dtype)
+        rng = np.random.default_rng(24)
+        x, lengths = padded([rng.normal(size=(n, in_size)) for n in lengths])
+        x = x.astype(dtype)
+        for _ in range(2):
+            out = layer.forward(x, lengths, train)
+            want = oracle.forward(x, lengths, train)
+            assert out.dtype == want.dtype == dtype
+            np.testing.assert_array_equal(out, want)
+        want_buffers = L.named_arrays(oracle, "buffers")
+        for k, v in L.named_arrays(layer, "buffers").items():
+            np.testing.assert_array_equal(v, want_buffers[k], err_msg=k)
+        if not train:
+            return
+        dy = rng.normal(size=out.shape).astype(dtype)
+        for input_grad in (True, False):
+            dx, grads = layer.backward(dy, input_grad)
+            want_dx, want_grads = oracle.backward(dy, input_grad)
+            if input_grad:
+                assert dx.dtype == dtype
+                np.testing.assert_array_equal(dx, want_dx)
+            else:
+                assert dx is None
+            assert list(grads) == list(want_grads)
+            for k, g in grads.items():
+                np.testing.assert_array_equal(g, want_grads[k], err_msg=k)
+
+
+@pytest.mark.parametrize("in_size", [328, 64], ids=["rnn1", "rnn2"])
+def test_ds2_mini_recurrent_peak_memory_within_oracle(in_size):
+    """At ds2-mini width (the first recurrent layer's input and a later
+    one's), on a batch of four utterances of asr-train's length, neither
+    the eval forward nor the train forward+backward may peak above the
+    per-direction oracle."""
+    layer, oracle = recurrent_pair("rnn_bidir", in_size, 64)
+    rng = np.random.default_rng(25)
+    x, lengths = padded([rng.normal(size=(n, in_size))
+                         for n in (26, 27, 24, 25)])
+    dy = rng.normal(size=x.shape[:2] + (64,))
+
+    def train_step(rnn):
+        rnn.forward(x, lengths, True)
+        rnn.backward(dy)  # takes the cached entry
+
+    for run in (lambda rnn: rnn.forward(x, lengths, False), train_step):
+        peak, oracle_peak = traced_peak(lambda: run(layer)), traced_peak(
+            lambda: run(oracle))
+        assert peak <= oracle_peak, (peak, oracle_peak)
 
 
 class TestFCLayer:

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 from conftest import DAMAGE, drop_header_key, edit_header, key_id
+from oracles import RecurrentOracle
 
 from ctcprobe import ctc
 from ctcprobe import layers as L
@@ -425,6 +426,33 @@ class TestCheckpoint:
                 assert v is layers_own[name], name
                 np.testing.assert_array_equal(
                     v, saved[name].astype(np.float32), err_msg=name)
+
+    def test_per_direction_layers_checkpoint_loads(self, tmp_path,
+                                                   monkeypatch):
+        # A model whose recurrent layers each step their directions on
+        # their own writes the checkpoint; the model with the merged
+        # recurrence loads it into the same arrays and computes the same
+        # eval forward, bit for bit.
+        xs = ragged_batch(14)[0]
+        with monkeypatch.context() as m:
+            m.setattr(L, "RecurrentLayer", RecurrentOracle)
+            written = TrainedModel(tiny_config(seed=9))
+            written.forward(xs, mode="train")  # moves the stats
+            written.save(tmp_path / "m.ckpt")
+            want = TrainedModel.load(tmp_path / "m.ckpt").forward(xs)
+        loaded = TrainedModel.load(tmp_path / "m.ckpt")
+        assert not any(isinstance(layer, RecurrentOracle)
+                       for layer in loaded.layers)
+        for section in ("params", "buffers"):
+            saved, live = getattr(written, section), getattr(loaded, section)
+            assert list(live) == list(saved)
+            for name, v in live.items():
+                np.testing.assert_array_equal(
+                    v, saved[name].astype(np.float32), err_msg=name)
+        for got, expected in zip(loaded.forward(xs), want, strict=True):
+            np.testing.assert_array_equal(got.log_probs, expected.log_probs)
+            for tap, tap_want in zip(got.taps, expected.taps, strict=True):
+                np.testing.assert_array_equal(tap, tap_want)
 
     @pytest.mark.parametrize("strides", [True, False])
     @pytest.mark.parametrize("name", ["ds2-mini", "ds2-light-mini"])
