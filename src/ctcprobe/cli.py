@@ -379,8 +379,29 @@ def layer_views(art, layer, strides, split, views, inventory):
                               views, inventory)
 
 
+def _first_difference(got, want, path="model"):
+    """(path, got's value, want's) where two `ModelConfig.to_dict` values
+    first differ, depth first, or None: a list's common entries come
+    before its length."""
+    if isinstance(got, dict):  # the same dataclass's fields
+        pairs = [(f"{path}.{k}", got[k], want[k]) for k in got]
+    elif isinstance(got, (list, tuple)) and isinstance(want, (list, tuple)):
+        pairs = [(f"{path}[{i}]", a, b)
+                 for i, (a, b) in enumerate(zip(got, want))]
+        pairs.append((f"len({path})", len(got), len(want)))
+    else:
+        return None if got == want else (path, got, want)
+    return next(filter(None, (_first_difference(a, b, p)
+                              for p, a, b in pairs)), None)
+
+
 def stage_extract(cfg, art):
-    model = TrainedModel.load(art.path("model.ckpt"))
+    path = art.path("model.ckpt")
+    model = TrainedModel.load(path)
+    diff = _first_difference(model.config.to_dict(), cfg.model_cfg.to_dict())
+    if diff is not None:
+        raise ValueError(f"{path} holds a model of another config: its "
+                         f"{diff[0]} is {diff[1]!r}, the config's {diff[2]!r}")
     train, dev = load_split(art)
     # One pass per strides setting and split: each utterance is forwarded
     # once, in minibatches of train.batch_size, and its rows for every

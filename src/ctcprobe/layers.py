@@ -24,10 +24,12 @@ differently.  The cell's elementwise equations run once per step on
 (2, B, ...) arrays.  So a batch gives its utterances' outputs and
 gradients bit for bit, the gradients summed in utterance order.
 
-Convolution unfolds each time-stride phase of its input along frequency
-once per pass; forward and ``dx`` are one BLAS GEMM per phase and row
-block, ``dW`` one per kernel row, and every output still adds its kernel
-rows in ascending order (see `ConvLayer`).
+Convolution keeps its activations and gradients channel-major, (c, t, f)
+and contiguous, and unfolds each time-stride phase of its input along
+frequency once per pass; forward, ``dx`` and ``dW`` are one BLAS GEMM per
+phase and row block.  Its float32 eval forward is bit for bit a loop of
+one GEMM per kernel row; float64 training rounds differently (see
+`ConvLayer`).
 """
 
 from __future__ import annotations
@@ -37,20 +39,29 @@ import numpy as np
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 
-# Bytes of unfolded input plus GEMM products that one block of a
-# convolution pass holds, about a core's L2 cache.  The forward and the
-# input gradient work through their time rows in blocks of this size, so
-# their scratch memory does not grow with the utterance.
-CONV_BLOCK_BYTES = 1 << 21
+# About the bytes of unfold plus products or shifted gradient that one
+# block of a convolution pass holds; each block's scratch is written over
+# the one before.  Fewer blocks are faster (each costs kt adds per
+# channel), but at ds2-mini's widths a float64 pass on a 104-frame
+# utterance must stay near one kernel row's unfold of it in memory, and
+# larger scratch raised the benchmark's peak RSS.
+CONV_BLOCK_BYTES = 1 << 20
+
+
+def _block_rows(n, row_bytes):
+    """Rows per block of ``n`` rows of ``row_bytes``, in as many even
+    blocks as the rounded ratio of their bytes to `CONV_BLOCK_BYTES`."""
+    return -(-n // max(1, round(n * row_bytes / CONV_BLOCK_BYTES)))
 
 
 def _unfold(a, k, step, n):
     """The first ``n`` windows of ``k`` columns, every ``step``-th, along
-    axis 1 of a (rows, columns, channels) array: a (rows, n, channels, k)
-    view, ``sliding_window_view(a, k, axis=1)[:, :step * n:step]``."""
+    the last axis of a (channels, rows, columns) array: a
+    (channels, k, rows, n) view, ``sliding_window_view(a, k, axis=2)[:, :,
+    :step * n:step]`` with its window axis moved second."""
     s0, s1, s2 = a.strides
     return np.lib.stride_tricks.as_strided(
-        a, (a.shape[0], n, a.shape[2], k), (s0, step * s1, s2, s1),
+        a, (a.shape[0], k, a.shape[1], n), (s0, s2, s1, step * s2),
         writeable=False)
 
 
@@ -182,21 +193,28 @@ class ConvLayer:
     Batch norm is per output channel, sequence-wise over all (t, f)
     positions of the utterance.
 
-    Every pass works on time-stride phases: phase p holds the padded
-    input rows p, p+st, p+2st, ..., so kernel row i = p + st*j reads
-    phase rows j .. j+t_out-1.  A pass unfolds each phase row along
-    frequency once, to (f_out, c_in*kf), and kernel rows read the unfold
-    as free views.  The forward multiplies a block of phase rows by all
-    of the phase's kernel rows, side by side, in one GEMM.  ``dx``
-    zero-dilates the output gradient by the frequency stride, pads it by
-    kf-1 and unfolds it, and multiplies a block of it by each phase's
-    frequency-flipped kernel rows side by side.  ``dW`` is one GEMM per
-    kernel row on its phase's unfold.  Every output still adds its kernel
-    rows in ascending order, so the sums are those of a loop over kernel
-    rows.  A block of the forward or ``dx`` holds about
-    `CONV_BLOCK_BYTES` of unfold and products.  Activations are laid out
-    (t, f, c) internally; the (c, t, f) arrays in and out are transposed
-    views.
+    Activations and their gradients are channel-major, (c, t, f) and
+    contiguous, so bias, batch norm (on the (t*f, c) transposed view),
+    ReLU and every add run along contiguous (t, f) rows.  A pass works on
+    time-stride phases: phase p holds the padded input rows p, p+st, ...,
+    so kernel row i = p + st*j reads phase rows j .. j+t_out-1.  It unfolds
+    a block of phase rows along frequency once, to (c_in*kf, rows*f_out),
+    and makes one GEMM per phase and block: the forward multiplies the
+    phase's kernel rows, stacked (kt_p*c_out, c_in*kf), by the unfold and
+    adds each kernel row's (c_out, rows*f_out) part of the product into
+    the output; ``dW`` multiplies the output gradient, shifted once per
+    kernel row of the phase to (kt_p*c_out, rows*f_out), by the unfold's
+    transpose.  ``dx`` unfolds the output gradient, zero-dilated by the
+    frequency stride and padded by kf-1, multiplies each phase's stacked,
+    frequency-flipped kernel rows by it and adds contiguous f-rows into
+    the padded input's gradient.  The forward and ``dx`` add every
+    output's kernel rows in ascending order.
+
+    The float32 eval forward, which makes a checkpoint's taps, is bit for
+    bit a loop of one GEMM per kernel row.  Float64 passes and float32
+    training round differently: float64 GEMMs by operand order, batch
+    norm's and the bias gradient's sums pairwise along contiguous rows,
+    and ``dW`` by its sum over blocks.
     """
 
     def __init__(self, spec, in_channels, rng):
@@ -211,16 +229,30 @@ class ConvLayer:
         self.bn = BatchNorm(spec.out_channels) if spec.batchnorm else None
         self._cache = []
 
-    def _phase_rows(self, xp, p, st, q0, n, sf, f_out):
-        """(n*f_out, c_in*kf) frequency unfold of phase p's rows q0 ..
-        q0+n-1, which are the padded input rows p + st*q."""
-        kf = self.spec.kernel[1]
-        rows = xp[p + st * q0::st][:n]  # (n, Fp, c_in)
-        return np.ascontiguousarray(_unfold(rows, kf, sf, f_out)).reshape(
-            -1, rows.shape[2] * kf)
+    def _phase_blocks(self, xp, st, sf, t_out, f_out, held):
+        """Each (q0, p, unit, spare) of ascending blocks of phase rows q0 ..,
+        each block's phases in order.  ``unit`` is phase p's
+        (c_in*kf, rows*f_out) frequency unfold of its rows q0 .. q0+rows-1
+        (padded input rows p + st*q; phase p's last is t_out + kt_p - 2),
+        written over the one before; ``spare`` holds ``held`` values per
+        column of the largest block for the caller.  Together they take
+        about `CONV_BLOCK_BYTES` (see `_block_rows`)."""
+        _, c_in, kt, kf = self.params["W"].shape
+        n_rows = [t_out + len(range(p, kt, st)) - 1 for p in range(min(st, kt))]
+        block = _block_rows(n_rows[0],
+                            xp.itemsize * f_out * (c_in * kf + held))
+        buf = np.empty(c_in * kf * block * f_out, xp.dtype)
+        spare = np.empty(held * block * f_out, xp.dtype)
+        for q0 in range(0, n_rows[0], block):
+            for p, n in enumerate(n_rows):
+                rows = xp[:, p + st * q0::st][:, :min(block, n - q0)]
+                unit = buf[:c_in * kf * rows.shape[1] * f_out]
+                np.copyto(unit.reshape(c_in, kf, -1, f_out),
+                          _unfold(rows, kf, sf, f_out))
+                yield q0, p, unit.reshape(c_in * kf, -1), spare
 
     def _correlate(self, xp, st, sf, t_out, f_out):
-        """The bias-free forward, (t_out, f_out, c_out).
+        """The bias-free forward, (c_out, t_out, f_out).
 
         Output row t collects kernel row i = p + st*j from phase row
         q = t + j.  Phase rows go in ascending blocks, and each block adds
@@ -229,28 +261,65 @@ class ConvLayer:
         """
         W = self.params["W"]
         c_out, c_in, kt, kf = W.shape
-        # Phase p's kernel rows side by side: (c_in*kf, kt_p*c_out).
-        w_ph = [W[:, :, p::st].transpose(2, 0, 1, 3).reshape(-1, c_in * kf).T
+        # Phase p's kernel rows stacked: (kt_p*c_out, c_in*kf).
+        w_ph = [W[:, :, p::st].transpose(2, 0, 1, 3).reshape(-1, c_in * kf)
                 for p in range(min(st, kt))]
-        n_rows = [t_out + w.shape[1] // c_out - 1 for w in w_ph]
-        z = np.zeros((t_out, f_out, c_out), W.dtype)
-        block = max(1, CONV_BLOCK_BYTES
-                    // (z.itemsize * f_out * (c_in * kf + kt * c_out)))
-        for q0 in range(0, n_rows[0], block):
-            prods = [(self._phase_rows(xp, p, st, q0, min(block, n - q0),
-                                       sf, f_out) @ w
-                      ).reshape(-1, f_out, w.shape[1] // c_out, c_out)
-                     for p, (w, n) in enumerate(zip(w_ph, n_rows))]
+        # A block holds every phase's products: phase p's take rows
+        # first[p] .. of spare as (kt*c_out, largest block's columns).
+        first = np.cumsum([0] + [len(w) for w in w_ph])
+        z = np.zeros((c_out, t_out, f_out), W.dtype)
+        prods = [None] * len(w_ph)
+        for q0, p, unit, spare in self._phase_blocks(xp, st, sf, t_out,
+                                                     f_out, kt * c_out):
+            w, m = w_ph[p], unit.shape[1]
+            out = spare[first[p] * len(spare) // (kt * c_out):][:len(w) * m]
+            prods[p] = np.matmul(w, unit, out=out.reshape(len(w), m)).reshape(
+                len(w) // c_out, c_out, m // f_out, f_out)
+            if p < len(w_ph) - 1:
+                continue
+            # Every phase of the block is in: add in ascending kernel rows.
             for i in range(kt):
-                j = i // st
-                lo, hi = max(q0, j), min(q0 + block, j + t_out)
+                j, prod = i // st, prods[i % st]
+                lo, hi = max(q0, j), min(q0 + prod.shape[2], j + t_out)
                 if lo < hi:
-                    z[lo - j:hi - j] += prods[i % st][lo - q0:hi - q0, :, j]
-            del prods  # one block's products at a time
+                    dst = z[:, lo - j:hi - j]
+                    src = prod[j, :, lo - q0:hi - q0]
+                    # numpy buffers an add into a strided output, so a block
+                    # short of all of z's rows adds channel by channel.
+                    for d, s in ([(dst, src)] if dst.flags.c_contiguous
+                                 else zip(dst, src)):
+                        np.add(d, s, out=d)
         return z
 
-    def _input_grad(self, dz, xp_shape, st, sf, t_out, f_out):
-        """Gradient with respect to the padded input, (Tp, Fp, c_in).
+    def _weight_grad(self, xp, dz, st, sf):
+        """``dW`` from the padded input and the (c_out, t_out, f_out)
+        pre-activation gradient: per phase and block of phase rows, one
+        GEMM of the gradient shifted to each of the phase's kernel rows."""
+        W = self.params["W"]
+        c_out, c_in, kt, kf = W.shape
+        _, t_out, f_out = dz.shape
+        acc = [np.zeros((len(range(p, kt, st)) * c_out, c_in * kf), W.dtype)
+               for p in range(min(st, kt))]
+        # A block holds one phase's shifted gradient.
+        for q0, p, unit, spare in self._phase_blocks(xp, st, sf, t_out,
+                                                     f_out, len(acc[0])):
+            a = acc[p]
+            # Row block j holds the gradient of output rows q - j.
+            g = spare[:len(a) * unit.shape[1]].reshape(
+                len(a) // c_out, c_out, -1, f_out)
+            g.fill(0.0)
+            for j in range(len(g)):
+                lo, hi = max(q0, j), min(q0 + g.shape[2], j + t_out)
+                if lo < hi:
+                    g[j, :, lo - q0:hi - q0] = dz[:, lo - j:hi - j]
+            a += g.reshape(len(a), -1) @ unit.T
+        dW = np.empty_like(W)
+        for p, a in enumerate(acc):
+            dW[:, :, p::st] = a.reshape(-1, c_out, c_in, kf).transpose(1, 2, 0, 3)
+        return dW
+
+    def _input_grad(self, dz, xp_shape, st, sf):
+        """Gradient with respect to the padded input, (c_in, Tp, Fp).
 
         Input row p + st*q collects kernel row i = p + st*j from output
         row t = q - j.  Output rows go in descending blocks, and each block
@@ -259,36 +328,43 @@ class ConvLayer:
         """
         W = self.params["W"]
         c_out, c_in, kt, kf = W.shape
+        _, t_out, f_out = dz.shape
         # Input position f collects output column f' through tap j = f - sf*f':
         # a correlation of the dilated, padded gradient with the flipped row.
-        dil = np.zeros((t_out, sf * (f_out - 1) + 1 + 2 * (kf - 1), c_out),
+        dil = np.zeros((c_out, t_out, sf * (f_out - 1) + 1 + 2 * (kf - 1)),
                        W.dtype)
-        dil[:, kf - 1:kf - 1 + sf * f_out:sf] = dz.reshape(t_out, f_out, c_out)
-        f_cov = dil.shape[1] - kf + 1  # input columns some output reads
-        # Phase p's flipped kernel rows side by side: (c_out*kf, kt_p*c_in).
-        w_ph = [W[:, :, p::st, ::-1].transpose(0, 3, 2, 1).reshape(c_out * kf, -1)
+        dil[:, :, kf - 1:kf - 1 + sf * f_out:sf] = dz
+        f_cov = dil.shape[2] - kf + 1  # input columns some output reads
+        # Phase p's flipped kernel rows stacked: (kt_p*c_in, c_out*kf).
+        w_ph = [W[:, :, p::st, ::-1].transpose(2, 1, 0, 3).reshape(-1, c_out * kf)
                 for p in range(min(st, kt))]
         dxp = np.zeros(xp_shape, W.dtype)
-        block = max(1, CONV_BLOCK_BYTES
-                    // (dil.itemsize * f_cov * (c_out * kf + kt * c_in)))
+        # A block holds its unfold and one phase's products, written over
+        # by the next block's.
+        held = c_out * kf + len(w_ph[0])
+        block = _block_rows(t_out, dil.itemsize * f_cov * held)
+        cols_buf = np.empty(block * f_cov * c_out * kf, W.dtype)
+        prod_buf = np.empty(block * f_cov * len(w_ph[0]), W.dtype)
         for t0 in reversed(range(0, t_out, block)):
             nb = min(block, t_out - t0)
-            cols = _unfold(dil[t0:t0 + nb], kf, 1, f_cov).reshape(
-                nb * f_cov, c_out * kf)
+            cols = cols_buf[:nb * f_cov * c_out * kf].reshape(c_out * kf, -1)
+            np.copyto(cols.reshape(c_out, kf, nb, f_cov),
+                      _unfold(dil[:, t0:t0 + nb], kf, 1, f_cov))
             for p, w in enumerate(w_ph):
-                prod = (cols @ w).reshape(nb, f_cov, -1, c_in)
-                for j in range(prod.shape[2]):
+                prod = np.matmul(w, cols, out=prod_buf[:len(w) * cols.shape[1]]
+                                 .reshape(len(w), -1)).reshape(-1, c_in, nb,
+                                                               f_cov)
+                for j in range(len(prod)):
                     r0 = p + st * (t0 + j)
-                    dxp[r0:r0 + st * nb:st, :f_cov] += prod[:, :, j]
-            del cols, prod  # one block's unfold and products at a time
+                    dxp[:, r0:r0 + st * nb:st, :f_cov] += prod[j]
         return dxp
 
     def _padded(self, x):
-        """The (c_in, t, f) input as padded (Tp, Fp, c_in) rows."""
+        """The (c_in, t, f) input, zero-padded to (c_in, Tp, Fp)."""
         pt, pf = self.spec.padding
         c, t, f = x.shape
-        xp = np.zeros((t + 2 * pt, f + 2 * pf, c), x.dtype)
-        xp[pt:pt + t, pf:pf + f] = x.transpose(1, 2, 0)
+        xp = np.zeros((c, t + 2 * pt, f + 2 * pf), x.dtype)
+        xp[:, pt:pt + t, pf:pf + f] = x
         return xp
 
     def forward(self, x, train, stride_t=None):
@@ -297,17 +373,19 @@ class ConvLayer:
         st = spec.stride[0] if stride_t is None else stride_t
         sf = spec.stride[1]
         xp = self._padded(x)
-        if xp.shape[0] < kt or xp.shape[1] < kf:
+        if xp.shape[1] < kt or xp.shape[2] < kf:
             raise ValueError("input smaller than the convolution kernel")
-        t_out = (xp.shape[0] - kt) // st + 1
-        f_out = (xp.shape[1] - kf) // sf + 1
+        t_out = (xp.shape[1] - kt) // st + 1
+        f_out = (xp.shape[2] - kf) // sf + 1
         z = self._correlate(xp, st, sf, t_out, f_out)
-        c_out = z.shape[2]
-        z = z.reshape(-1, c_out)
-        z += self.params["b"]
+        del xp
+        c_out = z.shape[0]
+        z = z.reshape(c_out, -1)
+        z += self.params["b"][:, None]
         if self.bn is not None:
-            z = self.bn.forward(z, train)
-        pre = z.reshape(t_out, f_out, c_out).transpose(2, 0, 1)
+            # Batch norm's (t*f, c_out) rows, a view of contiguous columns.
+            z = self.bn.forward(z.T, train).T
+        pre = z.reshape(c_out, t_out, f_out)
         relu = spec.activation == "relu"
         out = np.maximum(pre, 0.0) if relu else pre
         if train:
@@ -319,39 +397,29 @@ class ConvLayer:
         """Gradients for the oldest cached train-mode forward.  With
         ``input_grad=False`` the input gradient is skipped and None."""
         x, passes, st, sf = self._cache.pop(0)
-        spec = self.spec
-        kt, kf = spec.kernel
-        pt, pf = spec.padding
+        pt, pf = self.spec.padding
         xp = self._padded(x)
         del x
         if passes is not None:
-            dout = dout * passes
+            dout = np.multiply(dout, passes, order="C")
         c_out, t_out, f_out = dout.shape
-        dz = dout.transpose(1, 2, 0).reshape(-1, c_out)  # (t*f, c_out)
+        dz = dout.reshape(c_out, -1)  # (c_out, t*f)
         if self.bn is not None:
-            dz, bn_grads = self.bn.backward(dz)
-        W = self.params["W"]
-        dW = np.empty_like(W)
-        m = t_out * f_out
-        for p in range(min(st, kt)):
-            rows = range(p, kt, st)
-            phase = self._phase_rows(xp, p, st, 0, t_out + len(rows) - 1,
-                                     sf, f_out)
-            for j, i in enumerate(rows):
-                dW[:, :, i] = (dz.T @ phase[j * f_out:j * f_out + m]
-                               ).reshape(c_out, -1, kf)
-            del phase  # before the next phase is unfolded
-        xp_shape = xp.shape
-        del xp  # dx needs only its shape
-        grads = {"W": dW, "b": dz.sum(axis=0)}
+            dz, bn_grads = self.bn.backward(dz.T)
+            dz = dz.T
+        grads = {"W": self._weight_grad(xp, dz.reshape(c_out, t_out, f_out),
+                                        st, sf),
+                 "b": dz.sum(axis=1)}
         if self.bn is not None:
             grads["bn.gamma"] = bn_grads["gamma"]
             grads["bn.beta"] = bn_grads["beta"]
+        xp_shape = xp.shape
+        del xp  # dx needs only its shape
         if not input_grad:
             return None, grads
-        dxp = self._input_grad(dz, xp_shape, st, sf, t_out, f_out)
-        dx = dxp[pt:xp_shape[0] - pt, pf:xp_shape[1] - pf]
-        return dx.transpose(2, 0, 1), grads
+        dxp = self._input_grad(dz.reshape(c_out, t_out, f_out), xp_shape,
+                               st, sf)
+        return dxp[:, pt:xp_shape[1] - pt, pf:xp_shape[2] - pf], grads
 
     def output_tap(self, out):
         # (C, T, F) -> (T, C*F), channel-major then frequency.

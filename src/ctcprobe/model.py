@@ -357,7 +357,8 @@ class TrainedModel:
             # The conv stack one utterance at a time, so one input gradient
             # exists at a time.  Nothing uses the spectrogram's gradient.
             for (c, t, f), d in zip(shapes, ds):
-                d = d.reshape(t, c, f).transpose(1, 0, 2)  # -> (C, T, F)
+                # (C, T, F), a view: the ReLU mask makes it channel-major.
+                d = d.reshape(t, c, f).transpose(1, 0, 2)
                 for i in range(n_conv, 0, -1):
                     d, layer_grads = self.layers[i - 1].backward(
                         d, input_grad=i > 1)

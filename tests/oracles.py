@@ -3,7 +3,8 @@ helpers that only tests need: CTC path collapse, brute-force path
 enumeration, the textbook backward variable, the gradient from its own
 forward-backward pass, greedy
 decoding, the per-frame phone label, transcript decoding, TIMIT-layout
-export, and a recurrent layer that steps each direction on its own."""
+export, a convolution with one GEMM per kernel row, and a recurrent layer
+that steps each direction on its own."""
 
 from __future__ import annotations
 
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ctcprobe import acoustic, ctc
-from ctcprobe.layers import (BatchNorm, _columns, _sigmoid, add_grads,
-                             uniform_init)
+from ctcprobe.layers import (BatchNorm, ConvLayer, _columns, _sigmoid,
+                             add_grads, uniform_init)
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +165,84 @@ def export_timit_dir(path, items, sample_rate_hz=acoustic.DEFAULT_SAMPLE_RATE):
                 fh.write(f"{start_s} {end_s} {phone}\n")
         with open(stem + ".txt", "w") as fh:
             fh.write(f"0 {len(pcm)} {transcript}\n")
+
+
+# ---------------------------------------------------------------------------
+# Convolution
+# ---------------------------------------------------------------------------
+
+class RowConvOracle(ConvLayer):
+    """Reference convolution: one GEMM per kernel row over that row's own
+    unfold, forward, ``dW`` and ``dx`` alike, in (t, f, c) rows, every
+    array in the weights' dtype.  `layers.ConvLayer`'s float32 eval
+    forward must reproduce its every bit: same products, added in the same
+    order."""
+
+    def _row_cols(self, xp, i, t_out, f_out, st, sf):
+        kf = self.spec.kernel[1]
+        rows = xp[i:i + st * t_out:st]  # (t_out, Fp, c_in)
+        win = np.lib.stride_tricks.sliding_window_view(rows, kf, axis=1)
+        return win[:, :sf * f_out:sf].reshape(t_out * f_out, -1)
+
+    def forward(self, x, train, stride_t=None):
+        spec = self.spec
+        kt, kf = spec.kernel
+        st = spec.stride[0] if stride_t is None else stride_t
+        sf = spec.stride[1]
+        pt, pf = spec.padding
+        xp = np.pad(x.transpose(1, 2, 0), ((pt, pt), (pf, pf), (0, 0)))
+        t_out = (xp.shape[0] - kt) // st + 1
+        f_out = (xp.shape[1] - kf) // sf + 1
+        W = self.params["W"]
+        c_out = W.shape[0]
+        z = np.zeros((t_out * f_out, c_out), W.dtype)
+        for i in range(kt):
+            z += (self._row_cols(xp, i, t_out, f_out, st, sf)
+                  @ W[:, :, i, :].reshape(c_out, -1).T)
+        z += self.params["b"]
+        if self.bn is not None:
+            z = self.bn.forward(z, train)
+        pre = z.reshape(t_out, f_out, c_out).transpose(2, 0, 1)
+        out = np.maximum(pre, 0.0) if spec.activation == "relu" else pre
+        if train:
+            self._cache.append((xp, pre, st, sf))
+        return out, pre
+
+    def backward(self, dout, input_grad=True):
+        xp, pre, st, sf = self._cache.pop(0)
+        spec = self.spec
+        kt, kf = spec.kernel
+        pt, pf = spec.padding
+        if spec.activation == "relu":
+            dout = dout * (pre > 0)
+        c_out, t_out, f_out = dout.shape
+        dz = dout.transpose(1, 2, 0).reshape(-1, c_out)
+        if self.bn is not None:
+            dz, bn_grads = self.bn.backward(dz)
+        W = self.params["W"]
+        dW = np.empty_like(W)
+        for i in range(kt):
+            dW[:, :, i, :] = (dz.T @ self._row_cols(xp, i, t_out, f_out, st, sf)
+                              ).reshape(c_out, -1, kf)
+        grads = {"W": dW, "b": dz.sum(axis=0)}
+        if self.bn is not None:
+            grads["bn.gamma"] = bn_grads["gamma"]
+            grads["bn.beta"] = bn_grads["beta"]
+        if not input_grad:
+            return None, grads
+        dil = np.zeros((t_out, sf * (f_out - 1) + 1 + 2 * (kf - 1), c_out),
+                       W.dtype)
+        dil[:, kf - 1:kf - 1 + sf * f_out:sf] = dz.reshape(t_out, f_out, c_out)
+        f_cov = dil.shape[1] - kf + 1
+        unfolded = np.lib.stride_tricks.sliding_window_view(
+            dil, kf, axis=1).reshape(t_out * f_cov, c_out * kf)
+        dxp = np.zeros(xp.shape, W.dtype)
+        for i in range(kt):
+            w_row = W[:, :, i, ::-1].transpose(0, 2, 1).reshape(c_out * kf, -1)
+            dxp[i:i + st * t_out:st, :f_cov] += (
+                unfolded @ w_row).reshape(t_out, f_cov, -1)
+        dx = dxp[pt:xp.shape[0] - pt, pf:xp.shape[1] - pf]
+        return dx.transpose(2, 0, 1), grads
 
 
 # ---------------------------------------------------------------------------

@@ -596,6 +596,30 @@ class TestSubcommands:
         for rel in made:
             assert (staged / rel).read_bytes() == (out / rel).read_bytes(), rel
 
+    @pytest.mark.parametrize("override, field", [
+        ('model.preset="ds2-mini"',
+         "model.layers[2].kind is 'lstm_bidir', the config's 'rnn_bidir'"),
+        ("model.seed=6", "model.seed is 5, the config's 6")])
+    def test_extract_refuses_a_checkpoint_of_another_model_config(
+            self, finished_run, tmp_path, capsys, override, field):
+        # The checkpoint header holds the config it was trained with; an
+        # extract whose config asks for another model fails before it
+        # writes anything.
+        out, cfg, _ = finished_run
+        staged = tmp_path / "staged"
+        staged.mkdir()
+        for name in ("corpus_train.bin", "corpus_dev.bin", "model.ckpt"):
+            shutil.copy(out / name, staged / name)
+        cfg_path = write_config(tmp_path, dict(cfg, out_dir=str(staged)))
+        capsys.readouterr()
+        assert main(["extract", "--config", cfg_path, "--set", override]) == 3
+        err = capsys.readouterr().err
+        assert "stage 'extract' failed" in err
+        assert f"{staged / 'model.ckpt'} holds a model of another config" in err
+        assert field in err
+        assert sorted(p.name for p in staged.iterdir()) == [
+            "corpus_dev.bin", "corpus_train.bin", "model.ckpt"]
+
     @pytest.mark.parametrize("damage", ["missing", "truncated",
                                         "other_strides"])
     def test_bad_categories_file_names_stage_and_file(

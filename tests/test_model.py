@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 from conftest import DAMAGE, drop_header_key, edit_header, key_id
-from oracles import RecurrentOracle
+from oracles import RecurrentOracle, RowConvOracle
 
 from ctcprobe import ctc
 from ctcprobe import layers as L
@@ -452,6 +452,31 @@ class TestCheckpoint:
         for got, expected in zip(loaded.forward(xs), want, strict=True):
             np.testing.assert_array_equal(got.log_probs, expected.log_probs)
             for tap, tap_want in zip(got.taps, expected.taps, strict=True):
+                np.testing.assert_array_equal(tap, tap_want)
+
+    @pytest.mark.parametrize("strides", [True, False])
+    def test_loaded_taps_are_the_per_row_convolutions(self, tmp_path,
+                                                      monkeypatch, strides):
+        # A checkpoint's taps come from its float32 eval forward: with
+        # convolutions that make one GEMM per kernel row in their place,
+        # every tap and log-prob of a ragged batch is the same bit for bit.
+        rng = np.random.default_rng(27)
+        xs = [np.abs(rng.normal(size=(n, 161))).astype(np.float32)
+              for n in (40, 31, 35)]
+        written = TrainedModel(preset("ds2-mini", seed=6))
+        written.forward(xs, mode="train")  # moves the batch-norm statistics
+        written.save(tmp_path / "m.ckpt")
+        loaded = TrainedModel.load(tmp_path / "m.ckpt")
+        with monkeypatch.context() as m:
+            m.setattr(L, "ConvLayer", RowConvOracle)
+            oracle = TrainedModel.load(tmp_path / "m.ckpt")
+        assert [type(layer) for layer in oracle.layers[:2]] == [
+            RowConvOracle] * 2
+        for got, want in zip(loaded.forward(xs, strides),
+                             oracle.forward(xs, strides), strict=True):
+            np.testing.assert_array_equal(got.log_probs, want.log_probs)
+            for tap, tap_want in zip(got.taps, want.taps, strict=True):
+                assert tap.dtype == np.float32
                 np.testing.assert_array_equal(tap, tap_want)
 
     @pytest.mark.parametrize("strides", [True, False])
