@@ -90,6 +90,11 @@ class SyntheticCorpus(acoustic.SynthConfig):
     n_utterances: int = 100
 
     def __post_init__(self):
+        trainer.check_int("phone_inventory_size", self.phone_inventory_size, 1)
+        for key in ("phones_per_utterance", "segment_frames", "word_phones"):
+            for end in getattr(self, key):
+                trainer.check_int(f"each end of {key}", end, 1)
+        trainer.check_number("noise_stddev", self.noise_stddev)
         super().__post_init__()
         trainer.check_int("n_utterances", self.n_utterances, 2)
         trainer.check_int("seed", self.seed, 0)
@@ -136,6 +141,8 @@ class ClusteringConfig:
         ProbeGrid([self.layer], [self.strides], [self.window], [self.scheme])
         for name in ("k", "max_iter", "iters"):
             trainer.check_int(name, getattr(self, name), 1)
+        for name in ("tol", "min_coverage", "perplexity"):
+            trainer.check_number(name, getattr(self, name))
         if not (type(self.enabled) is bool and self.tol >= 0
                 and self.method in clustering.PROJECTIONS
                 and 0 < self.min_coverage <= 1 and self.perplexity > 0):

@@ -12,10 +12,12 @@ changes it for a whole stack.  Layers are built float64.
 
 A recurrent layer takes a minibatch as a zero-padded, time-major
 (T, B, D) array and the utterances' lengths.  Each direction's input
-projection, batch norm and parameter gradients run per utterance.  The
-cell recurrence steps both directions and every utterance at once, along
-a direction axis (the backward direction reads each utterance
-time-reversed), longest utterance first, each dropping out when it ends.
+projection, batch norm and parameter gradients run per utterance, on
+views of the batch's rows (the input's, and in the backward those of the
+pre-activation gradients and states), not copies.  The cell recurrence
+steps both directions and every utterance at once, along a direction
+axis (the backward direction reads each utterance time-reversed),
+longest utterance first, each dropping out when it ends.
 A step's recurrent product is one stacked matrix-vector product
 (`np.matmul` of the two directions' Wh, stacked (2, 1, G, H), and a
 (2, B, H, 1) stack of states), which makes the same BLAS gemv call per
@@ -25,11 +27,13 @@ differently.  The cell's elementwise equations run once per step on
 gradients bit for bit, the gradients summed in utterance order.
 
 Convolution keeps its activations and gradients channel-major, (c, t, f)
-and contiguous, and unfolds each time-stride phase of its input along
-frequency once per pass; forward, ``dx`` and ``dW`` are one BLAS GEMM per
-phase and row block.  Its float32 eval forward is bit for bit a loop of
-one GEMM per kernel row; float64 training rounds differently (see
-`ConvLayer`).
+and contiguous.  Forward, ``dx`` and ``dW`` share one loop over row
+blocks of time-stride phases, each unfolded along frequency once per pass
+(``dx`` walks the dilated output gradient as one phase), and make one
+BLAS GEMM per phase and block.  `conv_output_len` is the one rule for a
+conv's output length, the forward's and the model's geometry's.  Its
+float32 eval forward is bit for bit a loop of one GEMM per kernel row;
+float64 training rounds differently (see `ConvLayer`).
 """
 
 from __future__ import annotations
@@ -46,6 +50,17 @@ BN_MOMENTUM = 0.1
 # utterance must stay near one kernel row's unfold of it in memory, and
 # larger scratch raised the benchmark's peak RSS.
 CONV_BLOCK_BYTES = 1 << 20
+
+
+def conv_output_len(in_len, kernel, stride, padding) -> int:
+    if kernel < 1 or stride < 1:
+        raise ValueError("kernel and stride must be >= 1")
+    if padding < 0:
+        raise ValueError("padding must be >= 0")
+    if in_len + 2 * padding < kernel:
+        raise ValueError(
+            f"input {in_len} (+2*{padding} padding) shorter than kernel {kernel}")
+    return (in_len + 2 * padding - kernel) // stride + 1
 
 
 def _block_rows(n, row_bytes):
@@ -65,52 +80,57 @@ def _unfold(a, k, step, n):
         writeable=False)
 
 
+def _phase_kernels(W, st):
+    """Phase p's kernel rows p, p+st, ... of a (rows, cols, kt, kf) kernel,
+    stacked (kt_p*rows, cols*kf), for each phase p."""
+    _, c, kt, kf = W.shape
+    return [W[:, :, p::st].transpose(2, 0, 1, 3).reshape(-1, c * kf)
+            for p in range(min(st, kt))]
+
+
 def uniform_init(rng, shape, fan_in):
     w = rng.uniform(-1.0, 1.0, size=shape)
     w /= np.sqrt(fan_in)  # in place: no second array of the shape
     return w
 
 
-def named_arrays(block, kind):
-    """Live ``params`` or ``buffers`` arrays of a layer, keyed by dotted path.
-
-    A block's own arrays come first, then those of its ``fwd``, ``bwd``
-    and ``bn`` sub-blocks in that order; checkpoints store them so.
-    """
-    out = dict(getattr(block, kind, {}))
+def _blocks(block, prefix=""):
+    """(path prefix, block) of ``block`` and, depth first, its ``fwd``,
+    ``bwd`` and ``bn`` sub-blocks in that order."""
+    yield prefix, block
     for child in ("fwd", "bwd", "bn"):
         sub = getattr(block, child, None)
         if sub is not None:
-            out.update({f"{child}.{k}": v
-                        for k, v in named_arrays(sub, kind).items()})
-    return out
+            yield from _blocks(sub, f"{prefix}{child}.")
 
 
-def _sub_blocks(block):
-    return [sub for sub in (getattr(block, child, None)
-                            for child in ("fwd", "bwd", "bn"))
-            if sub is not None]
+def named_arrays(block, kind):
+    """Live ``params`` or ``buffers`` arrays of a layer, keyed by dotted
+    path in `_blocks` order, each block's own arrays before its
+    sub-blocks'; checkpoints store them so."""
+    return {prefix + k: v for prefix, sub in _blocks(block)
+            for k, v in getattr(sub, kind, {}).items()}
 
 
 def drop_caches(layers):
     """Forget what train-mode forwards of ``layers`` and their sub-blocks
     cached and no backward has taken."""
-    for block in layers:
-        getattr(block, "_cache", []).clear()  # a direction caches nothing
-        drop_caches(_sub_blocks(block))
+    for layer in layers:
+        for _, block in _blocks(layer):
+            getattr(block, "_cache", []).clear()  # a direction caches nothing
 
 
 def cast(layers, dtype):
     """Give ``layers`` and their sub-blocks ``params`` and ``buffers`` of
     ``dtype``, new arrays where the dtype changes; a registry of them must
     be built again."""
-    for block in layers:
-        for kind in ("params", "buffers"):
-            arrays = getattr(block, kind, None)
-            if arrays is not None:
-                setattr(block, kind, {k: v.astype(dtype, copy=False)
-                                      for k, v in arrays.items()})
-        cast(_sub_blocks(block), dtype)
+    for layer in layers:
+        for _, block in _blocks(layer):
+            for kind in ("params", "buffers"):
+                arrays = getattr(block, kind, None)
+                if arrays is not None:
+                    setattr(block, kind, {k: v.astype(dtype, copy=False)
+                                          for k, v in arrays.items()})
 
 
 def add_grads(total, grads, prefix=""):
@@ -205,10 +225,11 @@ class ConvLayer:
     the output; ``dW`` multiplies the output gradient, shifted once per
     kernel row of the phase to (kt_p*c_out, rows*f_out), by the unfold's
     transpose.  ``dx`` unfolds the output gradient, zero-dilated by the
-    frequency stride and padded by kf-1, multiplies each phase's stacked,
-    frequency-flipped kernel rows by it and adds contiguous f-rows into
-    the padded input's gradient.  The forward and ``dx`` add every
-    output's kernel rows in ascending order.
+    frequency stride and padded by kf-1, in the same loop as one phase of
+    one kernel row, multiplies each phase's stacked, frequency-flipped
+    kernel rows by it and adds f-rows into the padded input's gradient.
+    The forward and ``dx`` add every output's kernel rows in ascending
+    order.
 
     The float32 eval forward, which makes a checkpoint's taps, is bit for
     bit a loop of one GEMM per kernel row.  Float64 passes and float32
@@ -229,27 +250,29 @@ class ConvLayer:
         self.bn = BatchNorm(spec.out_channels) if spec.batchnorm else None
         self._cache = []
 
-    def _phase_blocks(self, xp, st, sf, t_out, f_out, held):
-        """Each (q0, p, unit, spare) of ascending blocks of phase rows q0 ..,
-        each block's phases in order.  ``unit`` is phase p's
-        (c_in*kf, rows*f_out) frequency unfold of its rows q0 .. q0+rows-1
-        (padded input rows p + st*q; phase p's last is t_out + kt_p - 2),
-        written over the one before; ``spare`` holds ``held`` values per
-        column of the largest block for the caller.  Together they take
-        about `CONV_BLOCK_BYTES` (see `_block_rows`)."""
-        _, c_in, kt, kf = self.params["W"].shape
+    def _phase_blocks(self, src, kt, st, sf, t_out, f_out, held,
+                      descending=False):
+        """Each (q0, p, unit, spare) of blocks of phase rows q0 .., in
+        ascending order or ``descending``, each block's phases in order,
+        for ``kt`` kernel rows over the (c, rows, columns) array ``src``.
+        ``unit`` is phase p's (c*kf, rows*f_out) frequency unfold of its
+        rows q0 .. q0+rows-1 (rows p + st*q of ``src``; phase p's last is
+        t_out + kt_p - 2), written over the one before; ``spare`` holds
+        ``held`` values per column of the largest block for the caller.
+        Together they take about `CONV_BLOCK_BYTES` (see `_block_rows`)."""
+        c, kf = src.shape[0], self.spec.kernel[1]
         n_rows = [t_out + len(range(p, kt, st)) - 1 for p in range(min(st, kt))]
-        block = _block_rows(n_rows[0],
-                            xp.itemsize * f_out * (c_in * kf + held))
-        buf = np.empty(c_in * kf * block * f_out, xp.dtype)
-        spare = np.empty(held * block * f_out, xp.dtype)
-        for q0 in range(0, n_rows[0], block):
+        block = _block_rows(n_rows[0], src.itemsize * f_out * (c * kf + held))
+        buf = np.empty(c * kf * block * f_out, src.dtype)
+        spare = np.empty(held * block * f_out, src.dtype)
+        starts = range(0, n_rows[0], block)
+        for q0 in reversed(starts) if descending else starts:
             for p, n in enumerate(n_rows):
-                rows = xp[:, p + st * q0::st][:, :min(block, n - q0)]
-                unit = buf[:c_in * kf * rows.shape[1] * f_out]
-                np.copyto(unit.reshape(c_in, kf, -1, f_out),
+                rows = src[:, p + st * q0::st][:, :min(block, n - q0)]
+                unit = buf[:c * kf * rows.shape[1] * f_out]
+                np.copyto(unit.reshape(c, kf, -1, f_out),
                           _unfold(rows, kf, sf, f_out))
-                yield q0, p, unit.reshape(c_in * kf, -1), spare
+                yield q0, p, unit.reshape(c * kf, -1), spare
 
     def _correlate(self, xp, st, sf, t_out, f_out):
         """The bias-free forward, (c_out, t_out, f_out).
@@ -260,16 +283,14 @@ class ConvLayer:
         in the order i = 0 .. kt-1.
         """
         W = self.params["W"]
-        c_out, c_in, kt, kf = W.shape
-        # Phase p's kernel rows stacked: (kt_p*c_out, c_in*kf).
-        w_ph = [W[:, :, p::st].transpose(2, 0, 1, 3).reshape(-1, c_in * kf)
-                for p in range(min(st, kt))]
+        c_out, _, kt, _ = W.shape
+        w_ph = _phase_kernels(W, st)  # (kt_p*c_out, c_in*kf) each
         # A block holds every phase's products: phase p's take rows
         # first[p] .. of spare as (kt*c_out, largest block's columns).
         first = np.cumsum([0] + [len(w) for w in w_ph])
         z = np.zeros((c_out, t_out, f_out), W.dtype)
         prods = [None] * len(w_ph)
-        for q0, p, unit, spare in self._phase_blocks(xp, st, sf, t_out,
+        for q0, p, unit, spare in self._phase_blocks(xp, kt, st, sf, t_out,
                                                      f_out, kt * c_out):
             w, m = w_ph[p], unit.shape[1]
             out = spare[first[p] * len(spare) // (kt * c_out):][:len(w) * m]
@@ -301,7 +322,7 @@ class ConvLayer:
         acc = [np.zeros((len(range(p, kt, st)) * c_out, c_in * kf), W.dtype)
                for p in range(min(st, kt))]
         # A block holds one phase's shifted gradient.
-        for q0, p, unit, spare in self._phase_blocks(xp, st, sf, t_out,
+        for q0, p, unit, spare in self._phase_blocks(xp, kt, st, sf, t_out,
                                                      f_out, len(acc[0])):
             a = acc[p]
             # Row block j holds the gradient of output rows q - j.
@@ -327,7 +348,7 @@ class ConvLayer:
         kernel rows in ascending order.
         """
         W = self.params["W"]
-        c_out, c_in, kt, kf = W.shape
+        c_out, c_in, _, kf = W.shape
         _, t_out, f_out = dz.shape
         # Input position f collects output column f' through tap j = f - sf*f':
         # a correlation of the dilated, padded gradient with the flipped row.
@@ -335,23 +356,16 @@ class ConvLayer:
                        W.dtype)
         dil[:, :, kf - 1:kf - 1 + sf * f_out:sf] = dz
         f_cov = dil.shape[2] - kf + 1  # input columns some output reads
-        # Phase p's flipped kernel rows stacked: (kt_p*c_in, c_out*kf).
-        w_ph = [W[:, :, p::st, ::-1].transpose(2, 1, 0, 3).reshape(-1, c_out * kf)
-                for p in range(min(st, kt))]
+        # Phase p's flipped kernel rows, (kt_p*c_in, c_out*kf) each.
+        w_ph = _phase_kernels(W.swapaxes(0, 1)[..., ::-1], st)
         dxp = np.zeros(xp_shape, W.dtype)
-        # A block holds its unfold and one phase's products, written over
-        # by the next block's.
-        held = c_out * kf + len(w_ph[0])
-        block = _block_rows(t_out, dil.itemsize * f_cov * held)
-        cols_buf = np.empty(block * f_cov * c_out * kf, W.dtype)
-        prod_buf = np.empty(block * f_cov * len(w_ph[0]), W.dtype)
-        for t0 in reversed(range(0, t_out, block)):
-            nb = min(block, t_out - t0)
-            cols = cols_buf[:nb * f_cov * c_out * kf].reshape(c_out * kf, -1)
-            np.copyto(cols.reshape(c_out, kf, nb, f_cov),
-                      _unfold(dil[:, t0:t0 + nb], kf, 1, f_cov))
+        # The dilated gradient's unfold as one phase of one kernel row, and
+        # one phase's products in spare, written over by the next block's.
+        for t0, _, cols, spare in self._phase_blocks(
+                dil, 1, 1, 1, t_out, f_cov, len(w_ph[0]), descending=True):
+            nb = cols.shape[1] // f_cov
             for p, w in enumerate(w_ph):
-                prod = np.matmul(w, cols, out=prod_buf[:len(w) * cols.shape[1]]
+                prod = np.matmul(w, cols, out=spare[:len(w) * cols.shape[1]]
                                  .reshape(len(w), -1)).reshape(-1, c_in, nb,
                                                                f_cov)
                 for j in range(len(prod)):
@@ -369,14 +383,11 @@ class ConvLayer:
 
     def forward(self, x, train, stride_t=None):
         spec = self.spec
-        kt, kf = spec.kernel
         st = spec.stride[0] if stride_t is None else stride_t
         sf = spec.stride[1]
+        t_out, f_out = (conv_output_len(n, k, s, pad) for n, k, s, pad in zip(
+            x.shape[1:], spec.kernel, (st, sf), spec.padding))
         xp = self._padded(x)
-        if xp.shape[1] < kt or xp.shape[2] < kf:
-            raise ValueError("input smaller than the convolution kernel")
-        t_out = (xp.shape[1] - kt) // st + 1
-        f_out = (xp.shape[2] - kf) // sf + 1
         z = self._correlate(xp, st, sf, t_out, f_out)
         del xp
         c_out = z.shape[0]
@@ -454,9 +465,9 @@ class _Direction:
     def backward(self, x, dz, hs, grads, prefix, input_grad):
         """Add one utterance's parameter gradients into ``grads`` (see
         `add_grads`) and return its input gradient, None without
-        ``input_grad``, for the oldest cached projection.  ``dz`` is its
-        pre-activation gradient and ``hs`` its states h_0 .. h_{T-2},
-        contiguous, the arrays the utterance alone would have."""
+        ``input_grad``, for the oldest cached projection.  ``x`` is its
+        input, ``dz`` its pre-activation gradient and ``hs`` its states
+        h_0 .. h_{T-2}; each may be a view of a batch's array."""
         dzx, bn_grads = (dz, {}) if self.bn is None else self.bn.backward(dz)
         add_grads(grads, {"Wx": dzx.T @ x,
                           **{f"bn.{k}": v for k, v in bn_grads.items()},
@@ -601,7 +612,8 @@ class RecurrentLayer:
         wh = self.fwd.params["Wh"]
         (G, H), dtype = wh.shape, wh.dtype
         lstm = self.spec.kind == "lstm_bidir"
-        xs = [np.ascontiguousarray(x[:n, u]) for u, n in enumerate(lengths)]
+        # Each utterance's rows, views of x, in each direction's order.
+        xs = [x[:n, u] for u, n in enumerate(lengths)]
         inputs = (xs, [v[::-1] for v in xs])
         slot, runs = _columns(lengths)
         T, B = max(lengths, default=0), len(lengths)
@@ -611,8 +623,6 @@ class RecurrentLayer:
         for d, direction in enumerate((self.fwd, self.bwd)):
             for u, v in enumerate(inputs[d]):
                 zn[:len(v), d, slot[u]] = direction.project(v, train)
-        if not train:
-            del xs, inputs  # only a backward reads them again
         if lstm:  # once the projection's temporaries are gone
             hs = np.zeros((T + 1, 2, B, H), dtype)
         cs = np.zeros_like(hs) if lstm else None
@@ -640,26 +650,19 @@ class RecurrentLayer:
             dh_seq[:n, 1, slot[u]] = dout[:n, u, H:][::-1]
         dzn = _recur_grad(self._stacked("Wh").swapaxes(2, 3), dh_seq, hs, cs,
                           acts, runs)
-        # Each utterance's rows as contiguous copies, the arrays it alone
-        # would have; the batch's arrays go before the gradients are made.
-        rows = [[(np.ascontiguousarray(dzn[:n, d, slot[u]]),
-                  np.ascontiguousarray(hs[1:n, d, slot[u]])) for d in (0, 1)]
-                for u, n in enumerate(lengths)]
-        del dh_seq, cs, acts, dzn, hs
+        del dh_seq, cs, acts  # all but dzn, which is one of them
         grads, dxs = {}, []
-        for u in range(len(lengths)):
-            dx_u = []
-            for d, direction in enumerate((self.fwd, self.bwd)):
-                dx_u.append(direction.backward(
-                    inputs[d][u], *rows[u][d], grads, ("fwd.", "bwd.")[d],
-                    input_grad))
-            rows[u] = None  # its copies go before its input gradient is made
+        for u, n in enumerate(lengths):
+            dx_u = [direction.backward(
+                inputs[d][u], dzn[:n, d, slot[u]], hs[1:n, d, slot[u]], grads,
+                ("fwd.", "bwd.")[d], input_grad)
+                for d, direction in enumerate((self.fwd, self.bwd))]
             if input_grad:
                 dxs.append(dx_u[0] + dx_u[1][::-1])
-            dx_u = None  # and its products before the next utterance's
+            dx_u = None  # its products go before the next utterance's
         if not input_grad:
             return None, grads
-        del inputs  # before the input gradient is allocated
+        del inputs, dzn, hs  # before the input gradient is allocated
         wx = self.fwd.params["Wx"]
         dx = np.zeros(dout.shape[:2] + wx.shape[1:], wx.dtype)
         for u, d in enumerate(dxs):

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import layers as L
+from .layers import conv_output_len
 from .artifacts import artifact_header, atomic_write, read_artifact
 from .ctc import default_alphabet
 
@@ -27,17 +28,6 @@ CHECKPOINT_VERSION = 1
 CONV_KINDS = {"conv2d"}
 RECURRENT_KINDS = {"rnn_bidir", "lstm_bidir"}
 ALL_KINDS = CONV_KINDS | RECURRENT_KINDS | {"fully_connected"}
-
-
-def conv_output_len(in_len, kernel, stride, padding) -> int:
-    if kernel < 1 or stride < 1:
-        raise ValueError("kernel and stride must be >= 1")
-    if padding < 0:
-        raise ValueError("padding must be >= 0")
-    if in_len + 2 * padding < kernel:
-        raise ValueError(
-            f"input {in_len} (+2*{padding} padding) shorter than kernel {kernel}")
-    return (in_len + 2 * padding - kernel) // stride + 1
 
 
 @dataclass
@@ -123,13 +113,18 @@ class ModelConfig:
 
     # -- time/frequency bookkeeping -----------------------------------
 
+    def convs(self, k, strides_enabled=True):
+        """(spec, time stride) of each conv among layers 1..k, the time
+        stride 1 when strides are disabled."""
+        return [(spec, spec.stride[0] if strides_enabled else 1)
+                for spec in self.layers[:k] if spec.kind in CONV_KINDS]
+
     def freq_bins_after(self, k):
         """Frequency bins after conv layer k (1-based; 0 = input)."""
         f = self.input_freq_bins
-        for spec in self.layers[:k]:
-            if spec.kind in CONV_KINDS:
-                f = conv_output_len(f, spec.kernel[1], spec.stride[1],
-                                    spec.padding[1])
+        for spec, _ in self.convs(k):
+            f = conv_output_len(f, spec.kernel[1], spec.stride[1],
+                                spec.padding[1])
         return f
 
     def tap_width(self, k):
@@ -143,30 +138,20 @@ class ModelConfig:
 
     def time_len_after(self, k, in_len, strides_enabled=True):
         t = in_len
-        for spec in self.layers[:k]:
-            if spec.kind in CONV_KINDS:
-                st = spec.stride[0] if strides_enabled else 1
-                t = conv_output_len(t, spec.kernel[0], st, spec.padding[0])
+        for spec, st in self.convs(k, strides_enabled):
+            t = conv_output_len(t, spec.kernel[0], st, spec.padding[0])
         return t
 
     def subsample_factor(self, k, strides_enabled=True):
-        factor = 1
-        if strides_enabled:
-            for spec in self.layers[:k]:
-                if spec.kind in CONV_KINDS:
-                    factor *= spec.stride[0]
-        return factor
+        return math.prod(st for _, st in self.convs(k, strides_enabled))
 
     def receptive_center_offset(self, k, strides_enabled=True):
         """Input-frame offset of the receptive-field center of output frame 0
         at layer k (composes per-conv center = t*stride - pad + (kernel-1)//2)."""
-        offset = 0
-        factor = 1
-        for spec in self.layers[:k]:
-            if spec.kind in CONV_KINDS:
-                offset += ((spec.kernel[0] - 1) // 2 - spec.padding[0]) * factor
-                if strides_enabled:
-                    factor *= spec.stride[0]
+        offset, factor = 0, 1
+        for spec, st in self.convs(k, strides_enabled):
+            offset += ((spec.kernel[0] - 1) // 2 - spec.padding[0]) * factor
+            factor *= st
         return offset
 
 
@@ -267,6 +252,7 @@ class TrainedModel:
         if train:
             L.drop_caches(self.layers)
         n_conv = self._n_conv
+        convs = self.config.convs(n_conv, strides_enabled)
         taps, shapes = [], []
         for x in batch:
             frames = np.asarray(x, dtype=self.dtype)
@@ -277,9 +263,8 @@ class TrainedModel:
                     f"got {frames.shape}")
             taps.append([frames])
             cur = frames[None, :, :]  # (C=1, T, F)
-            for k, (spec, layer) in enumerate(
-                    zip(self.config.layers[:n_conv], self.layers), start=1):
-                stride_t = spec.stride[0] if strides_enabled else 1
+            for k, ((_, stride_t), layer) in enumerate(zip(convs, self.layers),
+                                                      start=1):
                 cur, _pre = layer.forward(cur, train, stride_t=stride_t)
                 taps[-1].append(layer.output_tap(cur)
                                 if k == n_conv or not train else None)

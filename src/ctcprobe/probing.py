@@ -50,10 +50,6 @@ class FrameDataset:
     def n_frames(self):
         return self.vectors.shape[0]
 
-    @property
-    def dim(self):
-        return self.vectors.shape[1]
-
 
 @dataclass
 class Extraction:
@@ -202,9 +198,6 @@ class TrainedProbe:
         for layer in self.layers[:-1]:
             x = np.maximum(layer.forward(x, False), 0.0)
         return self.layers[-1].forward(x, False)
-
-    def predict(self, x):
-        return np.argmax(self.logits(x), axis=1)
 
     def evaluate_loss(self, x, y, pred=None):
         """Mean cross-entropy and accuracy of an eval-mode pass on (x, y);
@@ -372,13 +365,6 @@ class _Source(NamedTuple):
     phones: list        # the split's phones, sorted
     spans: list         # (utterance id, n_rows) in order
     provenance: dict
-
-
-def load_dataset(path, window=0, scheme="full",
-                 inventory=None) -> FrameDataset:
-    """The (``window``, ``scheme``) view of an `extract_frames` file (see
-    `load_views`)."""
-    return next(load_views(path, [(window, scheme)], inventory))
 
 
 def load_views(path, views, inventory=None):

@@ -123,6 +123,12 @@ def check_int(name, value, low):
         raise ValueError(f"{name} must be >= {low} and an int: {value!r}")
 
 
+def check_number(name, value):
+    """Raise unless `value` is a finite int or float (not a bool)."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number: {value!r}")
+
+
 @dataclass
 class FitConfig:
     """What `_fit` reads; CTC and probe training share it."""
@@ -134,8 +140,9 @@ class FitConfig:
     def __post_init__(self):
         for name, low in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
             check_int(name, getattr(self, name), low)
-        if type(self.alpha) not in (int, float) or not 0 < self.alpha < np.inf:
-            raise ValueError(f"alpha must be > 0 and finite: {self.alpha!r}")
+        check_number("alpha", self.alpha)
+        if self.alpha <= 0:
+            raise ValueError(f"alpha must be > 0: {self.alpha!r}")
 
 
 @dataclass
@@ -301,6 +308,7 @@ class ProbeConfig(FitConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        check_number("dropout", self.dropout)
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
         if self.hidden is not None:
@@ -317,8 +325,8 @@ class ProbeTrainResult:
 
 def train_probe(train, dev, probe_config: ProbeConfig) -> ProbeTrainResult:
     """Train the frame classifier, selecting the best-dev-loss epoch.  The
-    selected epoch's dev predictions come from its dev pass, and equal
-    `predict` on the restored probe."""
+    selected epoch's dev predictions come from its dev pass, and equal the
+    argmax of the restored probe's `logits`."""
     if train.vectors.shape[1] != dev.vectors.shape[1]:
         raise ValueError("train and dev feature dimensions differ")
     if train.label_names != dev.label_names:

@@ -3,8 +3,9 @@ helpers that only tests need: CTC path collapse, brute-force path
 enumeration, the textbook backward variable, the gradient from its own
 forward-backward pass, greedy
 decoding, the per-frame phone label, transcript decoding, TIMIT-layout
-export, a convolution with one GEMM per kernel row, and a recurrent layer
-that steps each direction on its own."""
+export, a convolution with one GEMM per kernel row, a recurrent layer
+that steps each direction on its own, one view of a tap file and a
+probe's predicted labels."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ctcprobe import acoustic, ctc
+from ctcprobe import acoustic, ctc, probing
 from ctcprobe.layers import (BatchNorm, ConvLayer, _columns, _sigmoid,
                              add_grads, uniform_init)
 
@@ -443,3 +444,19 @@ class RecurrentOracle:
         for u, n in enumerate(lengths):
             dx[:n, u] = dx_f[u] + dx_b[u][::-1]
         return dx, grads
+
+
+# ---------------------------------------------------------------------------
+# Probing
+# ---------------------------------------------------------------------------
+
+def load_dataset(path, window=0, scheme="full", inventory=None):
+    """The (``window``, ``scheme``) view of an `extract_frames` file (see
+    `probing.load_views`)."""
+    return next(probing.load_views(path, [(window, scheme)], inventory))
+
+
+def predict(probe, x):
+    """The label index a `probing.TrainedProbe` predicts for each row of
+    ``x``."""
+    return np.argmax(probe.logits(x), axis=1)

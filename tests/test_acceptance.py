@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import ctc_brute_force, ctc_grad
+from oracles import ctc_brute_force, ctc_grad, load_dataset, predict
 
 from ctcprobe import ctc, probing
 from ctcprobe.acoustic import (N_BINS, PhoneSegment, SynthConfig,
@@ -33,7 +33,7 @@ from ctcprobe.model import (LayerSpec, ModelConfig, TrainedModel, log_softmax,
                             preset)
 from ctcprobe.phoneset import majority_baseline, synthetic_inventory
 from ctcprobe.probing import (breakdown_by_ctc_symbol, evaluate_probe,
-                              extract_frames, inter_intra_f1, load_dataset)
+                              extract_frames, inter_intra_f1)
 from ctcprobe.trainer import (ProbeConfig, TrainConfig, split_dev, train_asr,
                               train_probe)
 
@@ -197,7 +197,7 @@ def sanity_pipeline(tmp_path_factory):
                                      tmp_path_factory.mktemp("frames"))
     for layer, (ds_train, ds_dev) in frames.items():
         fit = train_probe(ds_train, ds_dev, probe_cfg)
-        pred = fit.probe.predict(ds_dev.vectors)
+        pred = predict(fit.probe, ds_dev.vectors)
         report = evaluate_probe(pred, ds_dev)
         _, baseline = majority_baseline(ds_dev.label_names[i]
                                         for i in ds_dev.labels)
@@ -295,7 +295,7 @@ def run_trend_experiment(out_dir):
                                       out_dir)
     for layer, (ds_train, ds_dev) in frames.items():
         fit = train_probe(ds_train, ds_dev, probe_cfg)
-        accuracies[layer] = evaluate_probe(fit.probe.predict(ds_dev.vectors),
+        accuracies[layer] = evaluate_probe(predict(fit.probe, ds_dev.vectors),
                                            ds_dev)["accuracy"]
     return accuracies
 

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 from conftest import DAMAGE
-from oracles import export_timit_dir
+from oracles import export_timit_dir, load_dataset
 
 from ctcprobe import acoustic, cli, model, plots, probing, trainer
 from ctcprobe.artifacts import _PREFIX, artifact_header, read_artifact
@@ -200,6 +200,22 @@ class TestConfigValidation:
         ('probe=[1]', "probe"),
         ('probe.layers.x.y=1', "probe.layers.x.y"),
         ('seed.x=1', "seed.x"),
+        # JSON's NaN, Infinity and booleans are no config numbers, and a
+        # count's float is no int.
+        ('corpus.synthetic.noise_stddev=NaN', "noise_stddev"),
+        ('corpus.synthetic.noise_stddev=Infinity', "noise_stddev"),
+        ('corpus.synthetic.noise_stddev=true', "noise_stddev"),
+        ('corpus.synthetic.phone_inventory_size=true', "phone_inventory_size"),
+        ('corpus.synthetic.phones_per_utterance=[1.5, 2]',
+         "phones_per_utterance"),
+        ('corpus.synthetic.segment_frames=[2.5, 3]', "segment_frames"),
+        ('corpus.synthetic.word_phones=[1.5, 2]', "word_phones"),
+        ('probe.dropout=false', "dropout"),
+        ('clustering.min_coverage=true', "min_coverage"),
+        ('clustering.perplexity=true', "perplexity"),
+        ('clustering.tol=false', "tol"),
+        ('clustering.tol=Infinity', "tol"),
+        ('train.alpha=NaN', "alpha"),
     ])
     def test_bad_config_rejected_at_load(self, tmp_path, capsys, override,
                                          named):
@@ -344,7 +360,7 @@ class TestRunArtifacts:
             self, finished_run, monkeypatch):
         out, _cfg, _path = finished_run
         loaders = {".bin": acoustic.load_corpus, ".ckpt": TrainedModel.load,
-                   ".fds": probing.load_dataset}
+                   ".fds": load_dataset}
         opened = []
 
         def spy(path, *args):
@@ -1059,3 +1075,23 @@ def test_killed_extract_leaves_nothing_a_later_stage_hashes(finished_run,
     assert main(["report", "--config", cfg_path]) == 0
     assert list(killed.glob("*.tmp")) == []
     assert (killed / "manifest.json").read_bytes() == clean
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="on one core no BLAS thread count runs two")
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # Run on two OpenBLAS threads, this config wrote another checkpoint,
+    # other layer-2 taps, probe curves and clusters, until importing
+    # ctcprobe set every BLAS thread count to one.
+    cfg_path = write_config(tmp_path, small_config("out"))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    files = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   **{cli.OUT_ROOT_ENV: str(tmp_path / threads)})
+        subprocess.run([sys.executable, "-m", "ctcprobe.cli", "run",
+                        "--config", cfg_path], env=env, check=True,
+                       stdout=subprocess.DEVNULL)
+        files.append(json.loads(
+            (tmp_path / threads / "manifest.json").read_text())["files"])
+    assert files[0] == files[1]

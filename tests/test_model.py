@@ -96,6 +96,50 @@ class TestPresets:
         # kernel 11 with time pad 5 centers the receptive field at t*stride
         assert cfg.receptive_center_offset(cfg.n_layers) == 0
 
+    @pytest.mark.parametrize("strides", [True, False])
+    @pytest.mark.parametrize("name", ["ds2", "ds2-light", "ds2-mini",
+                                      "ds2-light-mini", "uncentred"])
+    def test_subsample_and_offset_compose_the_per_conv_rule(self, name,
+                                                            strides):
+        # A conv's output frame t centres on its input frame
+        # t*stride - pad + (kernel-1)//2.  Mapped down from layer k to the
+        # input, frame 0 lands on the offset and frame 1 a factor later.
+        if name == "uncentred":  # the presets' offsets are all 0
+            convs = [LayerSpec("conv2d", kernel=(5, 3), stride=(2, 1),
+                               padding=(0, 0), out_channels=2),
+                     LayerSpec("conv2d", kernel=(4, 3), stride=(3, 1),
+                               padding=(1, 0), out_channels=2)]
+            cfg = ModelConfig(convs + [LayerSpec(
+                "fully_connected", hidden_size=29, batchnorm=False)])
+        else:
+            cfg = preset(name)
+
+        def centre(k, t):
+            for spec in reversed(cfg.layers[:k]):
+                if spec.kind == "conv2d":
+                    t = (t * (spec.stride[0] if strides else 1)
+                         - spec.padding[0] + (spec.kernel[0] - 1) // 2)
+            return t
+
+        for k in range(cfg.n_layers + 1):
+            assert cfg.receptive_center_offset(k, strides) == centre(k, 0)
+            assert cfg.subsample_factor(k, strides) == \
+                centre(k, 1) - centre(k, 0)
+
+    @pytest.mark.parametrize("strides", [True, False])
+    @pytest.mark.parametrize("name", ["ds2-mini", "ds2-light-mini"])
+    def test_eval_taps_have_the_configs_geometry(self, name, strides):
+        # Tap k of a T-frame utterance is time_len_after(k, T) x tap_width(k).
+        model = TrainedModel(preset(name, seed=1))
+        cfg, lengths = model.config, (40, 61, 104)
+        rng = np.random.default_rng(0)
+        results = model.forward([rng.random((T, cfg.input_freq_bins))
+                                 for T in lengths], strides)
+        for T, result in zip(lengths, results):
+            assert [tap.shape for tap in result.taps] == [
+                (cfg.time_len_after(k, T, strides), cfg.tap_width(k))
+                for k in range(cfg.n_layers + 1)]
+
 
 class TestModelConfigValidation:
     def test_last_layer_must_be_fc_with_alphabet_size(self):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import DAMAGE, drop_header_key
-from oracles import frame_label, greedy_decode
+from oracles import frame_label, greedy_decode, load_dataset, predict
 
 from ctcprobe import phoneset, probing
 from ctcprobe.artifacts import artifact_header, read_artifact
@@ -39,10 +39,10 @@ def mini_model():
 def extract(tmp_path, model, utts, layer, strides_enabled=True, window=0,
             scheme="full", inventory=None, threads=1):
     """One tap's (window, scheme) view: the tap file written by
-    extract_frames, read back through load_dataset."""
+    extract_frames, read back through `load_dataset`."""
     path = tmp_path / f"tap{len(list(tmp_path.iterdir()))}.fds"
     extract_frames(model, utts, [(layer, path)], strides_enabled, threads)
-    return probing.load_dataset(path, window, scheme, inventory)
+    return load_dataset(path, window, scheme, inventory)
 
 
 def greedy_categories(model, utts, strides_enabled=True):
@@ -136,7 +136,7 @@ class TestCorpusViews:
         _cfg, utts = corpus
         path = tmp_path / "layer0.fds"
         extract_frames(mini_model, utts, [(0, path)], True)
-        want = probing.load_dataset(path, 1)
+        want = load_dataset(path, 1)
         got, = probing.corpus_views(utts, True, [(1, "full")])
         np.testing.assert_array_equal(got.vectors, want.vectors)
         assert got.vectors.dtype == np.float32
@@ -172,7 +172,7 @@ class TestExtractFrames:
         cfg, utts = corpus
         inv = phoneset.synthetic_inventory(cfg.phones)
         ds = extract(tmp_path, mini_model, utts, 0, inventory=inv)
-        assert ds.dim == 161
+        assert ds.vectors.shape[1] == 161
         stacked = np.concatenate([u.frames for u in utts])
         np.testing.assert_array_equal(ds.vectors, rounded(stacked))
         # labels match direct segment lookup
@@ -192,8 +192,8 @@ class TestExtractFrames:
                         inventory=inv)
         wide = extract(tmp_path, mini_model, utts, 1, window=2,
                        inventory=inv)
-        d = plain.dim
-        assert wide.dim == 5 * d
+        d = plain.vectors.shape[1]
+        assert wide.vectors.shape[1] == 5 * d
         np.testing.assert_array_equal(wide.vectors[:, 2 * d:3 * d],
                                       plain.vectors)
         np.testing.assert_array_equal(wide.labels, plain.labels)
@@ -231,7 +231,7 @@ class TestExtractFrames:
                     for layer in (0, 2)]
             extract_frames(mini_model, group, taps, strides)
             for layer, path in taps:
-                base = probing.load_dataset(path)
+                base = load_dataset(path)
                 forwards = [mini_model.forward(
                     [u.frames], strides_enabled=strides)[0].taps[layer]
                     for u in group]
@@ -242,7 +242,7 @@ class TestExtractFrames:
                 phones = [base.label_names[i] for i in base.labels]
                 for window in (0, 1, 2):
                     for scheme in phoneset.SCHEMES:
-                        view = probing.load_dataset(path, window, scheme, inv)
+                        view = load_dataset(path, window, scheme, inv)
                         np.testing.assert_array_equal(
                             view.vectors, np.concatenate(
                                 [probing._windowed(r, window) for r in rows]))
@@ -303,7 +303,7 @@ class TestExtractFrames:
                 extract_frames(model, utts, [(layer, path)], strides)
                 for window in (0, 2):
                     for scheme in ("full", "sound_class"):
-                        ds = probing.load_dataset(path, window, scheme, inv)
+                        ds = load_dataset(path, window, scheme, inv)
                         expected = []
                         for utt, (_id, n_rows) in zip(utts, ds.spans):
                             for t in range(n_rows):
@@ -332,7 +332,7 @@ class TestExtractFrames:
                 extract_frames(mini_model, utts, [(layer, one)], strides,
                                threads)
                 assert path.read_bytes() == one.read_bytes(), path.name
-                rows += probing.load_dataset(path).n_frames
+                rows += load_dataset(path).n_frames
             assert written.n_frames == rows
 
     @pytest.mark.parametrize("name, loaded", [
@@ -441,7 +441,7 @@ class TestTrainedProbe:
         params = {k: v.copy() for k, v in probe.params.items()}
         x_dev = rng.normal(size=(4, 5))
         probe.logits(x_dev)
-        probe.predict(x_dev)
+        predict(probe, x_dev)
         probe.evaluate_loss(x_dev, y[:4])
         for obj, attrs in zip(objects, before):
             assert vars(obj).keys() == attrs.keys()
@@ -579,7 +579,7 @@ class TestEvaluateProbe:
         probe = TrainedProbe.init(3, ds.label_names, hidden=None)
         probe.params["L1.W"][:] = 0.0
         probe.params["L1.b"][:] = [1.0, 0.0, 0.0]  # always predict "a"
-        report = evaluate_probe(probe.predict(ds.vectors), ds)
+        report = evaluate_probe(predict(probe, ds.vectors), ds)
         _, baseline = phoneset.majority_baseline(
             ds.label_names[i] for i in ds.labels)
         assert report["accuracy"] == baseline == 0.6
@@ -591,7 +591,7 @@ class TestEvaluateProbe:
         probe = TrainedProbe.init(1, ds.label_names, hidden=None)
         probe.params["L1.W"][:] = np.array([[1.0], [-1.0]])
         probe.params["L1.b"][:] = 0.0
-        report = evaluate_probe(probe.predict(ds.vectors), ds)
+        report = evaluate_probe(predict(probe, ds.vectors), ds)
         assert report["confusion"] == [[1, 1], [0, 2]]
         assert report["accuracy"] == pytest.approx(0.75)
         assert report["precision"]["b"] == pytest.approx(2.0 / 3.0)
@@ -602,7 +602,7 @@ class TestEvaluateProbe:
         ds = FrameDataset(rng.normal(size=(40, 4)),
                           rng.integers(0, 3, size=40), ["a", "b", "c"])
         probe = TrainedProbe.init(4, ds.label_names, hidden=6, seed=1)
-        report = evaluate_probe(probe.predict(ds.vectors), ds)
+        report = evaluate_probe(predict(probe, ds.vectors), ds)
         assert report["accuracy"] == np.trace(report["confusion"]) / 40
         assert np.sum(report["confusion"]) == 40
 
@@ -611,14 +611,14 @@ class TestEvaluateProbe:
         ds = FrameDataset(rng.normal(size=(10, 3)),
                           rng.integers(0, 2, size=10), ["a", "b"])
         probe = TrainedProbe.init(3, ds.label_names, hidden=4, seed=0)
-        report = evaluate_probe(probe.predict(ds.vectors), ds)
+        report = evaluate_probe(predict(probe, ds.vectors), ds)
         assert json.loads(json.dumps(report)) == report
 
     def test_dimension_mismatch(self):
         ds = FrameDataset(np.zeros((2, 3)), np.zeros(2, dtype=int), ["a"])
         probe = TrainedProbe.init(4, ["a"], hidden=None)
         with pytest.raises(ValueError):
-            probe.predict(ds.vectors)
+            predict(probe, ds.vectors)
         with pytest.raises(ValueError, match="3 predictions for 2 rows"):
             evaluate_probe(np.zeros(3, dtype=int), ds)
 
@@ -644,14 +644,15 @@ class TestBreakdown:
         inv = phoneset.synthetic_inventory(cfg.phones)
         path = tmp_path / f"layer{layer}.fds"
         extraction = extract_frames(model, utts, [(layer, path)], True)
-        return probing.load_dataset(path, inventory=inv), extraction.categories
+        return load_dataset(path, inventory=inv), extraction.categories
 
     def test_all_blank_model_single_category(self, tmp_path, corpus):
         cfg, utts = corpus
         model = all_blank_model()
         ds, categories = self.make_dataset(tmp_path, model, utts, cfg)
-        probe = TrainedProbe.init(ds.dim, ds.label_names, hidden=None, seed=0)
-        bd = breakdown_by_ctc_symbol(probe.predict(ds.vectors) == ds.labels,
+        probe = TrainedProbe.init(ds.vectors.shape[1], ds.label_names,
+                                  hidden=None, seed=0)
+        bd = breakdown_by_ctc_symbol(predict(probe, ds.vectors) == ds.labels,
                                      ds.spans, categories)
         assert bd["blank"]["share"] == 1.0
         assert bd["space"]["n_frames"] == 0
@@ -661,8 +662,9 @@ class TestBreakdown:
                                              mini_model):
         cfg, utts = corpus
         ds, categories = self.make_dataset(tmp_path, mini_model, utts, cfg)
-        probe = TrainedProbe.init(ds.dim, ds.label_names, hidden=6, seed=3)
-        pred = probe.predict(ds.vectors)
+        probe = TrainedProbe.init(ds.vectors.shape[1], ds.label_names,
+                                  hidden=6, seed=3)
+        pred = predict(probe, ds.vectors)
         bd = breakdown_by_ctc_symbol(pred == ds.labels, ds.spans, categories)
         shares = [v["share"] for v in bd.values()]
         assert sum(shares) == pytest.approx(1.0, abs=1e-12)
@@ -674,9 +676,10 @@ class TestBreakdown:
         cfg, utts = corpus
         ds, categories = self.make_dataset(tmp_path, mini_model, utts, cfg,
                                            layer=0)
-        probe = TrainedProbe.init(ds.dim, ds.label_names, hidden=None)
+        probe = TrainedProbe.init(ds.vectors.shape[1], ds.label_names,
+                                  hidden=None)
         with pytest.raises(ValueError, match="time resolutions"):
-            breakdown_by_ctc_symbol(probe.predict(ds.vectors) == ds.labels,
+            breakdown_by_ctc_symbol(predict(probe, ds.vectors) == ds.labels,
                                     ds.spans, categories)
 
 
@@ -771,7 +774,7 @@ class TestDatasetSerialization:
         inv = phoneset.synthetic_inventory(cfg.phones)
         path = tmp_path / "frames.fds"
         extract_frames(mini_model, utts, [(1, path)], True)
-        loaded = probing.load_dataset(path, 1, "full", inv)
+        loaded = load_dataset(path, 1, "full", inv)
         taps = [mini_model.forward([u.frames])[0].taps[1] for u in utts]
         np.testing.assert_array_equal(
             loaded.vectors,
@@ -792,7 +795,7 @@ class TestDatasetSerialization:
         extract_frames(mini_model, utts, [(1, path)], True)
         views = [(0, "full"), (2, "sound_class"), (1, "full"),
                  (0, "sound_class")]
-        want = [probing.load_dataset(path, window, scheme, inv)
+        want = [load_dataset(path, window, scheme, inv)
                 for window, scheme in views]
         reads = []
         monkeypatch.setattr(probing, "read_artifact",
@@ -840,15 +843,15 @@ class TestDatasetSerialization:
         assert "window" not in header["provenance"]
         assert "scheme" not in header["provenance"]
         # With no inventory the view's labels are the file's phones.
-        plain = probing.load_dataset(path)
+        plain = load_dataset(path)
         assert plain.label_names == header["label_names"]
-        assert plain.dim == header["d"]
+        assert plain.vectors.shape[1] == header["d"]
         assert plain.provenance["window"] == 0
         assert plain.provenance["scheme"] == "full"
         with pytest.raises(ValueError, match="need a phone inventory"):
-            probing.load_dataset(path, scheme="sound_class")
+            load_dataset(path, scheme="sound_class")
         with pytest.raises(ValueError, match="window"):
-            probing.load_dataset(path, window=-1)
+            load_dataset(path, window=-1)
 
     @pytest.mark.parametrize("key", ["n", "d", "label_names", "spans",
                                      "provenance"])
@@ -859,7 +862,7 @@ class TestDatasetSerialization:
         extract_frames(mini_model, utts, [(1, path)], True)
         drop_header_key(path, probing.DATASET_MAGIC, (key,))
         with pytest.raises(ValueError, match=re.escape(str(path))) as err:
-            probing.load_dataset(path)
+            load_dataset(path)
         assert "malformed frame dataset header" in str(err.value)
         assert repr(key) in str(err.value)
 
@@ -883,14 +886,14 @@ class TestDatasetSerialization:
                                          probing.DATASET_VERSION, header)
                          + bytes(payload))
         with pytest.raises(ValueError, match=re.escape(str(path))) as err:
-            probing.load_dataset(path)
+            load_dataset(path)
         assert str(err.value).count(str(path)) == 1
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bad.fds"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ValueError):
-            probing.load_dataset(path)
+            load_dataset(path)
 
     @pytest.mark.parametrize("damage", DAMAGE)
     def test_rejects_damaged_file(self, tmp_path, corpus, mini_model, damage):
@@ -899,4 +902,4 @@ class TestDatasetSerialization:
         extract_frames(mini_model, utts, [(1, path)], True)
         path.write_bytes(DAMAGE[damage](path.read_bytes()))
         with pytest.raises(ValueError, match=re.escape(str(path))):
-            probing.load_dataset(path)
+            load_dataset(path)
