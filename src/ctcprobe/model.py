@@ -202,24 +202,29 @@ class TrainedModel:
 
     Mutable only through training (parameter updates + batchnorm running
     statistics), which writes the arrays of ``params`` and ``buffers`` in
-    place; forward in eval mode is pure.  A model built here is float64;
-    `load` gives one of the checkpoint's float32 arrays.  Either computes
-    in its parameters' dtype, `dtype`.
+    place; forward in eval mode is pure.  A model computes in its
+    parameters' dtype, `dtype`: training's is float64, and `load` gives
+    one of the checkpoint's float32 arrays.
     """
 
-    def __init__(self, config: ModelConfig):
+    def __init__(self, config: ModelConfig, dtype=np.float64):
+        """The config's seeded initial values, drawn in float64 whatever
+        ``dtype``; each layer is cast to ``dtype`` as it is built, so one
+        layer's float64 arrays are alive at a time."""
         self.config = config
         rng = np.random.default_rng(config.seed)
         self.layers = []
         c_in = 1  # a conv's input channels: the previous conv's outputs
         for k, spec in enumerate(config.layers, start=1):
             if spec.kind in CONV_KINDS:
-                self.layers.append(L.ConvLayer(spec, c_in, rng))
+                layer = L.ConvLayer(spec, c_in, rng)
                 c_in = spec.out_channels
             else:
                 make = (L.RecurrentLayer if spec.kind in RECURRENT_KINDS
                         else L.FCLayer)
-                self.layers.append(make(spec, config.tap_width(k - 1), rng))
+                layer = make(spec, config.tap_width(k - 1), rng)
+            L.cast([layer], dtype)
+            self.layers.append(layer)
         # The one registry of live arrays, {"L<i>.<path>": ndarray}: every
         # write (Adam, batchnorm statistics, checkpoint load, snapshot
         # restore) goes into these arrays in place.
@@ -295,7 +300,9 @@ class TrainedModel:
         go through `forward` one at a time on this thread, or ``threads``
         > 1 at a time on a pool, so one minibatch of results per thread is
         alive at once.  Every result is the utterance's own forward, bit
-        for bit, whatever the batch size or thread count."""
+        for bit, whatever the batch size or thread count.  Extract runs it
+        on a loaded checkpoint, and `train_asr` its loss-only passes on a
+        float32 copy of the model it trains."""
         batches = [utts[i:i + batch_size]
                    for i in range(0, len(utts), batch_size)]
 
@@ -374,10 +381,7 @@ class TrainedModel:
         section must list the registry's (name, shape) entries in its
         order, and every value must be finite."""
         def parse(header, payload):
-            model = cls(ModelConfig.from_dict(header["config"]))
-            L.cast(model.layers, np.float32)
-            model.params = L.registry(model.layers, "params")
-            model.buffers = L.registry(model.layers, "buffers")
+            model = cls(ModelConfig.from_dict(header["config"]), np.float32)
             offset = 0
             for section in ("params", "buffers"):
                 live = getattr(model, section)

@@ -224,10 +224,9 @@ class AsrTrainResult:
 
 
 def _mean_ctc_loss(model, utts, labels_by_id, batch_size):
-    """Mean CTC loss of the feasible ``utts``, forwarded in minibatches."""
-    utts = [utt for utt in utts if utt.id in labels_by_id]
-    if not utts:
-        raise ValueError("no feasible utterances to evaluate")
+    """Mean CTC loss of ``utts``, each of which has labels in
+    ``labels_by_id``, eval-mode forwarded by ``model`` in minibatches of
+    ``batch_size``: in `train_asr`, the float32 checkpoint's loss."""
     return float(np.mean([
         ctc.ctc_loss(result.log_probs, labels_by_id[utt.id])
         for utt, result in model.forward_corpus(utts, batch_size)]))
@@ -238,33 +237,44 @@ def train_asr(corpus, model_config: ModelConfig, train_config: TrainConfig,
     """Train the CTC model on `corpus`; returns the snapshot of the epoch
     with the best loss on `dev_corpus`.
 
+    Training runs in float64.  Epoch 0's train loss and every dev loss,
+    and so the choice of epoch, are those of the float32 values `save`
+    writes: a float32 copy of the model, refreshed from the float64 one
+    before each of those loss-only passes.
+
     Utterances whose transcript cannot fit in their output length are
-    dropped with a counted warning.
+    dropped with a warning that counts them per split; each split must
+    keep at least one.
     """
     if not corpus:
         raise ValueError("empty corpus")
     utts = list(corpus) + list(dev_corpus)
     check_unique_ids(utts)
-    model = TrainedModel(model_config)
 
     labels_by_id = {}
-    n_dropped = 0
     for utt in utts:
         if not utt.transcript:
-            n_dropped += 1
             continue
         labels = encode_transcript(utt.transcript, model_config.alphabet)
         out_len = model_config.time_len_after(model_config.n_layers,
                                               utt.n_frames)
-        if out_len < ctc.min_path_length(labels):
-            n_dropped += 1
-            continue
-        labels_by_id[utt.id] = labels
+        if out_len >= ctc.min_path_length(labels):
+            labels_by_id[utt.id] = labels
     train_utts = [u for u in corpus if u.id in labels_by_id]
-    if not train_utts:
-        raise ValueError("no feasible utterances in the corpus")
+    dev_utts = [u for u in dev_corpus if u.id in labels_by_id]
+    n_dropped = len(utts) - len(labels_by_id)
     if n_dropped:
-        log.warning("dropped %d infeasible utterances", n_dropped)
+        log.warning("dropped %d infeasible utterances: %d of %d in the "
+                    "train split, %d of %d in the dev split", n_dropped,
+                    len(corpus) - len(train_utts), len(corpus),
+                    len(dev_corpus) - len(dev_utts), len(dev_corpus))
+    for name, split, kept in (("corpus", corpus, train_utts),
+                              ("dev split", dev_corpus, dev_utts)):
+        if not kept:
+            raise ValueError(f"no feasible utterances in the {name} "
+                             f"(all {len(split)} dropped)")
+    model = TrainedModel(model_config)
+    checkpoint = TrainedModel(model_config, np.float32)
 
     def batch_grads(idx):
         """Mean gradient of the batch's utterances."""
@@ -279,13 +289,21 @@ def train_asr(corpus, model_config: ModelConfig, train_config: TrainConfig,
         grads = model.backward(dlogits)
         return losses, {k: g / len(losses) for k, g in grads.items()}
 
-    batch_size = train_config.batch_size
+    def checkpoint_loss(utts):
+        """Mean CTC loss of ``utts`` under the live values rounded to
+        float32, as `save` rounds them."""
+        for live, copy in ((model.params, checkpoint.params),
+                           (model.buffers, checkpoint.buffers)):
+            for name, v in live.items():
+                np.copyto(copy[name], v, casting="same_kind")
+        return _mean_ctc_loss(checkpoint, utts, labels_by_id,
+                              train_config.batch_size)
+
     rows, best_epoch = _fit(
         model.params, {**model.params, **model.buffers}, len(train_utts),
         train_config, np.random.default_rng(train_config.seed), batch_grads,
-        lambda: {"dev_loss": _mean_ctc_loss(model, dev_corpus, labels_by_id,
-                                            batch_size)},
-        _mean_ctc_loss(model, train_utts, labels_by_id, batch_size))
+        lambda: {"dev_loss": checkpoint_loss(dev_utts)},
+        checkpoint_loss(train_utts))
     if best_epoch == 0:
         later = min(rows[1:], key=lambda r: r["dev_loss"])
         log.warning(

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -446,6 +447,36 @@ class TestDtype:
 
 
 class TestCheckpoint:
+    @pytest.mark.parametrize("name", ["ds2-mini", "ds2-light-mini"])
+    def test_built_in_float32_is_the_float64_build_rounded(self, name):
+        # The same seeded draws, each layer cast as it is built.
+        want = TrainedModel(preset(name, seed=3))
+        got = TrainedModel(preset(name, seed=3), np.float32)
+        assert got.dtype == np.float32
+        for section in ("params", "buffers"):
+            mine, theirs = getattr(got, section), getattr(want, section)
+            live = L.registry(got.layers, section)
+            assert list(mine) == list(theirs) == list(live)
+            for key, v in mine.items():
+                assert v is live[key], key
+                np.testing.assert_array_equal(
+                    v, theirs[key].astype(np.float32), err_msg=key)
+
+    def test_load_peak_memory(self, tmp_path):
+        # A load holds the file's payload and the float32 model, but at no
+        # time the float64 initial values of the whole model.
+        path = tmp_path / "m.ckpt"
+        TrainedModel(preset("ds2-mini", seed=1)).save(path)
+        tracemalloc.start()
+        try:
+            model = TrainedModel.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        values = sum(v.nbytes for section in (model.params, model.buffers)
+                     for v in section.values())
+        assert peak <= 2.5 * values, (peak, values)
+
     def test_save_load_save_byte_identical(self, tmp_path):
         model = TrainedModel(tiny_config(seed=7))
         p1 = tmp_path / "a.ckpt"

@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from oracles import predict
 
 from ctcprobe import trainer
 from ctcprobe.acoustic import SynthConfig, Utterance, synthesize_corpus
-from ctcprobe.model import LayerSpec, ModelConfig
+from ctcprobe.model import LayerSpec, ModelConfig, TrainedModel
 from ctcprobe.probing import FrameDataset
 from ctcprobe.trainer import (AdamState, ProbeConfig, TrainConfig, adam_step,
                               encode_transcript, split_dev, train_asr,
@@ -418,6 +419,13 @@ class TestTrainAsr:
                           segment_frames=(8, 10), seed=seed)
         return synthesize_corpus(cfg, n)
 
+    def short_utterances(self, n):
+        """``n`` utterances too short for their transcripts."""
+        cfg = SynthConfig(phone_inventory_size=4, phones_per_utterance=(6, 6),
+                          segment_frames=(1, 1), seed=5)
+        return [Utterance(u.frames, u.segments, u.transcript, f"short-{i}")
+                for i, u in enumerate(synthesize_corpus(cfg, n))]
+
     def train(self, corpus, **config):
         """train_asr on the default 10% dev split of `corpus`."""
         cfg = TrainConfig(**config)
@@ -488,16 +496,55 @@ class TestTrainAsr:
             self.train([], epochs=1)
 
     def test_infeasible_utterances_dropped_with_count(self):
-        corpus = self.make_corpus(8)
-        # Short utterances whose transcript cannot fit the strided output.
-        short_cfg = SynthConfig(phone_inventory_size=4,
-                                phones_per_utterance=(6, 6),
-                                segment_frames=(1, 1), seed=5)
-        short = [Utterance(u.frames, u.segments, u.transcript,
-                           f"short-{i}")
-                 for i, u in enumerate(synthesize_corpus(short_cfg, 3))]
-        result = self.train(corpus + short, epochs=1, batch_size=4, seed=0)
+        result = self.train(self.make_corpus(8) + self.short_utterances(3),
+                            epochs=1, batch_size=4, seed=0)
         assert result.n_dropped == 3
+
+    def test_infeasible_dev_split_fails_before_training(self, caplog,
+                                                        monkeypatch):
+        monkeypatch.setattr(TrainedModel, "forward",
+                            lambda *args, **kwargs: pytest.fail("forwarded"))
+        with caplog.at_level(logging.WARNING, logger="ctcprobe.trainer"), \
+                pytest.raises(ValueError, match=re.escape(
+                    "no feasible utterances in the dev split (all 2 "
+                    "dropped)")):
+            train_asr(self.make_corpus(6), tiny_model_config(),
+                      TrainConfig(epochs=1),
+                      dev_corpus=self.short_utterances(2))
+        assert [r.getMessage() for r in caplog.records] == [
+            "dropped 2 infeasible utterances: 0 of 6 in the train split, "
+            "2 of 2 in the dev split"]
+
+    def test_loss_only_passes_run_on_float32_training_on_float64(
+            self, monkeypatch):
+        calls = []
+        forward = TrainedModel.forward
+
+        def record(model, batch, strides_enabled=True, mode="eval"):
+            calls.append((mode, model.dtype.name))
+            return forward(model, batch, strides_enabled, mode)
+
+        monkeypatch.setattr(TrainedModel, "forward", record)
+        self.train(self.make_corpus(), epochs=2, batch_size=4, seed=1)
+        # 11 train utterances in batches of 4; epoch 0's train loss and
+        # three dev losses.
+        assert sorted(set(calls)) == [("eval", "float32"),
+                                      ("train", "float64")]
+        assert calls.count(("train", "float64")) == 2 * 3
+        assert calls.count(("eval", "float32")) == 3 + 3
+
+    def test_selected_dev_loss_is_the_checkpoints(self, tmp_path):
+        corpus = self.make_corpus()
+        _train, dev = split_dev(corpus, 0.1, 1)  # `train`'s split at seed 1
+        result = self.train(corpus, epochs=3, batch_size=4, seed=1)
+        assert result.best_epoch > 0
+        result.model.save(tmp_path / "m.ckpt")
+        loaded = TrainedModel.load(tmp_path / "m.ckpt")
+        labels = {u.id: encode_transcript(u.transcript,
+                                          loaded.config.alphabet)
+                  for u in dev}
+        assert trainer._mean_ctc_loss(loaded, dev, labels, 4) == \
+            result.log[result.best_epoch]["dev_loss"]
 
     def test_duplicate_ids_rejected(self):
         # Labels are looked up by id, so a repeated id would pair one
