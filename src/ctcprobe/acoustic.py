@@ -87,6 +87,18 @@ def check_segments(segments, n_frames):
         )
 
 
+def check_int(name, value, low):
+    """Raise unless `value` is an int (not a bool) >= `low`."""
+    if type(value) is not int or value < low:
+        raise ValueError(f"{name} must be >= {low} and an int: {value!r}")
+
+
+def check_number(name, value):
+    """Raise unless `value` is a finite int or float (not a bool)."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number: {value!r}")
+
+
 def check_unique_ids(utterances):
     """Utterance ids must be unique: stages key each utterance's data by id."""
     for utt_id, count in Counter(utt.id for utt in utterances).items():
@@ -162,24 +174,26 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.phone_inventory_size < 1:
-            raise ValueError("need at least one phone")
+        check_int("phone_inventory_size", self.phone_inventory_size, 1)
         for key in ("phones_per_utterance", "segment_frames", "word_phones"):
+            for end in getattr(self, key):
+                check_int(f"each end of {key}", end, 1)
             lo, hi = getattr(self, key)
-            if not 1 <= lo <= hi:
+            if lo > hi:
                 raise ValueError(f"bad {key} range")
+        check_number("noise_stddev", self.noise_stddev)
         if self.noise_stddev < 0:
             raise ValueError("noise_stddev must be >= 0")
+        check_int("seed", self.seed, 0)
         if self.formant_table is None:
             self.formant_table = default_formant_table(
                 self.phone_inventory_size)
         if self.phone_to_chars is None:
             self.phone_to_chars = default_phone_to_chars(self.phone_inventory_size)
-        for name in ("formant_table", "phone_to_chars"):
-            for phone in self.phones:
+        for phone in self.phones:
+            for name in ("formant_table", "phone_to_chars"):
                 if phone not in getattr(self, name):
                     raise ValueError(f"{name} lacks phone {phone!r}")
-        for phone in self.phones:
             entry = self.formant_table[phone]
             if type(entry) not in (list, tuple) or not all(map(_is_formant,
                                                                entry)):
@@ -203,15 +217,16 @@ def _is_formant(f):
 
 def _check_prefix_free(code):
     codes = list(code.values())
+    for c in codes:
+        if type(c) is not str or " " in c:
+            raise ValueError(f"phone codes must be strings without spaces: "
+                             f"{c!r}")
     if len(set(codes)) != len(codes):
         raise ValueError("phone_to_chars must be injective")
     for a in codes:
         for b in codes:
             if a is not b and b.startswith(a):
                 raise ValueError(f"phone code {a!r} is a prefix of {b!r}")
-    for c in codes:
-        if " " in c:
-            raise ValueError("phone codes may not contain spaces")
 
 
 def phone_template(cfg: SynthConfig, phone: str) -> np.ndarray:

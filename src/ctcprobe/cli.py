@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import acoustic, clustering, model, phoneset, probing, trainer
-from .artifacts import atomic_write
+from .artifacts import atomic_write, named_errors, remove_temps
 from .model import ModelConfig, TrainedModel
 from .plots import svg_bar_chart, svg_heatmap, svg_scatter
 
@@ -72,7 +72,7 @@ def _build(section, make, raw, other=None, **inherited):
 
 def _model(preset="ds2-mini", seed=0):
     """The `model` section: a preset architecture and its init seed."""
-    trainer.check_int("seed", seed, 0)
+    acoustic.check_int("seed", seed, 0)
     return model.preset(preset, seed=seed)
 
 
@@ -90,14 +90,8 @@ class SyntheticCorpus(acoustic.SynthConfig):
     n_utterances: int = 100
 
     def __post_init__(self):
-        trainer.check_int("phone_inventory_size", self.phone_inventory_size, 1)
-        for key in ("phones_per_utterance", "segment_frames", "word_phones"):
-            for end in getattr(self, key):
-                trainer.check_int(f"each end of {key}", end, 1)
-        trainer.check_number("noise_stddev", self.noise_stddev)
         super().__post_init__()
-        trainer.check_int("n_utterances", self.n_utterances, 2)
-        trainer.check_int("seed", self.seed, 0)
+        acoustic.check_int("n_utterances", self.n_utterances, 2)
 
 
 @dataclass
@@ -113,11 +107,18 @@ class ProbeGrid:
             if type(values) is not list or not values:
                 raise ValueError(f"{key} must be a non-empty list")
         for value in self.layers + self.windows:
-            trainer.check_int("each layer and window", value, 0)
+            acoustic.check_int("each layer and window", value, 0)
         if {type(s) for s in self.strides} != {bool} or \
                 not set(self.schemes) <= set(phoneset.SCHEMES):
             raise ValueError(f"needs strides true or false and schemes in "
                              f"{sorted(phoneset.SCHEMES)}")
+
+
+def tap_layers(grid):
+    """{strides: layers} of the tap files extract writes: the grid's layers
+    but 0, whose views `layer_views` makes from the corpus."""
+    layers = [layer for layer in dict.fromkeys(grid.layers) if layer > 0]
+    return {strides: layers for strides in grid.strides}
 
 
 @dataclass
@@ -140,9 +141,9 @@ class ClusteringConfig:
     def __post_init__(self):
         ProbeGrid([self.layer], [self.strides], [self.window], [self.scheme])
         for name in ("k", "max_iter", "iters"):
-            trainer.check_int(name, getattr(self, name), 1)
+            acoustic.check_int(name, getattr(self, name), 1)
         for name in ("tol", "min_coverage", "perplexity"):
-            trainer.check_number(name, getattr(self, name))
+            acoustic.check_number(name, getattr(self, name))
         if not (type(self.enabled) is bool and self.tol >= 0
                 and self.method in clustering.PROJECTIONS
                 and 0 < self.min_coverage <= 1 and self.perplexity > 0):
@@ -175,8 +176,8 @@ class ExperimentConfig:
         return _build("config", cls, d)
 
     def __post_init__(self):
-        trainer.check_int("seed", self.seed, 0)
-        trainer.check_int("threads", self.threads, 1)
+        acoustic.check_int("seed", self.seed, 0)
+        acoustic.check_int("threads", self.threads, 1)
         model_cfg = self.model_cfg = _build("model", _model, self.model,
                                             seed=self.seed)
         self.train_cfg = _build("train", trainer.TrainConfig, self.train,
@@ -194,9 +195,9 @@ class ExperimentConfig:
         if top > model_cfg.n_layers:
             raise ConfigError(f"probe or clustering layer {top} outside "
                               f"[0, {model_cfg.n_layers}]")
-        view, grid = self.clustering_cfg, self.probe_grid
-        if view.enabled and (view.layer not in grid.layers
-                             or view.strides not in grid.strides):
+        view = self.clustering_cfg
+        readable = [0, *tap_layers(self.probe_grid).get(view.strides, [])]
+        if view.enabled and view.layer not in readable:
             raise ConfigError(f"clustering needs the layer-{view.layer} tap "
                               f"with strides={view.strides}, which the probe "
                               f"grid does not extract")
@@ -252,35 +253,16 @@ class ArtifactDir:
                                + "\n")
 
     def read_json(self, rel, parse):
-        """``parse`` of a JSON artifact.  A corrupt one, or one lacking a key
-        (or holding a mistyped one) that ``parse`` reads, is a ValueError
-        naming its path."""
+        """``parse`` of a JSON artifact, within `named_errors`."""
         path = self.path(rel)
-        with open(path) as fh:
-            try:
-                data = json.load(fh)
-            except ValueError as exc:  # JSON or UTF-8 decoding
-                raise ValueError(f"{path}: corrupt JSON ({exc})") from exc
-        try:
-            return parse(data)
-        except (KeyError, TypeError) as exc:  # a missing or mistyped key
-            raise ValueError(f"{path}: malformed JSON ({exc!r})") from exc
+        with open(path) as fh, named_errors(path, "JSON"):
+            return parse(json.load(fh))
 
     def write_csv(self, rel, rows):
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerows(rows)
         return self.write_text(rel, buf.getvalue())
-
-    def remove_temps(self):
-        """Remove every ``*.tmp`` file under the directory.  `atomic_write`
-        removes its temp file when its block raises, but a killed process
-        runs no handler; one process writes a directory at a time, so a
-        temp file present between stages is a killed stage's."""
-        for root, _dirs, names in os.walk(self.base):
-            for name in names:
-                if name.endswith(".tmp"):
-                    os.remove(os.path.join(root, name))
 
     def write_manifest(self, config):
         files = {}
@@ -409,34 +391,28 @@ def stage_extract(cfg, art):
     if diff is not None:
         raise ValueError(f"{path} holds a model of another config: its "
                          f"{diff[0]} is {diff[1]!r}, the config's {diff[2]!r}")
-    train, dev = load_split(art)
+    splits = dict(zip(("train", "dev"), load_split(art)))
     # One pass per strides setting and split: each utterance is forwarded
     # once, in minibatches of train.batch_size, and its rows for every
-    # probed layer of that setting go straight to their files.  Layer 0,
-    # the input, gets none: its views come from the corpus.
-    combos = probe_combos(cfg)
+    # tapped layer of that setting go straight to their files.
     dev_categories = {}
-    for strides in dict.fromkeys(combo[1] for combo in combos):
-        layers = dict.fromkeys(combo[0] for combo in combos
-                               if combo[1] == strides and combo[0] > 0)
-        for split, corpus in (("train", train), ("dev", dev)):
-            taps = [(layer, art.path(tap_file(layer, strides, split)))
-                    for layer in layers]
-            extraction = probing.extract_frames(
-                model, corpus, taps, strides, cfg.threads,
-                cfg.train_cfg.batch_size)
-        # `extraction` is now the dev pass's
+    for strides, layers in tap_layers(cfg.probe_grid).items():
+        categories = {split: probing.extract_frames(
+            model, corpus,
+            [(layer, art.path(tap_file(layer, strides, split)))
+             for layer in layers],
+            strides, cfg.threads, cfg.train_cfg.batch_size).categories
+            for split, corpus in splits.items()}
         dev_categories[strides_key(strides)] = {
             "subsample_factor": model.config.subsample_factor(
                 model.config.n_layers, strides),
-            "categories": extraction.categories}
+            "categories": categories["dev"]}
     art.write_json(CATEGORIES_FILE, dev_categories)
 
 
 def stage_probe(cfg, art):
     # The breakdown's categories come from extract's forwards: this stage
-    # reads no model and forwards nothing.  Layer 0's views come from the
-    # corpus, every other layer's from its tap files.
+    # reads no model and forwards nothing.
     dev_categories = art.read_json(CATEGORIES_FILE, lambda d: {
         key: (d[key]["subsample_factor"], d[key]["categories"])
         for key in map(strides_key, cfg.probe_grid.strides)})
@@ -627,7 +603,7 @@ STAGES = {"synth": "corpus", "train-asr": "train-asr", "extract": "extract",
 
 def run_stage(stage, cfg, art):
     try:
-        art.remove_temps()
+        remove_temps(art.base)
         globals()["stage_" + stage.replace("-", "_")](cfg, art)
     except Exception as exc:
         raise StageError(stage, exc) from exc

@@ -10,14 +10,14 @@ a layer one at a time and back in the same order.  A layer computes in its
 parameters' dtype: every array it allocates takes that dtype, and `cast`
 changes it for a whole stack.  Layers are built float64.
 
-A recurrent layer takes a minibatch as a zero-padded, time-major
-(T, B, D) array and the utterances' lengths.  Each direction's input
-projection, batch norm and parameter gradients run per utterance, on
-views of the batch's rows (the input's, and in the backward those of the
-pre-activation gradients and states), not copies.  The cell recurrence
-steps both directions and every utterance at once, along a direction
-axis (the backward direction reads each utterance time-reversed),
-longest utterance first, each dropping out when it ends.
+A recurrent layer takes a minibatch as a `pad_batch` array and the
+utterances' lengths.  Each direction's input projection, batch norm and
+parameter gradients run per utterance, on views of the batch's rows (the
+input's, and in the backward those of the pre-activation gradients and
+states), not copies.  The cell recurrence steps both directions and every
+utterance at once, along a direction axis (the backward direction reads
+each utterance time-reversed), longest utterance first, each dropping out
+when it ends.
 A step's recurrent product is one stacked matrix-vector product
 (`np.matmul` of the two directions' Wh, stacked (2, 1, G, H), and a
 (2, B, H, 1) stack of states), which makes the same BLAS gemv call per
@@ -142,6 +142,16 @@ def add_grads(total, grads, prefix=""):
             total[prefix + name] += g
         else:
             total[prefix + name] = g
+
+
+def pad_batch(rows, t=None):
+    """The zero-padded, time-major (T, B, D) batch of B (rows, D) arrays,
+    ``t`` rows long or as long as the longest."""
+    x = np.zeros((max(map(len, rows)) if t is None else t, len(rows),
+                  rows[0].shape[1]), rows[0].dtype)
+    for b, r in enumerate(rows):
+        x[:len(r), b] = r
+    return x
 
 
 def registry(layers, kind):
@@ -578,8 +588,8 @@ class RecurrentLayer:
 
     ``hidden_size`` is the layer's output width; each direction has
     hidden_size // 2 units and the two directions are concatenated.
-    Inputs, outputs and their gradients are zero-padded, time-major
-    (T, B, width) arrays: utterance b's ``lengths[b]`` frames, then zeros.
+    Inputs, outputs and their gradients are `pad_batch` arrays of
+    utterances of ``lengths`` frames.
 
     Both directions step one recurrence, over (time, direction, column,
     unit) arrays.  Direction 0 is ``fwd``, which reads each utterance from
@@ -660,14 +670,8 @@ class RecurrentLayer:
             if input_grad:
                 dxs.append(dx_u[0] + dx_u[1][::-1])
             dx_u = None  # its products go before the next utterance's
-        if not input_grad:
-            return None, grads
         del inputs, dzn, hs  # before the input gradient is allocated
-        wx = self.fwd.params["Wx"]
-        dx = np.zeros(dout.shape[:2] + wx.shape[1:], wx.dtype)
-        for u, d in enumerate(dxs):
-            dx[:len(d), u] = d
-        return dx, grads
+        return (pad_batch(dxs, len(dout)) if input_grad else None), grads
 
 
 class FCLayer:

@@ -258,7 +258,7 @@ class TrainedModel:
             L.drop_caches(self.layers)
         n_conv = self._n_conv
         convs = self.config.convs(n_conv, strides_enabled)
-        taps, shapes = [], []
+        taps = []
         for x in batch:
             frames = np.asarray(x, dtype=self.dtype)
             if (frames.ndim != 2
@@ -273,12 +273,8 @@ class TrainedModel:
                 cur, _pre = layer.forward(cur, train, stride_t=stride_t)
                 taps[-1].append(layer.output_tap(cur)
                                 if k == n_conv or not train else None)
-            shapes.append(cur.shape)
         lengths = [len(utt_taps[-1]) for utt_taps in taps]
-        x = np.zeros((max(lengths), len(taps), taps[0][-1].shape[1]),
-                     self.dtype)
-        for u, utt_taps in enumerate(taps):
-            x[:lengths[u], u] = utt_taps[-1]
+        x = L.pad_batch([utt_taps[-1] for utt_taps in taps])
         for layer in self.layers[n_conv:-1]:
             x = layer.forward(x, lengths, train)
             for u, utt_taps in enumerate(taps):
@@ -290,7 +286,7 @@ class TrainedModel:
             utt_taps.append(np.exp(lp))
             results.append(ForwardResult(utt_taps, lp))
         if train:
-            self._fwd_state = (lengths, shapes)
+            self._fwd_state = lengths
         return results
 
     def forward_corpus(self, utts, batch_size, strides_enabled=True,
@@ -325,7 +321,7 @@ class TrainedModel:
         utterance's gradient of the pre-softmax logits."""
         if self._fwd_state is None:
             raise RuntimeError("backward called without a cached forward pass")
-        lengths, shapes = self._fwd_state
+        lengths = self._fwd_state
         self._fwd_state = None
         n, n_conv = len(self.layers), self._n_conv
         grads = {}
@@ -336,9 +332,7 @@ class TrainedModel:
             L.add_grads(grads, layer_grads, f"L{n}.")
             ds.append(d)
         if n - 1 > n_conv:
-            d = np.zeros((max(lengths), len(ds), ds[0].shape[1]), self.dtype)
-            for u, d_u in enumerate(ds):
-                d[:lengths[u], u] = d_u
+            d = L.pad_batch(ds)
             del ds
             for i in range(n - 1, n_conv, -1):
                 d, layer_grads = self.layers[i - 1].backward(
@@ -348,9 +342,10 @@ class TrainedModel:
         if n_conv:
             # The conv stack one utterance at a time, so one input gradient
             # exists at a time.  Nothing uses the spectrogram's gradient.
-            for (c, t, f), d in zip(shapes, ds):
+            c = self.config.layers[n_conv - 1].out_channels
+            for d in ds:
                 # (C, T, F), a view: the ReLU mask makes it channel-major.
-                d = d.reshape(t, c, f).transpose(1, 0, 2)
+                d = d.reshape(len(d), c, -1).transpose(1, 0, 2)
                 for i in range(n_conv, 0, -1):
                     d, layer_grads = self.layers[i - 1].backward(
                         d, input_grad=i > 1)

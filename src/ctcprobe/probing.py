@@ -67,12 +67,10 @@ def extract_frames(model, corpus, taps, strides_enabled=True, threads=1,
     phones, taken at the row's receptive-field center.
 
     ``taps`` lists (layer, path), any layer from 0, the input, to the
-    softmax; `load_views` applies windows and label schemes.  The extract
-    stage taps no layer 0: `corpus_views` makes its views, the same ones,
-    from the corpus.  Rows are float32: a loaded model's taps as they are, a
-    float64 model's rounded.  The forwards are
-    `TrainedModel.forward_corpus` minibatches of ``batch_size``
-    utterances, ``threads`` of them at once; the files are
+    softmax; `load_views` applies windows and label schemes.  Rows are
+    float32: a loaded model's taps as they are, a float64 model's rounded.
+    The forwards are `TrainedModel.forward_corpus` minibatches of
+    ``batch_size`` utterances, ``threads`` of them at once; the files are
     the same bytes at any batch size and thread count.  Headers follow
     from the config and the utterance lengths, so no row waits in memory
     beyond one minibatch's results per thread, and the files replace their

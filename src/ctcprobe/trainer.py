@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ctc
-from .acoustic import check_unique_ids
+from .acoustic import check_int, check_number, check_unique_ids
 from .model import ModelConfig, TrainedModel
 from .probing import TrainedProbe
 
@@ -115,18 +115,6 @@ def flush_subnormals(state: AdamState):
             for lo in range(0, flat.size, ADAM_SLICE):
                 s = flat[lo:lo + ADAM_SLICE]
                 s[np.abs(s) < tiny] = 0.0
-
-
-def check_int(name, value, low):
-    """Raise unless `value` is an int (not a bool) >= `low`."""
-    if type(value) is not int or value < low:
-        raise ValueError(f"{name} must be >= {low} and an int: {value!r}")
-
-
-def check_number(name, value):
-    """Raise unless `value` is a finite int or float (not a bool)."""
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite number: {value!r}")
 
 
 @dataclass

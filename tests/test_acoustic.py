@@ -8,6 +8,7 @@ from oracles import decode_transcript, export_timit_dir, frame_label
 from ctcprobe import acoustic
 from ctcprobe.acoustic import (N_BINS, PhoneSegment, SynthConfig, Utterance,
                                hamming_window, spectrogram, synthesize_corpus)
+from ctcprobe.cli import ConfigError, ExperimentConfig
 
 
 class TestHammingWindow:
@@ -110,6 +111,19 @@ class TestSynthesizeCorpus:
         with pytest.raises(ValueError):
             SynthConfig(phone_inventory_size=2,
                         phone_to_chars={"p00": "a", "p01": "ab"})
+
+    @pytest.mark.parametrize("fields", [
+        {"segment_frames": (2.5, 4)}, {"phones_per_utterance": (True, 3)},
+        {"noise_stddev": float("nan")}, {"seed": -1},
+        {"phone_inventory_size": True},
+        {"phone_to_chars": {"p00": "a", "p01": ["b"]},
+         "phone_inventory_size": 2}], ids=lambda f: next(iter(f)))
+    def test_built_directly_refuses_what_a_config_refuses(self, fields):
+        with pytest.raises(ValueError) as direct:
+            SynthConfig(**fields)
+        with pytest.raises(ConfigError) as loaded:
+            ExperimentConfig.from_dict({"corpus": {"synthetic": fields}})
+        assert str(loaded.value) == f"corpus.synthetic: {direct.value}"
 
     def test_magnitudes_clamped_non_negative(self):
         cfg = SynthConfig(noise_stddev=5.0, seed=2)

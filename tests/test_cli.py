@@ -274,6 +274,24 @@ class TestConfigValidation:
         assert not load_config(write_config(tmp_path, cfg)) \
             .clustering_cfg.enabled
 
+    def test_clustering_layer_0_needs_no_probed_layer_0(self, tmp_path):
+        # Layer 0's views come from the corpus at either strides setting,
+        # so only a deeper clustering layer must be in the grid.
+        cfg = small_config(tmp_path / "out")
+        cfg["probe"].update(layers=[2], strides=[True])
+        cfg["clustering"].update(layer=0, strides=False)
+        path = write_config(tmp_path, cfg)
+        assert load_config(path).clustering_cfg.layer == 0
+        assert main(["run", "--config", path]) == 0
+        assert (tmp_path / "out" / "clusters.csv").exists()
+
+    def test_readme_quick_start_config_loads(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir,
+                              "README.md")
+        with open(readme) as fh:
+            block = re.search(r"```json\n(.*?)```", fh.read(), re.S)
+        ExperimentConfig.from_dict(json.loads(block.group(1)))
+
     def test_directly_built_config_is_checked(self):
         with pytest.raises(cli.ConfigError, match="strides"):
             ExperimentConfig(probe={"strides": []})
